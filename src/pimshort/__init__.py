@@ -1,68 +1,16 @@
 """Local densities and short-interval counts of prime-independent multiplicative functions."""
 
-from .bounds import (
-    BoundBreakdown,
-    bound_breakdown,
-    interval_error_bound,
-    middle_exponent,
-    tail_exponent,
-    zeta,
-)
+from .bounds import BoundBreakdown, bound_breakdown, zeta
 from .density import (
-    DEFAULT_BOUND,
     DensityResult,
     RFullDecomposition,
     decompose_rfull,
-    dedekind_psi,
-    density_profile,
     enumerate_rfull,
     local_density,
-    rfull_factorizations,
-    tail_geometric_factor,
-    weight_harmonic_profile,
     weight_harmonic_sum,
-    weight_harmonic_tail,
-    weight_partial_sum,
 )
-from .factor import (
-    Factorization,
-    eval_rule,
-    factorize,
-    introot,
-    is_r_free,
-    is_r_full,
-    primes_upto,
-    r_free_inverse,
-    recompose,
-    rfull_weight,
-    rfull_weights_up_to,
-)
-from .rules import (
-    ALPHA_MAX,
-    FAMILY_NAMES,
-    ExponentRule,
-    RuleError,
-    UnknownRuleError,
-    build_rule,
-    builtin_rules,
-    divisor_count,
-    load_custom_rule,
-    partition_count,
-    plane_partition_count,
-    power_divisor_count,
-    semisimple_count,
-    unitary_divisor_count,
-)
-from .sieve import (
-    IntervalReport,
-    SieveSegment,
-    admissible_window,
-    count_r_free,
-    count_value,
-    interval_report,
-    rfull_multiples_sum,
-    sieve_segment,
-    value_counts,
-)
+from .factor import Factorization, eval_rule, factorize
+from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
+from .sieve import IntervalReport, count_r_free, count_value, interval_report, rfull_multiples_sum
 
 __version__ = "0.1.0"

@@ -6,13 +6,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, fsum, log
 
-MAX_PRECISION = 15
-
 _EM_CUTOFF = 10_000
 
 
 @lru_cache(maxsize=None)
-def zeta(r: int, precision: int = MAX_PRECISION) -> float:
+def zeta(r: int) -> float:
     """zeta(r) by direct summation with an Euler-Maclaurin tail correction.
 
     The tail past the cutoff N is integral + N^(-r)/2 + r N^(-r-1)/12; the
@@ -21,8 +19,6 @@ def zeta(r: int, precision: int = MAX_PRECISION) -> float:
     """
     if r < 2:
         raise ValueError(f"zeta requires integer r >= 2, got {r}")
-    if not 1 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must be in [1, {MAX_PRECISION}] digits, got {precision}")
     n = _EM_CUTOFF
     head = fsum(k ** float(-r) for k in range(1, n))
     tail = n ** (1.0 - r) / (r - 1.0) + 0.5 * n ** float(-r) + (r / 12.0) * n ** (-1.0 - r)

@@ -36,11 +36,21 @@ R2_EXPONENT_WARNING = (
 
 
 def exact_int(text: str) -> int:
-    """Parse an integer flag, accepting scientific notation when integral."""
+    """Parse an integer flag, accepting scientific notation when integral.
+
+    Magnitudes at or above 2**63 are refused before int() expands them, so a
+    short flag such as 1e1000000 cannot stall the parser.  OverflowError is
+    not one of the errors argparse turns into a usage message; main reports
+    it and exits 2 like any other out-of-range value.
+    """
     try:
         value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if value.is_nan():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if value.copy_abs() >= MAX_N:
+        raise OverflowError(f"{text!r} is out of range: values must stay below 2**63")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(value)
@@ -62,8 +72,7 @@ def _default_workers() -> int:
 
 def resolve_rule(name_or_path: str) -> ExponentRule:
     """A built-in rule name, or a path to a custom-rule JSON document."""
-    looks_like_path = name_or_path.endswith(".json") or os.sep in name_or_path
-    if looks_like_path or os.path.isfile(name_or_path):
+    if name_or_path.endswith(".json") or os.sep in name_or_path:
         return load_custom_rule(Path(name_or_path).read_text())
     return build_rule(name_or_path)
 
@@ -103,8 +112,6 @@ def cmd_interval(args) -> int:
 
 
 def cmd_enumerate_rfull(args) -> int:
-    if args.limit >= MAX_N:
-        raise ValueError("limit must stay below 2**63")
     for n in enumerate_rfull(args.r, args.limit):
         print(n)
     return 0
@@ -209,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except (RuleError, UnknownRuleError, ValueError, OSError) as exc:
+    except (RuleError, UnknownRuleError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,7 @@ from .factor import (
     introot,
     is_r_full,
     primes_upto,
+    recompose,
     rfull_weights_up_to,
 )
 from .rules import ExponentRule
@@ -118,14 +119,22 @@ def decompose_rfull(fact: Factorization, r: int) -> RFullDecomposition:
     return RFullDecomposition(r, tuple(parts))
 
 
+def _psi_ratio(fact: Factorization, r: int) -> tuple[int, int]:
+    """(a, c) with psi(b) = b * a / c, from a = prod (p^r - 1), c = prod p^(r-1) (p - 1)."""
+    a = c = 1
+    for p, _ in fact:
+        lower = p ** (r - 1)
+        a *= lower * p - 1
+        c *= lower * (p - 1)
+    return a, c
+
+
 def dedekind_psi(fact: Factorization, r: int) -> Fraction:
     """b * prod_{p | b} (1 + 1/p + ... + 1/p^(r-1)) as an exact rational."""
     if r < 2:
         raise ValueError(f"dedekind_psi requires r >= 2, got {r}")
-    out = Fraction(1)
-    for p, alpha in fact:
-        out *= Fraction(p) ** alpha * Fraction(p**r - 1, p ** (r - 1) * (p - 1))
-    return out
+    a, c = _psi_ratio(fact, r)
+    return Fraction(recompose(fact) * a, c)
 
 
 def tail_geometric_factor(r: int) -> float:
@@ -166,9 +175,39 @@ def _check_series_args(k: int, bound: int) -> None:
         raise ValueError(f"truncation bound must be >= 1, got {bound}")
 
 
-def _reciprocal(psi: Fraction) -> float:
-    # 1/psi with a single correctly-rounded division.
-    return psi.denominator / psi.numerator
+def _densities(rule: ExponentRule, bound: int, ks: range,
+               terms: RFullTerms | None) -> dict[int, DensityResult]:
+    """The reciprocal-psi pass: a DensityResult for every k in ks.
+
+    Each term 1/psi(b) = c / (b * a) is one correctly rounded division of
+    exact integers.  Head sums are kept only for values f(b) that occur;
+    the tail block is every r-full b in (bound, 2^r * bound].
+    """
+    r = rule.r
+    top = (1 << r) * bound
+    if terms is None:
+        terms = rfull_factorizations(r, top)
+    heads: dict[int, list[float]] = {}
+    block: list[float] = []
+    for n, fact in terms:
+        if n <= bound:
+            v = eval_rule(rule, fact)
+            if v not in ks:
+                continue
+            dest = heads.setdefault(v, [])
+        elif n <= top:
+            dest = block
+        else:
+            break
+        a, c = _psi_ratio(fact, r)
+        dest.append(c / (n * a))
+    tail = tail_geometric_factor(r) * fsum(block)
+    z = zeta(r)
+    out = {}
+    for k in ks:
+        partial = fsum(heads.get(k, ()))
+        out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
+    return out
 
 
 def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND, *,
@@ -179,45 +218,14 @@ def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND, *,
     `terms` must hold the r-full factorizations up to 2^r * bound.
     """
     _check_series_args(k, bound)
-    r = rule.r
-    if terms is None:
-        terms = rfull_factorizations(r, (1 << r) * bound)
-    head = []
-    block = []
-    for n, fact in terms:
-        if n <= bound:
-            if eval_rule(rule, fact) == k:
-                head.append(_reciprocal(dedekind_psi(fact, r)))
-        else:
-            block.append(_reciprocal(dedekind_psi(fact, r)))
-    partial = fsum(head)
-    tail = tail_geometric_factor(r) * fsum(block)
-    z = zeta(r)
-    return DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
+    return _densities(rule, bound, range(k, k + 1), terms)[k]
 
 
 def density_profile(rule: ExponentRule, bound: int, k_max: int, *,
                     terms: RFullTerms | None = None) -> dict[int, DensityResult]:
     """local_density for every k <= k_max in a single enumeration pass."""
     _check_series_args(k_max, bound)
-    r = rule.r
-    if terms is None:
-        terms = rfull_factorizations(r, (1 << r) * bound)
-    heads: dict[int, list[float]] = {k: [] for k in range(1, k_max + 1)}
-    block = []
-    for n, fact in terms:
-        if n <= bound:
-            v = eval_rule(rule, fact)
-            if v <= k_max:
-                heads[v].append(_reciprocal(dedekind_psi(fact, r)))
-        else:
-            block.append(_reciprocal(dedekind_psi(fact, r)))
-    tail = tail_geometric_factor(r) * fsum(block)
-    z = zeta(r)
-    return {
-        k: DensityResult(rule.name, k, r, bound, fsum(vals), tail, z, fsum(vals) / z)
-        for k, vals in heads.items()
-    }
+    return _densities(rule, bound, range(1, k_max + 1), terms)
 
 
 def weight_harmonic_sum(rule: ExponentRule, k: int, bound: int, *,
@@ -226,17 +234,7 @@ def weight_harmonic_sum(rule: ExponentRule, k: int, bound: int, *,
 
     Dividing by zeta(r) gives the density again, up to both truncation tails.
     """
-    _check_series_args(k, bound)
-    if terms is None:
-        terms = rfull_factorizations(rule.r, bound)
-    vals = []
-    for n, fact in terms:
-        if n > bound:
-            break
-        h = rfull_weights_up_to(rule, fact, k).get(k, 0)
-        if h:
-            vals.append(h / n)
-    return fsum(vals)
+    return weight_harmonic_profile(rule, bound, k, terms=terms)[k][0]
 
 
 def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int, *,
@@ -246,18 +244,7 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int, *,
     Mirrors the density tail: |h(n)|/n summed over the first out-of-range
     block (bound, 2^r * bound], scaled by the geometric factor.
     """
-    _check_series_args(k, bound)
-    r = rule.r
-    if terms is None:
-        terms = rfull_factorizations(r, (1 << r) * bound)
-    vals = []
-    for n, fact in terms:
-        if n <= bound:
-            continue
-        h = rfull_weights_up_to(rule, fact, k).get(k, 0)
-        if h:
-            vals.append(abs(h) / n)
-    return tail_geometric_factor(r) * fsum(vals)
+    return weight_harmonic_profile(rule, bound, k, terms=terms)[k][1]
 
 
 def weight_harmonic_profile(rule: ExponentRule, bound: int, k_max: int, *,
@@ -265,19 +252,21 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int, k_max: int, *,
     """(harmonic sum, tail estimate) for every k <= k_max in one pass."""
     _check_series_args(k_max, bound)
     r = rule.r
+    top = (1 << r) * bound
     if terms is None:
-        terms = rfull_factorizations(r, (1 << r) * bound)
-    heads: dict[int, list[float]] = {k: [] for k in range(1, k_max + 1)}
-    tails: dict[int, list[float]] = {k: [] for k in range(1, k_max + 1)}
+        terms = rfull_factorizations(r, top)
+    heads: dict[int, list[float]] = {}
+    tails: dict[int, list[float]] = {}
     for n, fact in terms:
-        weights = rfull_weights_up_to(rule, fact, k_max)
-        if not weights:
-            continue
-        target = heads if n <= bound else tails
-        for k, h in weights.items():
-            target[k].append((h if n <= bound else abs(h)) / n)
+        if n > top:
+            break
+        head = n <= bound
+        target = heads if head else tails
+        for k, h in rfull_weights_up_to(rule, fact, k_max).items():
+            target.setdefault(k, []).append((h if head else abs(h)) / n)
     factor = tail_geometric_factor(r)
-    return {k: (fsum(heads[k]), factor * fsum(tails[k])) for k in range(1, k_max + 1)}
+    return {k: (fsum(heads.get(k, ())), factor * fsum(tails.get(k, ())))
+            for k in range(1, k_max + 1)}
 
 
 def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int, *,

@@ -48,15 +48,6 @@ def primes_upto(limit: int) -> list[int]:
     return _prime_list[:hi]
 
 
-def primes_array_upto(limit: int) -> np.ndarray:
-    """Same primes as primes_upto, as an int64 array view (do not mutate)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    _extend_primes(limit)
-    hi = int(np.searchsorted(_prime_array, limit, side="right"))
-    return _prime_array[:hi]
-
-
 def introot(n: int, r: int) -> int:
     """floor(n ** (1/r)), exact for any non-negative integer n."""
     if n < 0:

@@ -46,7 +46,7 @@ def _check_window(x: int, y: int) -> None:
         raise ValueError("window end must stay below 2**63")
 
 
-def _chunks(x: int, y: int, cap: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
+def _chunks(x: int, y: int, cap: int) -> list[tuple[int, int]]:
     out = []
     done = 0
     while done < y:
@@ -173,7 +173,7 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
         raise ValueError(f"k must be a positive integer, got {k}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(rule, k, cx, cy) for cx, cy in _chunks(x, y)]
+    tasks = [(rule, k, cx, cy) for cx, cy in _chunks(x, y, DEFAULT_CHUNK)]
     return sum(_run_tasks(tasks, _count_task, workers))
 
 
@@ -182,7 +182,7 @@ def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[i
     _check_window(x, y)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(rule, cx, cy) for cx, cy in _chunks(x, y)]
+    tasks = [(rule, cx, cy) for cx, cy in _chunks(x, y, DEFAULT_CHUNK)]
     merged: dict[int, int] = {}
     for part in _run_tasks(tasks, _profile_task, workers):
         for v, c in part.items():
@@ -196,7 +196,7 @@ def count_r_free(x: int, y: int, r: int) -> int:
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
     total = 0
-    for cx, cy in _chunks(x, y):
+    for cx, cy in _chunks(x, y, DEFAULT_CHUNK):
         marked = np.zeros(cy, dtype=bool)
         for p in primes_upto(introot(cx + cy, r)):
             q = p**r

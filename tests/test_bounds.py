@@ -35,10 +35,6 @@ def test_zeta_monotone_to_one():
 def test_zeta_validation():
     with pytest.raises(ValueError):
         zeta(1)
-    with pytest.raises(ValueError):
-        zeta(2, precision=16)
-    with pytest.raises(ValueError):
-        zeta(2, precision=0)
 
 
 def test_breakdown_specializes_at_r2():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,19 @@ def test_exact_int_scientific_notation():
         exact_int("1.5")
     with pytest.raises(Exception):
         exact_int("abc")
+
+
+def test_huge_magnitude_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "--rule", "abelian", "--k", "1",
+                             "--B", "1e1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "2**63" in err
+    for text in ("9223372036854775808", "-9.3e18", "inf"):
+        with pytest.raises(OverflowError):
+            exact_int(text)
+    assert exact_int("9223372036854775807") == 2**63 - 1
 
 
 def test_density_json_roundtrip(capsys):
@@ -116,6 +130,14 @@ def test_custom_rule_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "density", "--rule", str(path), "--k", "1", "--B", "1e3")
     assert code == 0
     assert json.loads(out)["rule"] == "flat"
+
+
+def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "abelian").write_text("not a rule")
+    code, out, _ = run_cli(capsys, "density", "--rule", "abelian", "--k", "1", "--B", "1e3")
+    assert code == 0
+    assert json.loads(out)["rule"] == "abelian"
 
 
 def test_custom_rule_invalid_exits_2(tmp_path, capsys):

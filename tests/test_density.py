@@ -1,6 +1,6 @@
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
+from math import fsum, gcd
 
 import pytest
 
@@ -18,7 +18,7 @@ from pimshort.density import (
     weight_harmonic_tail,
     weight_partial_sum,
 )
-from pimshort.factor import factorize, is_r_full, rfull_weights_up_to
+from pimshort.factor import eval_rule, factorize, is_r_full, rfull_weights_up_to
 from pimshort.rules import build_rule, builtin_rules
 
 from oracles import h_brute, rfull_flags, trial_factorize
@@ -146,6 +146,41 @@ def test_profiles_match_single_calls():
         assert prof[k].tail_estimate == single.tail_estimate
         assert wprof[k][0] == weight_harmonic_sum(abelian, k, 10**5)
         assert wprof[k][1] == weight_harmonic_tail(abelian, k, 10**5, terms=terms)
+
+
+def test_series_equal_an_exact_rational_reference():
+    # Each term is a correctly rounded 1/psi(b) and fsum rounds the exact
+    # sum, so the sums must equal those of Fraction reciprocals exactly.
+    bound = 3000
+    for rule in builtin_rules() + (build_rule("powerdiv-r:3"),):
+        r = rule.r
+        flags = rfull_flags((1 << r) * bound, r)
+        heads: dict[int, list[float]] = {}
+        block = []
+        for n in map(int, flags.nonzero()[0]):
+            fact = trial_factorize(n)
+            psi = Fraction(n)
+            for p, _ in fact:
+                psi *= sum(Fraction(1, p**j) for j in range(r))
+            dest = block if n > bound else heads.setdefault(eval_rule(rule, fact), [])
+            dest.append(float(1 / psi))
+        prof = density_profile(rule, bound, 8)
+        for k in range(1, 9):
+            assert prof[k].partial_sum == fsum(heads.get(k, [])), (rule.name, k)
+            assert prof[k].tail_estimate == tail_geometric_factor(r) * fsum(block)
+
+
+def test_terms_past_the_tail_block_are_ignored():
+    bound = 10**5
+    for rule in builtin_rules() + (build_rule("powerdiv-r:3"),):
+        top = (1 << rule.r) * bound
+        short = rfull_factorizations(rule.r, top)
+        long = rfull_factorizations(rule.r, 2 * top)
+        for k in (1, 2, 4):
+            assert local_density(rule, k, bound, terms=long) == local_density(
+                rule, k, bound, terms=short)
+        assert weight_harmonic_profile(rule, bound, 6, terms=long) == weight_harmonic_profile(
+            rule, bound, 6, terms=short)
 
 
 def test_tail_factor_values():

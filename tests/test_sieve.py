@@ -94,21 +94,26 @@ def test_value_counts_partition_interval():
         assert count_value(abelian, k, x, y) == c
 
 
-def test_counts_independent_of_chunking_and_workers():
+def test_counts_independent_of_chunking_and_workers(monkeypatch):
     import pimshort.sieve as sieve_mod
 
     abelian = build_rule("abelian")
     x, y = 10**7, 30000
     base = count_value(abelian, 1, x, y)
     assert base == count_value(abelian, 1, x, y, workers=2)
-    old = sieve_mod.DEFAULT_CHUNK
-    try:
-        sieve_mod.DEFAULT_CHUNK = 7001
-        assert count_value(abelian, 1, x, y) == base
-        assert count_value(abelian, 1, x, y, workers=3) == base
-        assert sum(value_counts(abelian, x, y, workers=2).values()) == y
-    finally:
-        sieve_mod.DEFAULT_CHUNK = old
+    run_tasks = sieve_mod._run_tasks
+    splits = []
+
+    def counting_run_tasks(tasks, worker, workers):
+        splits.append(len(tasks))
+        return run_tasks(tasks, worker, workers)
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 7001)
+    monkeypatch.setattr(sieve_mod, "_run_tasks", counting_run_tasks)
+    assert count_value(abelian, 1, x, y) == base
+    assert count_value(abelian, 1, x, y, workers=3) == base
+    assert sum(value_counts(abelian, x, y, workers=2).values()) == y
+    assert splits == [5, 5, 5]  # 30000 offsets in chunks of at most 7001
 
 
 def test_slow_path_for_non_int64_safe_rule():
