@@ -15,7 +15,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .density import DEFAULT_BOUND, enumerate_rfull, local_density
+from .density import DEFAULT_BOUND, enumerate_rfull, local_density, rfull_count_bound
 from .factor import MAX_N
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
 from .sieve import interval_report
@@ -25,6 +25,11 @@ TABLE_COLUMNS = (
     "rule", "k", "r", "x", "y", "count", "density", "main_term",
     "abs_error", "term_main", "term_mid", "term_tail", "admissible",
 )
+
+# The most r-full terms a --B may make the density series enumerate, as
+# bounded from above by rfull_count_bound(r, 2^r * B).  At r = 2 this admits
+# B up to about 1.1e11 (1.36e6 terms).
+MAX_RFULL_TERMS = 2_000_000
 
 # The middle error term is evaluated with X exponent -1/(6(4r-1)(2r-1)),
 # which is -1/126 at r = 2; the sharper-looking -1/42 sometimes quoted for
@@ -77,6 +82,16 @@ def resolve_rule(name_or_path: str) -> ExponentRule:
     return build_rule(name_or_path)
 
 
+def check_bound(rule: ExponentRule, bound: int) -> None:
+    """Refuse a --B whose r-full enumeration would exceed MAX_RFULL_TERMS."""
+    terms = rfull_count_bound(rule.r, 2**rule.r * bound)
+    if terms > MAX_RFULL_TERMS:
+        raise ValueError(
+            f"--B {bound} would enumerate up to {terms:.3g} r-full terms at r = {rule.r}; "
+            f"the limit is {MAX_RFULL_TERMS}"
+        )
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -94,6 +109,7 @@ def emit_record(record: dict, fmt: str) -> None:
 
 def cmd_density(args) -> int:
     rule = resolve_rule(args.rule)
+    check_bound(rule, args.bound)
     result = local_density(rule, args.k, args.bound)
     emit_record(result.to_record(), args.format)
     return 0
@@ -101,6 +117,7 @@ def cmd_density(args) -> int:
 
 def cmd_interval(args) -> int:
     rule = resolve_rule(args.rule)
+    check_bound(rule, args.bound)
     if rule.r == 2:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
     report = interval_report(
@@ -119,6 +136,7 @@ def cmd_enumerate_rfull(args) -> int:
 
 def cmd_table(args) -> int:
     rule = resolve_rule(args.rule)
+    check_bound(rule, args.bound)
     if rule.r == 2 and args.x and args.y:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum
+from math import exp, fsum, log
 
 from .bounds import zeta
 from .factor import (
@@ -77,6 +77,36 @@ def enumerate_rfull(r: int, limit: int):
     """Yield every r-full n <= limit in ascending order (1 included)."""
     for n, _ in rfull_factorizations(r, limit):
         yield n
+
+
+def rfull_count_bound(r: int, limit: int) -> float:
+    """An upper bound on the number of r-full n <= limit, without enumerating them.
+
+    Each r-full n is a0^r * a1^(r+1) * ... * a_{r-1}^(2r-1) for one tuple
+    (see RFullDecomposition), so counting every tuple bounds the count.
+    The tuples (a2, ..., a_{r-1}) are walked; for each, a0 is counted by its
+    r-th root and a1 <= A by the integral test,
+    sum (rest / a1^(r+1))^(1/r) <= rest^(1/r) (1 + r (1 - A^(-1/r))).
+    Works in logarithms, so any r and limit are fine.
+    """
+    if r < 2:
+        raise ValueError(f"rfull_count_bound requires r >= 2, got {r}")
+    if limit < 1:
+        return 0.0
+
+    def walk(i: int, log_rest: float) -> float:
+        while i > 1 and (r + i) * log(2) > log_rest:
+            i -= 1  # a_i = 1 is the only choice
+        if i == 1:
+            return exp(log_rest / r) * (1 + r * (1 - exp(-log_rest / (r * (r + 1)))))
+        total = walk(i - 1, log_rest)
+        a = 2
+        while (r + i) * log(a) <= log_rest:
+            total += walk(i - 1, log_rest - (r + i) * log(a))
+            a += 1
+        return total
+
+    return walk(r - 1, log(limit))
 
 
 @dataclass(frozen=True)

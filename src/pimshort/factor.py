@@ -107,13 +107,6 @@ def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
     return out
 
 
-def is_r_free(fact: Factorization, r: int) -> int:
-    """1 if every exponent is < r (vacuously true for n = 1), else 0."""
-    if r < 2:
-        raise ValueError("is_r_free requires r >= 2")
-    return int(all(a < r for _, a in fact))
-
-
 def is_r_full(fact: Factorization, r: int) -> int:
     """1 if every exponent is >= r (vacuously true for n = 1), else 0."""
     if r < 2:
@@ -129,19 +122,6 @@ def _inverse_at_exponent(alpha: int, r: int) -> int:
     if rem == 1:
         return -1
     return 0
-
-
-def r_free_inverse(fact: Factorization, r: int) -> int:
-    """Dirichlet inverse of the r-free indicator, in {-1, 0, 1}."""
-    if r < 2:
-        raise ValueError("r_free_inverse requires r >= 2")
-    out = 1
-    for _, a in fact:
-        c = _inverse_at_exponent(a, r)
-        if c == 0:
-            return 0
-        out *= c
-    return out
 
 
 def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> dict[int, int]:
@@ -183,9 +163,3 @@ def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> 
             break
     return {k: c for k, c in combined.items() if c}
 
-
-def rfull_weight(rule: ExponentRule, k: int, fact: Factorization) -> int:
-    """The weight h(k) at one factorization (0 off the r-full numbers)."""
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    return rfull_weights_up_to(rule, fact, k).get(k, 0)

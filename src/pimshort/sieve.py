@@ -6,6 +6,13 @@ multiples of p^2 for p <= sqrt(x+y), extracts exact exponents, and
 multiplies table values into an int64 accumulator per offset.  Leftover
 cofactors after sieving to sqrt(x+y) are prime and never affect f.
 
+The sieving primes are generated segment by segment (`_sieving_primes`),
+so no prime table above (x+y)^(1/4) is ever built.  A prime whose square
+is below the chunk length is applied with strided views; every larger
+prime has at most one multiple of p^2 in the chunk, and all of them in a
+segment are applied in one numpy batch (the bucket-sieve idea of Oliveira
+e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
+
 Windows are processed in chunks of at most DEFAULT_CHUNK offsets so the
 working arrays stay cache- and memory-friendly.  Chunk boundaries depend
 only on (x, y); counts are exact integers combined in fixed chunk order,
@@ -15,6 +22,7 @@ so results never depend on chunking or worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -33,6 +41,9 @@ from .factor import (
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 8_000_000
+
+# Values per segment of _sieving_primes (one flag byte per odd value).
+_PRIME_SEGMENT = 1 << 21
 
 _SLOW_CHUNK = 100_000
 
@@ -70,9 +81,6 @@ class SieveSegment:
     factors: list[Factorization]
     cofactors: list[int]
 
-    def value_at(self, offset: int) -> int:
-        return self.base + 1 + offset
-
     def factorization_at(self, offset: int) -> Factorization:
         fact = self.factors[offset]
         c = self.cofactors[offset]
@@ -105,26 +113,78 @@ def _int64_safe(rule: ExponentRule) -> bool:
     return all(v <= 1 << a for a, v in enumerate(rule.values))
 
 
+def _sieving_primes(limit: int):
+    """Yield the primes <= limit, ascending, as int64 arrays, one segment at a time.
+
+    Each segment of _PRIME_SEGMENT values keeps flags for its odd values
+    only and is sieved by the odd primes up to isqrt(limit).
+    """
+    if limit < 2:
+        return
+    yield np.array([2], dtype=np.int64)
+    base = primes_upto(isqrt(limit))[1:]
+    for lo in range(1, limit + 1, _PRIME_SEGMENT):
+        hi = min(lo + _PRIME_SEGMENT, limit + 1)
+        flags = np.ones((hi - lo + 1) // 2, dtype=bool)  # flags[i] is lo + 2i
+        if lo == 1:
+            flags[0] = False
+        for q in base:
+            if q * q >= hi:
+                break
+            start = max(q * q, -(-lo // q) * q)
+            if start % 2 == 0:
+                start += q
+            flags[(start - lo) // 2 :: q] = False
+        yield lo + 2 * np.flatnonzero(flags)
+
+
+def _small_prime_exponents(p: int, n0: int, y: int) -> tuple[int, np.ndarray]:
+    # Offsets s0, s0 + p^2, ... of the multiples of p^2 among n0..n0+y-1
+    # (p^2 < y, so there is one) and the exact exponent of p at each.  The
+    # multiples of p^a sit at every p^(a-2)-th of them, from (s_a - s0) / p^2.
+    p2 = p * p
+    s0 = -n0 % p2
+    e = np.full((y - 1 - s0) // p2 + 1, 2, dtype=np.intp)
+    pa = p2 * p
+    while (sa := -n0 % pa) < y:
+        e[(sa - s0) // p2 :: pa // p2] += 1
+        pa *= p
+    return s0, e
+
+
+def _large_prime_hits(p: np.ndarray, p2: np.ndarray, n0: int, y: int):
+    # Primes with p^2 >= y have at most one multiple of p^2 in the chunk:
+    # its offset is -n0 mod p^2, taken on int64 without ever forming n0 + p^2.
+    off = np.remainder(-n0, p2)
+    hit = off < y
+    p, p2, off = p[hit], p2[hit], off[hit]
+    m = (n0 + off) // p2
+    e = np.full(off.size, 2, dtype=np.intp)
+    live = np.flatnonzero(m % p == 0)
+    while live.size:
+        m[live] //= p[live]
+        e[live] += 1
+        live = live[m[live] % p[live] == 0]
+    return off, e
+
+
 def _fvalues_chunk(rule: ExponentRule, x: int, y: int) -> np.ndarray:
     """int64 array of f(x+1), ..., f(x+y); requires an int64-safe rule."""
     n0 = x + 1
     fval = np.ones(y, dtype=np.int64)
     gtab = np.array(rule.values, dtype=np.int64)
-    for p in primes_upto(isqrt(x + y)):
-        p2 = p * p
-        start = (x // p2 + 1) * p2
-        if start > x + y:
-            continue
-        idx = np.arange(start - n0, y, p2, dtype=np.int64)
-        m = np.arange(start // p2, start // p2 + idx.size, dtype=np.int64)
-        e = np.full(idx.size, 2, dtype=np.int64)
-        live = m % p == 0
-        while live.any():
-            sel = np.nonzero(live)[0]
-            m[sel] //= p
-            e[sel] += 1
-            live[sel] = m[sel] % p == 0
-        fval[idx] *= gtab[e]
+    for primes in _sieving_primes(isqrt(x + y)):
+        p2 = primes * primes
+        small = int(np.searchsorted(p2, y))
+        for p in primes[:small].tolist():
+            s0, e = _small_prime_exponents(p, n0, y)
+            fval[s0 :: p * p] *= gtab[e]
+        if small < primes.size:
+            off, e = _large_prime_hits(primes[small:], p2[small:], n0, y)
+            # Two large primes can share an offset (n = p^2 q^2), and fancy
+            # `fval[off] *= ...` would keep only one factor; multiply.at
+            # applies every one.
+            np.multiply.at(fval, off, gtab[e])
     return fval
 
 
@@ -156,8 +216,9 @@ def _profile_task(task) -> dict[int, int]:
 
 
 def _run_tasks(tasks, worker, workers: int):
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(worker, tasks)
     return [worker(t) for t in tasks]
 
@@ -197,13 +258,15 @@ def count_r_free(x: int, y: int, r: int) -> int:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
     total = 0
     for cx, cy in _chunks(x, y, DEFAULT_CHUNK):
+        n0 = cx + 1
         marked = np.zeros(cy, dtype=bool)
-        for p in primes_upto(introot(cx + cy, r)):
-            q = p**r
-            start = (cx // q + 1) * q
-            if start > cx + cy:
-                continue
-            marked[start - cx - 1 :: q] = True
+        for primes in _sieving_primes(introot(cx + cy, r)):
+            q = primes**r
+            small = int(np.searchsorted(q, cy))
+            for qs in q[:small].tolist():
+                marked[-n0 % qs :: qs] = True
+            off = np.remainder(-n0, q[small:])
+            marked[off[off < cy]] = True
         total += cy - int(np.count_nonzero(marked))
     return total
 

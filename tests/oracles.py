@@ -142,6 +142,17 @@ def count_k_brute(rule, k: int, x: int, y: int) -> int:
     return count
 
 
+def value_counts_brute(rule, x: int, y: int) -> dict[int, int]:
+    """Counts of every f value over (x, x+y], factorizing each n independently."""
+    counts: dict[int, int] = {}
+    for n in range(x + 1, x + y + 1):
+        fv = 1
+        for _, a in trial_factorize(n):
+            fv *= rule.values[a]
+        counts[fv] = counts.get(fv, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def count_r_free_brute(x: int, y: int, r: int) -> int:
     count = 0
     for n in range(x + 1, x + y + 1):

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from pimshort.cli import exact_int, exact_int_list, main
-from pimshort.rules import ALPHA_MAX
+from pimshort.cli import check_bound, exact_int, exact_int_list, main
+from pimshort.density import DEFAULT_BOUND
+from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +36,28 @@ def test_huge_magnitude_exits_2_at_once(capsys):
         with pytest.raises(OverflowError):
             exact_int(text)
     assert exact_int("9223372036854775807") == 2**63 - 1
+
+
+def test_bound_beyond_the_term_budget_exits_2_at_once(capsys):
+    for argv in (
+        ("density", "--rule", "abelian", "--k", "1", "--B", "9223372036854775807"),
+        ("interval", "--rule", "abelian", "--k", "1", "--x", "1e6", "--y", "1e3", "--B", "1e15"),
+        ("table", "--rule", "powerdiv-r:3", "--k", "1", "--x", "1e6", "--y", "1e3", "--B", "9e18"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "", argv
+        assert "r-full terms" in err
+
+
+def test_default_and_moderate_bounds_accepted():
+    for rule in builtin_rules() + (build_rule("powerdiv-r:3"), build_rule("powerdiv-r:7")):
+        check_bound(rule, DEFAULT_BOUND)
+    abelian = build_rule("abelian")
+    check_bound(abelian, 10**11)
+    with pytest.raises(ValueError):
+        check_bound(abelian, 2 * 10**11)
 
 
 def test_density_json_roundtrip(capsys):

@@ -11,6 +11,7 @@ from pimshort.density import (
     density_profile,
     enumerate_rfull,
     local_density,
+    rfull_count_bound,
     rfull_factorizations,
     tail_geometric_factor,
     weight_harmonic_profile,
@@ -22,6 +23,18 @@ from pimshort.factor import eval_rule, factorize, is_r_full, rfull_weights_up_to
 from pimshort.rules import build_rule, builtin_rules
 
 from oracles import h_brute, rfull_flags, trial_factorize
+
+
+def test_rfull_count_bound_is_an_upper_bound():
+    for r in (2, 3, 4, 5, 8, 20):
+        for limit in (1, 7, 2**r, 10**4, 10**7, 2**r * 10**9):
+            count = sum(1 for _ in enumerate_rfull(r, limit))
+            bound = rfull_count_bound(r, limit)
+            assert count <= bound <= 3 * count + 3, (r, limit, count, bound)
+    assert rfull_count_bound(2, 0) == 0.0
+    assert rfull_count_bound(1000, 2**1000 * 10**9) < 100
+    with pytest.raises(ValueError):
+        rfull_count_bound(1, 100)
 
 
 def test_enumerate_examples():

@@ -3,18 +3,17 @@ import random
 import pytest
 
 from pimshort.factor import (
+    _inverse_at_exponent,
     eval_rule,
     factorize,
     introot,
-    is_r_free,
     is_r_full,
     primes_upto,
-    r_free_inverse,
     recompose,
-    rfull_weight,
     rfull_weights_up_to,
 )
 from pimshort.rules import build_rule, builtin_rules
+from pimshort.sieve import count_r_free
 
 from oracles import h_brute, trial_factorize
 
@@ -66,24 +65,22 @@ def test_eval_rule():
 
 
 def test_r_free_and_r_full():
-    assert is_r_free(factorize(12), 2) == 0
+    assert count_r_free(11, 1, 2) == 0  # 12
     assert is_r_full(factorize(72), 2) == 1
-    assert is_r_free((), 2) == 1
+    assert count_r_free(0, 1, 2) == 1  # 1
     assert is_r_full((), 2) == 1
-    assert is_r_free(factorize(30), 2) == 1
+    assert count_r_free(29, 1, 2) == 1  # 30
     assert is_r_full(factorize(30), 2) == 0
     with pytest.raises(ValueError):
-        is_r_free((), 1)
+        count_r_free(0, 1, 1)
 
 
 def test_r_free_inverse_case_table():
     for r in (2, 3, 4):
         for alpha in range(1, 4 * r):
             expected = 1 if alpha % r == 0 else (-1 if alpha % r == 1 else 0)
-            assert r_free_inverse(((5, alpha),), r) == expected
-    # multiplicativity over prime powers: p^2 q^3 at r = 2
-    assert r_free_inverse(((2, 2), (3, 3)), 2) == -1
-    assert r_free_inverse((), 3) == 1
+            assert _inverse_at_exponent(alpha, r) == expected
+    assert _inverse_at_exponent(0, 3) == 1
 
 
 def test_r_free_inverse_inverts_r_free_indicator():
@@ -92,24 +89,29 @@ def test_r_free_inverse_inverts_r_free_indicator():
     for r in (2, 3):
         for alpha in range(1, 12):
             total = sum(
-                (1 if j < r else 0) * r_free_inverse(((2, alpha - j),) if alpha > j else (), r)
+                (1 if j < r else 0) * _inverse_at_exponent(alpha - j, r)
                 for j in range(alpha + 1)
             )
             assert total == 0
 
 
+def h_at(rule, k, fact):
+    return rfull_weights_up_to(rule, fact, k).get(k, 0)
+
+
 def test_rfull_weight_examples():
     abelian = build_rule("abelian")
-    assert rfull_weight(abelian, 2, factorize(4)) == 1
-    assert rfull_weight(abelian, 2, ()) == 0
-    assert rfull_weight(abelian, 1, factorize(6)) == 0
-    assert rfull_weight(abelian, 1, ()) == 1
+    assert h_at(abelian, 2, factorize(4)) == 1
+    assert h_at(abelian, 2, ()) == 0
+    assert h_at(abelian, 1, factorize(6)) == 0
+    assert h_at(abelian, 1, ()) == 1
 
 
 def test_rfull_weight_k_validation():
+    # k_max < 1 asks for no weights at all.
     abelian = build_rule("abelian")
-    with pytest.raises(ValueError):
-        rfull_weight(abelian, 0, ())
+    assert rfull_weights_up_to(abelian, (), 0) == {}
+    assert rfull_weights_up_to(abelian, factorize(4), -1) == {}
 
 
 @pytest.mark.parametrize("rule", builtin_rules(), ids=lambda r: r.name)
@@ -117,7 +119,7 @@ def test_rfull_weight_matches_brute_divisor_sum(rule):
     for n in range(1, 2000):
         fact = factorize(n)
         for k in range(1, 7):
-            assert rfull_weight(rule, k, fact) == h_brute(rule, k, fact, rule.r), (n, k)
+            assert h_at(rule, k, fact) == h_brute(rule, k, fact, rule.r), (n, k)
 
 
 def test_rfull_weight_brute_on_powerdiv3():
@@ -125,7 +127,7 @@ def test_rfull_weight_brute_on_powerdiv3():
     for n in range(1, 1500):
         fact = factorize(n)
         for k in range(1, 5):
-            assert rfull_weight(rule, k, fact) == h_brute(rule, k, fact, 3), (n, k)
+            assert h_at(rule, k, fact) == h_brute(rule, k, fact, 3), (n, k)
 
 
 def test_rfull_weights_support_and_bound_small():
@@ -148,7 +150,7 @@ def test_rfull_weight_unit_case():
     for rule in builtin_rules():
         assert rfull_weights_up_to(rule, (), 1) == {1: 1}
         for n in range(2, 500):
-            assert rfull_weight(rule, 1, factorize(n)) == 0
+            assert h_at(rule, 1, factorize(n)) == 0
 
 
 def test_rfull_weight_prime_power_vanishing():

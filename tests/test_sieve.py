@@ -1,5 +1,7 @@
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pimshort.bounds import zeta
@@ -21,13 +23,14 @@ from oracles import (
     count_r_free_brute,
     multiples_sum_brute,
     trial_factorize,
+    value_counts_brute,
 )
 
 
 def test_segment_small_matches_factorize():
     seg = sieve_segment(100, 10)
+    assert (seg.base, seg.length) == (100, 10)
     for off in range(10):
-        assert seg.value_at(off) == 101 + off
         assert seg.factorization_at(off) == factorize(101 + off)
     seg = sieve_segment(0, 10)
     for off in range(10):
@@ -46,7 +49,7 @@ def test_segment_cofactors_are_prime_or_one():
 def test_segment_recomposition_high_base():
     seg = sieve_segment(10**10, 1000)
     for off in range(1000):
-        n = seg.value_at(off)
+        n = seg.base + 1 + off
         prod = seg.cofactors[off]
         for p, e in seg.factors[off]:
             prod *= p**e
@@ -114,6 +117,97 @@ def test_counts_independent_of_chunking_and_workers(monkeypatch):
     assert count_value(abelian, 1, x, y, workers=3) == base
     assert sum(value_counts(abelian, x, y, workers=2).values()) == y
     assert splits == [5, 5, 5]  # 30000 offsets in chunks of at most 7001
+
+
+def test_large_primes_sharing_an_offset(monkeypatch):
+    # With chunks of 1000 offsets, every p >= 37 has p^2 above the chunk
+    # length and goes through the batched large-prime step, where two primes
+    # can hit one n = p^2 q^2.  Each of these windows holds such an n; near
+    # 1e9 the unpatched split sends the smaller primes down the strided path.
+    import pimshort.sieve as sieve_mod
+
+    rng = random.Random(3571)
+    small = primes_upto(1000)
+    windows = [(37**2 * 41**2 - 500, 1000)]
+    for _ in range(2):
+        p = rng.choice([v for v in small if 37 <= v <= 43])
+        q = min((v for v in small if v > p), key=lambda v: abs(p * v - 31623))
+        windows.append(((p * q) ** 2 - rng.randrange(1, 2000), 2000))
+    abelian = build_rule("abelian")
+    rules = builtin_rules()
+    unpatched = {(rule.name, w): value_counts(rule, *w) for rule in rules for w in windows}
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    for rule in rules:
+        for w in windows:
+            assert value_counts(rule, *w) == unpatched[rule.name, w], (rule.name, w)
+    x, y = windows[0]
+    for rule in rules:
+        assert unpatched[rule.name, windows[0]] == value_counts_brute(rule, x, y), rule.name
+    assert count_value(abelian, 4, x, y) == count_k_brute(abelian, 4, x, y)
+    for w in windows[1:]:
+        assert unpatched["abelian", w] == value_counts_brute(abelian, *w), w
+
+
+def test_deep_window_counts():
+    abelian = build_rule("abelian")
+    y = 2000
+    x = 10**16 - y
+    assert count_value(abelian, 1, x, y) == count_r_free(x, y, 2)
+    assert sum(value_counts(abelian, x, y).values()) == y
+
+
+def test_counting_builds_no_prime_table_above_the_fourth_root(monkeypatch):
+    # The sieving primes up to sqrt(x+y) = 1e8 are generated segment by
+    # segment; only the base primes up to (x+y)^(1/4) = 1e4 come from the
+    # shared table, whose smallest size is 2^16.
+    import pimshort.factor as factor_mod
+
+    monkeypatch.setattr(factor_mod, "_prime_array", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(factor_mod, "_prime_list", [])
+    monkeypatch.setattr(factor_mod, "_prime_limit", 1)
+    x, y = 10**16 - 1000, 1000
+    count_value(build_rule("plane"), 2, x, y)
+    count_r_free(x, y, 2)
+    count_r_free(x, y, 3)
+    assert factor_mod._prime_limit <= 1 << 17
+
+
+def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
+    import pimshort.sieve as sieve_mod
+
+    pools = []
+
+    class CountedPool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(sieve_mod, "multiprocessing", SimpleNamespace(Pool=CountedPool))
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: 1)
+    assert sieve_mod._run_tasks([3, -4, 5], abs, 64) == [3, 4, 5]
+    abelian = build_rule("abelian")
+    x, y = 10**7, 30000
+    base = count_value(abelian, 1, x, y)
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 7001)
+    assert count_value(abelian, 1, x, y, workers=8) == base
+    assert pools == []
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: None)
+    assert sieve_mod._run_tasks([1, 2], abs, 8) == [1, 2]
+    assert pools == []
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: 4)
+    assert sieve_mod._run_tasks([1, 2, 3], abs, 8) == [1, 2, 3]
+    assert sieve_mod._run_tasks([1, 2, 3, 4, 5, 6], abs, 2) == [1, 2, 3, 4, 5, 6]
+    assert sieve_mod._run_tasks([1], abs, 8) == [1]
+    assert count_value(abelian, 1, x, y, workers=8) == base
+    assert pools == [3, 2, 4]
 
 
 def test_slow_path_for_non_int64_safe_rule():
