@@ -31,6 +31,11 @@ TABLE_COLUMNS = (
 # B up to about 1.1e11 (1.36e6 terms).
 MAX_RFULL_TERMS = 2_000_000
 
+# The longest window y that interval and table count: a few times the
+# longest one any test or benchmark uses (3e7), and short enough that the
+# chunk list and the run time stay bounded.
+MAX_WINDOW = 10**8
+
 # The middle error term is evaluated with X exponent -1/(6(4r-1)(2r-1)),
 # which is -1/126 at r = 2; the sharper-looking -1/42 sometimes quoted for
 # the r = 2 special case is intentionally not applied.
@@ -68,13 +73,6 @@ def exact_int_list(text: str) -> list[int]:
     return [exact_int(part) for part in text.split(",")]
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PIMSHORT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def resolve_rule(name_or_path: str) -> ExponentRule:
     """A built-in rule name, or a path to a custom-rule JSON document."""
     if name_or_path.endswith(".json") or os.sep in name_or_path:
@@ -90,6 +88,12 @@ def check_bound(rule: ExponentRule, bound: int) -> None:
             f"--B {bound} would enumerate up to {terms:.3g} r-full terms at r = {rule.r}; "
             f"the limit is {MAX_RFULL_TERMS}"
         )
+
+
+def check_window(y: int) -> None:
+    """Refuse a --y longer than MAX_WINDOW."""
+    if y > MAX_WINDOW:
+        raise ValueError(f"--y {y} is longer than the window limit {MAX_WINDOW}")
 
 
 def _csv_cell(value) -> str:
@@ -118,6 +122,7 @@ def cmd_density(args) -> int:
 def cmd_interval(args) -> int:
     rule = resolve_rule(args.rule)
     check_bound(rule, args.bound)
+    check_window(args.y)
     if rule.r == 2:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
     report = interval_report(
@@ -137,6 +142,8 @@ def cmd_enumerate_rfull(args) -> int:
 def cmd_table(args) -> int:
     rule = resolve_rule(args.rule)
     check_bound(rule, args.bound)
+    for y in args.y:
+        check_window(y)
     if rule.r == 2 and args.x and args.y:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -180,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_default = _default_workers()
 
     def add_common(p, rule=True):
         if rule:
@@ -203,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01,
                    help="epsilon in the admissible-window test (default 0.01)")
     p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND)
-    p.add_argument("--workers", type=int, default=workers_default)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("enumerate-rfull", help="ascending r-full numbers up to a limit")
@@ -220,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated y values")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND)
-    p.add_argument("--workers", type=int, default=workers_default)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a named self-check suite")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=workers_default)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
     return parser

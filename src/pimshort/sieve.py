@@ -3,8 +3,10 @@
 Counting {n : f(n) = k} in a window only needs prime squares: a prime
 dividing n exactly once contributes g(1) = 1, so the counting kernel marks
 multiples of p^2 for p <= sqrt(x+y), extracts exact exponents, and
-multiplies table values into an int64 accumulator per offset.  Leftover
-cofactors after sieving to sqrt(x+y) are prime and never affect f.
+multiplies table values into an accumulator per offset.  The accumulator is
+int64 when g(alpha) <= 2^alpha for every alpha (all built-in families) and
+an object array of exact Python ints otherwise; both run the same steps.
+Leftover cofactors after sieving to sqrt(x+y) are prime and never affect f.
 
 The sieving primes are generated segment by segment (`_sieving_primes`),
 so no prime table above (x+y)^(1/4) is ever built.  A prime whose square
@@ -31,21 +33,13 @@ import numpy as np
 
 from .bounds import bound_breakdown
 from .density import DEFAULT_BOUND, DensityResult, enumerate_rfull, local_density
-from .factor import (
-    MAX_N,
-    Factorization,
-    eval_rule,
-    introot,
-    primes_upto,
-)
+from .factor import MAX_N, Factorization, introot, primes_upto
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 8_000_000
 
 # Values per segment of _sieving_primes (one flag byte per odd value).
 _PRIME_SEGMENT = 1 << 21
-
-_SLOW_CHUNK = 100_000
 
 
 def _check_window(x: int, y: int) -> None:
@@ -106,11 +100,11 @@ def sieve_segment(x: int, y: int) -> SieveSegment:
 
 
 @lru_cache(maxsize=None)
-def _int64_safe(rule: ExponentRule) -> bool:
-    # g(alpha) <= 2^alpha for all alpha forces f(n) <= n < 2**63, so the
+def _value_dtype(rule: ExponentRule):
+    # g(alpha) <= 2^alpha for all alpha forces f(n) <= n < 2**63, so an
     # int64 product accumulator cannot overflow.  Holds for every built-in
-    # family; exotic custom tables fall back to exact Python integers.
-    return all(v <= 1 << a for a, v in enumerate(rule.values))
+    # family; other tables multiply exact Python ints in object arrays.
+    return np.int64 if all(v <= 1 << a for a, v in enumerate(rule.values)) else object
 
 
 def _sieving_primes(limit: int):
@@ -169,10 +163,10 @@ def _large_prime_hits(p: np.ndarray, p2: np.ndarray, n0: int, y: int):
 
 
 def _fvalues_chunk(rule: ExponentRule, x: int, y: int) -> np.ndarray:
-    """int64 array of f(x+1), ..., f(x+y); requires an int64-safe rule."""
+    """Array of f(x+1), ..., f(x+y), of the rule's _value_dtype."""
     n0 = x + 1
-    fval = np.ones(y, dtype=np.int64)
-    gtab = np.array(rule.values, dtype=np.int64)
+    gtab = np.array(rule.values, dtype=_value_dtype(rule))
+    fval = np.ones(y, dtype=gtab.dtype)
     for primes in _sieving_primes(isqrt(x + y)):
         p2 = primes * primes
         small = int(np.searchsorted(p2, y))
@@ -188,31 +182,15 @@ def _fvalues_chunk(rule: ExponentRule, x: int, y: int) -> np.ndarray:
     return fval
 
 
-def _counts_chunk(rule: ExponentRule, x: int, y: int) -> dict[int, int]:
-    if _int64_safe(rule):
-        values, counts = np.unique(_fvalues_chunk(rule, x, y), return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-    out: dict[int, int] = {}
-    for cx, cy in _chunks(x, y, _SLOW_CHUNK):
-        seg = sieve_segment(cx, cy)
-        for fact in seg.factors:
-            v = eval_rule(rule, fact)
-            out[v] = out.get(v, 0) + 1
-    return out
-
-
 def _count_task(task) -> int:
     rule, k, x, y = task
-    if _int64_safe(rule):
-        if k >= MAX_N:
-            return 0
-        return int(np.count_nonzero(_fvalues_chunk(rule, x, y) == k))
-    return _counts_chunk(rule, x, y).get(k, 0)
+    return int(np.count_nonzero(_fvalues_chunk(rule, x, y) == k))
 
 
 def _profile_task(task) -> dict[int, int]:
     rule, x, y = task
-    return _counts_chunk(rule, x, y)
+    values, counts = np.unique(_fvalues_chunk(rule, x, y), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 def _run_tasks(tasks, worker, workers: int):

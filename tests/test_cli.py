@@ -3,7 +3,15 @@ import time
 
 import pytest
 
-from pimshort.cli import check_bound, exact_int, exact_int_list, main
+from pimshort.cli import (
+    MAX_WINDOW,
+    build_parser,
+    check_bound,
+    check_window,
+    exact_int,
+    exact_int_list,
+    main,
+)
 from pimshort.density import DEFAULT_BOUND
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules
 
@@ -49,6 +57,21 @@ def test_bound_beyond_the_term_budget_exits_2_at_once(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "", argv
         assert "r-full terms" in err
+
+
+def test_window_beyond_the_budget_exits_2_at_once(capsys):
+    for argv in (
+        ("interval", "--rule", "abelian", "--k", "1", "--x", "4.6e18", "--y", "4.5e18"),
+        ("table", "--rule", "abelian", "--k", "1", "--x", "1e12", "--y", "1e3,100000001"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "", argv
+        assert "window limit" in err
+    check_window(MAX_WINDOW)
+    with pytest.raises(ValueError):
+        check_window(MAX_WINDOW + 1)
 
 
 def test_default_and_moderate_bounds_accepted():
@@ -193,12 +216,12 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_output_deterministic_across_workers(capsys, monkeypatch):
+def test_output_deterministic_across_workers(capsys):
     args = ["interval", "--rule", "abelian", "--k", "2", "--x", "1e7", "--y", "3e4", "--B", "1e5"]
     code1, out1, _ = run_cli(capsys, *args, "--workers", "1")
     code2, out2, _ = run_cli(capsys, *args, "--workers", "3")
     assert code1 == code2 == 0
     assert out1 == out2
-    monkeypatch.setenv("PIMSHORT_WORKERS", "2")
     code3, out3, _ = run_cli(capsys, *args)
     assert code3 == 0 and out3 == out1
+    assert build_parser().parse_args(args).workers == 1

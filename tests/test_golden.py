@@ -37,6 +37,10 @@ def _calls() -> list[tuple[str, list[str]]]:
          ["density", "--rule", "abelian", "--k", "2", "--B", "1e6", "--format", "csv"]),
         ("interval-abelian-k2",
          ["interval", "--rule", "abelian", "--k", "2", "--x", "1e9", "--y", "1e4", "--B", "1e6"]),
+        # g(alpha) = 10^alpha exceeds 2^alpha, and f(2^30) = 10^30 lies in the window.
+        ("interval-huge-rule-k100",
+         ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "100",
+          "--x", "1073736000", "--y", "1e4", "--B", "1e6"]),
         ("table-plane-k2",
          ["table", "--rule", "plane", "--k", "2", "--x", "1e8,1e9", "--y", "1e3,1e4",
           "--B", "1e6"]),

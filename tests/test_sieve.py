@@ -170,6 +170,12 @@ def test_counting_builds_no_prime_table_above_the_fourth_root(monkeypatch):
     count_r_free(x, y, 2)
     count_r_free(x, y, 3)
     assert factor_mod._prime_limit <= 1 << 17
+    # A table that needs exact Python ints runs the same kernel.
+    values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
+    huge = load_custom_rule({"name": "huge", "r": 2, "values": values})
+    count_value(huge, 10**25, x, y)
+    value_counts(huge, x, y)
+    assert factor_mod._prime_limit <= 1 << 17
 
 
 def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
@@ -211,7 +217,8 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
 
 
 def test_slow_path_for_non_int64_safe_rule():
-    # A custom table with a huge value forces the exact Python-int path.
+    # A custom table with a huge value makes f exceed int64, so the kernel
+    # multiplies exact Python ints.
     values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
     rule = load_custom_rule({"name": "huge", "r": 2, "values": values})
     x, y = 1000, 300
@@ -219,6 +226,29 @@ def test_slow_path_for_non_int64_safe_rule():
     assert count_value(rule, 1, x, y) == count_r_free(x, y, 2)
     profile = value_counts(rule, x, y)
     assert sum(profile.values()) == y
+    assert profile == value_counts_brute(rule, x, y)
+    assert all(type(v) is int for v in profile)
+    assert profile[10**50] == count_k_brute(rule, 10**50, x, y) > 0
+
+
+def test_rule_above_2_pow_alpha_only_at_a_high_exponent():
+    # g(40) = 2^41 is the only entry above 2^alpha; each window holds some
+    # 2^40 * m, the one place where that entry is used.
+    values = list(build_rule("abelian").values)
+    values[40] = 1 << 41
+    rule = load_custom_rule({"name": "abelian-g40", "r": 2, "values": values})
+    for m in (1, 3):
+        x, y = (m << 40) - 8, 16
+        profile = value_counts(rule, x, y)
+        assert profile == value_counts_brute(rule, x, y), m
+        assert profile[1 << 41] == 1
+        assert count_value(rule, 1 << 41, x, y) == 1
+
+
+def test_count_value_beyond_int64_is_zero():
+    abelian = build_rule("abelian")
+    for k in (2**63, 2**70):
+        assert count_value(abelian, k, 10**6, 1000) == 0
 
 
 def test_count_r_free_examples():
