@@ -26,9 +26,10 @@ TABLE_COLUMNS = (
     "abs_error", "term_main", "term_mid", "term_tail", "admissible",
 )
 
-# The most r-full terms a --B may make the density series enumerate, as
-# bounded from above by rfull_count_bound(r, 2^r * B).  At r = 2 this admits
-# B up to about 1.1e11 (1.36e6 terms).
+# The most r-full terms a command may enumerate, as bounded from above by
+# rfull_count_bound: up to 2^r * --B for the density series, up to --limit
+# for enumerate-rfull.  At r = 2 this admits B up to about 1.1e11 (1.36e6
+# terms) and --limit up to about 4.5e11.
 MAX_RFULL_TERMS = 2_000_000
 
 # The longest window y that interval and table count: a few times the
@@ -80,14 +81,19 @@ def resolve_rule(name_or_path: str) -> ExponentRule:
     return build_rule(name_or_path)
 
 
-def check_bound(rule: ExponentRule, bound: int) -> None:
-    """Refuse a --B whose r-full enumeration would exceed MAX_RFULL_TERMS."""
-    terms = rfull_count_bound(rule.r, 2**rule.r * bound)
+def check_terms(flag: str, value: int, r: int, limit: int) -> None:
+    """Refuse a flag whose r-full enumeration up to limit would exceed MAX_RFULL_TERMS."""
+    terms = rfull_count_bound(r, limit)
     if terms > MAX_RFULL_TERMS:
         raise ValueError(
-            f"--B {bound} would enumerate up to {terms:.3g} r-full terms at r = {rule.r}; "
+            f"{flag} {value} would enumerate up to {terms:.3g} r-full terms at r = {r}; "
             f"the limit is {MAX_RFULL_TERMS}"
         )
+
+
+def check_bound(rule: ExponentRule, bound: int) -> None:
+    """Refuse a --B whose r-full enumeration would exceed MAX_RFULL_TERMS."""
+    check_terms("--B", bound, rule.r, 2**rule.r * bound)
 
 
 def check_window(y: int) -> None:
@@ -134,6 +140,7 @@ def cmd_interval(args) -> int:
 
 
 def cmd_enumerate_rfull(args) -> int:
+    check_terms("--limit", args.limit, args.r, args.limit)
     for n in enumerate_rfull(args.r, args.limit):
         print(n)
     return 0

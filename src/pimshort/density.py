@@ -14,12 +14,15 @@ bound.
 
 Series are accumulated with math.fsum (exactly rounded), so round-off is
 far below the 1e-12 budget even at the default truncation 10^9.
+
+Every series walks the same r-full factorizations, so the module keeps one
+list per r for the life of the process: the enumeration up to the largest
+limit asked for so far.  A smaller limit stops early in that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import exp, fsum, log
 
 from .bounds import zeta
@@ -29,7 +32,6 @@ from .factor import (
     introot,
     is_r_full,
     primes_upto,
-    recompose,
     rfull_weights_up_to,
 )
 from .rules import ExponentRule
@@ -73,9 +75,26 @@ def rfull_factorizations(r: int, limit: int) -> RFullTerms:
     return out
 
 
+# r -> (L, rfull_factorizations(r, L)) for the largest L asked for so far.
+_enumerated: dict[int, tuple[int, RFullTerms]] = {}
+
+
+def _terms(r: int, limit: int) -> RFullTerms:
+    """The r-full factorizations up to at least limit; callers stop at their own limit.
+
+    A limit below 1 always goes through to rfull_factorizations, which refuses it.
+    """
+    held = _enumerated.get(r)
+    if held is None or not 1 <= limit <= held[0]:
+        held = _enumerated[r] = (limit, rfull_factorizations(r, limit))
+    return held[1]
+
+
 def enumerate_rfull(r: int, limit: int):
     """Yield every r-full n <= limit in ascending order (1 included)."""
-    for n, _ in rfull_factorizations(r, limit):
+    for n, _ in _terms(r, limit):
+        if n > limit:
+            break
         yield n
 
 
@@ -95,6 +114,7 @@ def rfull_count_bound(r: int, limit: int) -> float:
         return 0.0
 
     def walk(i: int, log_rest: float) -> float:
+        i = min(i, max(1, int(log_rest / log(2)) - r + 1))  # a_i >= 2 needs 2^(r+i) <= rest
         while i > 1 and (r + i) * log(2) > log_rest:
             i -= 1  # a_i = 1 is the only choice
         if i == 1:
@@ -159,14 +179,6 @@ def _psi_ratio(fact: Factorization, r: int) -> tuple[int, int]:
     return a, c
 
 
-def dedekind_psi(fact: Factorization, r: int) -> Fraction:
-    """b * prod_{p | b} (1 + 1/p + ... + 1/p^(r-1)) as an exact rational."""
-    if r < 2:
-        raise ValueError(f"dedekind_psi requires r >= 2, got {r}")
-    a, c = _psi_ratio(fact, r)
-    return Fraction(recompose(fact) * a, c)
-
-
 def tail_geometric_factor(r: int) -> float:
     """Geometric-series factor applied to the first out-of-range block."""
     return 1.0 / (1.0 - 2.0 ** (1.0 / r - 1.0))
@@ -205,8 +217,7 @@ def _check_series_args(k: int, bound: int) -> None:
         raise ValueError(f"truncation bound must be >= 1, got {bound}")
 
 
-def _densities(rule: ExponentRule, bound: int, ks: range,
-               terms: RFullTerms | None) -> dict[int, DensityResult]:
+def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityResult]:
     """The reciprocal-psi pass: a DensityResult for every k in ks.
 
     Each term 1/psi(b) = c / (b * a) is one correctly rounded division of
@@ -215,11 +226,9 @@ def _densities(rule: ExponentRule, bound: int, ks: range,
     """
     r = rule.r
     top = (1 << r) * bound
-    if terms is None:
-        terms = rfull_factorizations(r, top)
     heads: dict[int, list[float]] = {}
     block: list[float] = []
-    for n, fact in terms:
+    for n, fact in _terms(r, top):
         if n <= bound:
             v = eval_rule(rule, fact)
             if v not in ks:
@@ -240,54 +249,47 @@ def _densities(rule: ExponentRule, bound: int, ks: range,
     return out
 
 
-def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND, *,
-                  terms: RFullTerms | None = None) -> DensityResult:
+def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND) -> DensityResult:
     """Density of {n : f(n) = k} from the truncated reciprocal-psi series.
 
-    An unattained k yields density 0 (never an error).  When supplied,
-    `terms` must hold the r-full factorizations up to 2^r * bound.
+    An unattained k yields density 0 (never an error).
     """
     _check_series_args(k, bound)
-    return _densities(rule, bound, range(k, k + 1), terms)[k]
+    return _densities(rule, bound, range(k, k + 1))[k]
 
 
-def density_profile(rule: ExponentRule, bound: int, k_max: int, *,
-                    terms: RFullTerms | None = None) -> dict[int, DensityResult]:
+def density_profile(rule: ExponentRule, bound: int, k_max: int) -> dict[int, DensityResult]:
     """local_density for every k <= k_max in a single enumeration pass."""
     _check_series_args(k_max, bound)
-    return _densities(rule, bound, range(1, k_max + 1), terms)
+    return _densities(rule, bound, range(1, k_max + 1))
 
 
-def weight_harmonic_sum(rule: ExponentRule, k: int, bound: int, *,
-                        terms: RFullTerms | None = None) -> float:
+def weight_harmonic_sum(rule: ExponentRule, k: int, bound: int) -> float:
     """Sum of h(n)/n over r-full n <= bound: the second density path numerator.
 
     Dividing by zeta(r) gives the density again, up to both truncation tails.
     """
-    return weight_harmonic_profile(rule, bound, k, terms=terms)[k][0]
+    return weight_harmonic_profile(rule, bound, k)[k][0]
 
 
-def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int, *,
-                         terms: RFullTerms | None = None) -> float:
+def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
     """Geometric tail estimate for the h(n)/n series beyond the bound.
 
     Mirrors the density tail: |h(n)|/n summed over the first out-of-range
     block (bound, 2^r * bound], scaled by the geometric factor.
     """
-    return weight_harmonic_profile(rule, bound, k, terms=terms)[k][1]
+    return weight_harmonic_profile(rule, bound, k)[k][1]
 
 
-def weight_harmonic_profile(rule: ExponentRule, bound: int, k_max: int, *,
-                            terms: RFullTerms | None = None) -> dict[int, tuple[float, float]]:
+def weight_harmonic_profile(rule: ExponentRule, bound: int,
+                            k_max: int) -> dict[int, tuple[float, float]]:
     """(harmonic sum, tail estimate) for every k <= k_max in one pass."""
     _check_series_args(k_max, bound)
     r = rule.r
     top = (1 << r) * bound
-    if terms is None:
-        terms = rfull_factorizations(r, top)
     heads: dict[int, list[float]] = {}
     tails: dict[int, list[float]] = {}
-    for n, fact in terms:
+    for n, fact in _terms(r, top):
         if n > top:
             break
         head = n <= bound
@@ -299,8 +301,7 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int, k_max: int, *,
             for k in range(1, k_max + 1)}
 
 
-def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int, *,
-                       terms: RFullTerms | None = None) -> float:
+def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> float:
     """Exact partial sum of |h(n)| / n^kappa over r-full n <= x."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -308,10 +309,8 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int, *,
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if x < 2:
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
-    if terms is None:
-        terms = rfull_factorizations(rule.r, x)
     vals = []
-    for n, fact in terms:
+    for n, fact in _terms(rule.r, x):
         if n > x:
             break
         h = rfull_weights_up_to(rule, fact, k).get(k, 0)

@@ -56,6 +56,8 @@ def introot(n: int, r: int) -> int:
         raise ValueError("introot requires r >= 1")
     if r == 1 or n < 2:
         return n
+    if r >= n.bit_length():  # n < 2^r; at huge r, 2**r is too large to compute
+        return 1
     x = int(round(n ** (1.0 / r)))
     while x > 0 and x**r > n:
         x -= 1

@@ -14,10 +14,8 @@ from math import log, sqrt
 from .bounds import bound_breakdown, interval_error_bound, zeta
 from .density import (
     DEFAULT_BOUND,
-    RFullTerms,
     density_profile,
     local_density,
-    rfull_factorizations,
     weight_harmonic_profile,
     weight_partial_sum,
 )
@@ -191,10 +189,10 @@ def checks_k1_collapse(segments: int = 50, seed: int = 0, workers: int = 1) -> l
 
 
 def checks_density_oracle(bound: int = DEFAULT_BOUND, oracle_limit: int = 10**7,
-                          workers: int = 1, terms: RFullTerms | None = None) -> list[Check]:
+                          workers: int = 1) -> list[Check]:
     """Truncated densities vs the direct long-range sieve count."""
     abelian = build_rule("abelian")
-    prof = density_profile(abelian, bound, 5, terms=terms)
+    prof = density_profile(abelian, bound, 5)
     counts = value_counts(abelian, 0, oracle_limit, workers=workers)
     out = []
     for k in range(1, 6):
@@ -204,15 +202,12 @@ def checks_density_oracle(bound: int = DEFAULT_BOUND, oracle_limit: int = 10**7,
     return out
 
 
-def checks_density_paths(bound: int = DEFAULT_BOUND, k_max: int = 10,
-                         terms: RFullTerms | None = None) -> list[Check]:
+def checks_density_paths(bound: int = DEFAULT_BOUND, k_max: int = 10) -> list[Check]:
     """The reciprocal-psi series and the weighted harmonic series agree."""
     out = []
-    if terms is None:
-        terms = rfull_factorizations(2, (1 << 2) * bound)
     for rule in builtin_rules():
-        prof = density_profile(rule, bound, k_max, terms=terms)
-        wprof = weight_harmonic_profile(rule, bound, k_max, terms=terms)
+        prof = density_profile(rule, bound, k_max)
+        wprof = weight_harmonic_profile(rule, bound, k_max)
         z = zeta(rule.r)
         worst_excess = 0.0
         for k in range(1, k_max + 1):
@@ -227,11 +222,10 @@ def checks_density_paths(bound: int = DEFAULT_BOUND, k_max: int = 10,
 
 
 def checks_density_extras(bound: int = DEFAULT_BOUND, oracle_limit: int = 10**7,
-                          workers: int = 1,
-                          terms: RFullTerms | None = None) -> list[Check]:
+                          workers: int = 1) -> list[Check]:
     out = []
     plane = build_rule("plane")
-    res = local_density(plane, 2, bound, terms=terms)
+    res = local_density(plane, 2, bound)
     out.append(Check("plane-k2-unattained", res.partial_sum == 0.0 and res.density == 0.0,
                      res.density, 0.0, note=f"scan of all r-full b <= {bound}"))
 
@@ -240,7 +234,7 @@ def checks_density_extras(bound: int = DEFAULT_BOUND, oracle_limit: int = 10**7,
     # 0.999 level is reached by K = 100 (the direct count puts the K = 50
     # mass at ~0.9987, so the threshold genuinely needs the larger K).
     abelian = build_rule("abelian")
-    prof = density_profile(abelian, bound, 100, terms=terms)
+    prof = density_profile(abelian, bound, 100)
     counts = value_counts(abelian, 0, oracle_limit, workers=workers)
     masses = {}
     worst_gap = 0.0
@@ -263,12 +257,11 @@ def checks_weighted_growth() -> list[Check]:
     """Growth-shape monitoring of the weighted partial sums (abelian, k=2)."""
     out = []
     abelian = build_rule("abelian")
-    terms = rfull_factorizations(2, 10**8)
     decades = [10**e for e in range(3, 9)]
     for kappa in (0.0, 0.5):
         ratios = []
         for x in decades:
-            s = weight_partial_sum(abelian, 2, kappa, x, terms=terms)
+            s = weight_partial_sum(abelian, 2, kappa, x)
             ratios.append(s / (x ** (-kappa + 0.5) * log(x) ** 2))
         spread = max(ratios) / min(ratios)
         table = ", ".join(f"{v:.3g}" for v in ratios)
@@ -278,14 +271,13 @@ def checks_weighted_growth() -> list[Check]:
                          all(b <= a for a, b in zip(ratios, ratios[1:])),
                          "monotone decay", "bounded",
                          note="normalized ratio never grows"))
-    sums = [weight_partial_sum(abelian, 2, 1.0, x, terms=terms) for x in decades]
+    sums = [weight_partial_sum(abelian, 2, 1.0, x) for x in decades]
     increments = [b - a for a, b in zip(sums, sums[1:])]
     cauchy = all(b < a for a, b in zip(increments, increments[1:]))
     out.append(Check("weighted-growth-kappa-1-cauchy", cauchy,
                      [f"{v:.3g}" for v in increments], "strictly decreasing increments"))
     monotone = all(
-        weight_partial_sum(abelian, 2, k, 10**4, terms=terms)
-        <= weight_partial_sum(abelian, 2, k, 10**6, terms=terms)
+        weight_partial_sum(abelian, 2, k, 10**4) <= weight_partial_sum(abelian, 2, k, 10**6)
         for k in (0.0, 0.5, 1.0)
     )
     out.append(Check("weighted-growth-monotone-in-x", monotone, monotone, True))
@@ -319,8 +311,7 @@ def checks_multiples_sum() -> list[Check]:
     return out
 
 
-def checks_desk_scale(workers: int = 1, bound: int = DEFAULT_BOUND,
-                      terms: RFullTerms | None = None) -> list[Check]:
+def checks_desk_scale(workers: int = 1, bound: int = DEFAULT_BOUND) -> list[Check]:
     """Short-interval counts at x = 1e11, y = 1e6 against density * y."""
     out = []
     abelian = build_rule("abelian")
@@ -328,7 +319,7 @@ def checks_desk_scale(workers: int = 1, bound: int = DEFAULT_BOUND,
     out.append(Check("desk-window-admissible", admissible_window(2, x, y, 0.01), True, True))
     err_bound = interval_error_bound(2, x, y) * x**0.01
     for k in (1, 2):
-        d = local_density(abelian, k, bound, terms=terms).density
+        d = local_density(abelian, k, bound).density
         count = count_value(abelian, k, x, y, workers=workers)
         gap = abs(count - d * y)
         band = 10.0 * sqrt(d * (1.0 - d) * y)
@@ -410,7 +401,6 @@ def run_suite(name: str, seed: int = 0, workers: int = 1) -> list[Check]:
     """Run one named suite (or "all") and return its checks."""
     if name not in SUITE_NAMES + ("all",):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    checks: list[Check] = []
     if name == "sequences":
         return checks_sequences()
     if name == "convolution":
@@ -420,30 +410,12 @@ def run_suite(name: str, seed: int = 0, workers: int = 1) -> list[Check]:
     if name == "lemma3":
         return checks_r_free_interval() + checks_multiples_sum()
     if name == "density-cross":
-        terms = rfull_factorizations(2, (1 << 2) * DEFAULT_BOUND)
-        checks += checks_k1_collapse(seed=seed, workers=workers)
-        checks += checks_density_oracle(workers=workers, terms=terms)
-        checks += checks_density_paths(terms=terms)
-        checks += checks_density_extras(terms=terms)
-        return checks
+        return (checks_k1_collapse(seed=seed, workers=workers)
+                + checks_density_oracle(workers=workers)
+                + checks_density_paths()
+                + checks_density_extras())
     if name == "theorem":
-        terms = rfull_factorizations(2, (1 << 2) * DEFAULT_BOUND)
-        checks += checks_desk_scale(workers=workers, terms=terms)
-        checks += checks_segment_equivalence(seed=seed, workers=workers)
-        checks += checks_bound_identities()
-        return checks
-    # all: share the heavy enumeration across suites
-    terms = rfull_factorizations(2, (1 << 2) * DEFAULT_BOUND)
-    checks += checks_sequences()
-    checks += checks_convolution()
-    checks += checks_k1_collapse(seed=seed, workers=workers)
-    checks += checks_density_oracle(workers=workers, terms=terms)
-    checks += checks_density_paths(terms=terms)
-    checks += checks_density_extras(terms=terms)
-    checks += checks_weighted_growth()
-    checks += checks_r_free_interval()
-    checks += checks_multiples_sum()
-    checks += checks_desk_scale(workers=workers, terms=terms)
-    checks += checks_segment_equivalence(seed=seed, workers=workers)
-    checks += checks_bound_identities()
-    return checks
+        return (checks_desk_scale(workers=workers)
+                + checks_segment_equivalence(seed=seed, workers=workers)
+                + checks_bound_identities())
+    return [c for suite in SUITE_NAMES for c in run_suite(suite, seed, workers)]

@@ -1,14 +1,12 @@
 """Acceptance suite: one test per criterion, printing one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  The r-full enumeration shared by the density criteria is a
-module-scoped fixture; everything else is timed inside its own criterion.
+complete.  The density criteria share one r-full enumeration through the
+density module's per-r cache, so the first of them to run also times it.
 """
 
 import time
 from math import gcd, log, sqrt
-
-import pytest
 
 from pimshort.bounds import interval_error_bound, zeta
 from pimshort.density import (
@@ -45,13 +43,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {status} {detail}".rstrip())
 
 
-@pytest.fixture(scope="module")
-def terms_r2():
-    # Every squarefull number up to 4e9 with its factorization (the block
-    # past 1e9 feeds the tail estimates).
-    return rfull_factorizations(2, 4 * 10**9)
-
-
 def test_criterion_01_golden_sequences():
     start = time.time()
     plane = tuple(build_rule("plane").values[:13])
@@ -82,10 +73,10 @@ def test_criterion_03_k1_collapse():
     assert not failed, failed
 
 
-def test_criterion_04_density_cross_validation(terms_r2):
+def test_criterion_04_density_cross_validation():
     start = time.time()
     abelian = build_rule("abelian")
-    prof = density_profile(abelian, 10**9, 5, terms=terms_r2)
+    prof = density_profile(abelian, 10**9, 5)
     counts = value_counts(abelian, 0, 10**7)
     gaps = {k: abs(prof[k].density - counts.get(k, 0) / 10**7) for k in range(1, 6)}
     elapsed = time.time() - start
@@ -96,8 +87,8 @@ def test_criterion_04_density_cross_validation(terms_r2):
     assert elapsed < 120.0
 
 
-def test_criterion_05_density_paths_agree(terms_r2):
-    checks = checks_density_paths(bound=10**9, k_max=10, terms=terms_r2)
+def test_criterion_05_density_paths_agree():
+    checks = checks_density_paths(bound=10**9, k_max=10)
     failed = [c.name for c in checks if not c.passed]
     report(5, "density-paths-agree", not failed,
            "; ".join(str(c.observed) for c in checks))
@@ -139,7 +130,7 @@ def test_criterion_07_multiples_sum_oracle_equivalence():
     assert value == frozen == 3
 
 
-def test_criterion_08_desk_scale_window(terms_r2):
+def test_criterion_08_desk_scale_window():
     start = time.time()
     abelian = build_rule("abelian")
     x, y = 10**11, 10**6
@@ -148,7 +139,7 @@ def test_criterion_08_desk_scale_window(terms_r2):
     details = []
     ok = True
     for k in (1, 2):
-        d = local_density(abelian, k, 10**9, terms=terms_r2).density
+        d = local_density(abelian, k, 10**9).density
         count = count_value(abelian, k, x, y, workers=2)
         gap = abs(count - d * y)
         band = 10.0 * sqrt(d * (1.0 - d) * y)
@@ -158,7 +149,7 @@ def test_criterion_08_desk_scale_window(terms_r2):
     ok = ok and elapsed < 60.0
     report(8, "desk-scale-window", ok, "; ".join(details) + f"; elapsed {elapsed:.1f}s")
     for k in (1, 2):
-        d = local_density(abelian, k, 10**9, terms=terms_r2).density
+        d = local_density(abelian, k, 10**9).density
         count = count_value(abelian, k, x, y)
         gap = abs(count - d * y)
         assert gap <= 10.0 * sqrt(d * (1.0 - d) * y), (k, gap)
@@ -166,7 +157,7 @@ def test_criterion_08_desk_scale_window(terms_r2):
     assert elapsed < 60.0
 
 
-def test_criterion_09_weighted_growth_shape(terms_r2):
+def test_criterion_09_weighted_growth_shape():
     # For abelian at k = 2, h is (-1)^a on p^a (a >= 2) and 0 on every other
     # squarefull n, so S_kappa(x) sums p^(-a kappa) over those prime powers.
     # Lemma 2 bounds S_kappa(x) above by a multiple of x^(1/2-kappa) (log x)^2
@@ -175,7 +166,7 @@ def test_criterion_09_weighted_growth_shape(terms_r2):
     abelian = build_rule("abelian")
     decades = [10**e for e in range(3, 9)]
     sums = {
-        kappa: [weight_partial_sum(abelian, 2, kappa, x, terms=terms_r2) for x in decades]
+        kappa: [weight_partial_sum(abelian, 2, kappa, x) for x in decades]
         for kappa in (0.0, 0.5, 1.0)
     }
     mismatches = []

@@ -51,6 +51,7 @@ def test_bound_beyond_the_term_budget_exits_2_at_once(capsys):
         ("density", "--rule", "abelian", "--k", "1", "--B", "9223372036854775807"),
         ("interval", "--rule", "abelian", "--k", "1", "--x", "1e6", "--y", "1e3", "--B", "1e15"),
         ("table", "--rule", "powerdiv-r:3", "--k", "1", "--x", "1e6", "--y", "1e3", "--B", "9e18"),
+        ("enumerate-rfull", "--r", "2", "--limit", "9e18"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -139,6 +140,10 @@ def test_enumerate_rfull(capsys):
     assert code == 0
     values = [int(line) for line in out.split()]
     assert values == [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "enumerate-rfull", "--r", "9e18", "--limit", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == "1\n"
 
 
 def test_enumerate_rfull_range_error(capsys):

@@ -1,13 +1,16 @@
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from math import fsum, gcd
 
 import pytest
 
+from pimshort import density
 from pimshort.bounds import zeta
 from pimshort.density import (
+    _psi_ratio,
+    _terms,
     decompose_rfull,
-    dedekind_psi,
     density_profile,
     enumerate_rfull,
     local_density,
@@ -33,6 +36,9 @@ def test_rfull_count_bound_is_an_upper_bound():
             assert count <= bound <= 3 * count + 3, (r, limit, count, bound)
     assert rfull_count_bound(2, 0) == 0.0
     assert rfull_count_bound(1000, 2**1000 * 10**9) < 100
+    start = time.perf_counter()
+    assert 1.0 <= rfull_count_bound(10**12, 100) < 2.0
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError):
         rfull_count_bound(1, 100)
 
@@ -90,10 +96,14 @@ def test_decompose_roundtrip_and_invariants(r):
 
 
 def test_dedekind_psi_values():
-    assert dedekind_psi(factorize(4), 2) == 6
-    assert dedekind_psi((), 2) == 1
-    assert dedekind_psi(factorize(36), 2) == 72
-    assert dedekind_psi(factorize(8), 3) == Fraction(8 * (4 + 2 + 1), 4)
+    def psi(n, r):
+        a, c = _psi_ratio(factorize(n), r)
+        return Fraction(n * a, c)
+
+    assert psi(4, 2) == 6
+    assert psi(1, 2) == 1
+    assert psi(36, 2) == 72
+    assert psi(8, 3) == Fraction(8 * (4 + 2 + 1), 4)
 
 
 def test_density_k1_collapse():
@@ -138,27 +148,25 @@ def test_weight_harmonic_sum_examples():
 
 
 def test_density_paths_agree_small_bound():
-    terms = rfull_factorizations(2, 4 * 10**6)
     for rule in builtin_rules():
         for k in range(1, 11):
-            res = local_density(rule, k, 10**6, terms=terms)
-            hsum = weight_harmonic_sum(rule, k, 10**6, terms=terms)
-            htail = weight_harmonic_tail(rule, k, 10**6, terms=terms)
+            res = local_density(rule, k, 10**6)
+            hsum = weight_harmonic_sum(rule, k, 10**6)
+            htail = weight_harmonic_tail(rule, k, 10**6)
             tolerance = (res.tail_estimate + htail) / zeta(rule.r)
             assert abs(res.density - hsum / zeta(rule.r)) <= tolerance, (rule.name, k)
 
 
 def test_profiles_match_single_calls():
     abelian = build_rule("abelian")
-    terms = rfull_factorizations(2, 4 * 10**5)
-    prof = density_profile(abelian, 10**5, 6, terms=terms)
-    wprof = weight_harmonic_profile(abelian, 10**5, 6, terms=terms)
+    prof = density_profile(abelian, 10**5, 6)
+    wprof = weight_harmonic_profile(abelian, 10**5, 6)
     for k in range(1, 7):
-        single = local_density(abelian, k, 10**5, terms=terms)
+        single = local_density(abelian, k, 10**5)
         assert prof[k].partial_sum == single.partial_sum
         assert prof[k].tail_estimate == single.tail_estimate
         assert wprof[k][0] == weight_harmonic_sum(abelian, k, 10**5)
-        assert wprof[k][1] == weight_harmonic_tail(abelian, k, 10**5, terms=terms)
+        assert wprof[k][1] == weight_harmonic_tail(abelian, k, 10**5)
 
 
 def test_series_equal_an_exact_rational_reference():
@@ -183,17 +191,51 @@ def test_series_equal_an_exact_rational_reference():
             assert prof[k].tail_estimate == tail_geometric_factor(r) * fsum(block)
 
 
-def test_terms_past_the_tail_block_are_ignored():
+def _series_at(rule, bound):
+    return ([local_density(rule, k, bound) for k in (1, 2, 4)],
+            weight_harmonic_profile(rule, bound, 6),
+            weight_partial_sum(rule, 2, 0.5, bound))
+
+
+def test_terms_past_the_tail_block_are_ignored(monkeypatch):
+    # The same results from an enumeration that stops at the tail block and
+    # from one the cache has already grown to twice that.
     bound = 10**5
     for rule in builtin_rules() + (build_rule("powerdiv-r:3"),):
-        top = (1 << rule.r) * bound
-        short = rfull_factorizations(rule.r, top)
-        long = rfull_factorizations(rule.r, 2 * top)
-        for k in (1, 2, 4):
-            assert local_density(rule, k, bound, terms=long) == local_density(
-                rule, k, bound, terms=short)
-        assert weight_harmonic_profile(rule, bound, 6, terms=long) == weight_harmonic_profile(
-            rule, bound, 6, terms=short)
+        monkeypatch.setattr(density, "_enumerated", {})
+        fresh = _series_at(rule, bound)
+        _terms(rule.r, 2 * (1 << rule.r) * bound)
+        assert _series_at(rule, bound) == fresh
+
+
+def test_one_enumeration_per_r(monkeypatch):
+    calls = []
+    real = density.rfull_factorizations
+
+    def spy(r, limit):
+        calls.append((r, limit))
+        return real(r, limit)
+
+    monkeypatch.setattr(density, "_enumerated", {})
+    monkeypatch.setattr(density, "rfull_factorizations", spy)
+    abelian = build_rule("abelian")
+    bound = 10**5
+    for k in (1, 2, 3):
+        local_density(abelian, k, bound)
+    density_profile(abelian, bound, 6)
+    weight_harmonic_profile(abelian, bound, 6)
+    weight_partial_sum(abelian, 2, 0.5, bound)
+    assert list(enumerate_rfull(2, bound)) == [n for n, _ in real(2, bound)]
+    assert calls == [(2, 4 * bound)]
+    local_density(abelian, 1, 2 * bound)
+    assert calls == [(2, 4 * bound), (2, 8 * bound)]
+    local_density(abelian, 1, bound // 10)
+    weight_partial_sum(abelian, 2, 0.0, bound)
+    assert len(calls) == 2
+    local_density(build_rule("powerdiv-r:3"), 1, bound)
+    local_density(abelian, 2, bound)
+    assert calls == [(2, 4 * bound), (2, 8 * bound), (3, 8 * bound)]
+    assert sorted(density._enumerated) == [2, 3]
 
 
 def test_tail_factor_values():
@@ -243,6 +285,7 @@ def test_count_shape_band():
 
 def test_validation_errors():
     abelian = build_rule("abelian")
+    local_density(abelian, 1, 100)  # later r = 2 calls are cache hits
     with pytest.raises(ValueError):
         local_density(abelian, 0, 100)
     with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ def test_introot():
     assert introot(64, 2) == 8
     assert introot(10**12, 3) == 10**4
     assert introot(10**12 - 1, 3) == 10**4 - 1
+    assert introot(100, 9 * 10**18) == 1
     with pytest.raises(ValueError):
         introot(-1, 2)
 
