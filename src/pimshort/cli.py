@@ -131,9 +131,9 @@ def cmd_interval(args) -> int:
     check_window(args.y)
     if rule.r == 2:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
+    density = local_density(rule, args.k, args.bound).density
     report = interval_report(
-        rule, args.k, args.x, args.y,
-        eps=args.eps, bound=args.bound, workers=args.workers,
+        rule, args.k, args.x, args.y, density, eps=args.eps, workers=args.workers,
     )
     emit_record(report.to_record(), args.format)
     return 0
@@ -156,13 +156,11 @@ def cmd_table(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(TABLE_COLUMNS)
     if args.x and args.y:
-        density_result = local_density(rule, args.k, args.bound)
+        density = local_density(rule, args.k, args.bound).density
         for x in args.x:
             for y in args.y:
                 report = interval_report(
-                    rule, args.k, x, y,
-                    eps=args.eps, bound=args.bound, workers=args.workers,
-                    density_result=density_result,
+                    rule, args.k, x, y, density, eps=args.eps, workers=args.workers,
                 )
                 record = report.to_record()
                 writer.writerow(_csv_cell(record[col]) for col in TABLE_COLUMNS)
@@ -195,10 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rule=True):
-        if rule:
-            p.add_argument("--rule", required=True,
-                           help="built-in rule name or path to a custom-rule JSON file")
+    def add_common(p):
+        p.add_argument("--rule", required=True,
+                       help="built-in rule name or path to a custom-rule JSON file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("density", help="truncated local-density series for one k")

@@ -140,12 +140,6 @@ class RFullDecomposition:
     r: int
     parts: tuple[int, ...]
 
-    def recompose(self) -> int:
-        n = 1
-        for j, a in enumerate(self.parts):
-            n *= a ** (self.r + j)
-        return n
-
 
 def decompose_rfull(fact: Factorization, r: int) -> RFullDecomposition:
     """Split an r-full factorization into the unique power decomposition.
@@ -281,6 +275,24 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
     return weight_harmonic_profile(rule, bound, k)[k][1]
 
 
+def _weights_by_pattern(rule: ExponentRule, k_max: int):
+    """rfull_weights_up_to(rule, ., k_max), evaluated once per exponent pattern.
+
+    The rule is prime-independent, so h(n) depends only on the exponents of
+    n.  Factorizations with one pattern share one dict; do not mutate it.
+    """
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
+
+    def weights(fact: Factorization) -> dict[int, int]:
+        pattern = tuple(a for _, a in fact)
+        found = memo.get(pattern)
+        if found is None:
+            found = memo[pattern] = rfull_weights_up_to(rule, fact, k_max)
+        return found
+
+    return weights
+
+
 def weight_harmonic_profile(rule: ExponentRule, bound: int,
                             k_max: int) -> dict[int, tuple[float, float]]:
     """(harmonic sum, tail estimate) for every k <= k_max in one pass."""
@@ -289,12 +301,13 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
     top = (1 << r) * bound
     heads: dict[int, list[float]] = {}
     tails: dict[int, list[float]] = {}
+    weights = _weights_by_pattern(rule, k_max)
     for n, fact in _terms(r, top):
         if n > top:
             break
         head = n <= bound
         target = heads if head else tails
-        for k, h in rfull_weights_up_to(rule, fact, k_max).items():
+        for k, h in weights(fact).items():
             target.setdefault(k, []).append((h if head else abs(h)) / n)
     factor = tail_geometric_factor(r)
     return {k: (fsum(heads.get(k, ())), factor * fsum(tails.get(k, ())))
@@ -310,10 +323,11 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> floa
     if x < 2:
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
     vals = []
+    weights = _weights_by_pattern(rule, k)
     for n, fact in _terms(rule.r, x):
         if n > x:
             break
-        h = rfull_weights_up_to(rule, fact, k).get(k, 0)
+        h = weights(fact).get(k, 0)
         if h:
             vals.append(abs(h) if kappa == 0 else abs(h) * n ** (-float(kappa)))
     return fsum(vals)

@@ -89,14 +89,6 @@ def factorize(n: int) -> Factorization:
     return tuple(pairs)
 
 
-def recompose(fact: Factorization) -> int:
-    """Product of p^alpha over the factorization."""
-    n = 1
-    for p, a in fact:
-        n *= p**a
-    return n
-
-
 def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
     """f(n) = product of g(alpha) over the factorization; 1 for n = 1."""
     out = 1

@@ -190,11 +190,6 @@ class ExponentRule:
     def alpha_max(self) -> int:
         return len(self.values) - 1
 
-    def g(self, alpha: int) -> int:
-        if not 0 <= alpha <= self.alpha_max:
-            raise ValueError(f"exponent {alpha} outside rule table [0, {self.alpha_max}]")
-        return self.values[alpha]
-
 
 def _validated_rule(name: str, values, declared_r: int | None = None) -> ExponentRule:
     try:

@@ -32,7 +32,7 @@ from math import isqrt
 import numpy as np
 
 from .bounds import bound_breakdown
-from .density import DEFAULT_BOUND, DensityResult, enumerate_rfull, local_density
+from .density import enumerate_rfull
 from .factor import MAX_N, Factorization, introot, primes_upto
 from .rules import ExponentRule
 
@@ -339,20 +339,19 @@ def admissible_window(r: int, x: int, y: int, eps: float) -> bool:
     return x ** (1.0 / (2 * r + 1) + eps) <= y <= x * 4.0 ** (-2 * r * r)
 
 
-def interval_report(rule: ExponentRule, k: int, x: int, y: int, eps: float = 0.01,
-                    bound: int = DEFAULT_BOUND, workers: int = 1,
-                    density_result: DensityResult | None = None) -> IntervalReport:
+def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
+                    eps: float = 0.01, workers: int = 1) -> IntervalReport:
     """Count f(n) = k over (x, x+y] and compare against density * y.
 
-    The three bound components are reported without the x^eps factor; eps
-    only enters the admissibility flag.  Requires y < x so the error terms
-    are defined.
+    density is the local density of {n : f(n) = k}, for example
+    local_density(rule, k).density.  The three bound components are
+    reported without the x^eps factor; eps only enters the admissibility
+    flag.  Requires y < x so the error terms are defined.
     """
     _check_window(x, y)
     parts = bound_breakdown(rule.r, x, y)
-    d = density_result if density_result is not None else local_density(rule, k, bound)
     count = count_value(rule, k, x, y, workers=workers)
-    main = d.density * y
+    main = density * y
     return IntervalReport(
         rule=rule.name,
         k=k,
@@ -360,7 +359,7 @@ def interval_report(rule: ExponentRule, k: int, x: int, y: int, eps: float = 0.0
         x=x,
         y=y,
         count=count,
-        density=d.density,
+        density=density,
         main_term=main,
         abs_error=abs(count - main),
         term_main=parts.term_main,

@@ -48,6 +48,9 @@ SEMISIMPLE_SEQUENCE = (1, 1, 2, 3, 6, 8, 13, 18, 29, 40, 58, 79, 115, 154, 213)
 # are 27, 36 and 108, each dividing 108.
 MULTIPLES_SUM_AT_100_10_2 = 3
 
+# Window [1, ORACLE_LIMIT] of the direct count the density checks compare with.
+ORACLE_LIMIT = 10**7
+
 
 @dataclass
 class Check:
@@ -90,8 +93,9 @@ def checks_sequences() -> list[Check]:
     return out
 
 
-def checks_convolution(limit: int = 10_000, k_max: int = 10) -> list[Check]:
+def checks_convolution() -> list[Check]:
     """Support, bound, unit case, prime-power vanishing and re-convolution."""
+    limit, k_max = 10_000, 10
     out = []
     facts = [()] + [factorize(n) for n in range(1, limit + 1)]
     facts[0] = None  # index 0 unused
@@ -163,8 +167,9 @@ def _collapse_rules() -> tuple[ExponentRule, ...]:
     return builtin_rules() + (build_rule("powerdiv-r:2"), build_rule("powerdiv-r:3"))
 
 
-def checks_k1_collapse(segments: int = 50, seed: int = 0, workers: int = 1) -> list[Check]:
+def checks_k1_collapse(seed: int = 0, workers: int = 1) -> list[Check]:
     """k = 1 density equals 1/zeta(r) and k = 1 counts equal r-free counts."""
+    segments = 50
     out = []
     for rule in _collapse_rules():
         worst = max(
@@ -188,26 +193,26 @@ def checks_k1_collapse(segments: int = 50, seed: int = 0, workers: int = 1) -> l
     return out
 
 
-def checks_density_oracle(bound: int = DEFAULT_BOUND, oracle_limit: int = 10**7,
-                          workers: int = 1) -> list[Check]:
+def checks_density_oracle(workers: int = 1) -> list[Check]:
     """Truncated densities vs the direct long-range sieve count."""
     abelian = build_rule("abelian")
-    prof = density_profile(abelian, bound, 5)
-    counts = value_counts(abelian, 0, oracle_limit, workers=workers)
+    prof = density_profile(abelian, DEFAULT_BOUND, 5)
+    counts = value_counts(abelian, 0, ORACLE_LIMIT, workers=workers)
     out = []
     for k in range(1, 6):
-        observed = abs(prof[k].density - counts.get(k, 0) / oracle_limit)
+        observed = abs(prof[k].density - counts.get(k, 0) / ORACLE_LIMIT)
         out.append(Check(f"abelian-k{k}-density-vs-sieve", observed <= 5e-3, observed, "<= 5e-3",
-                         note=f"sieve count {counts.get(k, 0)} at {oracle_limit}"))
+                         note=f"sieve count {counts.get(k, 0)} at {ORACLE_LIMIT}"))
     return out
 
 
-def checks_density_paths(bound: int = DEFAULT_BOUND, k_max: int = 10) -> list[Check]:
+def checks_density_paths() -> list[Check]:
     """The reciprocal-psi series and the weighted harmonic series agree."""
+    k_max = 10
     out = []
     for rule in builtin_rules():
-        prof = density_profile(rule, bound, k_max)
-        wprof = weight_harmonic_profile(rule, bound, k_max)
+        prof = density_profile(rule, DEFAULT_BOUND, k_max)
+        wprof = weight_harmonic_profile(rule, DEFAULT_BOUND, k_max)
         z = zeta(rule.r)
         worst_excess = 0.0
         for k in range(1, k_max + 1):
@@ -217,37 +222,36 @@ def checks_density_paths(bound: int = DEFAULT_BOUND, k_max: int = 10) -> list[Ch
             worst_excess = max(worst_excess, gap - allowed)
         out.append(Check(f"{rule.name}-density-paths-agree", worst_excess <= 0.0,
                          f"max gap-over-tolerance {worst_excess:.3g}", "<= 0",
-                         note=f"k <= {k_max}, B = {bound}"))
+                         note=f"k <= {k_max}, B = {DEFAULT_BOUND}"))
     return out
 
 
-def checks_density_extras(bound: int = DEFAULT_BOUND, oracle_limit: int = 10**7,
-                          workers: int = 1) -> list[Check]:
+def checks_density_extras(workers: int = 1) -> list[Check]:
     out = []
     plane = build_rule("plane")
-    res = local_density(plane, 2, bound)
+    res = local_density(plane, 2, DEFAULT_BOUND)
     out.append(Check("plane-k2-unattained", res.partial_sum == 0.0 and res.density == 0.0,
-                     res.density, 0.0, note=f"scan of all r-full b <= {bound}"))
+                     res.density, 0.0, note=f"scan of all r-full b <= {DEFAULT_BOUND}"))
 
     # Mass conservation: partial density mass approaches 1 as K grows, the
-    # direct count over [1, oracle_limit] confirms the residual, and the
+    # direct count over [1, ORACLE_LIMIT] confirms the residual, and the
     # 0.999 level is reached by K = 100 (the direct count puts the K = 50
     # mass at ~0.9987, so the threshold genuinely needs the larger K).
     abelian = build_rule("abelian")
-    prof = density_profile(abelian, bound, 100)
-    counts = value_counts(abelian, 0, oracle_limit, workers=workers)
+    prof = density_profile(abelian, DEFAULT_BOUND, 100)
+    counts = value_counts(abelian, 0, ORACLE_LIMIT, workers=workers)
     masses = {}
     worst_gap = 0.0
     for cap in (10, 25, 50, 100):
         series = sum(prof[k].density for k in range(1, cap + 1))
-        direct = sum(c for v, c in counts.items() if v <= cap) / oracle_limit
+        direct = sum(c for v, c in counts.items() if v <= cap) / ORACLE_LIMIT
         masses[cap] = series
         worst_gap = max(worst_gap, abs(series - direct))
     increasing = all(masses[a] < masses[b] for a, b in ((10, 25), (25, 50), (50, 100)))
     out.append(Check("abelian-mass-increasing", increasing,
                      {k: round(v, 6) for k, v in masses.items()}, "increasing in K"))
     out.append(Check("abelian-mass-vs-direct-count", worst_gap <= 5e-3, worst_gap,
-                     "<= 5e-3", note=f"direct count at {oracle_limit}"))
+                     "<= 5e-3", note=f"direct count at {ORACLE_LIMIT}"))
     out.append(Check("abelian-mass-conservation", masses[100] > 0.999, masses[100],
                      "> 0.999", note="sum of densities k <= 100"))
     return out
@@ -258,11 +262,10 @@ def checks_weighted_growth() -> list[Check]:
     out = []
     abelian = build_rule("abelian")
     decades = [10**e for e in range(3, 9)]
+    sums = {kappa: {x: weight_partial_sum(abelian, 2, kappa, x) for x in decades}
+            for kappa in (0.0, 0.5, 1.0)}
     for kappa in (0.0, 0.5):
-        ratios = []
-        for x in decades:
-            s = weight_partial_sum(abelian, 2, kappa, x)
-            ratios.append(s / (x ** (-kappa + 0.5) * log(x) ** 2))
+        ratios = [sums[kappa][x] / (x ** (-kappa + 0.5) * log(x) ** 2) for x in decades]
         spread = max(ratios) / min(ratios)
         table = ", ".join(f"{v:.3g}" for v in ratios)
         out.append(Check(f"weighted-growth-band-kappa-{kappa}", spread < 4.0, spread,
@@ -271,15 +274,12 @@ def checks_weighted_growth() -> list[Check]:
                          all(b <= a for a, b in zip(ratios, ratios[1:])),
                          "monotone decay", "bounded",
                          note="normalized ratio never grows"))
-    sums = [weight_partial_sum(abelian, 2, 1.0, x) for x in decades]
-    increments = [b - a for a, b in zip(sums, sums[1:])]
+    kappa_1 = [sums[1.0][x] for x in decades]
+    increments = [b - a for a, b in zip(kappa_1, kappa_1[1:])]
     cauchy = all(b < a for a, b in zip(increments, increments[1:]))
     out.append(Check("weighted-growth-kappa-1-cauchy", cauchy,
                      [f"{v:.3g}" for v in increments], "strictly decreasing increments"))
-    monotone = all(
-        weight_partial_sum(abelian, 2, k, 10**4) <= weight_partial_sum(abelian, 2, k, 10**6)
-        for k in (0.0, 0.5, 1.0)
-    )
+    monotone = all(by_x[10**4] <= by_x[10**6] for by_x in sums.values())
     out.append(Check("weighted-growth-monotone-in-x", monotone, monotone, True))
     return out
 
@@ -311,15 +311,16 @@ def checks_multiples_sum() -> list[Check]:
     return out
 
 
-def checks_desk_scale(workers: int = 1, bound: int = DEFAULT_BOUND) -> list[Check]:
+def checks_desk_scale(workers: int = 1) -> list[Check]:
     """Short-interval counts at x = 1e11, y = 1e6 against density * y."""
     out = []
     abelian = build_rule("abelian")
     x, y = 10**11, 10**6
     out.append(Check("desk-window-admissible", admissible_window(2, x, y, 0.01), True, True))
     err_bound = interval_error_bound(2, x, y) * x**0.01
+    prof = density_profile(abelian, DEFAULT_BOUND, 2)
     for k in (1, 2):
-        d = local_density(abelian, k, bound).density
+        d = prof[k].density
         count = count_value(abelian, k, x, y, workers=workers)
         gap = abs(count - d * y)
         band = 10.0 * sqrt(d * (1.0 - d) * y)
@@ -330,9 +331,9 @@ def checks_desk_scale(workers: int = 1, bound: int = DEFAULT_BOUND) -> list[Chec
     return out
 
 
-def checks_segment_equivalence(segments: int = 200, seed: int = 0,
-                               workers: int = 1) -> list[Check]:
+def checks_segment_equivalence(seed: int = 0, workers: int = 1) -> list[Check]:
     """Counting kernel vs per-n factorization over seeded random windows."""
+    segments = 200
     rng = random.Random(seed)
     rules = builtin_rules()
     mismatch = 0
@@ -413,7 +414,7 @@ def run_suite(name: str, seed: int = 0, workers: int = 1) -> list[Check]:
         return (checks_k1_collapse(seed=seed, workers=workers)
                 + checks_density_oracle(workers=workers)
                 + checks_density_paths()
-                + checks_density_extras())
+                + checks_density_extras(workers=workers))
     if name == "theorem":
         return (checks_desk_scale(workers=workers)
                 + checks_segment_equivalence(seed=seed, workers=workers)

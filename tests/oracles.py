@@ -58,6 +58,14 @@ def value_of(fact) -> int:
     return n
 
 
+def decomposition_value(d) -> int:
+    """parts[0]^r * parts[1]^(r+1) * ... of an RFullDecomposition."""
+    n = 1
+    for j, a in enumerate(d.parts):
+        n *= a ** (d.r + j)
+    return n
+
+
 def mu_r_inverse_brute(fact, r: int) -> int:
     out = 1
     for _, a in fact:

@@ -33,7 +33,12 @@ from pimshort.verify import (
     checks_k1_collapse,
 )
 
-from oracles import multiples_sum_brute, prime_power_weight_sum, rfull_flags
+from oracles import (
+    decomposition_value,
+    multiples_sum_brute,
+    prime_power_weight_sum,
+    rfull_flags,
+)
 
 SEED = 20240901
 
@@ -57,7 +62,7 @@ def test_criterion_01_golden_sequences():
 
 def test_criterion_02_convolution_suite():
     start = time.time()
-    checks = checks_convolution(limit=10**4, k_max=10)
+    checks = checks_convolution()
     elapsed = time.time() - start
     failed = [c.name for c in checks if not c.passed]
     ok = not failed and elapsed < 30.0
@@ -67,7 +72,7 @@ def test_criterion_02_convolution_suite():
 
 
 def test_criterion_03_k1_collapse():
-    checks = checks_k1_collapse(segments=50, seed=SEED)
+    checks = checks_k1_collapse(seed=SEED)
     failed = [c.name for c in checks if not c.passed]
     report(3, "k1-collapse", not failed, f"{len(checks)} checks")
     assert not failed, failed
@@ -88,7 +93,7 @@ def test_criterion_04_density_cross_validation():
 
 
 def test_criterion_05_density_paths_agree():
-    checks = checks_density_paths(bound=10**9, k_max=10)
+    checks = checks_density_paths()
     failed = [c.name for c in checks if not c.passed]
     report(5, "density-paths-agree", not failed,
            "; ".join(str(c.observed) for c in checks))
@@ -217,7 +222,7 @@ def test_criterion_10_enumeration_oracles():
     for r in (2, 3):
         for n, fact in rfull_factorizations(r, limit):
             d = decompose_rfull(fact, r)
-            if d.recompose() != n:
+            if decomposition_value(d) != n:
                 roundtrip_bad += 1
                 continue
             square_part = 1

@@ -2,6 +2,7 @@ import time
 from bisect import bisect_right
 from fractions import Fraction
 from math import fsum, gcd
+from pathlib import Path
 
 import pytest
 
@@ -23,9 +24,9 @@ from pimshort.density import (
     weight_partial_sum,
 )
 from pimshort.factor import eval_rule, factorize, is_r_full, rfull_weights_up_to
-from pimshort.rules import build_rule, builtin_rules
+from pimshort.rules import build_rule, builtin_rules, load_custom_rule
 
-from oracles import h_brute, rfull_flags, trial_factorize
+from oracles import decomposition_value, h_brute, rfull_flags, trial_factorize
 
 
 def test_rfull_count_bound_is_an_upper_bound():
@@ -65,12 +66,12 @@ def test_enumeration_carries_correct_factorizations():
 def test_decompose_examples():
     d = decompose_rfull(factorize(72), 2)
     assert d.parts == (3, 2)
-    assert d.recompose() == 72
+    assert decomposition_value(d) == 72
     d = decompose_rfull(factorize(7**2), 2)
     assert d.parts == (7, 1)
     d = decompose_rfull(factorize(5**5), 3)  # alpha = 2r - 1 forces the last slot
     assert d.parts == (1, 1, 5)
-    assert d.recompose() == 5**5
+    assert decomposition_value(d) == 5**5
 
 
 def test_decompose_requires_rfull():
@@ -82,7 +83,7 @@ def test_decompose_requires_rfull():
 def test_decompose_roundtrip_and_invariants(r):
     for n, fact in rfull_factorizations(r, 10**5):
         d = decompose_rfull(fact, r)
-        assert d.recompose() == n
+        assert decomposition_value(d) == n
         squarefree_part = 1
         for a in d.parts[1:]:
             squarefree_part *= a
@@ -254,6 +255,47 @@ def test_weight_partial_sum_basics():
         weight_partial_sum(abelian, 2, 0.0, 1)
     with pytest.raises(ValueError):
         weight_partial_sum(abelian, 2, -0.5, 100)
+
+
+PATTERN_RULES = builtin_rules() + (
+    build_rule("powerdiv-r:3"),
+    load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text()),
+)
+
+
+@pytest.mark.parametrize("rule", PATTERN_RULES, ids=[rule.name for rule in PATTERN_RULES])
+def test_weights_evaluated_once_per_exponent_pattern(monkeypatch, rule):
+    # h(n) depends only on the exponents of n, so each series evaluates it
+    # once per exponent tuple and must still equal the per-term sums.
+    calls = []
+
+    def spy(rule_, fact, k_max):
+        calls.append(tuple(a for _, a in fact))
+        return rfull_weights_up_to(rule_, fact, k_max)
+
+    monkeypatch.setattr(density, "rfull_weights_up_to", spy)
+    bound, k_max = 10**5, 6
+    top = (1 << rule.r) * bound
+    terms = rfull_factorizations(rule.r, top)
+
+    def patterns(limit):
+        return sorted({tuple(a for _, a in fact) for n, fact in terms if n <= limit})
+
+    prof = weight_harmonic_profile(rule, bound, k_max)
+    assert sorted(calls) == patterns(top)
+    per_term = [(n, rfull_weights_up_to(rule, fact, k_max)) for n, fact in terms]
+    factor = tail_geometric_factor(rule.r)
+    for k in range(1, k_max + 1):
+        head = fsum(h.get(k, 0) / n for n, h in per_term if n <= bound)
+        tail = fsum(abs(h.get(k, 0)) / n for n, h in per_term if n > bound)
+        assert prof[k] == (head, factor * tail), k
+
+    calls.clear()
+    got = weight_partial_sum(rule, 2, 0.5, bound)
+    assert sorted(calls) == patterns(bound)
+    expected = fsum(abs(h) * n ** -0.5 for n, fact in terms if n <= bound
+                    if (h := rfull_weights_up_to(rule, fact, 2).get(2, 0)))
+    assert got == expected
 
 
 def test_abelian_k2_weights_live_on_prime_powers():

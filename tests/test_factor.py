@@ -9,7 +9,6 @@ from pimshort.factor import (
     introot,
     is_r_full,
     primes_upto,
-    recompose,
     rfull_weights_up_to,
 )
 from pimshort.rules import build_rule, builtin_rules
@@ -53,7 +52,6 @@ def test_factorize_against_trial_division():
     for _ in range(300):
         n = rng.randrange(1, 10**7)
         assert factorize(n) == trial_factorize(n)
-        assert recompose(factorize(n)) == n
 
 
 def test_eval_rule():

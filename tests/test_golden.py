@@ -1,9 +1,10 @@
 """Byte-for-byte replay of a fixed set of CLI calls against golden stdout.
 
 For each call below, tests/golden/<name>.txt holds the expected stdout and
-tests/golden/exits.json the expected exit code.  The calls run in process,
-so the whole replay takes a few seconds.  Refactors of the series
-or the counting layers must leave every file unchanged.
+tests/golden/exits.json the expected exit code.  The calls run in process;
+the whole replay takes about 15 s, most of it `verify --suite all`.
+Refactors of the series or the counting layers must leave every file
+unchanged.
 
 To capture the files afresh (only when an output change is intended):
 
@@ -46,6 +47,7 @@ def _calls() -> list[tuple[str, list[str]]]:
           "--B", "1e6"]),
         ("enumerate-rfull-r3", ["enumerate-rfull", "--r", "3", "--limit", "1e5"]),
         ("verify-sequences", ["verify", "--suite", "sequences"]),
+        ("verify-all", ["verify", "--suite", "all"]),
     ]
     return calls
 

@@ -176,9 +176,3 @@ def test_custom_rule_bad_json():
     with pytest.raises(RuleError, match="JSON"):
         load_custom_rule("{not json")
 
-
-def test_rule_g_accessor():
-    rule = build_rule("abelian")
-    assert rule.g(3) == 3
-    with pytest.raises(ValueError):
-        rule.g(rule.alpha_max + 1)

@@ -324,7 +324,7 @@ def test_admissible_window():
 def test_interval_report_fields_and_flag():
     abelian = build_rule("abelian")
     dens = local_density(abelian, 1, 10**5)
-    rep = interval_report(abelian, 1, 100, 10, density_result=dens)
+    rep = interval_report(abelian, 1, 100, 10, dens.density)
     assert rep.count == 8  # squarefree members of (100, 110]
     assert not rep.admissible
     assert rep.abs_error == pytest.approx(abs(8 - rep.main_term))
@@ -339,7 +339,7 @@ def test_interval_report_fields_and_flag():
 def test_interval_report_powerdiv_equals_r_free():
     powerdiv2 = build_rule("powerdiv-r:2")
     dens = local_density(powerdiv2, 1, 10**4)
-    rep = interval_report(powerdiv2, 1, 10**6, 2000, density_result=dens)
+    rep = interval_report(powerdiv2, 1, 10**6, 2000, dens.density)
     assert rep.count == count_r_free(10**6, 2000, 2)
 
 
@@ -347,4 +347,4 @@ def test_interval_report_rejects_wide_window():
     abelian = build_rule("abelian")
     dens = local_density(abelian, 1, 10**4)
     with pytest.raises(ValueError):
-        interval_report(abelian, 1, 100, 100, density_result=dens)
+        interval_report(abelian, 1, 100, 100, dens.density)

@@ -8,7 +8,7 @@ ALL_GROUPS = {
     "checks_k1_collapse": {"seed": 7, "workers": 3},
     "checks_density_oracle": {"workers": 3},
     "checks_density_paths": {},
-    "checks_density_extras": {},
+    "checks_density_extras": {"workers": 3},
     "checks_weighted_growth": {},
     "checks_r_free_interval": {},
     "checks_multiples_sum": {},
