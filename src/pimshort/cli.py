@@ -18,7 +18,7 @@ from pathlib import Path
 from .density import DEFAULT_BOUND, enumerate_rfull, local_density, rfull_count_bound
 from .factor import MAX_N
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
-from .sieve import interval_report
+from .sieve import check_report_window, interval_report
 from .verify import SUITE_NAMES, run_suite
 
 TABLE_COLUMNS = (
@@ -65,6 +65,14 @@ def exact_int(text: str) -> int:
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     return int(value)
+
+
+def positive_int(text: str) -> int:
+    """Parse a count flag such as --workers, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def exact_int_list(text: str) -> list[int]:
@@ -129,6 +137,7 @@ def cmd_interval(args) -> int:
     rule = resolve_rule(args.rule)
     check_bound(rule, args.bound)
     check_window(args.y)
+    check_report_window(args.x, args.y)
     if rule.r == 2:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
     density = local_density(rule, args.k, args.bound).density
@@ -151,6 +160,8 @@ def cmd_table(args) -> int:
     check_bound(rule, args.bound)
     for y in args.y:
         check_window(y)
+        for x in args.x:
+            check_report_window(x, y)
     if rule.r == 2 and args.x and args.y:
         print(R2_EXPONENT_WARNING, file=sys.stderr)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.01,
                    help="epsilon in the admissible-window test (default 0.01)")
     p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("enumerate-rfull", help="ascending r-full numbers up to a limit")
@@ -230,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated y values")
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a named self-check suite")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -15,13 +15,16 @@ bound.
 Series are accumulated with math.fsum (exactly rounded), so round-off is
 far below the 1e-12 budget even at the default truncation 10^9.
 
-Every series walks the same r-full factorizations, so the module keeps one
-list per r for the life of the process: the enumeration up to the largest
-limit asked for so far.  A smaller limit stops early in that list.
+Every series reads one table per r, kept for the life of the process and
+built by a single walk up to the largest limit asked for so far.  The table
+groups the r-full n by exponent pattern: f and h are prime-independent, so
+each series evaluates the rule once per pattern and slices that pattern's
+ascending n (and their exact 1/psi(n)) at its own limit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import exp, fsum, log
 
@@ -29,6 +32,7 @@ from .bounds import zeta
 from .factor import (
     Factorization,
     eval_rule,
+    factorize,
     introot,
     is_r_full,
     primes_upto,
@@ -38,64 +42,75 @@ from .rules import ExponentRule
 
 DEFAULT_BOUND = 10**9
 
-RFullTerms = list[tuple[int, Factorization]]
+# pattern -> (one factorization with that exponent pattern, every r-full
+# n <= limit with the pattern ascending, 1/psi(n) for each of them).
+RFullTable = dict[tuple[int, ...], tuple[Factorization, list[int], list[float]]]
 
 
-def rfull_factorizations(r: int, limit: int) -> RFullTerms:
-    """All r-full n <= limit with their factorizations, ascending.
+def rfull_table(r: int, limit: int) -> RFullTable:
+    """Every r-full n <= limit (1 included), grouped by exponent pattern.
 
-    Assembled recursively from prime powers p^e, e >= r, over primes
-    p <= limit^(1/r); each r-full number is produced exactly once.
+    One walk over prime powers p^e, e >= r, for primes p <= limit^(1/r)
+    reaches each r-full n once and carries the exact pair a = prod (p^r - 1),
+    c = prod p^(r-1) (p - 1) down the tree, so that psi(n) = n * a / c and
+    1/psi(n) = c / (n * a) is one correctly rounded division.
     """
     if r < 2:
-        raise ValueError(f"rfull_factorizations requires r >= 2, got {r}")
+        raise ValueError(f"rfull_table requires r >= 2, got {r}")
     if limit < 1:
-        raise ValueError(f"rfull_factorizations requires limit >= 1, got {limit}")
+        raise ValueError(f"rfull_table requires limit >= 1, got {limit}")
     primes = primes_upto(introot(limit, r))
-    out: RFullTerms = [(1, ())]
-    parts: list[tuple[int, int]] = []
+    table: RFullTable = {(): ((), [1], [1.0])}
 
-    def descend(start: int, value: int) -> None:
+    def descend(start: int, value: int, pattern: tuple[int, ...], a: int, c: int) -> None:
         for i in range(start, len(primes)):
             p = primes[i]
             power = p**r
             if value * power > limit:
                 break
+            a_p = a * (power - 1)
+            c_p = c * (power // p) * (p - 1)
             e = r
             while value * power <= limit:
-                parts.append((p, e))
-                out.append((value * power, tuple(parts)))
-                descend(i + 1, value * power)
-                parts.pop()
+                n = value * power
+                key = pattern + (e,)
+                group = table.get(key)
+                if group is None:  # 2^e1 3^e2 ... is the smallest n with this pattern
+                    group = table[key] = (tuple(zip(primes, key)), [], [])
+                group[1].append(n)
+                group[2].append(c_p / (n * a_p))
+                descend(i + 1, n, key, a_p, c_p)
                 power *= p
                 e += 1
 
-    descend(0, 1)
-    out.sort()
-    return out
+    descend(0, 1, (), 1, 1)
+    for _, ns, recips in table.values():
+        order = sorted(range(len(ns)), key=ns.__getitem__)
+        ns[:], recips[:] = [ns[i] for i in order], [recips[i] for i in order]
+    return table
 
 
-# r -> (L, rfull_factorizations(r, L)) for the largest L asked for so far.
-_enumerated: dict[int, tuple[int, RFullTerms]] = {}
+# r -> (L, rfull_table(r, L)) for the largest L asked for so far.
+_tables: dict[int, tuple[int, RFullTable]] = {}
 
 
-def _terms(r: int, limit: int) -> RFullTerms:
-    """The r-full factorizations up to at least limit; callers stop at their own limit.
-
-    A limit below 1 always goes through to rfull_factorizations, which refuses it.
-    """
-    held = _enumerated.get(r)
+def _table(r: int, limit: int) -> RFullTable:
+    """The r-full table up to at least limit (a limit below 1 reaches rfull_table)."""
+    held = _tables.get(r)
     if held is None or not 1 <= limit <= held[0]:
-        held = _enumerated[r] = (limit, rfull_factorizations(r, limit))
+        held = _tables[r] = (limit, rfull_table(r, limit))
     return held[1]
 
 
-def enumerate_rfull(r: int, limit: int):
-    """Yield every r-full n <= limit in ascending order (1 included)."""
-    for n, _ in _terms(r, limit):
-        if n > limit:
-            break
-        yield n
+def enumerate_rfull(r: int, limit: int) -> list[int]:
+    """Every r-full n <= limit in ascending order (1 included)."""
+    return sorted(n for _, ns, _ in _table(r, limit).values()
+                  for n in ns[:bisect_right(ns, limit)])
+
+
+def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
+    """Every r-full n <= limit with its factorization, ascending."""
+    return [(n, factorize(n)) for n in enumerate_rfull(r, limit)]
 
 
 def rfull_count_bound(r: int, limit: int) -> float:
@@ -163,16 +178,6 @@ def decompose_rfull(fact: Factorization, r: int) -> RFullDecomposition:
     return RFullDecomposition(r, tuple(parts))
 
 
-def _psi_ratio(fact: Factorization, r: int) -> tuple[int, int]:
-    """(a, c) with psi(b) = b * a / c, from a = prod (p^r - 1), c = prod p^(r-1) (p - 1)."""
-    a = c = 1
-    for p, _ in fact:
-        lower = p ** (r - 1)
-        a *= lower * p - 1
-        c *= lower * (p - 1)
-    return a, c
-
-
 def tail_geometric_factor(r: int) -> float:
     """Geometric-series factor applied to the first out-of-range block."""
     return 1.0 / (1.0 - 2.0 ** (1.0 / r - 1.0))
@@ -214,26 +219,18 @@ def _check_series_args(k: int, bound: int) -> None:
 def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityResult]:
     """The reciprocal-psi pass: a DensityResult for every k in ks.
 
-    Each term 1/psi(b) = c / (b * a) is one correctly rounded division of
-    exact integers.  Head sums are kept only for values f(b) that occur;
-    the tail block is every r-full b in (bound, 2^r * bound].
+    Head sums are kept only for values f(b) in ks, with f evaluated once per
+    exponent pattern; the tail block is every r-full b in (bound, 2^r * bound].
     """
     r = rule.r
     top = (1 << r) * bound
     heads: dict[int, list[float]] = {}
     block: list[float] = []
-    for n, fact in _terms(r, top):
-        if n <= bound:
-            v = eval_rule(rule, fact)
-            if v not in ks:
-                continue
-            dest = heads.setdefault(v, [])
-        elif n <= top:
-            dest = block
-        else:
-            break
-        a, c = _psi_ratio(fact, r)
-        dest.append(c / (n * a))
+    for fact, ns, recips in _table(r, top).values():
+        i = bisect_right(ns, bound)
+        if i and (v := eval_rule(rule, fact)) in ks:
+            heads.setdefault(v, []).extend(recips[:i])
+        block.extend(recips[i:bisect_right(ns, top, i)])
     tail = tail_geometric_factor(r) * fsum(block)
     z = zeta(r)
     out = {}
@@ -275,40 +272,22 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
     return weight_harmonic_profile(rule, bound, k)[k][1]
 
 
-def _weights_by_pattern(rule: ExponentRule, k_max: int):
-    """rfull_weights_up_to(rule, ., k_max), evaluated once per exponent pattern.
-
-    The rule is prime-independent, so h(n) depends only on the exponents of
-    n.  Factorizations with one pattern share one dict; do not mutate it.
-    """
-    memo: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def weights(fact: Factorization) -> dict[int, int]:
-        pattern = tuple(a for _, a in fact)
-        found = memo.get(pattern)
-        if found is None:
-            found = memo[pattern] = rfull_weights_up_to(rule, fact, k_max)
-        return found
-
-    return weights
-
-
 def weight_harmonic_profile(rule: ExponentRule, bound: int,
                             k_max: int) -> dict[int, tuple[float, float]]:
-    """(harmonic sum, tail estimate) for every k <= k_max in one pass."""
+    """(harmonic sum, tail estimate) for every k <= k_max, h evaluated once per pattern."""
     _check_series_args(k_max, bound)
     r = rule.r
     top = (1 << r) * bound
     heads: dict[int, list[float]] = {}
     tails: dict[int, list[float]] = {}
-    weights = _weights_by_pattern(rule, k_max)
-    for n, fact in _terms(r, top):
-        if n > top:
-            break
-        head = n <= bound
-        target = heads if head else tails
-        for k, h in weights(fact).items():
-            target.setdefault(k, []).append((h if head else abs(h)) / n)
+    for fact, ns, _ in _table(r, top).values():
+        j = bisect_right(ns, top)
+        if not j:
+            continue
+        i = bisect_right(ns, bound, 0, j)
+        for k, h in rfull_weights_up_to(rule, fact, k_max).items():
+            heads.setdefault(k, []).extend(h / n for n in ns[:i])
+            tails.setdefault(k, []).extend(abs(h) / n for n in ns[i:j])
     factor = tail_geometric_factor(r)
     return {k: (fsum(heads.get(k, ())), factor * fsum(tails.get(k, ())))
             for k in range(1, k_max + 1)}
@@ -323,11 +302,9 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> floa
     if x < 2:
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
     vals = []
-    weights = _weights_by_pattern(rule, k)
-    for n, fact in _terms(rule.r, x):
-        if n > x:
-            break
-        h = weights(fact).get(k, 0)
+    for fact, ns, _ in _table(rule.r, x).values():
+        i = bisect_right(ns, x)
+        h = abs(rfull_weights_up_to(rule, fact, k).get(k, 0)) if i else 0
         if h:
-            vals.append(abs(h) if kappa == 0 else abs(h) * n ** (-float(kappa)))
+            vals.extend([h] * i if kappa == 0 else (h * n ** (-float(kappa)) for n in ns[:i]))
     return fsum(vals)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -49,6 +50,13 @@ def _check_window(x: int, y: int) -> None:
         raise ValueError(f"window length must be >= 1, got {y}")
     if x + y >= MAX_N:
         raise ValueError("window end must stay below 2**63")
+
+
+def check_report_window(x: int, y: int) -> None:
+    """Raise ValueError unless interval_report accepts the window (x, x+y]."""
+    _check_window(x, y)
+    if not y < x:
+        raise ValueError(f"interval_report requires 0 < Y < X, got X={x}, Y={y}")
 
 
 def _chunks(x: int, y: int, cap: int) -> list[tuple[int, int]]:
@@ -189,7 +197,10 @@ def _count_task(task) -> int:
 
 def _profile_task(task) -> dict[int, int]:
     rule, x, y = task
-    values, counts = np.unique(_fvalues_chunk(rule, x, y), return_counts=True)
+    fval = _fvalues_chunk(rule, x, y)
+    if _value_dtype(rule) is object:  # np.unique would sort Python ints
+        return Counter(fval.tolist())
+    values, counts = np.unique(fval, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
@@ -348,7 +359,7 @@ def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
     reported without the x^eps factor; eps only enters the admissibility
     flag.  Requires y < x so the error terms are defined.
     """
-    _check_window(x, y)
+    check_report_window(x, y)
     parts = bound_breakdown(rule.r, x, y)
     count = count_value(rule, k, x, y, workers=workers)
     main = density * y

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from pimshort import cli
 from pimshort.cli import (
     MAX_WINDOW,
     build_parser,
@@ -172,6 +173,37 @@ def test_table_grid_rows(capsys):
     first = lines[1].split(",")
     assert first[0] == "abelian" and int(first[3]) == 10**6 and int(first[4]) == 10
     assert lines[1].split(",")[12] in ("true", "false")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+def test_table_bad_pair_exits_2_before_any_output(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "local_density", _no_work)
+    for xs, ys, message in (("1e8,10", "1e3", "0 < Y < X"),
+                            ("1e8", "1e3,0", "window length"),
+                            ("1e8,-5", "1e3", "window base")):
+        code, out, err = run_cli(capsys, "table", "--rule", "plane", "--k", "2",
+                                 "--x", xs, "--y", ys, "--B", "1e3")
+        assert code == 2 and out == "", (xs, ys)
+        assert message in err
+
+
+def test_workers_below_one_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "local_density", _no_work)
+    monkeypatch.setattr(cli, "run_suite", _no_work)
+    for argv in (
+        ("verify", "--suite", "lemma3", "--workers", "0"),
+        ("interval", "--rule", "abelian", "--k", "1", "--x", "1e6", "--y", "1e3",
+         "--workers", "0"),
+        ("table", "--rule", "abelian", "--k", "1", "--x", "1e6", "--y", "1e3",
+         "--workers", "-3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_custom_rule_from_file(tmp_path, capsys):

@@ -9,14 +9,13 @@ import pytest
 from pimshort import density
 from pimshort.bounds import zeta
 from pimshort.density import (
-    _psi_ratio,
-    _terms,
     decompose_rfull,
     density_profile,
     enumerate_rfull,
     local_density,
     rfull_count_bound,
     rfull_factorizations,
+    rfull_table,
     tail_geometric_factor,
     weight_harmonic_profile,
     weight_harmonic_sum,
@@ -60,7 +59,31 @@ def test_enumerate_matches_brute_filter(r):
 
 def test_enumeration_carries_correct_factorizations():
     for n, fact in rfull_factorizations(2, 20000):
-        assert fact == factorize(n)
+        assert fact == trial_factorize(n)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_table_groups_partition_by_pattern_with_exact_psi(r):
+    # The groups partition the r-full n <= limit; each is ascending, holds
+    # only its own exponent pattern, and carries 1/psi(n) = c / (n a)
+    # correctly rounded, with a = prod (p^r - 1), c = prod p^(r-1) (p - 1).
+    limit = 10**5
+    flags = rfull_flags(limit, r)
+    table = rfull_table(r, limit)
+    seen = []
+    for pattern, (fact, ns, recips) in table.items():
+        assert tuple(e for _, e in fact) == pattern
+        assert ns and ns == sorted(set(ns)) and len(recips) == len(ns)
+        for n, recip in zip(ns, recips):
+            got = trial_factorize(n)
+            assert tuple(e for _, e in got) == pattern, n
+            a = c = 1
+            for p, _ in got:
+                a *= p**r - 1
+                c *= p ** (r - 1) * (p - 1)
+            assert recip == float(Fraction(c, n * a)), n
+        seen += ns
+    assert sorted(seen) == [n for n in range(1, limit + 1) if flags[n]]
 
 
 def test_decompose_examples():
@@ -97,14 +120,14 @@ def test_decompose_roundtrip_and_invariants(r):
 
 
 def test_dedekind_psi_values():
-    def psi(n, r):
-        a, c = _psi_ratio(factorize(n), r)
-        return Fraction(n * a, c)
+    def psi_reciprocal(n, r):
+        _, ns, recips = rfull_table(r, n)[tuple(e for _, e in factorize(n))]
+        return recips[ns.index(n)]
 
-    assert psi(4, 2) == 6
-    assert psi(1, 2) == 1
-    assert psi(36, 2) == 72
-    assert psi(8, 3) == Fraction(8 * (4 + 2 + 1), 4)
+    assert psi_reciprocal(4, 2) == 1 / 6
+    assert psi_reciprocal(1, 2) == 1.0
+    assert psi_reciprocal(36, 2) == 1 / 72
+    assert psi_reciprocal(8, 3) == float(Fraction(4, 8 * (4 + 2 + 1)))
 
 
 def test_density_k1_collapse():
@@ -203,22 +226,22 @@ def test_terms_past_the_tail_block_are_ignored(monkeypatch):
     # from one the cache has already grown to twice that.
     bound = 10**5
     for rule in builtin_rules() + (build_rule("powerdiv-r:3"),):
-        monkeypatch.setattr(density, "_enumerated", {})
+        monkeypatch.setattr(density, "_tables", {})
         fresh = _series_at(rule, bound)
-        _terms(rule.r, 2 * (1 << rule.r) * bound)
+        density._table(rule.r, 2 * (1 << rule.r) * bound)
         assert _series_at(rule, bound) == fresh
 
 
 def test_one_enumeration_per_r(monkeypatch):
     calls = []
-    real = density.rfull_factorizations
+    real = density.rfull_table
 
     def spy(r, limit):
         calls.append((r, limit))
         return real(r, limit)
 
-    monkeypatch.setattr(density, "_enumerated", {})
-    monkeypatch.setattr(density, "rfull_factorizations", spy)
+    monkeypatch.setattr(density, "_tables", {})
+    monkeypatch.setattr(density, "rfull_table", spy)
     abelian = build_rule("abelian")
     bound = 10**5
     for k in (1, 2, 3):
@@ -226,7 +249,8 @@ def test_one_enumeration_per_r(monkeypatch):
     density_profile(abelian, bound, 6)
     weight_harmonic_profile(abelian, bound, 6)
     weight_partial_sum(abelian, 2, 0.5, bound)
-    assert list(enumerate_rfull(2, bound)) == [n for n, _ in real(2, bound)]
+    assert enumerate_rfull(2, bound) == sorted(n for _, ns, _ in real(2, bound).values()
+                                              for n in ns)
     assert calls == [(2, 4 * bound)]
     local_density(abelian, 1, 2 * bound)
     assert calls == [(2, 4 * bound), (2, 8 * bound)]
@@ -236,7 +260,7 @@ def test_one_enumeration_per_r(monkeypatch):
     local_density(build_rule("powerdiv-r:3"), 1, bound)
     local_density(abelian, 2, bound)
     assert calls == [(2, 4 * bound), (2, 8 * bound), (3, 8 * bound)]
-    assert sorted(density._enumerated) == [2, 3]
+    assert sorted(density._tables) == [2, 3]
 
 
 def test_tail_factor_values():
@@ -317,7 +341,7 @@ def test_abelian_k2_weights_live_on_prime_powers():
 def test_count_shape_band():
     # #{r-full <= X} / X^(1/r) stays in a narrow band across decades.
     for r in (2, 3):
-        ns = [n for n, _ in rfull_factorizations(r, 10**8)]
+        ns = enumerate_rfull(r, 10**8)
         ratios = []
         for e in range(3, 9):
             x = 10**e

@@ -33,6 +33,9 @@ def _calls() -> list[tuple[str, list[str]]]:
         for k in (1, 2, 3, 4):
             calls.append((f"density-{rule.replace(':', '')}-k{k}",
                           ["density", "--rule", rule, "--k", str(k), "--B", "1e6"]))
+    # The two heaviest density pairs, at the default truncation B = 1e9.
+    for rule in ("expdiv", "unitary-expdiv"):
+        calls.append((f"density-{rule}-k4-B1e9", ["density", "--rule", rule, "--k", "4"]))
     calls += [
         ("density-abelian-k2-csv",
          ["density", "--rule", "abelian", "--k", "2", "--B", "1e6", "--format", "csv"]),
