@@ -10,21 +10,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .density import DEFAULT_BOUND, enumerate_rfull, local_density, rfull_count_bound
 from .factor import MAX_N
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
-from .sieve import check_report_window, interval_report
+from .sieve import IntervalReport, check_report_window, interval_report
 from .verify import SUITE_NAMES, run_suite
-
-TABLE_COLUMNS = (
-    "rule", "k", "r", "x", "y", "count", "density", "main_term",
-    "abs_error", "term_main", "term_mid", "term_tail", "admissible",
-)
 
 # The most r-full terms a command may enumerate, as bounded from above by
 # rfull_count_bound: up to 2^r * --B for the density series, up to --limit
@@ -75,6 +72,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """Parse --eps, which must be finite and above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 def exact_int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -116,36 +121,49 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_record(record: dict, fmt: str) -> None:
+def emit_records(columns, records: list[dict], fmt: str) -> None:
+    """One JSON object a line, or a CSV header of columns and one row a record."""
     if fmt == "json":
-        print(json.dumps(record))
+        for record in records:
+            print(json.dumps(record))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow(_csv_cell(v) for v in record.values())
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(v) for v in record.values()] for record in records)
 
 
 def cmd_density(args) -> int:
     rule = resolve_rule(args.rule)
     check_bound(rule, args.bound)
-    result = local_density(rule, args.k, args.bound)
-    emit_record(result.to_record(), args.format)
+    record = local_density(rule, args.k, args.bound).to_record()
+    emit_records(record.keys(), [record], args.format)
+    return 0
+
+
+def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
+    """Check every window (x, y) before any work, sum the series once, report each window."""
+    rule = resolve_rule(args.rule)
+    check_bound(rule, args.bound)
+    for y in ys:
+        check_window(y)
+        for x in xs:
+            check_report_window(x, y)
+    reports = []
+    if xs and ys:
+        if rule.r == 2:
+            print(R2_EXPONENT_WARNING, file=sys.stderr)
+        density = local_density(rule, args.k, args.bound).density
+        reports = [
+            interval_report(rule, args.k, x, y, density, eps=args.eps, workers=args.workers)
+            for x in xs for y in ys
+        ]
+    columns = [f.name for f in fields(IntervalReport)]
+    emit_records(columns, [report.to_record() for report in reports], fmt)
     return 0
 
 
 def cmd_interval(args) -> int:
-    rule = resolve_rule(args.rule)
-    check_bound(rule, args.bound)
-    check_window(args.y)
-    check_report_window(args.x, args.y)
-    if rule.r == 2:
-        print(R2_EXPONENT_WARNING, file=sys.stderr)
-    density = local_density(rule, args.k, args.bound).density
-    report = interval_report(
-        rule, args.k, args.x, args.y, density, eps=args.eps, workers=args.workers,
-    )
-    emit_record(report.to_record(), args.format)
-    return 0
+    return report_windows(args, [args.x], [args.y], args.format)
 
 
 def cmd_enumerate_rfull(args) -> int:
@@ -156,26 +174,7 @@ def cmd_enumerate_rfull(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rule = resolve_rule(args.rule)
-    check_bound(rule, args.bound)
-    for y in args.y:
-        check_window(y)
-        for x in args.x:
-            check_report_window(x, y)
-    if rule.r == 2 and args.x and args.y:
-        print(R2_EXPONENT_WARNING, file=sys.stderr)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(TABLE_COLUMNS)
-    if args.x and args.y:
-        density = local_density(rule, args.k, args.bound).density
-        for x in args.x:
-            for y in args.y:
-                report = interval_report(
-                    rule, args.k, x, y, density, eps=args.eps, workers=args.workers,
-                )
-                record = report.to_record()
-                writer.writerow(_csv_cell(record[col]) for col in TABLE_COLUMNS)
-    return 0
+    return report_windows(args, args.x, args.y, "csv")
 
 
 def cmd_verify(args) -> int:
@@ -204,27 +203,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--rule", required=True,
-                       help="built-in rule name or path to a custom-rule JSON file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--rule", required=True,
+                        help="built-in rule name or path to a custom-rule JSON file")
+    series.add_argument("--k", type=exact_int, required=True)
+    series.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND,
+                        help="series truncation bound (default 1e9)")
+    windows = argparse.ArgumentParser(add_help=False, parents=[series])
+    windows.add_argument("--eps", type=positive_float, default=0.01,
+                         help="epsilon in the admissible-window test (default 0.01)")
+    windows.add_argument("--workers", type=positive_int, default=1)
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("density", help="truncated local-density series for one k")
-    add_common(p)
-    p.add_argument("--k", type=exact_int, required=True)
-    p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND,
-                   help="series truncation bound (default 1e9)")
+    p = sub.add_parser("density", parents=[series, formats],
+                       help="truncated local-density series for one k")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("interval", help="count f(n) = k over (x, x+y] vs density * y")
-    add_common(p)
-    p.add_argument("--k", type=exact_int, required=True)
+    p = sub.add_parser("interval", parents=[windows, formats],
+                       help="count f(n) = k over (x, x+y] vs density * y")
     p.add_argument("--x", type=exact_int, required=True)
     p.add_argument("--y", type=exact_int, required=True)
-    p.add_argument("--eps", type=float, default=0.01,
-                   help="epsilon in the admissible-window test (default 0.01)")
-    p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND)
-    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("enumerate-rfull", help="ascending r-full numbers up to a limit")
@@ -232,16 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=exact_int, required=True)
     p.set_defaults(func=cmd_enumerate_rfull)
 
-    p = sub.add_parser("table", help="CSV of interval reports over an (x, y) grid")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--k", type=exact_int, required=True)
+    p = sub.add_parser("table", parents=[windows],
+                       help="CSV of interval reports over an (x, y) grid")
     p.add_argument("--x", type=exact_int_list, default=[],
                    help="comma-separated x values (scientific notation accepted)")
     p.add_argument("--y", type=exact_int_list, default=[],
                    help="comma-separated y values")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--B", dest="bound", type=exact_int, default=DEFAULT_BOUND)
-    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a named self-check suite")

@@ -25,7 +25,7 @@ ascending n (and their exact 1/psi(n)) at its own limit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import exp, fsum, log
 
 from .bounds import zeta
@@ -197,16 +197,7 @@ class DensityResult:
     density: float
 
     def to_record(self) -> dict:
-        return {
-            "rule": self.rule,
-            "k": self.k,
-            "r": self.r,
-            "B": self.bound,
-            "partial_sum": self.partial_sum,
-            "tail_estimate": self.tail_estimate,
-            "zeta_r": self.zeta_r,
-            "density": self.density,
-        }
+        return {("B" if key == "bound" else key): v for key, v in asdict(self).items()}
 
 
 def _check_series_args(k: int, bound: int) -> None:

@@ -192,10 +192,10 @@ class ExponentRule:
 
 
 def _validated_rule(name: str, values, declared_r: int | None = None) -> ExponentRule:
-    try:
-        values = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise RuleError(f"rule {name!r}: values must be integers") from exc
+    values = tuple(values)
+    for alpha, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise RuleError(f"rule {name!r}: g({alpha}) = {v!r} is not an integer")
     if len(values) - 1 < ALPHA_MAX:
         raise RuleError(
             f"rule {name!r}: table must cover alpha up to at least {ALPHA_MAX} "

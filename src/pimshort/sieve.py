@@ -26,9 +26,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 
 import numpy as np
 
@@ -326,25 +326,13 @@ class IntervalReport:
     admissible: bool
 
     def to_record(self) -> dict:
-        return {
-            "rule": self.rule,
-            "k": self.k,
-            "r": self.r,
-            "x": self.x,
-            "y": self.y,
-            "count": self.count,
-            "density": self.density,
-            "main_term": self.main_term,
-            "abs_error": self.abs_error,
-            "term_main": self.term_main,
-            "term_mid": self.term_mid,
-            "term_tail": self.term_tail,
-            "admissible": self.admissible,
-        }
+        return asdict(self)
 
 
 def admissible_window(r: int, x: int, y: int, eps: float) -> bool:
-    """Whether x^(1/(2r+1) + eps) <= y <= 4^(-2 r^2) * x."""
+    """Whether x^(1/(2r+1) + eps) <= y <= 4^(-2 r^2) * x, for finite eps > 0."""
+    if not 0 < eps < inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if x < 1:
         return False
     return x ** (1.0 / (2 * r + 1) + eps) <= y <= x * 4.0 ** (-2 * r * r)
@@ -360,6 +348,7 @@ def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
     flag.  Requires y < x so the error terms are defined.
     """
     check_report_window(x, y)
+    admissible = admissible_window(rule.r, x, y, eps)
     parts = bound_breakdown(rule.r, x, y)
     count = count_value(rule, k, x, y, workers=workers)
     main = density * y
@@ -376,5 +365,5 @@ def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
         term_main=parts.term_main,
         term_mid=parts.term_mid,
         term_tail=parts.term_tail,
-        admissible=admissible_window(rule.r, x, y, eps),
+        admissible=admissible,
     )

@@ -8,7 +8,7 @@ seed, and counting checks are deterministic regardless of worker count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import log, sqrt
 
 from .bounds import bound_breakdown, interval_error_bound, zeta
@@ -61,13 +61,7 @@ class Check:
     note: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": str(self.observed),
-            "expected": str(self.expected),
-            "note": self.note,
-        }
+        return asdict(self) | {"observed": str(self.observed), "expected": str(self.expected)}
 
 
 def _partitions_dp(n: int) -> list[int]:

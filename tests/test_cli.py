@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,7 @@ from pimshort.cli import (
 )
 from pimshort.density import DEFAULT_BOUND
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules
+from pimshort.sieve import IntervalReport
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +208,30 @@ def test_workers_below_one_is_a_usage_error(monkeypatch, capsys):
         assert capsys.readouterr().out == "", argv
 
 
+def test_eps_outside_its_domain_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "local_density", _no_work)
+    for eps in ("-3", "0", "nan", "inf"):
+        for argv in (
+            ("interval", "--rule", "abelian", "--k", "2", "--x", "1e11", "--y", "100"),
+            ("table", "--rule", "abelian", "--k", "2", "--x", "1e9", "--y", "1e4"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--B", "1e6", f"--eps={eps}"])
+            assert exc.value.code == 2, (argv, eps)
+            assert capsys.readouterr().out == "", (argv, eps)
+
+
+def test_interval_csv_is_the_one_row_table(capsys):
+    window = ("--rule", "plane", "--k", "2", "--x", "1e9", "--y", "1e4", "--B", "1e6")
+    code, interval_out, _ = run_cli(capsys, "interval", *window, "--format", "csv")
+    assert code == 0
+    code, table_out, _ = run_cli(capsys, "table", *window)
+    assert code == 0
+    assert interval_out == table_out
+    header = table_out.splitlines()[0].split(",")
+    assert header == [f.name for f in fields(IntervalReport)]
+
+
 def test_custom_rule_from_file(tmp_path, capsys):
     doc = {"name": "flat", "r": 2, "values": [1, 1] + [2] * (ALPHA_MAX - 1)}
     path = tmp_path / "flat.json"
@@ -230,6 +256,15 @@ def test_custom_rule_invalid_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "density", "--rule", str(path), "--k", "1", "--B", "1e3")
     assert code == 2
     assert "g(1)" in err
+
+
+def test_custom_rule_fractional_value_exits_2(tmp_path, capsys):
+    doc = {"name": "frac", "r": 2, "values": [1, 1, 2.9] + [2] * (ALPHA_MAX - 2)}
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "density", "--rule", str(path), "--k", "2", "--B", "1e6")
+    assert code == 2 and out == ""
+    assert "g(2)" in err
 
 
 def test_verify_sequences_suite(capsys):

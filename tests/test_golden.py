@@ -41,6 +41,9 @@ def _calls() -> list[tuple[str, list[str]]]:
          ["density", "--rule", "abelian", "--k", "2", "--B", "1e6", "--format", "csv"]),
         ("interval-abelian-k2",
          ["interval", "--rule", "abelian", "--k", "2", "--x", "1e9", "--y", "1e4", "--B", "1e6"]),
+        ("interval-abelian-k2-csv",
+         ["interval", "--rule", "abelian", "--k", "2", "--x", "1e9", "--y", "1e4", "--B", "1e6",
+          "--format", "csv"]),
         # g(alpha) = 10^alpha exceeds 2^alpha, and f(2^30) = 10^30 lies in the window.
         ("interval-huge-rule-k100",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "100",
@@ -48,8 +51,11 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("table-plane-k2",
          ["table", "--rule", "plane", "--k", "2", "--x", "1e8,1e9", "--y", "1e3,1e4",
           "--B", "1e6"]),
+        # An empty grid: the header alone.
+        ("table-abelian-k1-empty", ["table", "--rule", "abelian", "--k", "1"]),
         ("enumerate-rfull-r3", ["enumerate-rfull", "--r", "3", "--limit", "1e5"]),
         ("verify-sequences", ["verify", "--suite", "sequences"]),
+        ("verify-sequences-json", ["verify", "--suite", "sequences", "--format", "json"]),
         ("verify-all", ["verify", "--suite", "all"]),
     ]
     return calls

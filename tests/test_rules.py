@@ -165,6 +165,15 @@ def test_custom_rule_nonpositive_value():
         load_custom_rule(_custom_doc(values=values))
 
 
+# Each entry would pass as int(entry): 2, 3 and g(1) = 1.
+@pytest.mark.parametrize("alpha,entry", [(4, 2.5), (4, "3"), (1, True)])
+def test_custom_rule_value_must_be_a_json_integer(alpha, entry):
+    values = [1, 1] + [2] * (ALPHA_MAX - 1)
+    values[alpha] = entry
+    with pytest.raises(RuleError, match=rf"g\({alpha}\)"):
+        load_custom_rule(json.dumps(_custom_doc(values=values)))
+
+
 def test_custom_rule_missing_field():
     doc = _custom_doc()
     del doc["values"]

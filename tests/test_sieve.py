@@ -319,6 +319,9 @@ def test_admissible_window():
     assert admissible_window(2, 10**11, 10**6, 0.01)
     assert not admissible_window(2, 10**11, 10**7, 0.01)  # above x * 4^-8
     assert not admissible_window(2, 10**11, 100, 0.01)  # below x^(1/5+eps)
+    for eps in (-3.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            admissible_window(2, 10**11, 10**6, eps)
 
 
 def test_interval_report_fields_and_flag():
