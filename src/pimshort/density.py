@@ -12,24 +12,24 @@ so successive doubling blocks of the reciprocal series shrink by roughly
 2^(1/r - 1).  The estimate is a heuristic uncertainty, not a proof-grade
 bound.
 
-Series are accumulated with math.fsum (exactly rounded), so round-off is
-far below the 1e-12 budget even at the default truncation 10^9.
-
-Every series reads one table per r, kept for the life of the process and
-built by a single walk up to the largest limit asked for so far.  The table
-groups the r-full n by exponent pattern: f and h are prime-independent, so
-each series evaluates the rule once per pattern and slices that pattern's
-ascending n (and their exact 1/psi(n)) at its own limit.
+Every series reads a prefix of one table per r, kept for the process and
+grown by one walk to the largest limit asked for: n (int64), 1/psi(n) and a
+pattern index, sorted by n; f and h are evaluated once per exponent pattern.
+n must fit int64, so a tail block is cut below 2^63.  Sums are math.fsum,
+exactly rounded in any term order, far inside the 1e-12 budget at B = 10^9.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
 from dataclasses import asdict, dataclass
 from math import exp, fsum, log
 
+import numpy as np
+
 from .bounds import zeta
 from .factor import (
+    MAX_N,
     Factorization,
     eval_rule,
     factorize,
@@ -42,13 +42,13 @@ from .rules import ExponentRule
 
 DEFAULT_BOUND = 10**9
 
-# pattern -> (one factorization with that exponent pattern, every r-full
-# n <= limit with the pattern ascending, 1/psi(n) for each of them).
-RFullTable = dict[tuple[int, ...], tuple[Factorization, list[int], list[float]]]
+# (facts, n, recip, pattern): every r-full n up to a limit ascending (int64), 1/psi(n)
+# (float64), and the index (int32) into facts, 2^e1 3^e2 ..., of n's exponent pattern.
+RFullTable = tuple[list[Factorization], np.ndarray, np.ndarray, np.ndarray]
 
 
 def rfull_table(r: int, limit: int) -> RFullTable:
-    """Every r-full n <= limit (1 included), grouped by exponent pattern.
+    """Every r-full n <= limit (1 included), for 1 <= limit < 2^63.
 
     One walk over prime powers p^e, e >= r, for primes p <= limit^(1/r)
     reaches each r-full n once and carries the exact pair a = prod (p^r - 1),
@@ -57,10 +57,11 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     """
     if r < 2:
         raise ValueError(f"rfull_table requires r >= 2, got {r}")
-    if limit < 1:
-        raise ValueError(f"rfull_table requires limit >= 1, got {limit}")
+    if not 1 <= limit < MAX_N:
+        raise ValueError(f"rfull_table requires 1 <= limit < 2**63, got {limit}")
     primes = primes_upto(introot(limit, r))
-    table: RFullTable = {(): ((), [1], [1.0])}
+    index = {(): 0}  # exponent pattern -> its place in facts
+    ns, recips, patterns = array("q", [1]), array("d", [1.0]), array("i", [0])
 
     def descend(start: int, value: int, pattern: tuple[int, ...], a: int, c: int) -> None:
         for i in range(start, len(primes)):
@@ -74,20 +75,18 @@ def rfull_table(r: int, limit: int) -> RFullTable:
             while value * power <= limit:
                 n = value * power
                 key = pattern + (e,)
-                group = table.get(key)
-                if group is None:  # 2^e1 3^e2 ... is the smallest n with this pattern
-                    group = table[key] = (tuple(zip(primes, key)), [], [])
-                group[1].append(n)
-                group[2].append(c_p / (n * a_p))
+                ns.append(n)
+                recips.append(c_p / (n * a_p))
+                patterns.append(index.setdefault(key, len(index)))
                 descend(i + 1, n, key, a_p, c_p)
                 power *= p
                 e += 1
 
     descend(0, 1, (), 1, 1)
-    for _, ns, recips in table.values():
-        order = sorted(range(len(ns)), key=ns.__getitem__)
-        ns[:], recips[:] = [ns[i] for i in order], [recips[i] for i in order]
-    return table
+    del descend  # its closure refers to itself: free the buffers on return, not at the next gc
+    order = np.asarray(ns).argsort()
+    return ([tuple(zip(primes, key)) for key in index],
+            *(np.asarray(column)[order] for column in (ns, recips, patterns)))
 
 
 # r -> (L, rfull_table(r, L)) for the largest L asked for so far.
@@ -95,7 +94,7 @@ _tables: dict[int, tuple[int, RFullTable]] = {}
 
 
 def _table(r: int, limit: int) -> RFullTable:
-    """The r-full table up to at least limit (a limit below 1 reaches rfull_table)."""
+    """The r-full table up to at least limit (a limit outside [1, 2^63) reaches rfull_table)."""
     held = _tables.get(r)
     if held is None or not 1 <= limit <= held[0]:
         held = _tables[r] = (limit, rfull_table(r, limit))
@@ -103,9 +102,9 @@ def _table(r: int, limit: int) -> RFullTable:
 
 
 def enumerate_rfull(r: int, limit: int) -> list[int]:
-    """Every r-full n <= limit in ascending order (1 included)."""
-    return sorted(n for _, ns, _ in _table(r, limit).values()
-                  for n in ns[:bisect_right(ns, limit)])
+    """Every r-full n <= limit in ascending order (1 included), for limit < 2^63."""
+    _, n, _, _ = _table(r, limit)
+    return n[:np.searchsorted(n, limit, "right")].tolist()
 
 
 def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
@@ -203,8 +202,8 @@ class DensityResult:
 def _check_series_args(k: int, bound: int) -> None:
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if bound < 1:
-        raise ValueError(f"truncation bound must be >= 1, got {bound}")
+    if not 1 <= bound < MAX_N:
+        raise ValueError(f"truncation bound must be in [1, 2**63), got {bound}")
 
 
 def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityResult]:
@@ -214,19 +213,18 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     exponent pattern; the tail block is every r-full b in (bound, 2^r * bound].
     """
     r = rule.r
-    top = (1 << r) * bound
-    heads: dict[int, list[float]] = {}
-    block: list[float] = []
-    for fact, ns, recips in _table(r, top).values():
-        i = bisect_right(ns, bound)
-        if i and (v := eval_rule(rule, fact)) in ks:
-            heads.setdefault(v, []).extend(recips[:i])
-        block.extend(recips[i:bisect_right(ns, top, i)])
-    tail = tail_geometric_factor(r) * fsum(block)
+    top = min((1 << r) * bound, MAX_N - 1)
+    facts, n, recip, pattern = _table(r, top)
+    i, j = np.searchsorted(n, [bound, top], "right").tolist()
+    value = np.zeros(len(facts), dtype=np.int64)  # f of each pattern in the head
+    for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
+        value[q] = min(eval_rule(rule, facts[q]), ks.stop)  # any f past ks fits int64 as ks.stop
+    head = value[pattern[:i]]
+    tail = tail_geometric_factor(r) * fsum(recip[i:j].tolist())
     z = zeta(r)
     out = {}
     for k in ks:
-        partial = fsum(heads.get(k, ()))
+        partial = fsum(recip[:i][head == k].tolist())
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
 
@@ -267,21 +265,22 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
                             k_max: int) -> dict[int, tuple[float, float]]:
     """(harmonic sum, tail estimate) for every k <= k_max, h evaluated once per pattern."""
     _check_series_args(k_max, bound)
-    r = rule.r
-    top = (1 << r) * bound
-    heads: dict[int, list[float]] = {}
-    tails: dict[int, list[float]] = {}
-    for fact, ns, _ in _table(r, top).values():
-        j = bisect_right(ns, top)
-        if not j:
-            continue
-        i = bisect_right(ns, bound, 0, j)
-        for k, h in rfull_weights_up_to(rule, fact, k_max).items():
-            heads.setdefault(k, []).extend(h / n for n in ns[:i])
-            tails.setdefault(k, []).extend(abs(h) / n for n in ns[i:j])
-    factor = tail_geometric_factor(r)
-    return {k: (fsum(heads.get(k, ())), factor * fsum(tails.get(k, ())))
-            for k in range(1, k_max + 1)}
+    top = min((1 << rule.r) * bound, MAX_N - 1)
+    facts, n, _, pattern = _table(rule.r, top)
+    i, j = np.searchsorted(n, [bound, top], "right").tolist()
+    present = np.flatnonzero(np.bincount(pattern[:j]))
+    weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
+    h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each pattern
+    out = {}
+    for k in range(1, k_max + 1):
+        h_of[present] = [w.get(k, 0) for w in weights]
+        h = h_of[pattern[:j]]
+        nonzero = np.flatnonzero(h)
+        # int / int is correctly rounded; float64 n is not exact past 2^53.
+        terms = [a / b for a, b in zip(h[nonzero].tolist(), n[nonzero].tolist())]
+        head = np.searchsorted(nonzero, i).item()
+        out[k] = (fsum(terms[:head]), tail_geometric_factor(rule.r) * fsum(map(abs, terms[head:])))
+    return out
 
 
 def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> float:
@@ -292,10 +291,11 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> floa
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if x < 2:
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
-    vals = []
-    for fact, ns, _ in _table(rule.r, x).values():
-        i = bisect_right(ns, x)
-        h = abs(rfull_weights_up_to(rule, fact, k).get(k, 0)) if i else 0
-        if h:
-            vals.extend([h] * i if kappa == 0 else (h * n ** (-float(kappa)) for n in ns[:i]))
-    return fsum(vals)
+    facts, n, _, pattern = _table(rule.r, x)
+    i = np.searchsorted(n, x, "right").item()
+    weight = np.zeros(len(facts), dtype=np.int64)
+    for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
+        weight[q] = abs(rfull_weights_up_to(rule, facts[q], k).get(k, 0))
+    h = weight[pattern[:i]]
+    keep = h != 0
+    return fsum(a * b ** -float(kappa) for a, b in zip(h[keep].tolist(), n[:i][keep].tolist()))

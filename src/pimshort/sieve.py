@@ -33,7 +33,7 @@ from math import inf, isqrt
 import numpy as np
 
 from .bounds import bound_breakdown
-from .density import enumerate_rfull
+from .density import _table
 from .factor import MAX_N, Factorization, introot, primes_upto
 from .rules import ExponentRule
 
@@ -289,15 +289,12 @@ def rfull_multiples_sum(x: int, y: int, r: int, method: str = "rfull") -> int:
     sums floor differences; "divisors" counts, for each m in (X, X+Y], its
     r-full divisors above 2Y.  Both are exact and must agree.
     """
-    if not 0 < y < x:
-        raise ValueError(f"rfull_multiples_sum requires 0 < Y < X, got X={x}, Y={y}")
+    if not 0 < y < x or 2 * x >= MAX_N:
+        raise ValueError(f"rfull_multiples_sum requires 0 < Y < X and 2X < 2**63, got X={x}, Y={y}")
     if method == "rfull":
-        total = 0
-        for n in enumerate_rfull(r, 2 * x):
-            if n <= 2 * y:
-                continue
-            total += (x + y) // n - x // n
-        return total
+        _, n, _, _ = _table(r, 2 * x)
+        n = n[np.searchsorted(n, 2 * y, "right"):np.searchsorted(n, 2 * x, "right")]
+        return int(((x + y) // n - x // n).sum())
     if method == "divisors":
         seg = sieve_segment(x, y)
         return sum(

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import fsum, gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pimshort import density
@@ -64,26 +65,30 @@ def test_enumeration_carries_correct_factorizations():
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_table_groups_partition_by_pattern_with_exact_psi(r):
-    # The groups partition the r-full n <= limit; each is ascending, holds
-    # only its own exponent pattern, and carries 1/psi(n) = c / (n a)
-    # correctly rounded, with a = prod (p^r - 1), c = prod p^(r-1) (p - 1).
+    # The table holds every r-full n <= limit once, strictly ascending; each
+    # n has the exponent pattern its index names, and carries 1/psi(n) =
+    # c / (n a) correctly rounded, with a = prod (p^r - 1), c = prod p^(r-1) (p - 1).
     limit = 10**5
     flags = rfull_flags(limit, r)
-    table = rfull_table(r, limit)
-    seen = []
-    for pattern, (fact, ns, recips) in table.items():
-        assert tuple(e for _, e in fact) == pattern
-        assert ns and ns == sorted(set(ns)) and len(recips) == len(ns)
-        for n, recip in zip(ns, recips):
-            got = trial_factorize(n)
-            assert tuple(e for _, e in got) == pattern, n
-            a = c = 1
-            for p, _ in got:
-                a *= p**r - 1
-                c *= p ** (r - 1) * (p - 1)
-            assert recip == float(Fraction(c, n * a)), n
-        seen += ns
-    assert sorted(seen) == [n for n in range(1, limit + 1) if flags[n]]
+    facts, ns, recips, index = rfull_table(r, limit)
+    assert (ns.dtype, recips.dtype, index.dtype) == (np.int64, np.float64, np.int32)
+    assert ns.itemsize + recips.itemsize + index.itemsize <= 20
+    assert len(ns) == len(recips) == len(index)
+    assert (np.diff(ns) > 0).all()
+    patterns = [tuple(e for _, e in fact) for fact in facts]
+    assert len(set(patterns)) == len(patterns)
+    for fact, pattern in zip(facts, patterns):
+        assert fact == tuple(zip((2, 3, 5, 7, 11, 13, 17), pattern))
+    ns = ns.tolist()
+    for n, recip, q in zip(ns, recips.tolist(), index.tolist()):
+        got = trial_factorize(n)
+        assert tuple(e for _, e in got) == patterns[q], n
+        a = c = 1
+        for p, _ in got:
+            a *= p**r - 1
+            c *= p ** (r - 1) * (p - 1)
+        assert recip == float(Fraction(c, n * a)), n
+    assert ns == [n for n in range(1, limit + 1) if flags[n]]
 
 
 def test_decompose_examples():
@@ -121,8 +126,8 @@ def test_decompose_roundtrip_and_invariants(r):
 
 def test_dedekind_psi_values():
     def psi_reciprocal(n, r):
-        _, ns, recips = rfull_table(r, n)[tuple(e for _, e in factorize(n))]
-        return recips[ns.index(n)]
+        _, ns, recips, _ = rfull_table(r, n)
+        return recips[ns.tolist().index(n)]
 
     assert psi_reciprocal(4, 2) == 1 / 6
     assert psi_reciprocal(1, 2) == 1.0
@@ -232,6 +237,48 @@ def test_terms_past_the_tail_block_are_ignored(monkeypatch):
         assert _series_at(rule, bound) == fresh
 
 
+def test_tail_block_stops_below_2_63(monkeypatch):
+    # (B, 2^r B] passes 2^63 at r = 40, B = 1e9 and at r = 20, B = 1e18.  The
+    # walk is cut below 2^63, so no exponent passes 62 (the rule tables stop
+    # at 64), and the cache keeps the cut limit: one table per r serves all.
+    calls = []
+    real = density.rfull_table
+
+    def spy(r, limit):
+        calls.append((r, limit))
+        return real(r, limit)
+
+    monkeypatch.setattr(density, "_tables", {})
+    monkeypatch.setattr(density, "rfull_table", spy)
+    r40 = build_rule("powerdiv-r:40")
+    # 3^40 > 2^63, so the 40-full n below 2^63 are 1 and 2^40 ... 2^62.
+    tail = tail_geometric_factor(40) * fsum(
+        abs(rfull_weights_up_to(r40, ((2, e),), 2).get(2, 0)) / 2**e for e in range(40, 63))
+    assert tail > 0
+    assert weight_harmonic_profile(r40, 10**9, 3) == {1: (1.0, 0.0), 2: (0.0, tail),
+                                                      3: (0.0, 0.0)}
+    assert weight_harmonic_tail(r40, 2, 10**9) == tail
+    assert local_density(r40, 1, 10**9).tail_estimate == tail_geometric_factor(40) * fsum(
+        float(Fraction(2**39, 2**e * (2**40 - 1))) for e in range(40, 63))
+    assert weight_harmonic_sum(build_rule("powerdiv-r:20"), 1, 10**18) == 1.0
+    weight_harmonic_profile(build_rule("powerdiv-r:20"), 10**18, 3)
+    assert calls == [(40, 2**63 - 1), (20, 2**63 - 1)]
+
+
+def test_harmonic_terms_are_exact_above_2_53():
+    # float64 holds n exactly only below 2^53; past it each h(n)/n must still
+    # be the correctly rounded quotient of the integers, as int / int gives.
+    rule = build_rule("powerdiv-r:10")
+    bound = 2**53 + 1
+    per_term = [(n, rfull_weights_up_to(rule, trial_factorize(n), 3))
+                for n in enumerate_rfull(10, 2**63 - 1)]
+    prof = weight_harmonic_profile(rule, bound, 3)
+    for k in (1, 2, 3):
+        head = fsum(h.get(k, 0) / n for n, h in per_term if n <= bound)
+        tail = fsum(abs(h.get(k, 0)) / n for n, h in per_term if n > bound)
+        assert prof[k] == (head, tail_geometric_factor(10) * tail), k
+
+
 def test_one_enumeration_per_r(monkeypatch):
     calls = []
     real = density.rfull_table
@@ -249,8 +296,7 @@ def test_one_enumeration_per_r(monkeypatch):
     density_profile(abelian, bound, 6)
     weight_harmonic_profile(abelian, bound, 6)
     weight_partial_sum(abelian, 2, 0.5, bound)
-    assert enumerate_rfull(2, bound) == sorted(n for _, ns, _ in real(2, bound).values()
-                                              for n in ns)
+    assert enumerate_rfull(2, bound) == real(2, bound)[1].tolist()
     assert calls == [(2, 4 * bound)]
     local_density(abelian, 1, 2 * bound)
     assert calls == [(2, 4 * bound), (2, 8 * bound)]
@@ -360,3 +406,12 @@ def test_validation_errors():
         next(enumerate_rfull(1, 100))
     with pytest.raises(ValueError):
         next(enumerate_rfull(2, 0))
+    # n is held as int64: a limit at or above 2^63 is refused, not cut.
+    assert enumerate_rfull(40, 2**63 - 1) == [1] + [2**e for e in range(40, 63)]
+    for limit in (2**63, 2**70):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            enumerate_rfull(40, limit)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            rfull_table(2, limit)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            local_density(abelian, 1, limit)

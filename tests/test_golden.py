@@ -9,6 +9,10 @@ unchanged.
 To capture the files afresh (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
+
+To capture only some calls, leaving every other file as it is, name them:
+
+    PYTHONPATH=src python tests/test_golden.py density-powerdiv-r40-k1-B1e9
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +41,9 @@ def _calls() -> list[tuple[str, list[str]]]:
     # The two heaviest density pairs, at the default truncation B = 1e9.
     for rule in ("expdiv", "unitary-expdiv"):
         calls.append((f"density-{rule}-k4-B1e9", ["density", "--rule", rule, "--k", "4"]))
+    # The tail block (B, 2^40 B] passes 2^63 and is cut below it.
+    calls.append(("density-powerdiv-r40-k1-B1e9",
+                  ["density", "--rule", "powerdiv-r:40", "--k", "1"]))
     calls += [
         ("density-abelian-k2-csv",
          ["density", "--rule", "abelian", "--k", "2", "--B", "1e6", "--format", "csv"]),
@@ -79,14 +87,21 @@ def test_golden_stdout(name, argv):
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
-def capture() -> None:
+def capture(names: list[str]) -> None:
+    """Write the golden file and exit code of each named call, or of every call."""
+    argvs = dict(CALLS)
+    unknown = sorted(set(names) - argvs.keys())
+    if unknown:
+        raise SystemExit(f"unknown calls: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    exits = {}
-    for name, argv in CALLS:
-        exits[name], out = _run(argv)
+    exits_path = GOLDEN / "exits.json"
+    exits = json.loads(exits_path.read_text()) if names else {}
+    for name in names or argvs:
+        exits[name], out = _run(argvs[name])
         (GOLDEN / f"{name}.txt").write_bytes(out.encode())
-    (GOLDEN / "exits.json").write_text(json.dumps(exits, indent=1) + "\n")
+    exits = {name: exits[name] for name in argvs if name in exits}
+    exits_path.write_text(json.dumps(exits, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    capture()
+    capture(sys.argv[1:])

@@ -287,6 +287,10 @@ def test_multiples_sum_value_and_paths():
     assert multiples_sum_brute(100, 10, 2) == 3
     assert rfull_multiples_sum(100, 10, 2, "rfull") == 3
     assert rfull_multiples_sum(100, 10, 2, "divisors") == 3
+    # n = 2Y = 36 is r-full and divides 108 in (100, 118], but lies outside (2Y, 2X].
+    assert multiples_sum_brute(100, 18, 2) == 1
+    assert rfull_multiples_sum(100, 18, 2, "rfull") == 1
+    assert rfull_multiples_sum(100, 18, 2, "divisors") == 1
 
 
 def test_multiples_sum_matches_brute_randomized():
@@ -312,6 +316,12 @@ def test_multiples_sum_validation():
         rfull_multiples_sum(100, 200, 2)
     with pytest.raises(ValueError):
         rfull_multiples_sum(100, 10, 2, method="bogus")
+    # The r-full n run up to 2X, which must stay below 2^63.
+    for method in ("rfull", "divisors"):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            rfull_multiples_sum(2**62, 10, 40, method)
+    # 2^62 in (X, X + 10] is a multiple of every 2^e, 40 <= e <= 62.
+    assert rfull_multiples_sum(2**62 - 1, 10, 40) == 23
 
 
 def test_admissible_window():
