@@ -218,7 +218,8 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     i, j = np.searchsorted(n, [bound, top], "right").tolist()
     value = np.zeros(len(facts), dtype=np.int64)  # f of each pattern in the head
     for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
-        value[q] = min(eval_rule(rule, facts[q]), ks.stop)  # any f past ks fits int64 as ks.stop
+        f = eval_rule(rule, facts[q])
+        value[q] = f if f in ks else 0  # no k is 0; an f past ks may not fit int64
     head = value[pattern[:i]]
     tail = tail_geometric_factor(r) * fsum(recip[i:j].tolist())
     z = zeta(r)

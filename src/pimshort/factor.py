@@ -7,6 +7,7 @@ afterwards, so concurrent use is unrestricted.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -67,23 +68,37 @@ def introot(n: int, r: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization by trial division; () for n = 1."""
+    """Exact prime factorization by trial division; () for n = 1.
+
+    Division starts with the primes the shared table already holds (at
+    least those up to 2^16).  The table doubles only while the cofactor
+    still unfactored may have a prime factor past it, so n = 2^52 needs
+    no prime above 2^16.
+    """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n >= MAX_N:
         raise ValueError("factorize requires n < 2**63")
     pairs = []
     m = n
-    for p in primes_upto(isqrt(n)):
-        if p * p > m:
-            break
-        if m % p:
-            continue
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        pairs.append((p, e))
+    tried, reach = 0, max(_prime_limit, 1 << 16)  # primes[:tried] do not divide m
+    while True:
+        primes = primes_upto(min(reach, isqrt(m)))
+        for p in islice(primes, tried, None):
+            if p * p > m:
+                break
+            if m % p:
+                continue
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            pairs.append((p, e))
+        else:
+            if reach < isqrt(m):
+                tried, reach = len(primes), 2 * reach
+                continue
+        break
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)

@@ -20,19 +20,19 @@ Built-in families:
   powerdiv-r:R    g(alpha) = 1 + floor(alpha / R), the count of R-th power
                   divisors of p^alpha
 
-All g values are exact integers computed once at rule build time, so that
-evaluation inside sieve loops is a table lookup.  Custom rules must
-tabulate g fully; no extrapolation past the table is ever performed.
+All g values are exact integers, computed once at import into one table
+per family, so that evaluation inside sieve loops is a table lookup.
+Custom rules must tabulate g fully; no extrapolation past the table is
+ever performed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 
 ALPHA_MAX = 64
-
-FAMILY_NAMES = ("abelian", "plane", "semisimple", "expdiv", "unitary-expdiv")
 
 _POWERDIV_PREFIX = "powerdiv-r:"
 
@@ -45,15 +45,10 @@ class UnknownRuleError(LookupError):
     """Requested rule name is not in the registry."""
 
 
-def _require_alpha(alpha: int) -> None:
-    if not 0 <= alpha <= ALPHA_MAX:
-        raise ValueError(f"exponent {alpha} outside supported range [0, {ALPHA_MAX}]")
-
-
-def _partition_table(n: int) -> list[int]:
+def _partition_table() -> list[int]:
     # Euler's pentagonal-number recurrence, exact integers throughout.
-    table = [1] + [0] * n
-    for m in range(1, n + 1):
+    table = [1] + [0] * ALPHA_MAX
+    for m in range(1, ALPHA_MAX + 1):
         acc = 0
         j = 1
         while True:
@@ -70,109 +65,32 @@ def _partition_table(n: int) -> list[int]:
     return table
 
 
-def _apply_inverse_factor(coeffs: list[int], period: int, times: int) -> None:
-    # Multiply the series by (1 - x^period)^(-times), truncated to len(coeffs).
-    for _ in range(times):
-        for i in range(period, len(coeffs)):
-            coeffs[i] += coeffs[i - period]
-
-
-def _plane_partition_table(n: int) -> list[int]:
-    coeffs = [1] + [0] * n
-    for j in range(1, n + 1):
-        _apply_inverse_factor(coeffs, j, j)
+def _euler_product(kinds) -> list[int]:
+    # Coefficients of prod_v (1 - x^v)^(-kinds(v)): a part of size v comes in
+    # kinds(v) flavours.
+    coeffs = [1] + [0] * ALPHA_MAX
+    for v in range(1, ALPHA_MAX + 1):
+        for _ in range(kinds(v)):
+            for i in range(v, ALPHA_MAX + 1):
+                coeffs[i] += coeffs[i - v]
     return coeffs
 
 
-def _square_divisor_count(v: int) -> int:
-    count = 0
-    m = 1
-    while m * m <= v:
-        if v % (m * m) == 0:
-            count += 1
-        m += 1
-    return count
+_TAU = [1] + [sum(a % d == 0 for d in range(1, a + 1)) for a in range(1, ALPHA_MAX + 1)]
 
+# family name -> g(0..ALPHA_MAX)
+_FAMILIES = {
+    "abelian": _partition_table(),
+    "plane": _euler_product(lambda v: v),
+    # One flavour per pair (q, m) with q * m^2 = v, i.e. per square divisor of v.
+    "semisimple": _euler_product(lambda v: sum(v % (m * m) == 0 for m in range(1, isqrt(v) + 1))),
+    "expdiv": _TAU,
+    # 2^omega(alpha); the primes up to ALPHA_MAX are the p with tau(p) = 2.
+    "unitary-expdiv": [1 << sum(_TAU[p] == 2 and a % p == 0 for p in range(2, a + 1))
+                       for a in range(ALPHA_MAX + 1)],
+}
 
-def _semisimple_table(n: int) -> list[int]:
-    # A part of size v comes in one flavour per pair (q, m) with q * m^2 = v,
-    # i.e. one per square divisor m^2 of v.
-    coeffs = [1] + [0] * n
-    for v in range(1, n + 1):
-        _apply_inverse_factor(coeffs, v, _square_divisor_count(v))
-    return coeffs
-
-
-_PARTITIONS = _partition_table(ALPHA_MAX)
-_PLANE = _plane_partition_table(ALPHA_MAX)
-_SEMISIMPLE = _semisimple_table(ALPHA_MAX)
-
-
-def partition_count(alpha: int) -> int:
-    """Number of unrestricted partitions of alpha."""
-    _require_alpha(alpha)
-    return _PARTITIONS[alpha]
-
-
-def plane_partition_count(alpha: int) -> int:
-    """Number of plane partitions of alpha."""
-    _require_alpha(alpha)
-    return _PLANE[alpha]
-
-
-def semisimple_count(alpha: int) -> int:
-    """Number of multisets of pairs (q, m), q, m >= 1, with sum q * m^2 = alpha."""
-    _require_alpha(alpha)
-    return _SEMISIMPLE[alpha]
-
-
-def divisor_count(alpha: int) -> int:
-    """tau(alpha), computed by trial division; requires alpha >= 1."""
-    if alpha < 1:
-        raise ValueError(f"divisor_count requires alpha >= 1, got {alpha}")
-    _require_alpha(alpha)
-    total = 1
-    m = alpha
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            total *= e + 1
-        d += 1
-    if m > 1:
-        total *= 2
-    return total
-
-
-def unitary_divisor_count(alpha: int) -> int:
-    """2^omega(alpha), the number of unitary divisors of alpha; requires alpha >= 1."""
-    if alpha < 1:
-        raise ValueError(f"unitary_divisor_count requires alpha >= 1, got {alpha}")
-    _require_alpha(alpha)
-    omega = 0
-    m = alpha
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            omega += 1
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        omega += 1
-    return 1 << omega
-
-
-def power_divisor_count(alpha: int, r: int) -> int:
-    """Number of d with d^r dividing p^alpha, i.e. 1 + floor(alpha / r)."""
-    if alpha < 0:
-        raise ValueError(f"power_divisor_count requires alpha >= 0, got {alpha}")
-    if r < 2:
-        raise ValueError(f"power_divisor_count requires r >= 2, got {r}")
-    return 1 + alpha // r
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -225,28 +143,14 @@ def _validated_rule(name: str, values, declared_r: int | None = None) -> Exponen
     return ExponentRule(name, derived_r, values)
 
 
-def _family_values(name: str) -> list[int]:
-    if name == "abelian":
-        return list(_PARTITIONS)
-    if name == "plane":
-        return list(_PLANE)
-    if name == "semisimple":
-        return list(_SEMISIMPLE)
-    if name == "expdiv":
-        return [1] + [divisor_count(a) for a in range(1, ALPHA_MAX + 1)]
-    if name == "unitary-expdiv":
-        return [1] + [unitary_divisor_count(a) for a in range(1, ALPHA_MAX + 1)]
-    raise UnknownRuleError(name)
-
-
 def build_rule(name: str) -> ExponentRule:
     """Construct a built-in rule by name.
 
     Accepted names: the families in FAMILY_NAMES plus "powerdiv-r:<r>" with
     an integer r >= 2.
     """
-    if name in FAMILY_NAMES:
-        return _validated_rule(name, _family_values(name))
+    if name in _FAMILIES:
+        return _validated_rule(name, _FAMILIES[name])
     if name.startswith(_POWERDIV_PREFIX):
         suffix = name[len(_POWERDIV_PREFIX):]
         try:
@@ -255,8 +159,7 @@ def build_rule(name: str) -> ExponentRule:
             raise UnknownRuleError(name) from None
         if r < 2:
             raise RuleError(f"rule {name!r}: r must be >= 2")
-        values = [power_divisor_count(a, r) for a in range(ALPHA_MAX + 1)]
-        return _validated_rule(name, values, declared_r=r)
+        return _validated_rule(name, [1 + a // r for a in range(ALPHA_MAX + 1)], declared_r=r)
     raise UnknownRuleError(name)
 
 

@@ -291,6 +291,8 @@ def rfull_multiples_sum(x: int, y: int, r: int, method: str = "rfull") -> int:
     """
     if not 0 < y < x or 2 * x >= MAX_N:
         raise ValueError(f"rfull_multiples_sum requires 0 < Y < X and 2X < 2**63, got X={x}, Y={y}")
+    if r < 2:
+        raise ValueError(f"rfull_multiples_sum requires r >= 2, got {r}")
     if method == "rfull":
         _, n, _, _ = _table(r, 2 * x)
         n = n[np.searchsorted(n, 2 * y, "right"):np.searchsorted(n, 2 * x, "right")]

@@ -8,6 +8,7 @@ seed, and counting checks are deterministic regardless of worker count.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from math import log, sqrt
 
@@ -20,14 +21,7 @@ from .density import (
     weight_partial_sum,
 )
 from .factor import eval_rule, factorize, rfull_weights_up_to
-from .rules import (
-    ExponentRule,
-    build_rule,
-    builtin_rules,
-    partition_count,
-    plane_partition_count,
-    semisimple_count,
-)
+from .rules import ExponentRule, build_rule, builtin_rules
 from .sieve import (
     admissible_window,
     count_r_free,
@@ -75,12 +69,12 @@ def _partitions_dp(n: int) -> list[int]:
 
 def checks_sequences() -> list[Check]:
     out = []
-    plane = tuple(plane_partition_count(a) for a in range(13))
+    plane = build_rule("plane").values[:13]
     out.append(Check("plane-partition-sequence", plane == PLANE_SEQUENCE, plane, PLANE_SEQUENCE))
-    semi = tuple(semisimple_count(a) for a in range(15))
+    semi = build_rule("semisimple").values[:15]
     out.append(Check("semisimple-sequence", semi == SEMISIMPLE_SEQUENCE, semi, SEMISIMPLE_SEQUENCE))
     dp = _partitions_dp(64)
-    mine = [partition_count(a) for a in range(65)]
+    mine = list(build_rule("abelian").values)
     out.append(Check("partition-recurrence-vs-dp", mine == dp, "64 values", "match"))
     derived = tuple(rule.r for rule in builtin_rules())
     out.append(Check("family-thresholds", derived == (2, 2, 2, 2, 2), derived, (2, 2, 2, 2, 2)))
@@ -335,12 +329,13 @@ def checks_segment_equivalence(seed: int = 0, workers: int = 1) -> list[Check]:
     for _ in range(segments):
         x = rng.randrange(0, 10**8)
         y = rng.randrange(1, 10**4 + 1)
-        seg = sieve_segment(x, y)
+        # f reads only the exponents (eval_rule ignores the primes), so each
+        # exponent tuple of the window is evaluated once.
+        shapes = Counter(tuple(a for _, a in f) for f in sieve_segment(x, y).factors)
         for rule in rules:
-            pointwise: dict[int, int] = {}
-            for off in range(y):
-                v = eval_rule(rule, seg.factors[off])
-                pointwise[v] = pointwise.get(v, 0) + 1
+            pointwise: Counter[int] = Counter()
+            for shape, count in shapes.items():
+                pointwise[eval_rule(rule, tuple(enumerate(shape)))] += count
             counted = value_counts(rule, x, y, workers=workers)
             if sum(counted.values()) != y:
                 partition_bad += 1

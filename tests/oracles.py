@@ -7,7 +7,7 @@ programming, so that agreement is meaningful.
 
 from __future__ import annotations
 
-from math import fsum, isqrt
+from math import fsum, gcd, isqrt
 
 import numpy as np
 
@@ -37,6 +37,12 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)
+
+
+def exponent_divisor_counts(a: int) -> tuple[int, int]:
+    """(divisor count, unitary divisor count) of a >= 1, from the list of its divisors."""
+    divisors = [d for d in range(1, a + 1) if a % d == 0]
+    return len(divisors), sum(1 for d in divisors if gcd(d, a // d) == 1)
 
 
 def all_divisor_factorizations(fact):

@@ -1,6 +1,7 @@
 import json
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,15 @@ def test_density_json_roundtrip(capsys):
     assert list(record) == ["rule", "k", "r", "B", "partial_sum", "tail_estimate", "zeta_r", "density"]
     assert record["density"] == pytest.approx(0.6079271018, abs=1e-8)
     assert record["B"] == 10**4
+
+
+def test_density_k_just_below_2_63(capsys):
+    # No f of this rule equals either k, and k + 1 = 2^63 must not reach an int64 array.
+    huge = str(Path(__file__).parent / "golden" / "huge-rule.json")
+    for k in (2**63 - 1, 2**63 - 2):
+        code, out, err = run_cli(capsys, "density", "--rule", huge, "--k", str(k), "--B", "1e6")
+        assert code == 0, err
+        assert json.loads(out)["density"] == 0.0
 
 
 def test_density_csv_format(capsys):

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
+from pimshort import factor
+from pimshort.density import rfull_factorizations
 from pimshort.factor import (
     _inverse_at_exponent,
     eval_rule,
@@ -52,6 +55,22 @@ def test_factorize_against_trial_division():
     for _ in range(300):
         n = rng.randrange(1, 10**7)
         assert factorize(n) == trial_factorize(n)
+
+
+def test_factorize_grows_the_prime_table_only_as_the_cofactor_needs(monkeypatch):
+    monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(factor, "_prime_list", [])
+    monkeypatch.setattr(factor, "_prime_limit", 1)
+    assert factorize(2**52) == trial_factorize(2**52)
+    assert factor._prime_limit <= 2**17
+    rows = rfull_factorizations(10, 2**63 - 1)  # every prime factor is at most 79
+    assert len(rows) == 1625
+    assert all(fact == trial_factorize(n) for n, fact in rows)
+    assert factor._prime_limit <= 2**17
+    # 65537 and 131071 lie past the first table: it doubles once to reach them.
+    n = 65537 * 131071 * 1000003
+    assert factorize(n) == trial_factorize(n)
+    assert factor._prime_limit == 2**17
 
 
 def test_eval_rule():

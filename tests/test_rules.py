@@ -9,16 +9,10 @@ from pimshort.rules import (
     UnknownRuleError,
     build_rule,
     builtin_rules,
-    divisor_count,
     load_custom_rule,
-    partition_count,
-    plane_partition_count,
-    power_divisor_count,
-    semisimple_count,
-    unitary_divisor_count,
 )
 
-from oracles import partitions_dp
+from oracles import exponent_divisor_counts, partitions_dp
 
 # Reference sequences for the two series-built families (first 13 and 15
 # values respectively), frozen as golden data.
@@ -26,60 +20,56 @@ PLANE_SEQUENCE = (1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479)
 SEMISIMPLE_SEQUENCE = (1, 1, 2, 3, 6, 8, 13, 18, 29, 40, 58, 79, 115, 154, 213)
 
 
+def _g(name: str, alpha: int) -> int:
+    return build_rule(name).values[alpha]
+
+
 def test_partition_examples():
-    assert partition_count(0) == 1
-    assert partition_count(2) == 2  # {2, 1+1}
-    assert partition_count(5) == 7
+    assert _g("abelian", 0) == 1
+    assert _g("abelian", 2) == 2  # {2, 1+1}
+    assert _g("abelian", 5) == 7
 
 
 def test_partition_recurrence_matches_dp_oracle():
-    dp = partitions_dp(ALPHA_MAX)
-    assert [partition_count(a) for a in range(ALPHA_MAX + 1)] == dp
+    assert list(build_rule("abelian").values) == partitions_dp(ALPHA_MAX)
 
 
 def test_plane_partition_golden_values():
-    assert [plane_partition_count(a) for a in range(13)] == list(PLANE_SEQUENCE)
+    assert build_rule("plane").values[:13] == PLANE_SEQUENCE
 
 
 def test_semisimple_golden_values():
-    assert [semisimple_count(a) for a in range(15)] == list(SEMISIMPLE_SEQUENCE)
+    assert build_rule("semisimple").values[:15] == SEMISIMPLE_SEQUENCE
 
 
 def test_semisimple_small_enumeration():
     # multisets of pairs (q, m) with sum q*m^2 = 2: {(2,1)}, {(1,1),(1,1)}
-    assert semisimple_count(2) == 2
-    assert semisimple_count(0) == 1
-    assert semisimple_count(4) == 6
-    assert semisimple_count(6) == 13
+    assert _g("semisimple", 2) == 2
+    assert _g("semisimple", 0) == 1
+    assert _g("semisimple", 4) == 6
+    assert _g("semisimple", 6) == 13
 
 
 def test_divisor_count_values():
-    assert divisor_count(4) == 3
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == 6
-    assert unitary_divisor_count(4) == 2
-    assert unitary_divisor_count(1) == 1
-    assert unitary_divisor_count(12) == 4
+    assert _g("expdiv", 4) == 3
+    assert _g("expdiv", 1) == 1
+    assert _g("expdiv", 12) == 6
+    assert _g("unitary-expdiv", 4) == 2
+    assert _g("unitary-expdiv", 1) == 1
+    assert _g("unitary-expdiv", 12) == 4
+
+
+def test_exponent_divisor_tables_match_brute_force():
+    expdiv = build_rule("expdiv").values
+    unitary = build_rule("unitary-expdiv").values
+    for alpha in range(1, ALPHA_MAX + 1):
+        assert (expdiv[alpha], unitary[alpha]) == exponent_divisor_counts(alpha), alpha
 
 
 def test_power_divisor_count():
-    assert power_divisor_count(0, 2) == 1
-    assert power_divisor_count(5, 2) == 3
-    assert power_divisor_count(6, 3) == 3
-
-
-def test_alpha_range_errors():
-    for fn in (partition_count, plane_partition_count, semisimple_count):
-        with pytest.raises(ValueError):
-            fn(-1)
-        with pytest.raises(ValueError):
-            fn(ALPHA_MAX + 1)
-    with pytest.raises(ValueError):
-        divisor_count(0)
-    with pytest.raises(ValueError):
-        unitary_divisor_count(0)
-    with pytest.raises(ValueError):
-        power_divisor_count(3, 1)
+    assert _g("powerdiv-r:2", 0) == 1
+    assert _g("powerdiv-r:2", 5) == 3
+    assert _g("powerdiv-r:3", 6) == 3
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

@@ -316,6 +316,11 @@ def test_multiples_sum_validation():
         rfull_multiples_sum(100, 200, 2)
     with pytest.raises(ValueError):
         rfull_multiples_sum(100, 10, 2, method="bogus")
+    # r is checked before either method runs.
+    for method in ("rfull", "divisors"):
+        for r in (0, 1):
+            with pytest.raises(ValueError, match="r >= 2"):
+                rfull_multiples_sum(100, 10, r, method)
     # The r-full n run up to 2X, which must stay below 2^63.
     for method in ("rfull", "divisors"):
         with pytest.raises(ValueError, match=r"2\*\*63"):
