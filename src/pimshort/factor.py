@@ -7,8 +7,8 @@ afterwards, so concurrent use is unrestricted.
 
 from __future__ import annotations
 
-from itertools import islice
-from math import isqrt
+from collections import Counter
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -67,13 +67,66 @@ def introot(n: int, r: int) -> int:
     return x
 
 
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization by trial division; () for n = 1.
+# Trial division stops here; the smallest shared prime table reaches it.
+_TRIAL_LIMIT = 1 << 16
 
-    Division starts with the primes the shared table already holds (at
-    least those up to 2^16).  The table doubles only while the cofactor
-    still unfactored may have a prime factor past it, so n = 2^52 needs
-    no prime above 2^16.
+# Miller-Rabin with these bases is deterministic for n < 3.3e24 > MAX_N.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    # n is odd and has no prime factor below 2^16.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        v = pow(a, d, n)
+        if v in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            v = v * v % n
+            if v == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    # A proper factor of the odd composite n, by Pollard-Brent rho.
+    c = 0
+    while True:
+        c += 1
+        v, saved, q, g, run = 2, 2, 1, 1, 1
+        while g == 1:
+            x = v
+            for _ in range(run):
+                v = (v * v + c) % n
+            for k in range(0, run, 128):
+                saved = v
+                for _ in range(min(128, run - k)):
+                    v = (v * v + c) % n
+                    q = q * abs(x - v) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            run *= 2
+        if g == n:  # the batch overshot: step again from its start
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> Factorization:
+    """Exact prime factorization; () for n = 1.
+
+    Trial division by the primes up to 2^16 needs no shared prime table
+    larger than its first size, whatever n is.  What is left has no prime
+    factor below 2^16: it is split by Pollard-Brent rho, and its parts are
+    proven prime by a deterministic Miller-Rabin test.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -81,26 +134,25 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n < 2**63")
     pairs = []
     m = n
-    tried, reach = 0, max(_prime_limit, 1 << 16)  # primes[:tried] do not divide m
-    while True:
-        primes = primes_upto(min(reach, isqrt(m)))
-        for p in islice(primes, tried, None):
-            if p * p > m:
-                break
-            if m % p:
-                continue
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
+    for p in primes_upto(min(_TRIAL_LIMIT, isqrt(m))):
+        if p * p > m:
+            break
+        if m % p:
+            continue
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        pairs.append((p, e))
+    rest, parts = [m] if m > 1 else [], []
+    while rest:
+        c = rest.pop()
+        if c < _TRIAL_LIMIT**2 or _is_prime(c):
+            parts.append(c)
         else:
-            if reach < isqrt(m):
-                tried, reach = len(primes), 2 * reach
-                continue
-        break
-    if m > 1:
-        pairs.append((m, 1))
+            d = _rho_factor(c)
+            rest += [d, c // d]
+    pairs += sorted(Counter(parts).items())
     return tuple(pairs)
 
 

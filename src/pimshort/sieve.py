@@ -8,17 +8,16 @@ int64 when g(alpha) <= 2^alpha for every alpha (all built-in families) and
 an object array of exact Python ints otherwise; both run the same steps.
 Leftover cofactors after sieving to sqrt(x+y) are prime and never affect f.
 
-The sieving primes are generated segment by segment (`_sieving_primes`),
-so no prime table above (x+y)^(1/4) is ever built.  A prime whose square
-is below the chunk length is applied with strided views; every larger
-prime has at most one multiple of p^2 in the chunk, and all of them in a
-segment are applied in one numpy batch (the bucket-sieve idea of Oliveira
-e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
-
-Windows are processed in chunks of at most DEFAULT_CHUNK offsets so the
-working arrays stay cache- and memory-friendly.  Chunk boundaries depend
-only on (x, y); counts are exact integers combined in fixed chunk order,
-so results never depend on chunking or worker count.
+Each window makes one pass over its sieving primes, generated segment by
+segment (`_sieving_primes`), so no prime table above (x+y)^(1/4) is ever
+built, and then walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
+accumulator).  Primes whose square is below the chunk length form one short
+list, applied to every chunk with strided views.  For each larger prime,
+every multiple of p^2 in the window is found once, with its exponent, and
+filed into the bucket of the chunk it falls in (the bucket sieve of Oliveira
+e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  With several workers,
+each process takes one contiguous run of chunks.  Counts are exact
+integers, so results never depend on chunking or worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .density import _table
 from .factor import MAX_N, Factorization, introot, primes_upto
 from .rules import ExponentRule
 
-DEFAULT_CHUNK = 8_000_000
+DEFAULT_CHUNK = 1 << 20
 
 # Values per segment of _sieving_primes (one flag byte per odd value).
 _PRIME_SEGMENT = 1 << 21
@@ -57,16 +56,6 @@ def check_report_window(x: int, y: int) -> None:
     _check_window(x, y)
     if not y < x:
         raise ValueError(f"interval_report requires 0 < Y < X, got X={x}, Y={y}")
-
-
-def _chunks(x: int, y: int, cap: int) -> list[tuple[int, int]]:
-    out = []
-    done = 0
-    while done < y:
-        step = min(cap, y - done)
-        out.append((x + done, step))
-        done += step
-    return out
 
 
 @dataclass
@@ -142,7 +131,7 @@ def _sieving_primes(limit: int):
 
 def _small_prime_exponents(p: int, n0: int, y: int) -> tuple[int, np.ndarray]:
     # Offsets s0, s0 + p^2, ... of the multiples of p^2 among n0..n0+y-1
-    # (p^2 < y, so there is one) and the exact exponent of p at each.  The
+    # (none in a short last chunk) and the exact exponent of p at each.  The
     # multiples of p^a sit at every p^(a-2)-th of them, from (s_a - s0) / p^2.
     p2 = p * p
     s0 = -n0 % p2
@@ -154,54 +143,101 @@ def _small_prime_exponents(p: int, n0: int, y: int) -> tuple[int, np.ndarray]:
     return s0, e
 
 
-def _large_prime_hits(p: np.ndarray, p2: np.ndarray, n0: int, y: int):
-    # Primes with p^2 >= y have at most one multiple of p^2 in the chunk:
-    # its offset is -n0 mod p^2, taken on int64 without ever forming n0 + p^2.
-    off = np.remainder(-n0, p2)
-    hit = off < y
-    p, p2, off = p[hit], p2[hit], off[hit]
-    m = (n0 + off) // p2
-    e = np.full(off.size, 2, dtype=np.intp)
+def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    # Every multiple of some q[i] among n0..n0+y-1, as (i, offset) pairs.
+    # The first offset is -n0 mod q, taken on int64 without forming n0 + q.
+    first = np.remainder(-n0, q)
+    i = np.flatnonzero(first < y)
+    if q[0] < y:  # some q has several multiples in the window
+        count = (y - 1 - first[i]) // q[i] + 1
+        i = np.repeat(i, count)
+        step = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+        return i, first[i] + step * q[i]
+    return i, first[i]
+
+
+def _window_chunks(x: int, y: int, r: int):
+    """Yield (n0, length, small primes, hit offsets, hit primes) per chunk of (x, x+y].
+
+    One pass over the primes up to (x+y)^(1/r): those with p^r below the chunk
+    length form the small list; each multiple of a larger p^r goes to its chunk.
+    """
+    span = min(y, DEFAULT_CHUNK)
+    small: list[int] = []
+    offs, hits = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for primes in _sieving_primes(introot(x + y, r)):
+        q = primes**r
+        cut = int(np.searchsorted(q, span))
+        small += primes[:cut].tolist()
+        if cut < primes.size:
+            i, off = _multiples(q[cut:], x + 1, y)
+            offs.append(off)
+            hits.append(primes[cut:][i])
+    off, p = np.concatenate(offs), np.concatenate(hits)
+    if span == y:  # one chunk holds every hit: no sort, no buckets
+        yield x + 1, y, small, off, p
+        return
+    order = np.argsort(off)
+    off, p = off[order], p[order]
+    edges = np.searchsorted(off, range(0, y + span, span)).tolist()
+    for c, (a, b) in enumerate(zip(edges, edges[1:])):
+        c0 = c * span
+        yield x + 1 + c0, min(span, y - c0), small, off[a:b] - c0, p[a:b]
+
+
+def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # Exact exponent of p[j] in n[j], where p[j]^2 divides n[j].
+    m = n // (p * p)
+    e = np.full(n.size, 2, dtype=np.intp)
     live = np.flatnonzero(m % p == 0)
     while live.size:
         m[live] //= p[live]
         e[live] += 1
         live = live[m[live] % p[live] == 0]
-    return off, e
+    return e
 
 
-def _fvalues_chunk(rule: ExponentRule, x: int, y: int) -> np.ndarray:
-    """Array of f(x+1), ..., f(x+y), of the rule's _value_dtype."""
-    n0 = x + 1
+def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
+    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the rule's _value_dtype."""
     gtab = np.array(rule.values, dtype=_value_dtype(rule))
-    fval = np.ones(y, dtype=gtab.dtype)
-    for primes in _sieving_primes(isqrt(x + y)):
-        p2 = primes * primes
-        small = int(np.searchsorted(p2, y))
-        for p in primes[:small].tolist():
-            s0, e = _small_prime_exponents(p, n0, y)
+    for n0, cy, small, off, hit_primes in _window_chunks(x, y, 2):
+        fval = np.ones(cy, dtype=gtab.dtype)
+        for p in small:
+            s0, e = _small_prime_exponents(p, n0, cy)
             fval[s0 :: p * p] *= gtab[e]
-        if small < primes.size:
-            off, e = _large_prime_hits(primes[small:], p2[small:], n0, y)
-            # Two large primes can share an offset (n = p^2 q^2), and fancy
-            # `fval[off] *= ...` would keep only one factor; multiply.at
-            # applies every one.
-            np.multiply.at(fval, off, gtab[e])
-    return fval
+        # Two large primes can share an offset (n = p^2 q^2), and fancy
+        # `fval[off] *= ...` would keep only one factor; multiply.at
+        # applies every one.
+        np.multiply.at(fval, off, gtab[_exponents(n0 + off, hit_primes)])
+        yield fval
 
 
 def _count_task(task) -> int:
     rule, k, x, y = task
-    return int(np.count_nonzero(_fvalues_chunk(rule, x, y) == k))
+    return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y))
 
 
-def _profile_task(task) -> dict[int, int]:
+def _profile_task(task) -> Counter:
     rule, x, y = task
-    fval = _fvalues_chunk(rule, x, y)
-    if _value_dtype(rule) is object:  # np.unique would sort Python ints
-        return Counter(fval.tolist())
-    values, counts = np.unique(fval, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    profile: Counter = Counter()
+    for fval in _fvalue_chunks(rule, x, y):
+        if fval.dtype == object:  # np.unique would sort Python ints
+            profile.update(fval.tolist())
+        else:
+            values, counts = np.unique(fval, return_counts=True)
+            profile.update(dict(zip(values.tolist(), counts.tolist())))
+    return profile
+
+
+def _parts(x: int, y: int, workers: int) -> list[tuple[int, int]]:
+    # One contiguous run of whole chunks per worker process.
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    chunks = -(-y // DEFAULT_CHUNK)
+    n = min(workers, chunks)
+    n = min(n, os.cpu_count() or 1) if n > 1 else 1
+    edges = [i * chunks // n * DEFAULT_CHUNK for i in range(n)] + [y]
+    return [(x + a, b - a) for a, b in zip(edges, edges[1:])]
 
 
 def _run_tasks(tasks, worker, workers: int):
@@ -221,23 +257,15 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
     _check_window(x, y)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(rule, k, cx, cy) for cx, cy in _chunks(x, y, DEFAULT_CHUNK)]
+    tasks = [(rule, k, px, py) for px, py in _parts(x, y, workers)]
     return sum(_run_tasks(tasks, _count_task, workers))
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
     """Counts of every f value attained in (x, x+y], keyed by value."""
     _check_window(x, y)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(rule, cx, cy) for cx, cy in _chunks(x, y, DEFAULT_CHUNK)]
-    merged: dict[int, int] = {}
-    for part in _run_tasks(tasks, _profile_task, workers):
-        for v, c in part.items():
-            merged[v] = merged.get(v, 0) + c
-    return dict(sorted(merged.items()))
+    tasks = [(rule, px, py) for px, py in _parts(x, y, workers)]
+    return dict(sorted(sum(_run_tasks(tasks, _profile_task, workers), Counter()).items()))
 
 
 def count_r_free(x: int, y: int, r: int) -> int:
@@ -246,16 +274,11 @@ def count_r_free(x: int, y: int, r: int) -> int:
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
     total = 0
-    for cx, cy in _chunks(x, y, DEFAULT_CHUNK):
-        n0 = cx + 1
+    for n0, cy, small, off, _ in _window_chunks(x, y, r):
         marked = np.zeros(cy, dtype=bool)
-        for primes in _sieving_primes(introot(cx + cy, r)):
-            q = primes**r
-            small = int(np.searchsorted(q, cy))
-            for qs in q[:small].tolist():
-                marked[-n0 % qs :: qs] = True
-            off = np.remainder(-n0, q[small:])
-            marked[off[off < cy]] = True
+        for q in [p**r for p in small]:
+            marked[-n0 % q :: q] = True
+        marked[off] = True
         total += cy - int(np.count_nonzero(marked))
     return total
 
@@ -263,23 +286,11 @@ def count_r_free(x: int, y: int, r: int) -> int:
 def _count_rfull_divisors_above(fact: Factorization, r: int, lower: int) -> int:
     # Count divisors d > lower of n whose every prime exponent is >= r;
     # only primes with exponent >= r in n can appear in such a d.
-    usable = [(p, a) for p, a in fact if a >= r]
-    count = 0
-
-    def descend(i: int, value: int) -> None:
-        nonlocal count
-        if i == len(usable):
-            if value > lower:
-                count += 1
-            return
-        p, a = usable[i]
-        descend(i + 1, value)
-        power = p**r
-        for _ in range(r, a + 1):
-            descend(i + 1, value * power)
-            power *= p
-    descend(0, 1)
-    return count
+    divisors = [1]
+    for p, a in fact:
+        if a >= r:
+            divisors += [d * p**b for d in divisors for b in range(r, a + 1)]
+    return sum(d > lower for d in divisors)
 
 
 def rfull_multiples_sum(x: int, y: int, r: int, method: str = "rfull") -> int:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -67,10 +68,31 @@ def test_factorize_grows_the_prime_table_only_as_the_cofactor_needs(monkeypatch)
     assert len(rows) == 1625
     assert all(fact == trial_factorize(n) for n, fact in rows)
     assert factor._prime_limit <= 2**17
-    # 65537 and 131071 lie past the first table: it doubles once to reach them.
+    # 65537 and 131071 lie past the first table; rho splits them off and
+    # the table keeps its first size.
     n = 65537 * 131071 * 1000003
     assert factorize(n) == trial_factorize(n)
-    assert factor._prime_limit == 2**17
+    assert factor._prime_limit == 2**16
+
+
+def test_factorize_large_cofactors_without_growing_the_table(monkeypatch):
+    # Each n has no prime factor below 2^16 and a cofactor far past the
+    # table, which trial division alone would have to grow to isqrt(n).
+    monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(factor, "_prime_list", [])
+    monkeypatch.setattr(factor, "_prime_limit", 1)
+    cases = {
+        2**61 - 1: ((2**61 - 1, 1),),
+        1_000_000_007 * 998_244_353: ((998_244_353, 1), (1_000_000_007, 1)),
+        (2**31 - 1) ** 2: ((2**31 - 1, 2),),
+        2**62 - 57: ((2**62 - 57, 1),),
+        3 * 5**7 * 3_037_000_493: ((3, 1), (5, 7), (3_037_000_493, 1)),
+    }
+    start = time.perf_counter()
+    for n, expected in cases.items():
+        assert factorize(n) == expected, n
+    assert time.perf_counter() - start < 1.0
+    assert factor._prime_limit <= 2**17
 
 
 def test_eval_rule():

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +11,7 @@ import pytest
 
 from pimshort.bounds import zeta
 from pimshort.density import local_density
-from pimshort.factor import factorize, primes_upto
+from pimshort.factor import eval_rule, factorize, primes_upto
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import (
     admissible_window,
@@ -102,21 +107,16 @@ def test_counts_independent_of_chunking_and_workers(monkeypatch):
 
     abelian = build_rule("abelian")
     x, y = 10**7, 30000
-    base = count_value(abelian, 1, x, y)
-    assert base == count_value(abelian, 1, x, y, workers=2)
-    run_tasks = sieve_mod._run_tasks
-    splits = []
-
-    def counting_run_tasks(tasks, worker, workers):
-        splits.append(len(tasks))
-        return run_tasks(tasks, worker, workers)
-
-    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 7001)
-    monkeypatch.setattr(sieve_mod, "_run_tasks", counting_run_tasks)
-    assert count_value(abelian, 1, x, y) == base
-    assert count_value(abelian, 1, x, y, workers=3) == base
-    assert sum(value_counts(abelian, x, y, workers=2).values()) == y
-    assert splits == [5, 5, 5]  # 30000 offsets in chunks of at most 7001
+    base_count = count_value(abelian, 1, x, y)
+    base_profile = value_counts(abelian, x, y)
+    assert sum(base_profile.values()) == y
+    assert base_profile[1] == base_count == count_r_free(x, y, 2)
+    for chunk in (1000, 7001, 1 << 20):
+        monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", chunk)
+        assert count_r_free(x, y, 2) == base_count, chunk
+        for workers in (1, 2, 3):
+            assert count_value(abelian, 1, x, y, workers=workers) == base_count, (chunk, workers)
+            assert value_counts(abelian, x, y, workers=workers) == base_profile, (chunk, workers)
 
 
 def test_large_primes_sharing_an_offset(monkeypatch):
@@ -146,6 +146,90 @@ def test_large_primes_sharing_an_offset(monkeypatch):
     assert count_value(abelian, 4, x, y) == count_k_brute(abelian, 4, x, y)
     for w in windows[1:]:
         assert unpatched["abelian", w] == value_counts_brute(abelian, *w), w
+
+
+def _segment_profile(rule, x, y):
+    # f over (x, x+y] from the pure-Python factorization sieve.
+    seg = sieve_segment(x, y)
+    return Counter(eval_rule(rule, seg.factorization_at(off)) for off in range(y))
+
+
+def _check_kernel_against_segment(rule, x, y):
+    expected = _segment_profile(rule, x, y)
+    assert value_counts(rule, x, y) == dict(sorted(expected.items()))
+    for k in list(expected)[:4]:
+        assert count_value(rule, k, x, y) == expected[k], k
+    return expected
+
+
+def test_prime_square_between_chunk_and_window_hits_several_chunks(monkeypatch):
+    # With chunks of 1000 offsets, 37^2 = 1369 and 41^2 = 1681 take the
+    # bucketed path yet have several multiples in a 6000-offset window.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    x, y = 10**9 + 17, 6000
+    for p in (37, 41):
+        chunks = {(n - x - 1) // 1000 for n in range(x + 1, x + y + 1) if n % (p * p) == 0}
+        assert len(chunks) >= 3, p
+    for rule in builtin_rules():
+        _check_kernel_against_segment(rule, x, y)
+
+
+def test_two_large_prime_squares_in_a_later_chunk(monkeypatch):
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    n = (37 * 41) ** 2
+    x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
+    abelian = build_rule("abelian")
+    seg = sieve_segment(x, y)
+    assert seg.factorization_at(n - x - 1) == ((37, 2), (41, 2))
+    assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
+
+
+def test_object_rule_over_many_chunks(monkeypatch):
+    import pimshort.sieve as sieve_mod
+
+    with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
+        huge = load_custom_rule(json.load(fh))
+    assert sieve_mod._value_dtype(huge) is object
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    x, y = 2**40 - 2750, 5500  # six chunks, the last one short
+    expected = _check_kernel_against_segment(huge, x, y)
+    assert expected[10**40] == 1  # n = 2^40, in the third chunk
+
+
+def test_count_r_free_cubes_across_chunk_boundaries(monkeypatch):
+    # 11^3 = 1331 is above the 1000-offset chunk and has several multiples
+    # in the window; 2^3..7^3 stay on the strided path.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    for x, y in ((10**7 + 1, 7000), (2**30 - 3333, 4321)):
+        seg = sieve_segment(x, y)
+        cube_free = sum(all(e < 3 for _, e in seg.factorization_at(off)) for off in range(y))
+        assert count_r_free(x, y, 3) == cube_free, (x, y)
+
+
+def test_wide_windows_stay_small_in_memory():
+    # Chunks of 2^20 offsets keep the working arrays near 8 MB each; the
+    # whole process, interpreter and numpy included, stays under 90 MB.
+    # The peak is VmHWM: ru_maxrss survives exec, so in a child of this
+    # process it would report the test runner's own peak.
+    code = (
+        "from pimshort.rules import build_rule\n"
+        "from pimshort.sieve import count_value, value_counts\n"
+        "abelian = build_rule('abelian')\n"
+        "value_counts(abelian, 0, 10**7)\n"
+        "count_value(abelian, 1, 10**11, 3 * 10**7)\n"
+        "print(next(s.split()[1] for s in open('/proc/self/status') if s.startswith('VmHWM')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) / 1024 < 90
 
 
 def test_deep_window_counts():
