@@ -49,6 +49,12 @@ def primes_upto(limit: int) -> list[int]:
     return _prime_list[:hi]
 
 
+def _prime_view(limit: int) -> np.ndarray:
+    # primes_upto(limit) as an int64 view of the shared table, not a copy.
+    n = len(primes_upto(limit))  # grows the table first
+    return _prime_array[:n]
+
+
 def introot(n: int, r: int) -> int:
     """floor(n ** (1/r)), exact for any non-negative integer n."""
     if n < 0:

@@ -1,23 +1,23 @@
 """Segmented factorization sieve and interval counting over (x, x+y].
 
 Counting {n : f(n) = k} in a window only needs prime squares: a prime
-dividing n exactly once contributes g(1) = 1, so the counting kernel marks
-multiples of p^2 for p <= sqrt(x+y), extracts exact exponents, and
-multiplies table values into an accumulator per offset.  The accumulator is
-int64 when g(alpha) <= 2^alpha for every alpha (all built-in families) and
-an object array of exact Python ints otherwise; both run the same steps.
-Leftover cofactors after sieving to sqrt(x+y) are prime and never affect f.
+dividing n exactly once contributes g(1) = 1, so the counting kernel finds
+each p^2 | n, extracts the exact exponent, and multiplies table values into
+an accumulator per offset.  The accumulator is int64 when g(alpha) <=
+2^alpha for every alpha (all built-in families) and an object array of
+exact Python ints otherwise; both run the same steps.
 
-Each window makes one pass over its sieving primes, generated segment by
-segment (`_sieving_primes`), so no prime table above (x+y)^(1/4) is ever
-built, and then walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
-accumulator).  Primes whose square is below the chunk length form one short
-list, applied to every chunk with strided views.  For each larger prime,
-every multiple of p^2 in the window is found once, with its exponent, and
-filed into the bucket of the chunk it falls in (the bucket sieve of Oliveira
-e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  With several workers,
-each process takes one contiguous run of chunks.  Counts are exact
-integers, so results never depend on chunking or worker count.
+Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
+accumulator) and sieves only with the primes up to cut = (x+y)^(1/3), or
+2^16 if higher, from the shared table.  Those with p^2 below the chunk
+length (all, if the cut is lower) are applied to every chunk with strided
+views; each multiple of a larger p^2 is filed into the bucket of its chunk
+(the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83,
+2014).  A prime p above the cut divides n = m p^2 only with m < (x+y)^(1/3),
+so its hits come from the cofactor side: for each m, the integer points p
+of a short interval (the hyperbola split of Filaseta and Trifonov, J.
+London Math. Soc. 45, 1992).  With several workers, each process takes one
+contiguous run of chunks.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ import numpy as np
 
 from .bounds import bound_breakdown
 from .density import _table
-from .factor import MAX_N, Factorization, introot, primes_upto
+from .factor import MAX_N, Factorization, _prime_view, introot, primes_upto
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
 
-# Values per segment of _sieving_primes (one flag byte per odd value).
-_PRIME_SEGMENT = 1 << 21
+_COFACTOR_BLOCK = 1 << 16  # cofactors m per block of _large_prime_hits
+_CUT_FLOOR = 1 << 16  # the least cut: the shared prime table always reaches it
 
 
 def _check_window(x: int, y: int) -> None:
@@ -104,31 +104,6 @@ def _value_dtype(rule: ExponentRule):
     return np.int64 if all(v <= 1 << a for a, v in enumerate(rule.values)) else object
 
 
-def _sieving_primes(limit: int):
-    """Yield the primes <= limit, ascending, as int64 arrays, one segment at a time.
-
-    Each segment of _PRIME_SEGMENT values keeps flags for its odd values
-    only and is sieved by the odd primes up to isqrt(limit).
-    """
-    if limit < 2:
-        return
-    yield np.array([2], dtype=np.int64)
-    base = primes_upto(isqrt(limit))[1:]
-    for lo in range(1, limit + 1, _PRIME_SEGMENT):
-        hi = min(lo + _PRIME_SEGMENT, limit + 1)
-        flags = np.ones((hi - lo + 1) // 2, dtype=bool)  # flags[i] is lo + 2i
-        if lo == 1:
-            flags[0] = False
-        for q in base:
-            if q * q >= hi:
-                break
-            start = max(q * q, -(-lo // q) * q)
-            if start % 2 == 0:
-                start += q
-            flags[(start - lo) // 2 :: q] = False
-        yield lo + 2 * np.flatnonzero(flags)
-
-
 def _small_prime_exponents(p: int, n0: int, y: int) -> tuple[int, np.ndarray]:
     # Offsets s0, s0 + p^2, ... of the multiples of p^2 among n0..n0+y-1
     # (none in a short last chunk) and the exact exponent of p at each.  The
@@ -143,37 +118,83 @@ def _small_prime_exponents(p: int, n0: int, y: int) -> tuple[int, np.ndarray]:
     return s0, e
 
 
+def _ranges(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (j, step) listing step = 0 .. count[j] - 1 for every j in turn.
+    j = np.repeat(np.arange(count.size), count)
+    return j, np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
+
+
 def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     # Every multiple of some q[i] among n0..n0+y-1, as (i, offset) pairs.
     # The first offset is -n0 mod q, taken on int64 without forming n0 + q.
     first = np.remainder(-n0, q)
     i = np.flatnonzero(first < y)
-    if q[0] < y:  # some q has several multiples in the window
-        count = (y - 1 - first[i]) // q[i] + 1
-        i = np.repeat(i, count)
-        step = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    if q.size and q[0] < y:  # some q has several multiples in the window
+        j, step = _ranges((y - 1 - first[i]) // q[i] + 1)
+        i = i[j]
         return i, first[i] + step * q[i]
     return i, first[i]
+
+
+def _iroot(v: np.ndarray, r: int) -> np.ndarray:
+    """floor(v^(1/r)) of each int64 v >= 0, exact up to 2^63 - 1."""
+    f = v.astype(np.float64) ** (1.0 / r)
+    s = f.astype(np.int64)
+    # f is off by far less than 1e-12 f: only a root that near an integer needs the exact test.
+    i = np.flatnonzero(np.abs(f - np.rint(f)) <= 1e-12 * f)
+    def below(c):  # c^r <= v[i], by r floor divisions that never leave int64
+        t = v[i]
+        for _ in range(r):
+            t = t // np.maximum(c, 1)
+        return (t > 0) | (c == 0)
+    s[i] -= ~below(s[i])
+    s[i] += below(s[i] + 1)
+    return s
+
+
+def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
+    """Yield (offsets, p) for the n = m p^r in (x, x+y] with p > cut prime, in blocks of m.
+
+    `primes` holds the primes up to cut >= (x+y)^(1/(r+1)).  For each m <=
+    (x+y) / (cut+1)^r, p lies in (root_r(x // m), root_r((x+y) // m)], and
+    is prime if no prime up to the cut divides it: a composite p <=
+    (x+y)^(1/r) has a prime factor at most (x+y)^(1/(2r)) <= cut.
+    """
+    top = (x + y) // (cut + 1) ** r
+    for a in range(1, top + 1, _COFACTOR_BLOCK):
+        m = np.arange(a, min(a + _COFACTOR_BLOCK, top + 1), dtype=np.int64)
+        lo = np.maximum(_iroot(x // m, r), cut)
+        j, step = _ranges(np.maximum(_iroot((x + y) // m, r) - lo, 0))
+        if not j.size:
+            continue
+        m, p = m[j], lo[j] + 1 + step
+        base = primes[: np.searchsorted(primes, isqrt(int(p.max())), "right")]
+        rows = max(1, _COFACTOR_BLOCK // max(base.size, 1))
+        prime = np.concatenate([(p[b : b + rows, None] % base).all(axis=1)
+                                for b in range(0, p.size, rows)])
+        yield m[prime] * p[prime] ** r - (x + 1), p[prime]
 
 
 def _window_chunks(x: int, y: int, r: int):
     """Yield (n0, length, small primes, hit offsets, hit primes) per chunk of (x, x+y].
 
-    One pass over the primes up to (x+y)^(1/r): those with p^r below the chunk
-    length form the small list; each multiple of a larger p^r goes to its chunk.
+    cut = max((x+y)^(1/(r+1)), root_r(chunk length), min(root_r(x+y), _CUT_FLOOR)),
+    since a prime in the table costs one remainder, less than walking its
+    cofactors.  The primes up to the cut with p^r below the chunk length form
+    the small list; each multiple of a larger p^r goes to its chunk.
     """
-    span = min(y, DEFAULT_CHUNK)
+    span, end = min(y, DEFAULT_CHUNK), x + y
     small: list[int] = []
-    offs, hits = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for primes in _sieving_primes(introot(x + y, r)):
-        q = primes**r
-        cut = int(np.searchsorted(q, span))
-        small += primes[:cut].tolist()
-        if cut < primes.size:
-            i, off = _multiples(q[cut:], x + 1, y)
-            offs.append(off)
-            hits.append(primes[cut:][i])
-    off, p = np.concatenate(offs), np.concatenate(hits)
+    pieces = [(np.empty(0, dtype=np.int64),) * 2]
+    if r < end.bit_length():  # otherwise 2^r > x+y, and no p^r divides any n
+        cut = max(introot(end, r + 1), introot(span - 1, r), min(introot(end, r), _CUT_FLOOR))
+        primes = _prime_view(cut)
+        n_small = int(np.searchsorted(primes**r, span))
+        small = primes[:n_small].tolist()
+        i, off = _multiples(primes[n_small:] ** r, x + 1, y)
+        pieces.append((off, primes[n_small:][i]))
+        pieces += _large_prime_hits(x, y, r, cut, primes)
+    off, p = (np.concatenate(a) for a in zip(*pieces))
     if span == y:  # one chunk holds every hit: no sort, no buckets
         yield x + 1, y, small, off, p
         return

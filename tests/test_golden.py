@@ -56,6 +56,9 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-huge-rule-k100",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "100",
           "--x", "1073736000", "--y", "1e4", "--B", "1e6"]),
+        # A deep window: the large primes reach 1e9.
+        ("interval-abelian-k1-x1e18",
+         ["interval", "--rule", "abelian", "--k", "1", "--x", "1e18", "--y", "1e4"]),
         ("table-plane-k2",
          ["table", "--rule", "plane", "--k", "2", "--x", "1e8,1e9", "--y", "1e3,1e4",
           "--B", "1e6"]),

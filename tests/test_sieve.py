@@ -11,7 +11,7 @@ import pytest
 
 from pimshort.bounds import zeta
 from pimshort.density import local_density
-from pimshort.factor import eval_rule, factorize, primes_upto
+from pimshort.factor import MAX_N, eval_rule, factorize, introot, primes_upto
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import (
     admissible_window,
@@ -200,6 +200,154 @@ def test_object_rule_over_many_chunks(monkeypatch):
     assert expected[10**40] == 1  # n = 2^40, in the third chunk
 
 
+def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
+    # With chunks of 1000 offsets, x + y = 51000 and no floor under the cut,
+    # the cut is the prime 37: 37^2 goes to the buckets, and 41^2, 43^2, ...
+    # come from the cofactor walk, several times each, in several chunks.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
+    x, y = 0, 51_000
+    assert max(introot(x + y, 3), introot(999, 2)) == 37
+    assert len({(n - x - 1) // 1000 for n in range(41**2, y + 1, 41**2)}) >= 25
+    for rule in builtin_rules():
+        _check_kernel_against_segment(rule, x, y)
+    seg = sieve_segment(x, y)
+    for r in (2, 3):  # at r = 3 the cut is 15, and 17^3 ... 37^3 are walked
+        assert count_r_free(x, y, r) == sum(
+            all(e < r for _, e in seg.factorization_at(off)) for off in range(y)), r
+
+
+def test_primes_below_the_chunk_stay_strided(monkeypatch):
+    # The cut (x+y)^(1/3) = 144 is below sqrt(2^20) = 1024; the primes up to
+    # 1023 still take the strided path, and none of them goes to a bucket.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
+    chunks = list(sieve_mod._window_chunks(0, 3 * 10**6, 2))
+    assert all(small == primes_upto(1023) for _, _, small, _, _ in chunks)
+    hit_primes = np.concatenate([p for *_, p in chunks])
+    assert hit_primes.size and hit_primes.min() > 1023
+
+
+@pytest.mark.parametrize("p", [2, 37])
+def test_prime_square_product_across_the_cut(monkeypatch, p):
+    # n = p^2 q^2 with p on the strided path (2) or in the buckets (37) and
+    # q = 2003 above the cut (x+y)^(1/3) = 1764 (no floor under the cut),
+    # found from the cofactor side.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
+    n = (p * 2003) ** 2
+    x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
+    assert p <= introot(x + y, 3) < 2003
+    abelian = build_rule("abelian")
+    assert sieve_segment(x, y).factorization_at(n - x - 1) == ((p, 2), (2003, 2))
+    assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
+
+
+def _factorized_window(x, y):
+    return [factorize(n) for n in range(x + 1, x + y + 1)]
+
+
+def test_window_ending_at_2_63_for_every_rule(monkeypatch):
+    # Two chunks of 1000 offsets below 2^63 - 1, against factorize.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    y = 1200
+    x = MAX_N - 1 - y
+    facts = _factorized_window(x, y)
+    with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
+        huge = load_custom_rule(json.load(fh))
+    for rule in (*builtin_rules(), huge):
+        expected = Counter(eval_rule(rule, f) for f in facts)
+        assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
+        assert count_value(rule, 1, x, y) == expected[1], rule.name
+    for r in (2, 3, 4):
+        assert count_r_free(x, y, r) == sum(all(a < r for _, a in f) for f in facts), r
+
+
+def _prime_at_or_below(v):
+    while factorize(v) != ((v, 1),):
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_large_prime_powers_near_2_63(monkeypatch, r):
+    # A multiple of p^r just above (x+y)^(1/(r+1)), and one of the largest
+    # p^r below 2^63, each in a window near 2^63, against factorize; with
+    # the cut at that root and with its floor of 2^16 (at r = 4 the floor
+    # puts every prime in the buckets).
+    import pimshort.sieve as sieve_mod
+
+    cut = introot(MAX_N - 1, r + 1)
+    for p in (_prime_at_or_below(cut + 50), _prime_at_or_below(introot(MAX_N - 1, r))):
+        n = (MAX_N - 1 - 50) // p**r * p**r
+        x, y = n - 50, 100
+        assert p > introot(x + y, r + 1)
+        facts = _factorized_window(x, y)
+        assert dict(facts[n - x - 1])[p] >= r
+        for floor in (1, 1 << 16):
+            monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", floor)
+            assert count_r_free(x, y, r) == sum(all(a < r for _, a in f) for f in facts), (r, p)
+            if r == 2:
+                for rule in builtin_rules():
+                    expected = Counter(eval_rule(rule, f) for f in facts)
+                    assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
+
+
+def test_count_r_free_huge_r():
+    # At r = 40 and above, 2^r exceeds x + y and nothing is walked, however
+    # large r is.
+    assert count_r_free(10**12, 10**3, 10**6) == 10**3
+    assert count_r_free(10**12, 10**3, 40) == 10**3
+    # 2^40 = 2 * 2^39 is the one multiple of a 39th power in the window.
+    assert count_r_free(2**40 - 50, 100, 39) == 99
+    assert count_r_free(2**40 - 50, 100, 40) == 99
+    assert count_r_free(2**40 - 50, 100, 41) == 100
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_vector_root_is_exact(r):
+    import pimshort.sieve as sieve_mod
+
+    top = introot(MAX_N - 1, r)
+    rng = random.Random(r)
+    bases = [1, 2, 3, top - 1, top] + [rng.randrange(2, top) for _ in range(300)]
+    values = {0, MAX_N - 1} | {min(s**r + d, MAX_N - 1) for s in bases for d in (-1, 0, 1)}
+    values = sorted(values | {rng.randrange(1 << rng.randrange(1, 64)) for _ in range(300)})
+    roots = sieve_mod._iroot(np.array(values, dtype=np.int64), r)
+    assert roots.tolist() == [introot(v, r) for v in values]
+
+
+def test_deep_windows_keep_a_time_and_memory_budget():
+    # Windows near 2^63 and at 1e18 sieve only to (x+y)^(1/3) and walk
+    # about as many cofactors: well under 2 s and 60 MB together (VmHWM,
+    # as in test_wide_windows_stay_small_in_memory).
+    code = (
+        "import time\n"
+        "from pimshort.rules import build_rule\n"
+        "from pimshort.sieve import count_value\n"
+        "abelian = build_rule('abelian')\n"
+        "t = time.perf_counter()\n"
+        "count_value(abelian, 1, 2**63 - 10**4 - 1, 10**4)\n"
+        "count_value(abelian, 1, 10**18, 10**4)\n"
+        "print(time.perf_counter() - t)\n"
+        "print(next(s.split()[1] for s in open('/proc/self/status') if s.startswith('VmHWM')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    seconds, hwm_kb = out.stdout.split()
+    assert float(seconds) < 2
+    assert int(hwm_kb) / 1024 < 60
+
+
 def test_count_r_free_cubes_across_chunk_boundaries(monkeypatch):
     # 11^3 = 1331 is above the 1000-offset chunk and has several multiples
     # in the window; 2^3..7^3 stay on the strided path.
@@ -240,10 +388,10 @@ def test_deep_window_counts():
     assert sum(value_counts(abelian, x, y).values()) == y
 
 
-def test_counting_builds_no_prime_table_above_the_fourth_root(monkeypatch):
-    # The sieving primes up to sqrt(x+y) = 1e8 are generated segment by
-    # segment; only the base primes up to (x+y)^(1/4) = 1e4 come from the
-    # shared table, whose smallest size is 2^16.
+def test_counting_builds_no_prime_table_above_the_cube_root(monkeypatch):
+    # The sieve takes its primes up to cut = (x+y)^(1/3) from the shared
+    # table and finds the larger ones, up to sqrt(x+y) = 1e8, from the
+    # cofactor side; at r = 3 the cut is (x+y)^(1/4), or 2^16 if higher.
     import pimshort.factor as factor_mod
 
     monkeypatch.setattr(factor_mod, "_prime_array", np.empty(0, dtype=np.int64))
@@ -253,13 +401,13 @@ def test_counting_builds_no_prime_table_above_the_fourth_root(monkeypatch):
     count_value(build_rule("plane"), 2, x, y)
     count_r_free(x, y, 2)
     count_r_free(x, y, 3)
-    assert factor_mod._prime_limit <= 1 << 17
+    assert factor_mod._prime_limit <= introot(x + y, 3)
     # A table that needs exact Python ints runs the same kernel.
     values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
     huge = load_custom_rule({"name": "huge", "r": 2, "values": values})
     count_value(huge, 10**25, x, y)
     value_counts(huge, x, y)
-    assert factor_mod._prime_limit <= 1 << 17
+    assert factor_mod._prime_limit <= introot(x + y, 3)
 
 
 def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
