@@ -9,15 +9,15 @@ exact Python ints otherwise; both run the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/3), or
-2^16 if higher, from the shared table.  Those with p^2 below the chunk
-length (all, if the cut is lower) are applied to every chunk with strided
-views; each multiple of a larger p^2 is filed into the bucket of its chunk
-(the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83,
-2014).  A prime p above the cut divides n = m p^2 only with m < (x+y)^(1/3),
-so its hits come from the cofactor side: for each m, the integer points p
-of a short interval (the hyperbola split of Filaseta and Trifonov, J.
-London Math. Soc. 45, 1992).  With several workers, each process takes one
-contiguous run of chunks.  Counts are exact integers.
+min(sqrt(x+y), 2^16) if higher, from the shared table.  Those with p^2
+below the chunk length are applied to every chunk with strided views;
+each multiple of a larger p^2 up to the cut is filed into the bucket of
+its chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math.
+Comp. 83, 2014).  A prime p above the cut divides n = m p^2 only with
+m < (x+y)^(1/3), so its hits come from the cofactor side: for each m, the
+integer points p of a short interval (the hyperbola split of Filaseta and
+Trifonov, J. London Math. Soc. 45, 1992).  With several workers, each
+process takes one contiguous run of chunks.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -58,42 +58,25 @@ def check_report_window(x: int, y: int) -> None:
         raise ValueError(f"interval_report requires 0 < Y < X, got X={x}, Y={y}")
 
 
-@dataclass
-class SieveSegment:
-    """Per-offset partial factorizations for the integers in (base, base+length].
+def sieve_segment(x: int, y: int) -> list[Factorization]:
+    """Squarefull part of each n in (x, x+y]: entry i holds (p, v_p(n)) for each p^2 | x+1+i.
 
-    `factors[i]` holds the primes p <= sqrt(base+length) dividing
-    base+1+i with their exact exponents; `cofactors[i]` is the unfactored
-    remainder, which is 1 or a prime above the sieving limit.
+    Each multiple of p^2, for p up to sqrt(x+y), is divided by p until its
+    exponent is found.  Primes dividing n once are left out: g(1) = 1 in
+    every validated rule, so f(n) and the r-full divisors of n are read
+    from the squarefull part alone.
     """
-
-    base: int
-    length: int
-    factors: list[Factorization]
-    cofactors: list[int]
-
-    def factorization_at(self, offset: int) -> Factorization:
-        fact = self.factors[offset]
-        c = self.cofactors[offset]
-        return fact + ((c, 1),) if c > 1 else fact
-
-
-def sieve_segment(x: int, y: int) -> SieveSegment:
-    """Factor every integer in (x, x+y] by sieving primes up to sqrt(x+y)."""
     _check_window(x, y)
     lists: list[list[tuple[int, int]]] = [[] for _ in range(y)]
-    remain = list(range(x + 1, x + y + 1))
     for p in primes_upto(isqrt(x + y)):
-        start = (x // p + 1) * p
-        for idx in range(start - x - 1, y, p):
-            m = remain[idx]
-            e = 0
+        p2 = p * p
+        for idx in range(-(x + 1) % p2, y, p2):
+            m, e = (x + 1 + idx) // p2, 2
             while m % p == 0:
                 m //= p
                 e += 1
-            remain[idx] = m
             lists[idx].append((p, e))
-    return SieveSegment(x, y, [tuple(f) for f in lists], remain)
+    return [tuple(f) for f in lists]
 
 
 @lru_cache(maxsize=None)
@@ -178,16 +161,17 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
 def _window_chunks(x: int, y: int, r: int):
     """Yield (n0, length, small primes, hit offsets, hit primes) per chunk of (x, x+y].
 
-    cut = max((x+y)^(1/(r+1)), root_r(chunk length), min(root_r(x+y), _CUT_FLOOR)),
-    since a prime in the table costs one remainder, less than walking its
-    cofactors.  The primes up to the cut with p^r below the chunk length form
-    the small list; each multiple of a larger p^r goes to its chunk.
+    cut = max((x+y)^(1/(r+1)), min(root_r(x+y), _CUT_FLOOR)), since a prime
+    in the table costs one remainder, less than walking its cofactors.  The
+    floor keeps every prime with p^r below the chunk length under the cut.
+    Those primes form the small list; each multiple of a larger p^r up to
+    the cut goes to its chunk.
     """
     span, end = min(y, DEFAULT_CHUNK), x + y
     small: list[int] = []
     pieces = [(np.empty(0, dtype=np.int64),) * 2]
     if r < end.bit_length():  # otherwise 2^r > x+y, and no p^r divides any n
-        cut = max(introot(end, r + 1), introot(span - 1, r), min(introot(end, r), _CUT_FLOOR))
+        cut = max(introot(end, r + 1), min(introot(end, r), _CUT_FLOOR))
         primes = _prime_view(cut)
         n_small = int(np.searchsorted(primes**r, span))
         small = primes[:n_small].tolist()
@@ -330,11 +314,7 @@ def rfull_multiples_sum(x: int, y: int, r: int, method: str = "rfull") -> int:
         n = n[np.searchsorted(n, 2 * y, "right"):np.searchsorted(n, 2 * x, "right")]
         return int(((x + y) // n - x // n).sum())
     if method == "divisors":
-        seg = sieve_segment(x, y)
-        return sum(
-            _count_rfull_divisors_above(seg.factorization_at(off), r, 2 * y)
-            for off in range(y)
-        )
+        return sum(_count_rfull_divisors_above(f, r, 2 * y) for f in sieve_segment(x, y))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -27,38 +27,19 @@ from oracles import (
     count_k_brute,
     count_r_free_brute,
     multiples_sum_brute,
-    trial_factorize,
     value_counts_brute,
 )
 
 
-def test_segment_small_matches_factorize():
-    seg = sieve_segment(100, 10)
-    assert (seg.base, seg.length) == (100, 10)
-    for off in range(10):
-        assert seg.factorization_at(off) == factorize(101 + off)
-    seg = sieve_segment(0, 10)
-    for off in range(10):
-        assert seg.factorization_at(off) == factorize(1 + off)
-
-
-def test_segment_cofactors_are_prime_or_one():
-    seg = sieve_segment(10**6, 200)
-    limit = 10**6 + 200
-    small = set(primes_upto(1001))
-    for off in range(200):
-        c = seg.cofactors[off]
-        assert c == 1 or (c * c > limit and trial_factorize(c) == ((c, 1),))
-
-
-def test_segment_recomposition_high_base():
-    seg = sieve_segment(10**10, 1000)
-    for off in range(1000):
-        n = seg.base + 1 + off
-        prod = seg.cofactors[off]
-        for p, e in seg.factors[off]:
-            prod *= p**e
-        assert prod == n
+def test_segment_is_the_squarefull_part():
+    # 9973 is the largest prime up to sqrt(x + y) in the last window.
+    n = 9973**2
+    for x, y in ((100, 10), (0, 10), (10**6, 200), (10**10, 1000), (n - 500, 1000)):
+        segment = sieve_segment(x, y)
+        assert len(segment) == y
+        for i, m in enumerate(range(x + 1, x + y + 1)):
+            assert segment[i] == tuple((p, e) for p, e in factorize(m) if e >= 2), m
+    assert segment[499] == ((9973, 2),)
 
 
 def test_segment_validation():
@@ -149,9 +130,8 @@ def test_large_primes_sharing_an_offset(monkeypatch):
 
 
 def _segment_profile(rule, x, y):
-    # f over (x, x+y] from the pure-Python factorization sieve.
-    seg = sieve_segment(x, y)
-    return Counter(eval_rule(rule, seg.factorization_at(off)) for off in range(y))
+    # f over (x, x+y] from the pure-Python sieve of each n's squarefull part.
+    return Counter(eval_rule(rule, f) for f in sieve_segment(x, y))
 
 
 def _check_kernel_against_segment(rule, x, y):
@@ -183,8 +163,7 @@ def test_two_large_prime_squares_in_a_later_chunk(monkeypatch):
     n = (37 * 41) ** 2
     x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
     abelian = build_rule("abelian")
-    seg = sieve_segment(x, y)
-    assert seg.factorization_at(n - x - 1) == ((37, 2), (41, 2))
+    assert sieve_segment(x, y)[n - x - 1] == ((37, 2), (41, 2))
     assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
 
 
@@ -209,22 +188,20 @@ def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
     x, y = 0, 51_000
-    assert max(introot(x + y, 3), introot(999, 2)) == 37
+    assert introot(x + y, 3) == 37
     assert len({(n - x - 1) // 1000 for n in range(41**2, y + 1, 41**2)}) >= 25
     for rule in builtin_rules():
         _check_kernel_against_segment(rule, x, y)
-    seg = sieve_segment(x, y)
+    segment = sieve_segment(x, y)
     for r in (2, 3):  # at r = 3 the cut is 15, and 17^3 ... 37^3 are walked
-        assert count_r_free(x, y, r) == sum(
-            all(e < r for _, e in seg.factorization_at(off)) for off in range(y)), r
+        assert count_r_free(x, y, r) == sum(all(e < r for _, e in f) for f in segment), r
 
 
-def test_primes_below_the_chunk_stay_strided(monkeypatch):
-    # The cut (x+y)^(1/3) = 144 is below sqrt(2^20) = 1024; the primes up to
-    # 1023 still take the strided path, and none of them goes to a bucket.
+def test_primes_below_the_chunk_stay_strided():
+    # The cut min(sqrt(x+y), 2^16) = 1732 is above sqrt(2^20) = 1024; the
+    # primes up to 1023 take the strided path, and none of them goes to a bucket.
     import pimshort.sieve as sieve_mod
 
-    monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
     chunks = list(sieve_mod._window_chunks(0, 3 * 10**6, 2))
     assert all(small == primes_upto(1023) for _, _, small, _, _ in chunks)
     hit_primes = np.concatenate([p for *_, p in chunks])
@@ -244,7 +221,7 @@ def test_prime_square_product_across_the_cut(monkeypatch, p):
     x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
     assert p <= introot(x + y, 3) < 2003
     abelian = build_rule("abelian")
-    assert sieve_segment(x, y).factorization_at(n - x - 1) == ((p, 2), (2003, 2))
+    assert sieve_segment(x, y)[n - x - 1] == ((p, 2), (2003, 2))
     assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
 
 
@@ -355,8 +332,7 @@ def test_count_r_free_cubes_across_chunk_boundaries(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     for x, y in ((10**7 + 1, 7000), (2**30 - 3333, 4321)):
-        seg = sieve_segment(x, y)
-        cube_free = sum(all(e < 3 for _, e in seg.factorization_at(off)) for off in range(y))
+        cube_free = sum(all(e < 3 for _, e in f) for f in sieve_segment(x, y))
         assert count_r_free(x, y, 3) == cube_free, (x, y)
 
 
@@ -537,8 +513,9 @@ def test_multiples_sum_matches_brute_randomized():
 
 
 def test_multiples_sum_paths_agree_medium():
-    for x, y, r in ((10**4, 10**2, 2), (10**4, 10**2, 3), (10**6, 10**3, 2)):
+    for x, y, r in ((10**4, 10**2, 2), (10**4, 10**2, 3), (10**6, 10**3, 2), (10**5, 10**3, 4)):
         assert rfull_multiples_sum(x, y, r, "rfull") == rfull_multiples_sum(x, y, r, "divisors")
+    assert rfull_multiples_sum(10**5, 10**3, 4) == 4
 
 
 def test_multiples_sum_validation():
