@@ -31,14 +31,44 @@ from oracles import (
 )
 
 
+def _squarefull_part(m):
+    return tuple((p, e) for p, e in factorize(m) if e >= 2)
+
+
+def test_segment_small_matches_factorize():
+    for x, y in ((100, 10), (0, 10)):
+        segment = sieve_segment(x, y)
+        assert len(segment) == y
+        for i in range(y):
+            assert segment[i] == _squarefull_part(x + 1 + i), x + 1 + i
+
+
+def test_segment_recomposition_high_base():
+    # n is its squarefull part times a squarefree rest coprime to it.
+    x, y = 10**10, 1000
+    segment = sieve_segment(x, y)
+    assert len(segment) == y
+    for i, f in enumerate(segment):
+        n = x + 1 + i
+        part = 1
+        for p, e in f:
+            assert e >= 2
+            part *= p**e
+        assert n % part == 0
+        rest = n // part
+        assert all(rest % p for p, _ in f)
+        assert all(e == 1 for _, e in factorize(rest))
+        assert f == _squarefull_part(n)
+
+
 def test_segment_is_the_squarefull_part():
     # 9973 is the largest prime up to sqrt(x + y) in the last window.
     n = 9973**2
-    for x, y in ((100, 10), (0, 10), (10**6, 200), (10**10, 1000), (n - 500, 1000)):
+    for x, y in ((10**6, 200), (n - 500, 1000)):
         segment = sieve_segment(x, y)
         assert len(segment) == y
         for i, m in enumerate(range(x + 1, x + y + 1)):
-            assert segment[i] == tuple((p, e) for p, e in factorize(m) if e >= 2), m
+            assert segment[i] == _squarefull_part(m), m
     assert segment[499] == ((9973, 2),)
 
 
