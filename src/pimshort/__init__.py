@@ -3,8 +3,6 @@
 from .bounds import BoundBreakdown, bound_breakdown, zeta
 from .density import (
     DensityResult,
-    RFullDecomposition,
-    decompose_rfull,
     enumerate_rfull,
     local_density,
     weight_harmonic_sum,

@@ -17,7 +17,13 @@ from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .density import DEFAULT_BOUND, enumerate_rfull, local_density, rfull_count_bound
+from .density import (
+    DEFAULT_BOUND,
+    check_series_args,
+    enumerate_rfull,
+    local_density,
+    rfull_count_bound,
+)
 from .factor import MAX_N
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
 from .sieve import IntervalReport, check_report_window, interval_report
@@ -141,8 +147,9 @@ def cmd_density(args) -> int:
 
 
 def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
-    """Check every window (x, y) before any work, sum the series once, report each window."""
+    """Check k, --B and every (x, y) before any output, sum the series once, report each window."""
     rule = resolve_rule(args.rule)
+    check_series_args(args.k, args.bound)
     check_bound(rule, args.bound)
     for y in ys:
         check_window(y)

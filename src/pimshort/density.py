@@ -34,7 +34,6 @@ from .factor import (
     eval_rule,
     factorize,
     introot,
-    is_r_full,
     primes_upto,
     rfull_weights_up_to,
 )
@@ -115,10 +114,13 @@ def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
 def rfull_count_bound(r: int, limit: int) -> float:
     """An upper bound on the number of r-full n <= limit, without enumerating them.
 
-    Each r-full n is a0^r * a1^(r+1) * ... * a_{r-1}^(2r-1) for one tuple
-    (see RFullDecomposition), so counting every tuple bounds the count.
-    The tuples (a2, ..., a_{r-1}) are walked; for each, a0 is counted by its
-    r-th root and a1 <= A by the integral test,
+    Every r-full n is a0^r * a1^(r+1) * ... * a_{r-1}^(2r-1) for at least
+    one tuple of positive integers: write each exponent as alpha = r*q + s
+    with 0 <= s < r, and put p^q into a0 when s = 0, or p into a_s and
+    p^(q-1) into a0 when s >= 1.  So the number of tuples with that value
+    at most limit bounds the count from above.  The tuples (a2, ..., a_{r-1})
+    are walked; for each, a0 is counted by its r-th root and a1 <= A by the
+    integral test,
     sum (rest / a1^(r+1))^(1/r) <= rest^(1/r) (1 + r (1 - A^(-1/r))).
     Works in logarithms, so any r and limit are fine.
     """
@@ -143,40 +145,6 @@ def rfull_count_bound(r: int, limit: int) -> float:
     return walk(r - 1, log(limit))
 
 
-@dataclass(frozen=True)
-class RFullDecomposition:
-    """n = parts[0]^r * parts[1]^(r+1) * ... * parts[r-1]^(2r-1).
-
-    parts[1..r-1] have squarefree product and are pairwise coprime; this
-    pins the decomposition uniquely.
-    """
-
-    r: int
-    parts: tuple[int, ...]
-
-
-def decompose_rfull(fact: Factorization, r: int) -> RFullDecomposition:
-    """Split an r-full factorization into the unique power decomposition.
-
-    A prime with exponent alpha = r*q + s goes into parts[s] once when
-    s >= 1 (with p^(q-1) left for parts[0]) and contributes p^q to parts[0]
-    when s = 0; the round-trip identity then holds by construction.
-    """
-    if r < 2:
-        raise ValueError(f"decompose_rfull requires r >= 2, got {r}")
-    if not is_r_full(fact, r):
-        raise ValueError("decompose_rfull requires an r-full factorization")
-    parts = [1] * r
-    for p, alpha in fact:
-        q, s = divmod(alpha, r)
-        if s == 0:
-            parts[0] *= p**q
-        else:
-            parts[0] *= p ** (q - 1)
-            parts[s] *= p
-    return RFullDecomposition(r, tuple(parts))
-
-
 def tail_geometric_factor(r: int) -> float:
     """Geometric-series factor applied to the first out-of-range block."""
     return 1.0 / (1.0 - 2.0 ** (1.0 / r - 1.0))
@@ -199,7 +167,8 @@ class DensityResult:
         return {("B" if key == "bound" else key): v for key, v in asdict(self).items()}
 
 
-def _check_series_args(k: int, bound: int) -> None:
+def check_series_args(k: int, bound: int) -> None:
+    """Refuse a k below 1 or a truncation bound outside [1, 2^63) with ValueError."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if not 1 <= bound < MAX_N:
@@ -235,13 +204,13 @@ def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND) -> Den
 
     An unattained k yields density 0 (never an error).
     """
-    _check_series_args(k, bound)
+    check_series_args(k, bound)
     return _densities(rule, bound, range(k, k + 1))[k]
 
 
 def density_profile(rule: ExponentRule, bound: int, k_max: int) -> dict[int, DensityResult]:
     """local_density for every k <= k_max in a single enumeration pass."""
-    _check_series_args(k_max, bound)
+    check_series_args(k_max, bound)
     return _densities(rule, bound, range(1, k_max + 1))
 
 
@@ -265,7 +234,7 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
 def weight_harmonic_profile(rule: ExponentRule, bound: int,
                             k_max: int) -> dict[int, tuple[float, float]]:
     """(harmonic sum, tail estimate) for every k <= k_max, h evaluated once per pattern."""
-    _check_series_args(k_max, bound)
+    check_series_args(k_max, bound)
     top = min((1 << rule.r) * bound, MAX_N - 1)
     facts, n, _, pattern = _table(rule.r, top)
     i, j = np.searchsorted(n, [bound, top], "right").tolist()

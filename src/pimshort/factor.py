@@ -174,13 +174,6 @@ def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
     return out
 
 
-def is_r_full(fact: Factorization, r: int) -> int:
-    """1 if every exponent is >= r (vacuously true for n = 1), else 0."""
-    if r < 2:
-        raise ValueError("is_r_full requires r >= 2")
-    return int(all(a >= r for _, a in fact))
-
-
 def _inverse_at_exponent(alpha: int, r: int) -> int:
     # Dirichlet inverse of the r-free indicator at p^alpha.
     rem = alpha % r

@@ -168,20 +168,17 @@ def builtin_rules() -> tuple[ExponentRule, ...]:
     return tuple(build_rule(name) for name in FAMILY_NAMES)
 
 
-def load_custom_rule(source) -> ExponentRule:
-    """Build a rule from a JSON document with fields "name", "r", "values".
+def load_custom_rule(source: str) -> ExponentRule:
+    """Build a rule from the text of a JSON document with fields "name", "r", "values".
 
     The declared r must equal the smallest alpha with g(alpha) > 1 and the
     values array must satisfy every table invariant; violations raise
     RuleError naming the offending entry.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise RuleError(f"custom rule is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise RuleError(f"custom rule is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RuleError("custom rule document must be a JSON object")
     for field in ("name", "r", "values"):
@@ -194,6 +191,6 @@ def load_custom_rule(source) -> ExponentRule:
     if not isinstance(r, int) or isinstance(r, bool):
         raise RuleError("custom rule field 'r' must be an integer")
     values = doc["values"]
-    if not isinstance(values, (list, tuple)):
+    if not isinstance(values, list):
         raise RuleError("custom rule field 'values' must be an array of integers")
     return _validated_rule(name, values, declared_r=r)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
-from math import log, sqrt
+from math import log, prod, sqrt
 
 from .bounds import bound_breakdown, interval_error_bound, zeta
 from .density import (
@@ -86,13 +86,6 @@ def checks_convolution() -> list[Check]:
     limit, k_max = 10_000, 10
     out = []
     facts = [()] + [factorize(n) for n in range(1, limit + 1)]
-    facts[0] = None  # index 0 unused
-    taus = [0] * (limit + 1)
-    for n in range(1, limit + 1):
-        t = 1
-        for _, a in facts[n]:
-            t *= a + 1
-        taus[n] = t
     divisors: list[list[int]] = [[] for _ in range(limit + 1)]
     for d in range(1, limit + 1):
         for m in range(d, limit + 1, d):
@@ -100,53 +93,34 @@ def checks_convolution() -> list[Check]:
 
     for rule in builtin_rules():
         r = rule.r
-        rfree = [False] * (limit + 1)
-        for n in range(1, limit + 1):
-            rfree[n] = all(a < r for _, a in facts[n])
-        weights = [None] * (limit + 1)
-        for n in range(1, limit + 1):
-            weights[n] = rfull_weights_up_to(rule, facts[n], k_max)
+        rfree = [all(a < r for _, a in fact) for fact in facts]
+        weights = [rfull_weights_up_to(rule, fact, k_max) for fact in facts]
 
-        support_bad = sum(
-            1
-            for n in range(2, limit + 1)
-            if any(a < r for _, a in facts[n]) and weights[n]
-        )
+        support_bad = sum(1 for n in range(2, limit + 1)
+                          if any(a < r for _, a in facts[n]) and weights[n])
         out.append(Check(f"{rule.name}-support-off-rfull", support_bad == 0, support_bad, 0))
 
-        bound_bad = sum(
-            1
-            for n in range(1, limit + 1)
-            if any(abs(h) > taus[n] for h in weights[n].values())
-        )
+        bound_bad = sum(1 for n in range(1, limit + 1) if any(
+            abs(h) > prod(a + 1 for _, a in facts[n]) for h in weights[n].values()))
         out.append(Check(f"{rule.name}-weight-bound-tau", bound_bad == 0, bound_bad, 0))
 
-        unit_bad = 0
-        if weights[1].get(1) != 1:
-            unit_bad += 1
-        unit_bad += sum(1 for n in range(2, limit + 1) if weights[n].get(1, 0) != 0)
+        unit_bad = sum(weights[n].get(1, 0) != (n == 1) for n in range(1, limit + 1))
         out.append(Check(f"{rule.name}-unit-case", unit_bad == 0, unit_bad, 0))
 
-        vanish_bad = 0
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            for alpha in range(1, r):
-                if rfull_weights_up_to(rule, ((p, alpha),), k_max):
-                    vanish_bad += 1
+        vanish_bad = sum(1 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+                         for alpha in range(1, r)
+                         if rfull_weights_up_to(rule, ((p, alpha),), k_max))
         out.append(Check(f"{rule.name}-prime-power-vanishing", vanish_bad == 0, vanish_bad, 0))
 
         conv_bad = 0
         for n in range(1, limit + 1):
             acc: dict[int, int] = {}
             for d in divisors[n]:
-                if not rfree[d]:
-                    continue
-                for k, h in weights[n // d].items():
-                    acc[k] = acc.get(k, 0) + h
+                if rfree[d]:
+                    for k, h in weights[n // d].items():
+                        acc[k] = acc.get(k, 0) + h
             fn = eval_rule(rule, facts[n])
-            for k in range(1, k_max + 1):
-                expect = 1 if fn == k else 0
-                if acc.get(k, 0) != expect:
-                    conv_bad += 1
+            conv_bad += sum(acc.get(k, 0) != (fn == k) for k in range(1, k_max + 1))
         out.append(Check(f"{rule.name}-reconvolution-identity", conv_bad == 0, conv_bad, 0))
     return out
 

@@ -64,11 +64,31 @@ def value_of(fact) -> int:
     return n
 
 
-def decomposition_value(d) -> int:
-    """parts[0]^r * parts[1]^(r+1) * ... of an RFullDecomposition."""
+def rfull_decomposition(fact, r: int) -> tuple[int, ...]:
+    """The unique parts of an r-full n = parts[0]^r * parts[1]^(r+1) * ... * parts[r-1]^(2r-1).
+
+    parts[1..r-1] are squarefree and pairwise coprime (Ivic and Shiu, 1982).
+    A prime with exponent alpha = r*q + s goes into parts[s] once when
+    s >= 1, with p^(q-1) left for parts[0], and contributes p^q to parts[0]
+    when s = 0.
+    """
+    assert r >= 2 and all(a >= r for _, a in fact), (fact, r)
+    parts = [1] * r
+    for p, alpha in fact:
+        q, s = divmod(alpha, r)
+        if s == 0:
+            parts[0] *= p**q
+        else:
+            parts[0] *= p ** (q - 1)
+            parts[s] *= p
+    return tuple(parts)
+
+
+def decomposition_value(parts) -> int:
+    """parts[0]^r * parts[1]^(r+1) * ... for the r = len(parts) of rfull_decomposition."""
     n = 1
-    for j, a in enumerate(d.parts):
-        n *= a ** (d.r + j)
+    for j, a in enumerate(parts):
+        n *= a ** (len(parts) + j)
     return n
 
 

@@ -10,7 +10,6 @@ from math import gcd, log, sqrt
 
 from pimshort.bounds import interval_error_bound, zeta
 from pimshort.density import (
-    decompose_rfull,
     density_profile,
     local_density,
     rfull_factorizations,
@@ -37,6 +36,7 @@ from oracles import (
     decomposition_value,
     multiples_sum_brute,
     prime_power_weight_sum,
+    rfull_decomposition,
     rfull_flags,
 )
 
@@ -221,18 +221,18 @@ def test_criterion_10_enumeration_oracles():
     roundtrip_bad = 0
     for r in (2, 3):
         for n, fact in rfull_factorizations(r, limit):
-            d = decompose_rfull(fact, r)
-            if decomposition_value(d) != n:
+            parts = rfull_decomposition(fact, r)
+            if decomposition_value(parts) != n:
                 roundtrip_bad += 1
                 continue
             square_part = 1
-            for a in d.parts[1:]:
+            for a in parts[1:]:
                 square_part *= a
             if any(e != 1 for _, e in factorize(square_part)):
                 roundtrip_bad += 1
             for i in range(1, r):
                 for j in range(i + 1, r):
-                    if gcd(d.parts[i], d.parts[j]) != 1:
+                    if gcd(parts[i], parts[j]) != 1:
                         roundtrip_bad += 1
     ok = ok and roundtrip_bad == 0
     report(10, "enumeration-oracles", ok, f"roundtrip violations: {roundtrip_bad}")

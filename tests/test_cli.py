@@ -202,6 +202,19 @@ def test_table_bad_pair_exits_2_before_any_output(monkeypatch, capsys):
         assert message in err
 
 
+def test_table_k_below_one_exits_2_before_any_output(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "local_density", _no_work)
+    for grid in ((), ("--x", "1e6", "--y", "10")):
+        for k in ("0", "-1"):
+            code, out, err = run_cli(capsys, "table", "--rule", "abelian", "--k", k, *grid)
+            assert code == 2 and out == "", (k, grid)
+            assert err == f"error: k must be a positive integer, got {k}\n", (k, grid)
+        code, out, err = run_cli(capsys, "table", "--rule", "abelian", "--k", "1", "--B", "0",
+                                 *grid)
+        assert code == 2 and out == "", grid
+        assert "truncation bound" in err and "-1/126" not in err, grid
+
+
 def test_workers_below_one_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "local_density", _no_work)
     monkeypatch.setattr(cli, "run_suite", _no_work)

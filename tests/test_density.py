@@ -10,7 +10,6 @@ import pytest
 from pimshort import density
 from pimshort.bounds import zeta
 from pimshort.density import (
-    decompose_rfull,
     density_profile,
     enumerate_rfull,
     local_density,
@@ -23,10 +22,10 @@ from pimshort.density import (
     weight_harmonic_tail,
     weight_partial_sum,
 )
-from pimshort.factor import eval_rule, factorize, is_r_full, rfull_weights_up_to
+from pimshort.factor import eval_rule, factorize, rfull_weights_up_to
 from pimshort.rules import build_rule, builtin_rules, load_custom_rule
 
-from oracles import decomposition_value, h_brute, rfull_flags, trial_factorize
+from oracles import decomposition_value, h_brute, rfull_decomposition, rfull_flags, trial_factorize
 
 
 def test_rfull_count_bound_is_an_upper_bound():
@@ -92,36 +91,30 @@ def test_table_groups_partition_by_pattern_with_exact_psi(r):
 
 
 def test_decompose_examples():
-    d = decompose_rfull(factorize(72), 2)
-    assert d.parts == (3, 2)
-    assert decomposition_value(d) == 72
-    d = decompose_rfull(factorize(7**2), 2)
-    assert d.parts == (7, 1)
-    d = decompose_rfull(factorize(5**5), 3)  # alpha = 2r - 1 forces the last slot
-    assert d.parts == (1, 1, 5)
-    assert decomposition_value(d) == 5**5
-
-
-def test_decompose_requires_rfull():
-    with pytest.raises(ValueError):
-        decompose_rfull(factorize(12), 2)
+    parts = rfull_decomposition(factorize(72), 2)
+    assert parts == (3, 2)
+    assert decomposition_value(parts) == 72
+    assert rfull_decomposition(factorize(7**2), 2) == (7, 1)
+    parts = rfull_decomposition(factorize(5**5), 3)  # alpha = 2r - 1 forces the last slot
+    assert parts == (1, 1, 5)
+    assert decomposition_value(parts) == 5**5
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_decompose_roundtrip_and_invariants(r):
     for n, fact in rfull_factorizations(r, 10**5):
-        d = decompose_rfull(fact, r)
-        assert decomposition_value(d) == n
+        parts = rfull_decomposition(fact, r)
+        assert decomposition_value(parts) == n
         squarefree_part = 1
-        for a in d.parts[1:]:
+        for a in parts[1:]:
             squarefree_part *= a
-        assert is_r_full(factorize(n), r)
+        assert all(a >= r for _, a in factorize(n))
         # product of parts[1:] squarefree
         assert all(e == 1 for _, e in factorize(squarefree_part))
         # pairwise coprime
         for i in range(1, r):
             for j in range(i + 1, r):
-                assert gcd(d.parts[i], d.parts[j]) == 1
+                assert gcd(parts[i], parts[j]) == 1
 
 
 def test_dedekind_psi_values():

@@ -11,7 +11,6 @@ from pimshort.factor import (
     eval_rule,
     factorize,
     introot,
-    is_r_full,
     primes_upto,
     rfull_weights_up_to,
 )
@@ -106,11 +105,11 @@ def test_eval_rule():
 
 def test_r_free_and_r_full():
     assert count_r_free(11, 1, 2) == 0  # 12
-    assert is_r_full(factorize(72), 2) == 1
+    assert all(a >= 2 for _, a in factorize(72))
     assert count_r_free(0, 1, 2) == 1  # 1
-    assert is_r_full((), 2) == 1
+    assert all(a >= 2 for _, a in factorize(1))  # vacuously: 1 is r-full
     assert count_r_free(29, 1, 2) == 1  # 30
-    assert is_r_full(factorize(30), 2) == 0
+    assert not all(a >= 2 for _, a in factorize(30))
     with pytest.raises(ValueError):
         count_r_free(0, 1, 1)
 
@@ -176,7 +175,7 @@ def test_rfull_weights_support_and_bound_small():
         for n in range(2, 1000):
             fact = factorize(n)
             weights = rfull_weights_up_to(rule, fact, 10)
-            if not is_r_full(fact, rule.r):
+            if not all(a >= rule.r for _, a in fact):
                 assert weights == {}
             else:
                 tau = 1

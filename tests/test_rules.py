@@ -120,39 +120,35 @@ def test_load_custom_rule_roundtrip():
     assert rule.alpha_max == ALPHA_MAX
 
 
-def test_load_custom_rule_accepts_mapping():
-    assert load_custom_rule(_custom_doc()).r == 2
-
-
 def test_custom_rule_g1_violation_names_alpha():
     doc = _custom_doc(values=[1, 2] + [2] * (ALPHA_MAX - 1))
     with pytest.raises(RuleError, match=r"g\(1\)"):
-        load_custom_rule(doc)
+        load_custom_rule(json.dumps(doc))
 
 
 def test_custom_rule_declared_r_mismatch():
     doc = _custom_doc(r=3)
     with pytest.raises(RuleError, match="declared r = 3"):
-        load_custom_rule(doc)
+        load_custom_rule(json.dumps(doc))
 
 
 def test_custom_rule_dip_below_threshold_rejected():
     values = [1, 1] + [2] * (ALPHA_MAX - 1)
     values[10] = 1
     with pytest.raises(RuleError, match=r"g\(10\)"):
-        load_custom_rule(_custom_doc(values=values))
+        load_custom_rule(json.dumps(_custom_doc(values=values)))
 
 
 def test_custom_rule_table_too_short():
     with pytest.raises(RuleError, match="length"):
-        load_custom_rule(_custom_doc(values=[1, 1, 2, 2]))
+        load_custom_rule(json.dumps(_custom_doc(values=[1, 1, 2, 2])))
 
 
 def test_custom_rule_nonpositive_value():
     values = [1, 1] + [2] * (ALPHA_MAX - 1)
     values[7] = 0
     with pytest.raises(RuleError, match=r"g\(7\)"):
-        load_custom_rule(_custom_doc(values=values))
+        load_custom_rule(json.dumps(_custom_doc(values=values)))
 
 
 # Each entry would pass as int(entry): 2, 3 and g(1) = 1.
@@ -168,7 +164,7 @@ def test_custom_rule_missing_field():
     doc = _custom_doc()
     del doc["values"]
     with pytest.raises(RuleError, match="values"):
-        load_custom_rule(doc)
+        load_custom_rule(json.dumps(doc))
 
 
 def test_custom_rule_bad_json():

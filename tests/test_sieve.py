@@ -201,7 +201,7 @@ def test_object_rule_over_many_chunks(monkeypatch):
     import pimshort.sieve as sieve_mod
 
     with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
-        huge = load_custom_rule(json.load(fh))
+        huge = load_custom_rule(fh.read())
     assert sieve_mod._value_dtype(huge) is object
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     x, y = 2**40 - 2750, 5500  # six chunks, the last one short
@@ -268,7 +268,7 @@ def test_window_ending_at_2_63_for_every_rule(monkeypatch):
     x = MAX_N - 1 - y
     facts = _factorized_window(x, y)
     with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
-        huge = load_custom_rule(json.load(fh))
+        huge = load_custom_rule(fh.read())
     for rule in (*builtin_rules(), huge):
         expected = Counter(eval_rule(rule, f) for f in facts)
         assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
@@ -410,7 +410,7 @@ def test_counting_builds_no_prime_table_above_the_cube_root(monkeypatch):
     assert factor_mod._prime_limit <= introot(x + y, 3)
     # A table that needs exact Python ints runs the same kernel.
     values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
-    huge = load_custom_rule({"name": "huge", "r": 2, "values": values})
+    huge = load_custom_rule(json.dumps({"name": "huge", "r": 2, "values": values}))
     count_value(huge, 10**25, x, y)
     value_counts(huge, x, y)
     assert factor_mod._prime_limit <= introot(x + y, 3)
@@ -458,7 +458,7 @@ def test_slow_path_for_non_int64_safe_rule():
     # A custom table with a huge value makes f exceed int64, so the kernel
     # multiplies exact Python ints.
     values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
-    rule = load_custom_rule({"name": "huge", "r": 2, "values": values})
+    rule = load_custom_rule(json.dumps({"name": "huge", "r": 2, "values": values}))
     x, y = 1000, 300
     assert count_value(rule, 10**25, x, y) == count_k_brute(rule, 10**25, x, y)
     assert count_value(rule, 1, x, y) == count_r_free(x, y, 2)
@@ -474,7 +474,7 @@ def test_rule_above_2_pow_alpha_only_at_a_high_exponent():
     # 2^40 * m, the one place where that entry is used.
     values = list(build_rule("abelian").values)
     values[40] = 1 << 41
-    rule = load_custom_rule({"name": "abelian-g40", "r": 2, "values": values})
+    rule = load_custom_rule(json.dumps({"name": "abelian-g40", "r": 2, "values": values}))
     for m in (1, 3):
         x, y = (m << 40) - 8, 16
         profile = value_counts(rule, x, y)
