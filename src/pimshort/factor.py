@@ -21,12 +21,11 @@ Factorization = tuple[tuple[int, int], ...]
 MAX_N = 2**63
 
 _prime_array = np.empty(0, dtype=np.int64)
-_prime_list: list[int] = []
 _prime_limit = 1
 
 
 def _extend_primes(limit: int) -> None:
-    global _prime_array, _prime_list, _prime_limit
+    global _prime_array, _prime_limit
     if limit <= _prime_limit:
         return
     limit = max(limit, 2 * _prime_limit, 1 << 16)
@@ -36,7 +35,6 @@ def _extend_primes(limit: int) -> None:
         if sieve[p]:
             sieve[p * p :: p] = False
     _prime_array = np.nonzero(sieve)[0].astype(np.int64)
-    _prime_list = _prime_array.tolist()
     _prime_limit = limit
 
 
@@ -46,13 +44,14 @@ def primes_upto(limit: int) -> list[int]:
         return []
     _extend_primes(limit)
     hi = int(np.searchsorted(_prime_array, limit, side="right"))
-    return _prime_list[:hi]
+    return _prime_array[:hi].tolist()
 
 
 def _prime_view(limit: int) -> np.ndarray:
     # primes_upto(limit) as an int64 view of the shared table, not a copy.
-    n = len(primes_upto(limit))  # grows the table first
-    return _prime_array[:n]
+    if limit > _prime_limit:
+        primes_upto(limit)  # grows the table
+    return _prime_array[: np.searchsorted(_prime_array, limit, "right")]
 
 
 def introot(n: int, r: int) -> int:

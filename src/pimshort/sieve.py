@@ -112,11 +112,9 @@ def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     # The first offset is -n0 mod q, taken on int64 without forming n0 + q.
     first = np.remainder(-n0, q)
     i = np.flatnonzero(first < y)
-    if q.size and q[0] < y:  # some q has several multiples in the window
-        j, step = _ranges((y - 1 - first[i]) // q[i] + 1)
-        i = i[j]
-        return i, first[i] + step * q[i]
-    return i, first[i]
+    j, step = _ranges((y - 1 - first[i]) // q[i] + 1)
+    i = i[j]
+    return i, first[i] + step * q[i]
 
 
 def _iroot(v: np.ndarray, r: int) -> np.ndarray:
@@ -179,9 +177,6 @@ def _window_chunks(x: int, y: int, r: int):
         pieces.append((off, primes[n_small:][i]))
         pieces += _large_prime_hits(x, y, r, cut, primes)
     off, p = (np.concatenate(a) for a in zip(*pieces))
-    if span == y:  # one chunk holds every hit: no sort, no buckets
-        yield x + 1, y, small, off, p
-        return
     order = np.argsort(off)
     off, p = off[order], p[order]
     edges = np.searchsorted(off, range(0, y + span, span)).tolist()
@@ -234,23 +229,20 @@ def _profile_task(task) -> Counter:
     return profile
 
 
-def _parts(x: int, y: int, workers: int) -> list[tuple[int, int]]:
-    # One contiguous run of whole chunks per worker process.
+def _map_parts(worker, head: tuple, x: int, y: int, workers: int) -> list:
+    # worker(head + (x', y')) over one contiguous run of whole chunks per
+    # process, with min(workers, chunks, CPUs) processes and no pool for one.
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks = -(-y // DEFAULT_CHUNK)
     n = min(workers, chunks)
     n = min(n, os.cpu_count() or 1) if n > 1 else 1
     edges = [i * chunks // n * DEFAULT_CHUNK for i in range(n)] + [y]
-    return [(x + a, b - a) for a, b in zip(edges, edges[1:])]
-
-
-def _run_tasks(tasks, worker, workers: int):
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(worker, tasks)
-    return [worker(t) for t in tasks]
+    tasks = [head + (x + a, b - a) for a, b in zip(edges, edges[1:])]
+    if n == 1:
+        return [worker(t) for t in tasks]
+    with multiprocessing.Pool(n) as pool:
+        return pool.map(worker, tasks)
 
 
 def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) -> int:
@@ -262,15 +254,13 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
     _check_window(x, y)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    tasks = [(rule, k, px, py) for px, py in _parts(x, y, workers)]
-    return sum(_run_tasks(tasks, _count_task, workers))
+    return sum(_map_parts(_count_task, (rule, k), x, y, workers))
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
     """Counts of every f value attained in (x, x+y], keyed by value."""
     _check_window(x, y)
-    tasks = [(rule, px, py) for px, py in _parts(x, y, workers)]
-    return dict(sorted(sum(_run_tasks(tasks, _profile_task, workers), Counter()).items()))
+    return dict(sorted(sum(_map_parts(_profile_task, (rule,), x, y, workers), Counter()).items()))
 
 
 def count_r_free(x: int, y: int, r: int) -> int:
@@ -288,34 +278,18 @@ def count_r_free(x: int, y: int, r: int) -> int:
     return total
 
 
-def _count_rfull_divisors_above(fact: Factorization, r: int, lower: int) -> int:
-    # Count divisors d > lower of n whose every prime exponent is >= r;
-    # only primes with exponent >= r in n can appear in such a d.
-    divisors = [1]
-    for p, a in fact:
-        if a >= r:
-            divisors += [d * p**b for d in divisors for b in range(r, a + 1)]
-    return sum(d > lower for d in divisors)
-
-
-def rfull_multiples_sum(x: int, y: int, r: int, method: str = "rfull") -> int:
+def rfull_multiples_sum(x: int, y: int, r: int) -> int:
     """Sum over r-full n in (2Y, 2X] of the count of multiples of n in (X, X+Y].
 
-    Two independent evaluation paths: "rfull" enumerates the r-full n and
-    sums floor differences; "divisors" counts, for each m in (X, X+Y], its
-    r-full divisors above 2Y.  Both are exact and must agree.
+    Exact: the r-full n come from the flat table, one floor difference each.
     """
     if not 0 < y < x or 2 * x >= MAX_N:
         raise ValueError(f"rfull_multiples_sum requires 0 < Y < X and 2X < 2**63, got X={x}, Y={y}")
     if r < 2:
         raise ValueError(f"rfull_multiples_sum requires r >= 2, got {r}")
-    if method == "rfull":
-        _, n, _, _ = _table(r, 2 * x)
-        n = n[np.searchsorted(n, 2 * y, "right"):np.searchsorted(n, 2 * x, "right")]
-        return int(((x + y) // n - x // n).sum())
-    if method == "divisors":
-        return sum(_count_rfull_divisors_above(f, r, 2 * y) for f in sieve_segment(x, y))
-    raise ValueError(f"unknown method {method!r}")
+    _, n, _, _ = _table(r, 2 * x)
+    n = n[np.searchsorted(n, 2 * y, "right"):np.searchsorted(n, 2 * x, "right")]
+    return int(((x + y) // n - x // n).sum())
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def _collapse_rules() -> tuple[ExponentRule, ...]:
     return builtin_rules() + (build_rule("powerdiv-r:2"), build_rule("powerdiv-r:3"))
 
 
-def checks_k1_collapse(seed: int = 0, workers: int = 1) -> list[Check]:
+def checks_k1_collapse(seed: int = 0) -> list[Check]:
     """k = 1 density equals 1/zeta(r) and k = 1 counts equal r-free counts."""
     segments = 50
     out = []
@@ -148,18 +148,16 @@ def checks_k1_collapse(seed: int = 0, workers: int = 1) -> list[Check]:
         for rule in _collapse_rules():
             if rule.r not in free_counts:
                 free_counts[rule.r] = count_r_free(x, y, rule.r)
-            if count_value(rule, 1, x, y, workers=workers) != free_counts[rule.r]:
+            if count_value(rule, 1, x, y) != free_counts[rule.r]:
                 bad += 1
     out.append(Check("k1-count-equals-r-free", bad == 0, bad, 0,
                      note=f"{segments} seeded windows, all rules"))
     return out
 
 
-def checks_density_oracle(workers: int = 1) -> list[Check]:
-    """Truncated densities vs the direct long-range sieve count."""
-    abelian = build_rule("abelian")
-    prof = density_profile(abelian, DEFAULT_BOUND, 5)
-    counts = value_counts(abelian, 0, ORACLE_LIMIT, workers=workers)
+def checks_density_oracle(counts: dict[int, int]) -> list[Check]:
+    """Truncated densities vs counts = value_counts(abelian, 0, ORACLE_LIMIT)."""
+    prof = density_profile(build_rule("abelian"), DEFAULT_BOUND, 5)
     out = []
     for k in range(1, 6):
         observed = abs(prof[k].density - counts.get(k, 0) / ORACLE_LIMIT)
@@ -188,7 +186,7 @@ def checks_density_paths() -> list[Check]:
     return out
 
 
-def checks_density_extras(workers: int = 1) -> list[Check]:
+def checks_density_extras(counts: dict[int, int]) -> list[Check]:
     out = []
     plane = build_rule("plane")
     res = local_density(plane, 2, DEFAULT_BOUND)
@@ -199,9 +197,7 @@ def checks_density_extras(workers: int = 1) -> list[Check]:
     # direct count over [1, ORACLE_LIMIT] confirms the residual, and the
     # 0.999 level is reached by K = 100 (the direct count puts the K = 50
     # mass at ~0.9987, so the threshold genuinely needs the larger K).
-    abelian = build_rule("abelian")
-    prof = density_profile(abelian, DEFAULT_BOUND, 100)
-    counts = value_counts(abelian, 0, ORACLE_LIMIT, workers=workers)
+    prof = density_profile(build_rule("abelian"), DEFAULT_BOUND, 100)
     masses = {}
     worst_gap = 0.0
     for cap in (10, 25, 50, 100):
@@ -259,6 +255,19 @@ def checks_r_free_interval() -> list[Check]:
     return out
 
 
+def _multiples_sum_by_divisors(x: int, y: int, r: int) -> int:
+    # rfull_multiples_sum counted per m in (X, X+Y]: its r-full divisors
+    # above 2Y, built from the primes with exponent >= r in m.
+    total = 0
+    for fact in sieve_segment(x, y):
+        divisors = [1]
+        for p, a in fact:
+            if a >= r:
+                divisors += [d * p**b for d in divisors for b in range(r, a + 1)]
+        total += sum(d > 2 * y for d in divisors)
+    return total
+
+
 def checks_multiples_sum() -> list[Check]:
     out = []
     value = rfull_multiples_sum(100, 10, 2)
@@ -267,13 +276,13 @@ def checks_multiples_sum() -> list[Check]:
                      note="brute-force contributors 27, 36, 108"))
     for r in (2, 3):
         for x, y in ((10**4, 10**2), (10**6, 10**3), (10**8, 10**4)):
-            a = rfull_multiples_sum(x, y, r, "rfull")
-            b = rfull_multiples_sum(x, y, r, "divisors")
+            a = rfull_multiples_sum(x, y, r)
+            b = _multiples_sum_by_divisors(x, y, r)
             out.append(Check(f"multiples-sum-paths-x{x}-y{y}-r{r}", a == b, a, b))
     return out
 
 
-def checks_desk_scale(workers: int = 1) -> list[Check]:
+def checks_desk_scale() -> list[Check]:
     """Short-interval counts at x = 1e11, y = 1e6 against density * y."""
     out = []
     abelian = build_rule("abelian")
@@ -283,7 +292,7 @@ def checks_desk_scale(workers: int = 1) -> list[Check]:
     prof = density_profile(abelian, DEFAULT_BOUND, 2)
     for k in (1, 2):
         d = prof[k].density
-        count = count_value(abelian, k, x, y, workers=workers)
+        count = count_value(abelian, k, x, y)
         gap = abs(count - d * y)
         band = 10.0 * sqrt(d * (1.0 - d) * y)
         out.append(Check(f"desk-scale-k{k}-statistical-band", gap <= band, gap,
@@ -293,7 +302,7 @@ def checks_desk_scale(workers: int = 1) -> list[Check]:
     return out
 
 
-def checks_segment_equivalence(seed: int = 0, workers: int = 1) -> list[Check]:
+def checks_segment_equivalence(seed: int = 0) -> list[Check]:
     """Counting kernel vs each n's squarefull part over seeded random windows.
 
     Comparing against the squarefull part alone is exact: g(1) = 1 for every
@@ -307,14 +316,15 @@ def checks_segment_equivalence(seed: int = 0, workers: int = 1) -> list[Check]:
     for _ in range(segments):
         x = rng.randrange(0, 10**8)
         y = rng.randrange(1, 10**4 + 1)
-        # f reads only the exponents >= 2 (eval_rule ignores the primes, and
-        # g(1) = 1), so each squarefull exponent tuple is evaluated once.
-        shapes = Counter(tuple(a for _, a in f) for f in sieve_segment(x, y))
+        # f reads only the exponents >= 2 (g(1) = 1), so each squarefull
+        # exponent tuple is evaluated once; the n with none have the shape ().
+        shapes = Counter(tuple(a for _, a in f) for f in sieve_segment(x, y) if f)
+        shapes[()] = y - shapes.total()
         for rule in rules:
             pointwise: Counter[int] = Counter()
             for shape, count in shapes.items():
                 pointwise[eval_rule(rule, tuple(enumerate(shape)))] += count
-            counted = value_counts(rule, x, y, workers=workers)
+            counted = value_counts(rule, x, y)
             if sum(counted.values()) != y:
                 partition_bad += 1
             for k in range(1, 7):
@@ -378,12 +388,14 @@ def run_suite(name: str, seed: int = 0, workers: int = 1) -> list[Check]:
     if name == "lemma3":
         return checks_r_free_interval() + checks_multiples_sum()
     if name == "density-cross":
-        return (checks_k1_collapse(seed=seed, workers=workers)
-                + checks_density_oracle(workers=workers)
+        # The one window of the suites wider than a chunk, so the one count given workers.
+        counts = value_counts(build_rule("abelian"), 0, ORACLE_LIMIT, workers=workers)
+        return (checks_k1_collapse(seed=seed)
+                + checks_density_oracle(counts)
                 + checks_density_paths()
-                + checks_density_extras(workers=workers))
+                + checks_density_extras(counts))
     if name == "theorem":
-        return (checks_desk_scale(workers=workers)
-                + checks_segment_equivalence(seed=seed, workers=workers)
+        return (checks_desk_scale()
+                + checks_segment_equivalence(seed=seed)
                 + checks_bound_identities())
     return [c for suite in SUITE_NAMES for c in run_suite(suite, seed, workers)]

@@ -30,6 +30,7 @@ from pimshort.verify import (
     checks_convolution,
     checks_density_paths,
     checks_k1_collapse,
+    _multiples_sum_by_divisors,
 )
 
 from oracles import (
@@ -120,8 +121,8 @@ def test_criterion_07_multiples_sum_oracle_equivalence():
     mismatches = []
     for r in (2, 3):
         for x, y in pairs:
-            a = rfull_multiples_sum(x, y, r, "rfull")
-            b = rfull_multiples_sum(x, y, r, "divisors")
+            a = rfull_multiples_sum(x, y, r)
+            b = _multiples_sum_by_divisors(x, y, r)
             if a != b:
                 mismatches.append((x, y, r, a, b))
     frozen = multiples_sum_brute(100, 10, 2)

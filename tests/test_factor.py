@@ -59,7 +59,6 @@ def test_factorize_against_trial_division():
 
 def test_factorize_grows_the_prime_table_only_as_the_cofactor_needs(monkeypatch):
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(factor, "_prime_list", [])
     monkeypatch.setattr(factor, "_prime_limit", 1)
     assert factorize(2**52) == trial_factorize(2**52)
     assert factor._prime_limit <= 2**17
@@ -78,7 +77,6 @@ def test_factorize_large_cofactors_without_growing_the_table(monkeypatch):
     # Each n has no prime factor below 2^16 and a cofactor far past the
     # table, which trial division alone would have to grow to isqrt(n).
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(factor, "_prime_list", [])
     monkeypatch.setattr(factor, "_prime_limit", 1)
     cases = {
         2**61 - 1: ((2**61 - 1, 1),),

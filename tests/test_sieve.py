@@ -22,6 +22,7 @@ from pimshort.sieve import (
     sieve_segment,
     value_counts,
 )
+from pimshort.verify import _multiples_sum_by_divisors
 
 from oracles import (
     count_k_brute,
@@ -401,7 +402,6 @@ def test_counting_builds_no_prime_table_above_the_cube_root(monkeypatch):
     import pimshort.factor as factor_mod
 
     monkeypatch.setattr(factor_mod, "_prime_array", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(factor_mod, "_prime_list", [])
     monkeypatch.setattr(factor_mod, "_prime_limit", 1)
     x, y = 10**16 - 1000, 1000
     count_value(build_rule("plane"), 2, x, y)
@@ -435,22 +435,35 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(sieve_mod, "multiprocessing", SimpleNamespace(Pool=CountedPool))
-    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: 1)
-    assert sieve_mod._run_tasks([3, -4, 5], abs, 64) == [3, 4, 5]
     abelian = build_rule("abelian")
-    x, y = 10**7, 30000
-    base = count_value(abelian, 1, x, y)
+    x = 10**7
+    counts = {y: count_value(abelian, 1, x, y) for y in (7001, 14000, 21000, 30000)}
+    profiles = {y: value_counts(abelian, x, y) for y in (7001, 21000, 30000)}
+    # Chunks of 7001 offsets: y = 7001, 14000, 21000 and 30000 take 1, 2, 3 and 5.
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 7001)
-    assert count_value(abelian, 1, x, y, workers=8) == base
+    cpu_calls = []
+
+    def cpus(n):
+        return lambda: cpu_calls.append(n) or n
+
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(1))
+    assert count_value(abelian, 1, x, 30000, workers=8) == counts[30000]
+    assert value_counts(abelian, x, 30000, workers=64) == profiles[30000]
     assert pools == []
-    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: None)
-    assert sieve_mod._run_tasks([1, 2], abs, 8) == [1, 2]
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(None))
+    assert count_value(abelian, 1, x, 14000, workers=8) == counts[14000]
     assert pools == []
-    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: 4)
-    assert sieve_mod._run_tasks([1, 2, 3], abs, 8) == [1, 2, 3]
-    assert sieve_mod._run_tasks([1, 2, 3, 4, 5, 6], abs, 2) == [1, 2, 3, 4, 5, 6]
-    assert sieve_mod._run_tasks([1], abs, 8) == [1]
-    assert count_value(abelian, 1, x, y, workers=8) == base
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(4))
+    assert value_counts(abelian, x, 21000, workers=8) == profiles[21000]
+    assert count_value(abelian, 1, x, 30000, workers=2) == counts[30000]
+    assert pools == [3, 2]
+    # One chunk, or one worker, starts no pool and asks for no CPU count.
+    del cpu_calls[:]
+    assert value_counts(abelian, x, 7001, workers=8) == profiles[7001]
+    assert count_value(abelian, 1, x, 7001, workers=8) == counts[7001]
+    assert count_value(abelian, 1, x, 30000) == counts[30000]
+    assert cpu_calls == []
+    assert count_value(abelian, 1, x, 30000, workers=8) == counts[30000]
     assert pools == [3, 2, 4]
 
 
@@ -523,12 +536,12 @@ def test_multiples_sum_value_and_paths():
     # Frozen from the brute-force oracle: contributors at (100, 10, 2) are
     # n = 27, 36, 108, each dividing 108.
     assert multiples_sum_brute(100, 10, 2) == 3
-    assert rfull_multiples_sum(100, 10, 2, "rfull") == 3
-    assert rfull_multiples_sum(100, 10, 2, "divisors") == 3
+    assert rfull_multiples_sum(100, 10, 2) == 3
+    assert _multiples_sum_by_divisors(100, 10, 2) == 3
     # n = 2Y = 36 is r-full and divides 108 in (100, 118], but lies outside (2Y, 2X].
     assert multiples_sum_brute(100, 18, 2) == 1
-    assert rfull_multiples_sum(100, 18, 2, "rfull") == 1
-    assert rfull_multiples_sum(100, 18, 2, "divisors") == 1
+    assert rfull_multiples_sum(100, 18, 2) == 1
+    assert _multiples_sum_by_divisors(100, 18, 2) == 1
 
 
 def test_multiples_sum_matches_brute_randomized():
@@ -538,13 +551,13 @@ def test_multiples_sum_matches_brute_randomized():
         y = rng.randrange(1, x // 3 + 1)
         r = rng.choice((2, 3))
         expected = multiples_sum_brute(x, y, r)
-        assert rfull_multiples_sum(x, y, r, "rfull") == expected
-        assert rfull_multiples_sum(x, y, r, "divisors") == expected
+        assert rfull_multiples_sum(x, y, r) == expected
+        assert _multiples_sum_by_divisors(x, y, r) == expected
 
 
 def test_multiples_sum_paths_agree_medium():
     for x, y, r in ((10**4, 10**2, 2), (10**4, 10**2, 3), (10**6, 10**3, 2), (10**5, 10**3, 4)):
-        assert rfull_multiples_sum(x, y, r, "rfull") == rfull_multiples_sum(x, y, r, "divisors")
+        assert rfull_multiples_sum(x, y, r) == _multiples_sum_by_divisors(x, y, r)
     assert rfull_multiples_sum(10**5, 10**3, 4) == 4
 
 
@@ -553,17 +566,12 @@ def test_multiples_sum_validation():
         rfull_multiples_sum(100, 100, 2)
     with pytest.raises(ValueError):
         rfull_multiples_sum(100, 200, 2)
-    with pytest.raises(ValueError):
-        rfull_multiples_sum(100, 10, 2, method="bogus")
-    # r is checked before either method runs.
-    for method in ("rfull", "divisors"):
-        for r in (0, 1):
-            with pytest.raises(ValueError, match="r >= 2"):
-                rfull_multiples_sum(100, 10, r, method)
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="r >= 2"):
+            rfull_multiples_sum(100, 10, r)
     # The r-full n run up to 2X, which must stay below 2^63.
-    for method in ("rfull", "divisors"):
-        with pytest.raises(ValueError, match=r"2\*\*63"):
-            rfull_multiples_sum(2**62, 10, 40, method)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        rfull_multiples_sum(2**62, 10, 40)
     # 2^62 in (X, X + 10] is a multiple of every 2^e, 40 <= e <= 62.
     assert rfull_multiples_sum(2**62 - 1, 10, 40) == 23
 
