@@ -22,10 +22,11 @@ MAX_N = 2**63
 
 _prime_array = np.empty(0, dtype=np.int64)
 _prime_limit = 1
+_trial_primes: list[int] = []  # the primes up to _TRIAL_LIMIT, listed once per table
 
 
 def _extend_primes(limit: int) -> None:
-    global _prime_array, _prime_limit
+    global _prime_array, _prime_limit, _trial_primes
     if limit <= _prime_limit:
         return
     limit = max(limit, 2 * _prime_limit, 1 << 16)
@@ -35,7 +36,8 @@ def _extend_primes(limit: int) -> None:
         if sieve[p]:
             sieve[p * p :: p] = False
     _prime_array = np.nonzero(sieve)[0].astype(np.int64)
-    _prime_limit = limit
+    _trial_primes = _prime_array[: np.searchsorted(_prime_array, _TRIAL_LIMIT, "right")].tolist()
+    _prime_limit = limit  # last, so that a reader who sees it sees the array and the list
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -139,7 +141,8 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n < 2**63")
     pairs = []
     m = n
-    for p in primes_upto(min(_TRIAL_LIMIT, isqrt(m))):
+    _extend_primes(_TRIAL_LIMIT)
+    for p in _trial_primes:
         if p * p > m:
             break
         if m % p:

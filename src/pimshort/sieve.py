@@ -9,10 +9,13 @@ exact Python ints otherwise; both run the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/3), or
-min(sqrt(x+y), 2^16) if higher, from the shared table.  Those with p^2
-below the chunk length are applied to every chunk with strided views;
-each multiple of a larger p^2 up to the cut is filed into the bucket of
-its chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math.
+min(sqrt(x+y), 2^16) if higher, from the shared table.  Each chunk starts
+from a pattern of period 2^5 * 3^3 = 864 that holds the factors of 2 and 3
+below those powers, and strided passes over the multiples of 32 and 27 add
+the rest (the pre-sieve of Pritchard, Comm. ACM 24, 1981).  The primes with
+p^2 below min(chunk length, 2^14), 5 <= p < 128, take one strided pass
+each; each multiple of a larger p^2 up to the cut is filed into the bucket
+of its chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math.
 Comp. 83, 2014).  A prime p above the cut divides n = m p^2 only with
 m < (x+y)^(1/3), so its hits come from the cofactor side: for each m, the
 integer points p of a short interval (the hyperbola split of Filaseta and
@@ -40,6 +43,7 @@ DEFAULT_CHUNK = 1 << 20
 
 _COFACTOR_BLOCK = 1 << 16  # cofactors m per block of _large_prime_hits
 _CUT_FLOOR = 1 << 16  # the least cut: the shared prime table always reaches it
+_STRIDED_LIMIT = 1 << 14  # p^r below it (and below the chunk length) takes a strided pass
 
 
 def _check_window(x: int, y: int) -> None:
@@ -87,18 +91,31 @@ def _value_dtype(rule: ExponentRule):
     return np.int64 if all(v <= 1 << a for a, v in enumerate(rule.values)) else object
 
 
-def _small_prime_exponents(p: int, n0: int, y: int) -> tuple[int, np.ndarray]:
-    # Offsets s0, s0 + p^2, ... of the multiples of p^2 among n0..n0+y-1
+def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.ndarray]:
+    # Offsets s0, s0 + p^a, ... of the multiples of p^a among n0..n0+y-1
     # (none in a short last chunk) and the exact exponent of p at each.  The
-    # multiples of p^a sit at every p^(a-2)-th of them, from (s_a - s0) / p^2.
-    p2 = p * p
-    s0 = -n0 % p2
-    e = np.full((y - 1 - s0) // p2 + 1, 2, dtype=np.intp)
-    pa = p2 * p
-    while (sa := -n0 % pa) < y:
-        e[(sa - s0) // p2 :: pa // p2] += 1
-        pa *= p
+    # multiples of p^b sit at every p^(b-a)-th of them, from (s_b - s0) / p^a.
+    q = p**a
+    s0 = -n0 % q
+    e = np.full((y - 1 - s0) // q + 1, a, dtype=np.intp)
+    pb = q * p
+    while (sb := -n0 % pb) < y:
+        e[(sb - s0) // q :: pb // q] += 1
+        pb *= p
     return s0, e
+
+
+@lru_cache(maxsize=None)
+def _pattern(rule: ExponentRule) -> np.ndarray:
+    # g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two periods of 864 so that a
+    # full period follows every phase.  The factor of 2 is 1 where 2^5 | n and
+    # that of 3 where 3^3 | n: the passes over 32 and 27 apply those.
+    n, gtab = np.arange(2 * 864), np.array(rule.values, dtype=_value_dtype(rule))
+    v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
+              for p, a in ((2, 5), (3, 3)))
+    pattern = gtab[v2] * gtab[v3]
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _ranges(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,20 +176,20 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
 def _window_chunks(x: int, y: int, r: int):
     """Yield (n0, length, small primes, hit offsets, hit primes) per chunk of (x, x+y].
 
-    cut = max((x+y)^(1/(r+1)), min(root_r(x+y), _CUT_FLOOR)), since a prime
-    in the table costs one remainder, less than walking its cofactors.  The
-    floor keeps every prime with p^r below the chunk length under the cut.
-    Those primes form the small list; each multiple of a larger p^r up to
-    the cut goes to its chunk.
+    cut = max((x+y)^(1/(r+1)), min(root_r(x+y), _CUT_FLOOR), 3): a prime in
+    the table costs one remainder, less than walking its cofactors.  The
+    primes 5 <= p with p^r below min(chunk length, _STRIDED_LIMIT), all under
+    the floor, form the small list; each multiple of a larger p^r up to the
+    cut goes to its chunk.  Each kernel applies 2 and 3 itself.
     """
     span, end = min(y, DEFAULT_CHUNK), x + y
     small: list[int] = []
     pieces = [(np.empty(0, dtype=np.int64),) * 2]
     if r < end.bit_length():  # otherwise 2^r > x+y, and no p^r divides any n
-        cut = max(introot(end, r + 1), min(introot(end, r), _CUT_FLOOR))
+        cut = max(introot(end, r + 1), min(introot(end, r), _CUT_FLOOR), 3)
         primes = _prime_view(cut)
-        n_small = int(np.searchsorted(primes**r, span))
-        small = primes[:n_small].tolist()
+        n_small = max(2, int(np.searchsorted(primes**r, min(span, _STRIDED_LIMIT))))
+        small = primes[2:n_small].tolist()
         i, off = _multiples(primes[n_small:] ** r, x + 1, y)
         pieces.append((off, primes[n_small:][i]))
         pieces += _large_prime_hits(x, y, r, cut, primes)
@@ -199,12 +216,15 @@ def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
     """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the rule's _value_dtype."""
-    gtab = np.array(rule.values, dtype=_value_dtype(rule))
+    gtab, pattern = np.array(rule.values, dtype=_value_dtype(rule)), _pattern(rule)
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, 2):
-        fval = np.ones(cy, dtype=gtab.dtype)
-        for p in small:
-            s0, e = _small_prime_exponents(p, n0, cy)
-            fval[s0 :: p * p] *= gtab[e]
+        fval = np.empty(cy, dtype=gtab.dtype)
+        whole, s = cy - cy % 864, n0 % 864
+        fval[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
+        fval[whole:] = pattern[s : s + cy - whole]
+        for p, a in ((2, 5), (3, 3), *((p, 2) for p in small)):
+            s0, e = _small_prime_exponents(p, n0, cy, a)
+            fval[s0 :: p**a] *= gtab[e]
         # Two large primes can share an offset (n = p^2 q^2), and fancy
         # `fval[off] *= ...` would keep only one factor; multiply.at
         # applies every one.
@@ -268,10 +288,10 @@ def count_r_free(x: int, y: int, r: int) -> int:
     _check_window(x, y)
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
-    total = 0
+    total, own = 0, (2, 3) if r < (x + y).bit_length() else ()
     for n0, cy, small, off, _ in _window_chunks(x, y, r):
         marked = np.zeros(cy, dtype=bool)
-        for q in [p**r for p in small]:
+        for q in [p**r for p in (*own, *small)]:
             marked[-n0 % q :: q] = True
         marked[off] = True
         total += cy - int(np.count_nonzero(marked))

@@ -1,5 +1,6 @@
 import random
 import time
+from math import prod
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ def test_factorize_large_cofactors_without_growing_the_table(monkeypatch):
     for n, expected in cases.items():
         assert factorize(n) == expected, n
     assert time.perf_counter() - start < 1.0
+    assert factor._prime_limit <= 2**17
+
+
+def test_warm_factorize_builds_no_prime_list(monkeypatch):
+    # The trial primes up to 2^16 are listed once, not on every call, and
+    # the shared table keeps its first size.
+    monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(factor, "_prime_limit", 1)
+    factorize(2**62 - 57)
+    calls = []
+    monkeypatch.setattr(factor, "primes_upto", lambda limit: calls.append(limit) or [])
+    rng = random.Random(65537)
+    for n in [rng.randrange(1, 10**12) for _ in range(1000)]:
+        assert prod(p**e for p, e in factorize(n)) == n
+    assert calls == []
     assert factor._prime_limit <= 2**17
 
 

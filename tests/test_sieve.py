@@ -36,6 +36,11 @@ def _squarefull_part(m):
     return tuple((p, e) for p, e in factorize(m) if e >= 2)
 
 
+def _huge_rule():
+    with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
+        return load_custom_rule(fh.read())
+
+
 def test_segment_small_matches_factorize():
     for x, y in ((100, 10), (0, 10)):
         segment = sieve_segment(x, y)
@@ -201,8 +206,7 @@ def test_two_large_prime_squares_in_a_later_chunk(monkeypatch):
 def test_object_rule_over_many_chunks(monkeypatch):
     import pimshort.sieve as sieve_mod
 
-    with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
-        huge = load_custom_rule(fh.read())
+    huge = _huge_rule()
     assert sieve_mod._value_dtype(huge) is object
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     x, y = 2**40 - 2750, 5500  # six chunks, the last one short
@@ -229,19 +233,62 @@ def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
 
 
 def test_primes_below_the_chunk_stay_strided():
-    # The cut min(sqrt(x+y), 2^16) = 1732 is above sqrt(2^20) = 1024; the
-    # primes up to 1023 take the strided path, and none of them goes to a bucket.
+    # The cut min(sqrt(x+y), 2^16) = 1732 is above sqrt(2^14) = 128; the
+    # primes 5 <= p < 128 take the strided path, every larger one up to the
+    # cut goes to a bucket, and 2 and 3 (applied by each kernel) to neither.
     import pimshort.sieve as sieve_mod
 
     chunks = list(sieve_mod._window_chunks(0, 3 * 10**6, 2))
-    assert all(small == primes_upto(1023) for _, _, small, _, _ in chunks)
+    assert all(small == primes_upto(127)[2:] for _, _, small, _, _ in chunks)
     hit_primes = np.concatenate([p for *_, p in chunks])
-    assert hit_primes.size and hit_primes.min() > 1023
+    assert hit_primes.size and hit_primes.min() >= 128
+    assert 131 in hit_primes
+
+
+@pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
+def test_every_prime_applied_exactly_once(base, starts):
+    # Tiny windows against the pure-Python sieve, at every start modulo
+    # 2^5 * 3^3 = 864 near 0 and at 129 starts near 1e12, with lengths
+    # below and around 4, 9, 27 and 864, so that no prime is counted by
+    # two paths (the 2-and-3 pattern, the strided list, the buckets, the
+    # cofactor walk) or by none.
+    lengths = (1, 2, 3, 4, 5, 8, 9, 26, 27, 30, 100, 865)
+    segment = sieve_segment(base, 900 + 865)
+    for rule in (*builtin_rules(), _huge_rule()):
+        fvals = [eval_rule(rule, f) for f in segment]
+        for i in starts:
+            for y in lengths:
+                expected = dict(sorted(Counter(fvals[i : i + y]).items()))
+                assert value_counts(rule, base + i, y) == expected, (rule.name, i, y)
+    for r in (2, 3, 4, 6):
+        free = [all(e < r for _, e in f) for f in segment]
+        for i in starts:
+            for y in lengths:
+                assert count_r_free(base + i, y, r) == sum(free[i : i + y]), (r, i, y)
+
+
+def test_pattern_across_chunk_edges(monkeypatch):
+    # Chunks of 1000 offsets, not a multiple of 864, from starts that are
+    # not multiples of 864 either: each chunk takes the pattern at its own
+    # phase, and the passes over 32 and 27 start at their own offsets.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    rules = (*builtin_rules(), _huge_rule())
+    for x, y in ((2**20 - 2599, 5321), (10**12 + 4321, 4100), (3**25 - 1729, 3500)):
+        assert all((x + 1 + c) % 864 for c in range(0, y, 1000))
+        segment = sieve_segment(x, y)
+        for rule in rules:
+            expected = Counter(eval_rule(rule, f) for f in segment)
+            assert value_counts(rule, x, y) == dict(sorted(expected.items())), (rule.name, x)
+            assert count_value(rule, 1, x, y) == expected[1], (rule.name, x)
+        for r in (2, 3, 4):
+            assert count_r_free(x, y, r) == sum(all(e < r for _, e in f) for f in segment), (r, x)
 
 
 @pytest.mark.parametrize("p", [2, 37])
 def test_prime_square_product_across_the_cut(monkeypatch, p):
-    # n = p^2 q^2 with p on the strided path (2) or in the buckets (37) and
+    # n = p^2 q^2 with p in the pattern of 2 and 3 (2) or in the buckets (37) and
     # q = 2003 above the cut (x+y)^(1/3) = 1764 (no floor under the cut),
     # found from the cofactor side.
     import pimshort.sieve as sieve_mod
@@ -268,8 +315,7 @@ def test_window_ending_at_2_63_for_every_rule(monkeypatch):
     y = 1200
     x = MAX_N - 1 - y
     facts = _factorized_window(x, y)
-    with open(os.path.join(os.path.dirname(__file__), "golden", "huge-rule.json")) as fh:
-        huge = load_custom_rule(fh.read())
+    huge = _huge_rule()
     for rule in (*builtin_rules(), huge):
         expected = Counter(eval_rule(rule, f) for f in facts)
         assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
