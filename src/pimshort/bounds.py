@@ -44,20 +44,6 @@ class BoundBreakdown:
     scale: float
 
 
-def middle_exponent(r: int) -> float:
-    """The exponent of X in the middle error term, -1/(6 (4r-1)(2r-1))."""
-    if r < 2:
-        raise ValueError("middle_exponent requires r >= 2")
-    return -1.0 / (6 * (4 * r - 1) * (2 * r - 1))
-
-
-def tail_exponent(r: int) -> float:
-    """The exponent of Y in the trailing error term, 1 - 2(r-1)/(r (3r-1))."""
-    if r < 2:
-        raise ValueError("tail_exponent requires r >= 2")
-    return 1.0 - 2.0 * (r - 1) / (r * (3 * r - 1))
-
-
 def bound_breakdown(r: int, x, y) -> BoundBreakdown:
     """Evaluate each closed-form error term at (X, Y) = (x, y).
 
@@ -71,8 +57,8 @@ def bound_breakdown(r: int, x, y) -> BoundBreakdown:
     lx = log(x)
     ly = log(y)
     term_main = exp(((r - 1) * lx + (r + 1) * ly) / (2 * r * r))
-    term_mid = exp(ly + middle_exponent(r) * lx)
-    term_tail = exp(tail_exponent(r) * ly)
+    term_mid = exp(ly - 1.0 / (6 * (4 * r - 1) * (2 * r - 1)) * lx)
+    term_tail = exp((1.0 - 2.0 * (r - 1) / (r * (3 * r - 1))) * ly)
     scale = exp(lx / (2 * r + 1)) + term_mid + term_tail
     return BoundBreakdown(r, float(x), float(y), term_main, term_mid, term_tail, scale)
 

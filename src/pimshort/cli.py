@@ -40,9 +40,7 @@ MAX_RFULL_TERMS = 2_000_000
 # chunk list and the run time stay bounded.
 MAX_WINDOW = 10**8
 
-# The middle error term is evaluated with X exponent -1/(6(4r-1)(2r-1)),
-# which is -1/126 at r = 2; the sharper-looking -1/42 sometimes quoted for
-# the r = 2 special case is intentionally not applied.
+# bound_breakdown applies the general middle exponent at r = 2 as well.
 R2_EXPONENT_WARNING = (
     "warning: r=2 middle error term uses X exponent -1/126 (general formula); "
     "the specialized -1/42 variant is not applied"
@@ -174,6 +172,10 @@ def cmd_interval(args) -> int:
 
 
 def cmd_enumerate_rfull(args) -> int:
+    if args.r < 2:
+        raise ValueError(f"--r must be at least 2, got {args.r}")
+    if args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     check_terms("--limit", args.limit, args.r, args.limit)
     for n in enumerate_rfull(args.r, args.limit):
         print(n)

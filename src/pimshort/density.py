@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import asdict, dataclass
-from math import exp, fsum, log
+from math import exp, fsum, inf, log
 
 import numpy as np
 
@@ -93,17 +93,18 @@ _tables: dict[int, tuple[int, RFullTable]] = {}
 
 
 def _table(r: int, limit: int) -> RFullTable:
-    """The r-full table up to at least limit (a limit outside [1, 2^63) reaches rfull_table)."""
+    """The r-full table cut at n <= limit (a limit outside [1, 2^63) reaches rfull_table)."""
     held = _tables.get(r)
     if held is None or not 1 <= limit <= held[0]:
         held = _tables[r] = (limit, rfull_table(r, limit))
-    return held[1]
+    facts, n, recip, pattern = held[1]
+    i = np.searchsorted(n, limit, "right").item()
+    return facts, n[:i], recip[:i], pattern[:i]
 
 
 def enumerate_rfull(r: int, limit: int) -> list[int]:
     """Every r-full n <= limit in ascending order (1 included), for limit < 2^63."""
-    _, n, _, _ = _table(r, limit)
-    return n[:np.searchsorted(n, limit, "right")].tolist()
+    return _table(r, limit)[1].tolist()
 
 
 def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
@@ -184,13 +185,13 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     r = rule.r
     top = min((1 << r) * bound, MAX_N - 1)
     facts, n, recip, pattern = _table(r, top)
-    i, j = np.searchsorted(n, [bound, top], "right").tolist()
+    i = np.searchsorted(n, bound, "right").item()
     value = np.zeros(len(facts), dtype=np.int64)  # f of each pattern in the head
     for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
         f = eval_rule(rule, facts[q])
         value[q] = f if f in ks else 0  # no k is 0; an f past ks may not fit int64
     head = value[pattern[:i]]
-    tail = tail_geometric_factor(r) * fsum(recip[i:j].tolist())
+    tail = tail_geometric_factor(r) * fsum(recip[i:].tolist())
     z = zeta(r)
     out = {}
     for k in ks:
@@ -237,14 +238,14 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
     check_series_args(k_max, bound)
     top = min((1 << rule.r) * bound, MAX_N - 1)
     facts, n, _, pattern = _table(rule.r, top)
-    i, j = np.searchsorted(n, [bound, top], "right").tolist()
-    present = np.flatnonzero(np.bincount(pattern[:j]))
+    i = np.searchsorted(n, bound, "right").item()
+    present = np.flatnonzero(np.bincount(pattern))
     weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
     h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each pattern
     out = {}
     for k in range(1, k_max + 1):
         h_of[present] = [w.get(k, 0) for w in weights]
-        h = h_of[pattern[:j]]
+        h = h_of[pattern]
         nonzero = np.flatnonzero(h)
         # int / int is correctly rounded; float64 n is not exact past 2^53.
         terms = [a / b for a, b in zip(h[nonzero].tolist(), n[nonzero].tolist())]
@@ -257,15 +258,14 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> floa
     """Exact partial sum of |h(n)| / n^kappa over r-full n <= x."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if kappa < 0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if x < 2:
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
     facts, n, _, pattern = _table(rule.r, x)
-    i = np.searchsorted(n, x, "right").item()
     weight = np.zeros(len(facts), dtype=np.int64)
-    for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
+    for q in np.flatnonzero(np.bincount(pattern)).tolist():
         weight[q] = abs(rfull_weights_up_to(rule, facts[q], k).get(k, 0))
-    h = weight[pattern[:i]]
+    h = weight[pattern]
     keep = h != 0
-    return fsum(a * b ** -float(kappa) for a, b in zip(h[keep].tolist(), n[:i][keep].tolist()))
+    return fsum(a * b ** -float(kappa) for a, b in zip(h[keep].tolist(), n[keep].tolist()))

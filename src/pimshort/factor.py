@@ -42,11 +42,8 @@ def _extend_primes(limit: int) -> None:
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending, from a shared growable sieve."""
-    if limit < 2:
-        return []
     _extend_primes(limit)
-    hi = int(np.searchsorted(_prime_array, limit, side="right"))
-    return _prime_array[:hi].tolist()
+    return _prime_view(limit).tolist()
 
 
 def _prime_view(limit: int) -> np.ndarray:

@@ -44,25 +44,12 @@ class RuleError(ValueError):
 class UnknownRuleError(LookupError):
     """Requested rule name is not in the registry."""
 
-
-def _partition_table() -> list[int]:
-    # Euler's pentagonal-number recurrence, exact integers throughout.
-    table = [1] + [0] * ALPHA_MAX
-    for m in range(1, ALPHA_MAX + 1):
-        acc = 0
-        j = 1
-        while True:
-            g = j * (3 * j - 1) // 2
-            if g > m:
-                break
-            sign = 1 if j % 2 else -1
-            acc += sign * table[m - g]
-            g = j * (3 * j + 1) // 2
-            if g <= m:
-                acc += sign * table[m - g]
-            j += 1
-        table[m] = acc
-    return table
+    def __init__(self, name: str):
+        super().__init__(
+            f"unknown rule {name!r}: expected one of {', '.join(FAMILY_NAMES)}, "
+            f"powerdiv-r:R with an integer R in [2, {ALPHA_MAX}], "
+            "or the path of a custom-rule .json file"
+        )
 
 
 def _euler_product(kinds) -> list[int]:
@@ -80,7 +67,7 @@ _TAU = [1] + [sum(a % d == 0 for d in range(1, a + 1)) for a in range(1, ALPHA_M
 
 # family name -> g(0..ALPHA_MAX)
 _FAMILIES = {
-    "abelian": _partition_table(),
+    "abelian": _euler_product(lambda v: 1),
     "plane": _euler_product(lambda v: v),
     # One flavour per pair (q, m) with q * m^2 = v, i.e. per square divisor of v.
     "semisimple": _euler_product(lambda v: sum(v % (m * m) == 0 for m in range(1, isqrt(v) + 1))),
@@ -147,7 +134,7 @@ def build_rule(name: str) -> ExponentRule:
     """Construct a built-in rule by name.
 
     Accepted names: the families in FAMILY_NAMES plus "powerdiv-r:<r>" with
-    an integer r >= 2.
+    an integer r in [2, ALPHA_MAX].
     """
     if name in _FAMILIES:
         return _validated_rule(name, _FAMILIES[name])
@@ -157,8 +144,8 @@ def build_rule(name: str) -> ExponentRule:
             r = int(suffix)
         except ValueError:
             raise UnknownRuleError(name) from None
-        if r < 2:
-            raise RuleError(f"rule {name!r}: r must be >= 2")
+        if not 2 <= r <= ALPHA_MAX:
+            raise RuleError(f"rule {name!r}: R must lie in [2, {ALPHA_MAX}], got {r}")
         return _validated_rule(name, [1 + a // r for a in range(ALPHA_MAX + 1)], declared_r=r)
     raise UnknownRuleError(name)
 

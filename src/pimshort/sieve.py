@@ -83,14 +83,6 @@ def sieve_segment(x: int, y: int) -> list[Factorization]:
     return [tuple(f) for f in lists]
 
 
-@lru_cache(maxsize=None)
-def _value_dtype(rule: ExponentRule):
-    # g(alpha) <= 2^alpha for all alpha forces f(n) <= n < 2**63, so an
-    # int64 product accumulator cannot overflow.  Holds for every built-in
-    # family; other tables multiply exact Python ints in object arrays.
-    return np.int64 if all(v <= 1 << a for a, v in enumerate(rule.values)) else object
-
-
 def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.ndarray]:
     # Offsets s0, s0 + p^a, ... of the multiples of p^a among n0..n0+y-1
     # (none in a short last chunk) and the exact exponent of p at each.  The
@@ -106,16 +98,20 @@ def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.nda
 
 
 @lru_cache(maxsize=None)
-def _pattern(rule: ExponentRule) -> np.ndarray:
+def _kernel_tables(rule: ExponentRule) -> tuple[np.ndarray, np.ndarray]:
+    # g(alpha) <= 2^alpha for all alpha forces f(n) <= n < 2**63, so an int64
+    # product accumulator cannot overflow.  Holds for every built-in family;
+    # other tables multiply exact Python ints in object arrays.  The pattern is
     # g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two periods of 864 so that a
     # full period follows every phase.  The factor of 2 is 1 where 2^5 | n and
     # that of 3 where 3^3 | n: the passes over 32 and 27 apply those.
-    n, gtab = np.arange(2 * 864), np.array(rule.values, dtype=_value_dtype(rule))
+    safe = all(v <= 1 << a for a, v in enumerate(rule.values))
+    n, gtab = np.arange(2 * 864), np.array(rule.values, dtype=np.int64 if safe else object)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
               for p, a in ((2, 5), (3, 3)))
     pattern = gtab[v2] * gtab[v3]
-    pattern.flags.writeable = False
-    return pattern
+    gtab.flags.writeable = pattern.flags.writeable = False
+    return gtab, pattern
 
 
 def _ranges(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +211,8 @@ def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
-    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the rule's _value_dtype."""
-    gtab, pattern = np.array(rule.values, dtype=_value_dtype(rule)), _pattern(rule)
+    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the dtype of the rule's g table."""
+    gtab, pattern = _kernel_tables(rule)
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, 2):
         fval = np.empty(cy, dtype=gtab.dtype)
         whole, s = cy - cy % 864, n0 % 864
@@ -308,7 +304,7 @@ def rfull_multiples_sum(x: int, y: int, r: int) -> int:
     if r < 2:
         raise ValueError(f"rfull_multiples_sum requires r >= 2, got {r}")
     _, n, _, _ = _table(r, 2 * x)
-    n = n[np.searchsorted(n, 2 * y, "right"):np.searchsorted(n, 2 * x, "right")]
+    n = n[np.searchsorted(n, 2 * y, "right"):]
     return int(((x + y) // n - x // n).sum())
 
 

@@ -21,7 +21,7 @@ from .density import (
     weight_partial_sum,
 )
 from .factor import eval_rule, factorize, rfull_weights_up_to
-from .rules import ExponentRule, build_rule, builtin_rules
+from .rules import build_rule, builtin_rules
 from .sieve import (
     admissible_window,
     count_r_free,
@@ -58,12 +58,23 @@ class Check:
         return asdict(self) | {"observed": str(self.observed), "expected": str(self.expected)}
 
 
-def _partitions_dp(n: int) -> list[int]:
-    # Independent oracle for the pentagonal-recurrence table.
+def _partitions_pentagonal(n: int) -> list[int]:
+    # Euler's pentagonal-number recurrence: an oracle apart from the Euler product.
     table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
+    for m in range(1, n + 1):
+        acc = 0
+        j = 1
+        while True:
+            g = j * (3 * j - 1) // 2
+            if g > m:
+                break
+            sign = 1 if j % 2 else -1
+            acc += sign * table[m - g]
+            g = j * (3 * j + 1) // 2
+            if g <= m:
+                acc += sign * table[m - g]
+            j += 1
+        table[m] = acc
     return table
 
 
@@ -73,9 +84,9 @@ def checks_sequences() -> list[Check]:
     out.append(Check("plane-partition-sequence", plane == PLANE_SEQUENCE, plane, PLANE_SEQUENCE))
     semi = build_rule("semisimple").values[:15]
     out.append(Check("semisimple-sequence", semi == SEMISIMPLE_SEQUENCE, semi, SEMISIMPLE_SEQUENCE))
-    dp = _partitions_dp(64)
+    pentagonal = _partitions_pentagonal(64)
     mine = list(build_rule("abelian").values)
-    out.append(Check("partition-recurrence-vs-dp", mine == dp, "64 values", "match"))
+    out.append(Check("partition-recurrence-vs-dp", mine == pentagonal, "64 values", "match"))
     derived = tuple(rule.r for rule in builtin_rules())
     out.append(Check("family-thresholds", derived == (2, 2, 2, 2, 2), derived, (2, 2, 2, 2, 2)))
     return out
@@ -125,15 +136,12 @@ def checks_convolution() -> list[Check]:
     return out
 
 
-def _collapse_rules() -> tuple[ExponentRule, ...]:
-    return builtin_rules() + (build_rule("powerdiv-r:2"), build_rule("powerdiv-r:3"))
-
-
 def checks_k1_collapse(seed: int = 0) -> list[Check]:
     """k = 1 density equals 1/zeta(r) and k = 1 counts equal r-free counts."""
     segments = 50
+    rules = builtin_rules() + (build_rule("powerdiv-r:2"), build_rule("powerdiv-r:3"))
     out = []
-    for rule in _collapse_rules():
+    for rule in rules:
         worst = max(
             abs(local_density(rule, 1, bound).density - 1.0 / zeta(rule.r))
             for bound in (1, 1000)
@@ -145,7 +153,7 @@ def checks_k1_collapse(seed: int = 0) -> list[Check]:
     bad = 0
     for x, y in windows:
         free_counts: dict[int, int] = {}
-        for rule in _collapse_rules():
+        for rule in rules:
             if rule.r not in free_counts:
                 free_counts[rule.r] = count_r_free(x, y, rule.r)
             if count_value(rule, 1, x, y) != free_counts[rule.r]:
@@ -330,13 +338,12 @@ def checks_segment_equivalence(seed: int = 0) -> list[Check]:
             for k in range(1, 7):
                 if counted.get(k, 0) != pointwise.get(k, 0):
                     mismatch += 1
-    out = [
+    return [
         Check("segment-pointwise-equivalence", mismatch == 0, mismatch, 0,
               note=f"{segments} seeded windows, {len(rules)} rules, k <= 6"),
         Check("segment-value-partition", partition_bad == 0, partition_bad, 0,
               note="value counts always partition the window"),
     ]
-    return out
 
 
 def checks_bound_identities() -> list[Check]:

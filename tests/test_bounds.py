@@ -3,13 +3,7 @@ import math
 import mpmath
 import pytest
 
-from pimshort.bounds import (
-    bound_breakdown,
-    interval_error_bound,
-    middle_exponent,
-    tail_exponent,
-    zeta,
-)
+from pimshort.bounds import bound_breakdown, interval_error_bound, zeta
 
 
 def test_zeta_2_matches_pi_squared_over_six():
@@ -38,14 +32,20 @@ def test_zeta_validation():
 
 
 def test_breakdown_specializes_at_r2():
-    # At r = 2 the exponents collapse to (X Y^3)^(1/8), Y X^(-1/126), Y^(4/5).
+    # At r = 2 the exponents collapse to (X Y^3)^(1/8), Y X^(-1/126), Y^(4/5);
+    # at r = 3 to (X^2 Y^4)^(1/18), Y X^(-1/330), Y^(5/6); at r = 4 to
+    # (X^3 Y^5)^(1/32), Y X^(-1/630), Y^(19/22).
     x, y = 1.0e11, 1.0e6
-    b = bound_breakdown(2, x, y)
-    assert b.term_main == pytest.approx((x * y**3) ** 0.125, rel=1e-12)
-    assert b.term_mid == pytest.approx(y * x ** (-1.0 / 126.0), rel=1e-12)
-    assert b.term_tail == pytest.approx(y ** 0.8, rel=1e-12)
-    assert middle_exponent(2) == pytest.approx(-1.0 / 126.0)
-    assert tail_exponent(2) == pytest.approx(0.8)
+    closed = {
+        2: ((x * y**3) ** (1 / 8), y * x ** (-1 / 126), y ** (4 / 5)),
+        3: ((x**2 * y**4) ** (1 / 18), y * x ** (-1 / 330), y ** (5 / 6)),
+        4: ((x**3 * y**5) ** (1 / 32), y * x ** (-1 / 630), y ** (19 / 22)),
+    }
+    for r, (main, mid, tail) in closed.items():
+        b = bound_breakdown(r, x, y)
+        assert b.term_main == pytest.approx(main, rel=1e-12), r
+        assert b.term_mid == pytest.approx(mid, rel=1e-12), r
+        assert b.term_tail == pytest.approx(tail, rel=1e-12), r
 
 
 def test_breakdown_terms_positive_and_monotone_in_y():

@@ -143,9 +143,15 @@ def test_interval_no_warning_for_r3(capsys):
 
 
 def test_unknown_rule_exits_2(capsys):
-    code, _, err = run_cli(capsys, "density", "--rule", "bogus", "--k", "1", "--B", "1e3")
+    for rule in ("bogus", "powerdiv-r:x"):
+        code, _, err = run_cli(capsys, "density", "--rule", rule, "--k", "1", "--B", "1e3")
+        assert code == 2
+        assert f"unknown rule {rule!r}" in err
+        assert "abelian" in err and "powerdiv-r:R" in err and ".json" in err
+        assert "rfull_count_bound" not in err and "rfull_table" not in err
+    code, _, err = run_cli(capsys, "density", "--rule", "powerdiv-r:65", "--k", "1", "--B", "1e3")
     assert code == 2
-    assert "bogus" in err
+    assert f"'powerdiv-r:65': R must lie in [2, {ALPHA_MAX}], got 65" in err
 
 
 def test_enumerate_rfull(capsys):
@@ -163,6 +169,11 @@ def test_enumerate_rfull_range_error(capsys):
     code, _, err = run_cli(capsys, "enumerate-rfull", "--r", "2", "--limit", "9.3e18")
     assert code == 2
     assert "2**63" in err
+    for flag, r, limit in (("--r", "1", "10"), ("--limit", "2", "0")):
+        code, out, err = run_cli(capsys, "enumerate-rfull", "--r", r, "--limit", limit)
+        assert code == 2 and out == ""
+        assert f"{flag} must be at least" in err
+        assert "rfull_count_bound" not in err and "rfull_table" not in err
 
 
 def test_table_empty_grid_header_only(capsys):

@@ -24,6 +24,7 @@ from pimshort.density import (
 )
 from pimshort.factor import eval_rule, factorize, rfull_weights_up_to
 from pimshort.rules import build_rule, builtin_rules, load_custom_rule
+from pimshort.sieve import rfull_multiples_sum
 
 from oracles import decomposition_value, h_brute, rfull_decomposition, rfull_flags, trial_factorize
 
@@ -216,7 +217,9 @@ def test_series_equal_an_exact_rational_reference():
 def _series_at(rule, bound):
     return ([local_density(rule, k, bound) for k in (1, 2, 4)],
             weight_harmonic_profile(rule, bound, 6),
-            weight_partial_sum(rule, 2, 0.5, bound))
+            weight_partial_sum(rule, 2, 0.5, bound),
+            enumerate_rfull(rule.r, bound),
+            rfull_multiples_sum(bound, bound // 100, rule.r))
 
 
 def test_terms_past_the_tail_block_are_ignored(monkeypatch):
@@ -316,8 +319,9 @@ def test_weight_partial_sum_basics():
     assert s2 >= s1
     with pytest.raises(ValueError):
         weight_partial_sum(abelian, 2, 0.0, 1)
-    with pytest.raises(ValueError):
-        weight_partial_sum(abelian, 2, -0.5, 100)
+    for kappa in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            weight_partial_sum(abelian, 2, kappa, 100)
 
 
 PATTERN_RULES = builtin_rules() + (

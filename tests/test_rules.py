@@ -12,6 +12,8 @@ from pimshort.rules import (
     load_custom_rule,
 )
 
+from pimshort.verify import _partitions_pentagonal
+
 from oracles import exponent_divisor_counts, partitions_dp
 
 # Reference sequences for the two series-built families (first 13 and 15
@@ -31,7 +33,11 @@ def test_partition_examples():
 
 
 def test_partition_recurrence_matches_dp_oracle():
-    assert list(build_rule("abelian").values) == partitions_dp(ALPHA_MAX)
+    abelian = list(build_rule("abelian").values)
+    assert abelian == partitions_dp(ALPHA_MAX)
+    assert abelian == _partitions_pentagonal(ALPHA_MAX)
+    # Frozen from OEIS A000041, computed by no code here.
+    assert (abelian[10], abelian[50], abelian[64]) == (42, 204_226, 1_741_630)
 
 
 def test_plane_partition_golden_values():
@@ -95,12 +101,14 @@ def test_build_rule_known_values():
 
 
 def test_build_rule_unknown_name():
-    with pytest.raises(UnknownRuleError):
+    with pytest.raises(UnknownRuleError, match="unknown rule 'nope'.*abelian.*powerdiv-r:R.*json"):
         build_rule("nope")
-    with pytest.raises(UnknownRuleError):
+    with pytest.raises(UnknownRuleError, match="unknown rule 'powerdiv-r:x'"):
         build_rule("powerdiv-r:x")
-    with pytest.raises(RuleError):
-        build_rule("powerdiv-r:1")
+    for r in (1, ALPHA_MAX + 1):
+        with pytest.raises(RuleError, match=rf"R must lie in \[2, {ALPHA_MAX}\], got {r}$"):
+            build_rule(f"powerdiv-r:{r}")
+    assert build_rule(f"powerdiv-r:{ALPHA_MAX}").r == ALPHA_MAX
 
 
 def _custom_doc(**overrides):
