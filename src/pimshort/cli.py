@@ -68,14 +68,6 @@ def exact_int(text: str) -> int:
     return int(value)
 
 
-def positive_int(text: str) -> int:
-    """Parse a count flag such as --workers, which must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
 def positive_float(text: str) -> float:
     """Parse --eps, which must be finite and above 0."""
     value = float(text)
@@ -159,7 +151,7 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
             print(R2_EXPONENT_WARNING, file=sys.stderr)
         density = local_density(rule, args.k, args.bound).density
         reports = [
-            interval_report(rule, args.k, x, y, density, eps=args.eps, workers=args.workers)
+            interval_report(rule, args.k, x, y, density, eps=args.eps)
             for x in xs for y in ys
         ]
     columns = [f.name for f in fields(IntervalReport)]
@@ -187,7 +179,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = run_suite(args.suite, seed=args.seed, workers=args.workers)
+    checks = run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         print(json.dumps([c.to_record() for c in checks]))
     else:
@@ -221,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     windows = argparse.ArgumentParser(add_help=False, parents=[series])
     windows.add_argument("--eps", type=positive_float, default=0.01,
                          help="epsilon in the admissible-window test (default 0.01)")
-    windows.add_argument("--workers", type=positive_int, default=1)
     formats = argparse.ArgumentParser(add_help=False)
     formats.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -251,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named self-check suite")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -59,7 +59,7 @@ def check_report_window(x: int, y: int) -> None:
     """Raise ValueError unless interval_report accepts the window (x, x+y]."""
     _check_window(x, y)
     if not y < x:
-        raise ValueError(f"interval_report requires 0 < Y < X, got X={x}, Y={y}")
+        raise ValueError(f"the window needs 0 < y < x, got x={x}, y={y}")
 
 
 def sieve_segment(x: int, y: int) -> list[Factorization]:
@@ -176,19 +176,16 @@ def _window_chunks(x: int, y: int, r: int):
     the table costs one remainder, less than walking its cofactors.  The
     primes 5 <= p with p^r below min(chunk length, _STRIDED_LIMIT), all under
     the floor, form the small list; each multiple of a larger p^r up to the
-    cut goes to its chunk.  Each kernel applies 2 and 3 itself.
+    cut goes to its chunk.  Each kernel applies 2 and 3 itself.  The walk
+    forms (cut+1)^r, so callers keep 2^r <= x+y or r = 2.
     """
     span, end = min(y, DEFAULT_CHUNK), x + y
-    small: list[int] = []
-    pieces = [(np.empty(0, dtype=np.int64),) * 2]
-    if r < end.bit_length():  # otherwise 2^r > x+y, and no p^r divides any n
-        cut = max(introot(end, r + 1), min(introot(end, r), _CUT_FLOOR), 3)
-        primes = _prime_view(cut)
-        n_small = max(2, int(np.searchsorted(primes**r, min(span, _STRIDED_LIMIT))))
-        small = primes[2:n_small].tolist()
-        i, off = _multiples(primes[n_small:] ** r, x + 1, y)
-        pieces.append((off, primes[n_small:][i]))
-        pieces += _large_prime_hits(x, y, r, cut, primes)
+    cut = max(introot(end, r + 1), min(introot(end, r), _CUT_FLOOR), 3)
+    primes = _prime_view(cut)
+    n_small = max(2, int(np.searchsorted(primes**r, min(span, _STRIDED_LIMIT))))
+    small = primes[2:n_small].tolist()
+    i, off = _multiples(primes[n_small:] ** r, x + 1, y)
+    pieces = [(off, primes[n_small:][i]), *_large_prime_hits(x, y, r, cut, primes)]
     off, p = (np.concatenate(a) for a in zip(*pieces))
     order = np.argsort(off)
     off, p = off[order], p[order]
@@ -284,10 +281,12 @@ def count_r_free(x: int, y: int, r: int) -> int:
     _check_window(x, y)
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
-    total, own = 0, (2, 3) if r < (x + y).bit_length() else ()
+    if r >= (x + y).bit_length():  # 2^r > x+y: no p^r divides any n
+        return y
+    total = 0
     for n0, cy, small, off, _ in _window_chunks(x, y, r):
         marked = np.zeros(cy, dtype=bool)
-        for q in [p**r for p in (*own, *small)]:
+        for q in [p**r for p in (2, 3, *small)]:
             marked[-n0 % q :: q] = True
         marked[off] = True
         total += cy - int(np.count_nonzero(marked))
@@ -340,7 +339,7 @@ def admissible_window(r: int, x: int, y: int, eps: float) -> bool:
 
 
 def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
-                    eps: float = 0.01, workers: int = 1) -> IntervalReport:
+                    eps: float = 0.01) -> IntervalReport:
     """Count f(n) = k over (x, x+y] and compare against density * y.
 
     density is the local density of {n : f(n) = k}, for example
@@ -351,7 +350,7 @@ def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
     check_report_window(x, y)
     admissible = admissible_window(rule.r, x, y, eps)
     parts = bound_breakdown(rule.r, x, y)
-    count = count_value(rule, k, x, y, workers=workers)
+    count = count_value(rule, k, x, y)
     main = density * y
     return IntervalReport(
         rule=rule.name,

@@ -8,7 +8,6 @@ import pytest
 from pimshort import cli
 from pimshort.cli import (
     MAX_WINDOW,
-    build_parser,
     check_bound,
     check_window,
     exact_int,
@@ -17,7 +16,7 @@ from pimshort.cli import (
 )
 from pimshort.density import DEFAULT_BOUND
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules
-from pimshort.sieve import IntervalReport
+from pimshort.sieve import IntervalReport, count_value
 
 
 def run_cli(capsys, *argv):
@@ -129,10 +128,12 @@ def test_interval_record_and_warning(capsys):
 
 
 def test_interval_rejects_wide_window(capsys):
-    code, _, err = run_cli(capsys, "interval", "--rule", "abelian", "--k", "1",
-                           "--x", "100", "--y", "100", "--B", "1e4")
-    assert code == 2
-    assert "error:" in err
+    for x, y in (("100", "100"), ("10", "20")):
+        code, out, err = run_cli(capsys, "interval", "--rule", "abelian", "--k", "1",
+                                 "--x", x, "--y", y, "--B", "1e4")
+        assert code == 2 and out == "", (x, y)
+        assert f"error: the window needs 0 < y < x, got x={x}, y={y}" in err
+        assert "interval_report" not in err
 
 
 def test_interval_no_warning_for_r3(capsys):
@@ -204,7 +205,7 @@ def _no_work(*args, **kwargs):
 
 def test_table_bad_pair_exits_2_before_any_output(monkeypatch, capsys):
     monkeypatch.setattr(cli, "local_density", _no_work)
-    for xs, ys, message in (("1e8,10", "1e3", "0 < Y < X"),
+    for xs, ys, message in (("1e8,10", "1e3", "0 < y < x"),
                             ("1e8", "1e3,0", "window length"),
                             ("1e8,-5", "1e3", "window base")):
         code, out, err = run_cli(capsys, "table", "--rule", "plane", "--k", "2",
@@ -226,15 +227,16 @@ def test_table_k_below_one_exits_2_before_any_output(monkeypatch, capsys):
         assert "truncation bound" in err and "-1/126" not in err, grid
 
 
-def test_workers_below_one_is_a_usage_error(monkeypatch, capsys):
+def test_workers_flag_is_refused(monkeypatch, capsys):
+    # The command line counts each window in one process; only the library takes workers=.
     monkeypatch.setattr(cli, "local_density", _no_work)
     monkeypatch.setattr(cli, "run_suite", _no_work)
     for argv in (
-        ("verify", "--suite", "lemma3", "--workers", "0"),
+        ("verify", "--suite", "lemma3", "--workers", "2"),
         ("interval", "--rule", "abelian", "--k", "1", "--x", "1e6", "--y", "1e3",
-         "--workers", "0"),
+         "--workers", "2"),
         ("table", "--rule", "abelian", "--k", "1", "--x", "1e6", "--y", "1e3",
-         "--workers", "-3"),
+         "--workers", "2"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -324,10 +326,9 @@ def test_verify_unknown_suite_usage_error(capsys):
 
 def test_output_deterministic_across_workers(capsys):
     args = ["interval", "--rule", "abelian", "--k", "2", "--x", "1e7", "--y", "3e4", "--B", "1e5"]
-    code1, out1, _ = run_cli(capsys, *args, "--workers", "1")
-    code2, out2, _ = run_cli(capsys, *args, "--workers", "3")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3, _ = run_cli(capsys, *args)
-    assert code3 == 0 and out3 == out1
-    assert build_parser().parse_args(args).workers == 1
+    pooled = count_value(build_rule("abelian"), 2, 10**7, 3 * 10**4, workers=3)
+    assert json.loads(out1)["count"] == pooled

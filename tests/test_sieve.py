@@ -363,6 +363,10 @@ def test_count_r_free_huge_r():
     assert count_r_free(2**40 - 50, 100, 39) == 99
     assert count_r_free(2**40 - 50, 100, 40) == 99
     assert count_r_free(2**40 - 50, 100, 41) == 100
+    # The top of the int64 range: 2^62 is the one 62nd power below 2^63.
+    assert count_r_free(2**62 - 10, 10, 62) == 9
+    assert count_r_free(2**62 - 11, 10, 62) == 10
+    assert count_r_free(2**63 - 11, 10, 63) == 10
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
