@@ -58,7 +58,7 @@ def rfull_table(r: int, limit: int) -> RFullTable:
         raise ValueError(f"rfull_table requires r >= 2, got {r}")
     if not 1 <= limit < MAX_N:
         raise ValueError(f"rfull_table requires 1 <= limit < 2**63, got {limit}")
-    primes = primes_upto(introot(limit, r))
+    primes = primes_upto(introot(limit, r)).tolist()  # Python ints: value * power must not wrap
     index = {(): 0}  # exponent pattern -> its place in facts
     ns, recips, patterns = array("q", [1]), array("d", [1.0]), array("i", [0])
 

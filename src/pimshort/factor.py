@@ -1,13 +1,14 @@
 """Exact factorization and pointwise evaluation of rule-valued functions.
 
 Every operation here is a pure function of immutable inputs.  The prime
-table is grown on demand behind a module-level cache and only ever read
-afterwards, so concurrent use is unrestricted.
+table is grown on demand behind a module-level cache by primes_upto alone,
+and each table is read-only once built, so concurrent use is unrestricted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -20,37 +21,40 @@ Factorization = tuple[tuple[int, int], ...]
 
 MAX_N = 2**63
 
+# The least prime table: trial division stops here, and so does the least
+# cut of the counting sieve.
+_PRIME_FLOOR = 1 << 16
+
 _prime_array = np.empty(0, dtype=np.int64)
+_prime_array.flags.writeable = False
 _prime_limit = 1
-_trial_primes: list[int] = []  # the primes up to _TRIAL_LIMIT, listed once per table
 
 
-def _extend_primes(limit: int) -> None:
-    global _prime_array, _prime_limit, _trial_primes
-    if limit <= _prime_limit:
-        return
-    limit = max(limit, 2 * _prime_limit, 1 << 16)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    _prime_array = np.nonzero(sieve)[0].astype(np.int64)
-    _trial_primes = _prime_array[: np.searchsorted(_prime_array, _TRIAL_LIMIT, "right")].tolist()
-    _prime_limit = limit  # last, so that a reader who sees it sees the array and the list
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending: a read-only int64 view of one shared table.
 
-
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending, from a shared growable sieve."""
-    _extend_primes(limit)
-    return _prime_view(limit).tolist()
-
-
-def _prime_view(limit: int) -> np.ndarray:
-    # primes_upto(limit) as an int64 view of the shared table, not a copy.
+    A limit past the table grows it to at least twice its size, and never
+    below 2^16.
+    """
+    global _prime_array, _prime_limit
     if limit > _prime_limit:
-        primes_upto(limit)  # grows the table
+        top = max(limit, 2 * _prime_limit, _PRIME_FLOOR)
+        sieve = np.ones(top + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, isqrt(top) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        table = np.nonzero(sieve)[0].astype(np.int64)
+        table.flags.writeable = False
+        _prime_array = table
+        _prime_limit = top  # last, so that a reader who sees it sees the array
     return _prime_array[: np.searchsorted(_prime_array, limit, "right")]
+
+
+@lru_cache(maxsize=None)
+def _trial_primes() -> list[int]:
+    # The primes up to the floor, listed once: warm trial division reads no table.
+    return primes_upto(_PRIME_FLOOR).tolist()
 
 
 def introot(n: int, r: int) -> int:
@@ -63,16 +67,13 @@ def introot(n: int, r: int) -> int:
         return n
     if r >= n.bit_length():  # n < 2^r; at huge r, 2**r is too large to compute
         return 1
-    x = int(round(n ** (1.0 / r)))
-    while x > 0 and x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
+    # Integer Newton from 2^ceil(bits / r) >= the root: the iterates fall
+    # to the root and stop there.
+    x = 1 << -(-n.bit_length() // r)
+    while (y := ((r - 1) * x + n // x ** (r - 1)) // r) < x:
+        x = y
     return x
 
-
-# Trial division stops here; the smallest shared prime table reaches it.
-_TRIAL_LIMIT = 1 << 16
 
 # Miller-Rabin with these bases is deterministic for n < 3.3e24 > MAX_N.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -138,8 +139,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError("factorize requires n < 2**63")
     pairs = []
     m = n
-    _extend_primes(_TRIAL_LIMIT)
-    for p in _trial_primes:
+    for p in _trial_primes():
         if p * p > m:
             break
         if m % p:
@@ -152,7 +152,7 @@ def factorize(n: int) -> Factorization:
     rest, parts = [m] if m > 1 else [], []
     while rest:
         c = rest.pop()
-        if c < _TRIAL_LIMIT**2 or _is_prime(c):
+        if c < _PRIME_FLOOR**2 or _is_prime(c):
             parts.append(c)
         else:
             d = _rho_factor(c)

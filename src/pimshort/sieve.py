@@ -36,13 +36,12 @@ import numpy as np
 
 from .bounds import bound_breakdown
 from .density import _table
-from .factor import MAX_N, Factorization, _prime_view, introot, primes_upto
+from .factor import _PRIME_FLOOR, MAX_N, Factorization, introot, primes_upto
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
 
 _COFACTOR_BLOCK = 1 << 16  # cofactors m per block of _large_prime_hits
-_CUT_FLOOR = 1 << 16  # the least cut: the shared prime table always reaches it
 _STRIDED_LIMIT = 1 << 14  # p^r below it (and below the chunk length) takes a strided pass
 
 
@@ -72,7 +71,7 @@ def sieve_segment(x: int, y: int) -> list[Factorization]:
     """
     _check_window(x, y)
     lists: list[list[tuple[int, int]]] = [[] for _ in range(y)]
-    for p in primes_upto(isqrt(x + y)):
+    for p in primes_upto(isqrt(x + y)).tolist():
         p2 = p * p
         for idx in range(-(x + 1) % p2, y, p2):
             m, e = (x + 1 + idx) // p2, 2
@@ -172,7 +171,7 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
 def _window_chunks(x: int, y: int, r: int):
     """Yield (n0, length, small primes, hit offsets, hit primes) per chunk of (x, x+y].
 
-    cut = max((x+y)^(1/(r+1)), min(root_r(x+y), _CUT_FLOOR), 3): a prime in
+    cut = max((x+y)^(1/(r+1)), min(root_r(x+y), _PRIME_FLOOR), 3): a prime in
     the table costs one remainder, less than walking its cofactors.  The
     primes 5 <= p with p^r below min(chunk length, _STRIDED_LIMIT), all under
     the floor, form the small list; each multiple of a larger p^r up to the
@@ -180,8 +179,8 @@ def _window_chunks(x: int, y: int, r: int):
     forms (cut+1)^r, so callers keep 2^r <= x+y or r = 2.
     """
     span, end = min(y, DEFAULT_CHUNK), x + y
-    cut = max(introot(end, r + 1), min(introot(end, r), _CUT_FLOOR), 3)
-    primes = _prime_view(cut)
+    cut = max(introot(end, r + 1), min(introot(end, r), _PRIME_FLOOR), 3)
+    primes = primes_upto(cut)
     n_small = max(2, int(np.searchsorted(primes**r, min(span, _STRIDED_LIMIT))))
     small = primes[2:n_small].tolist()
     i, off = _multiples(primes[n_small:] ** r, x + 1, y)

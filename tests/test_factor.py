@@ -1,6 +1,6 @@
 import random
 import time
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -22,9 +22,14 @@ from oracles import h_brute, trial_factorize
 
 
 def test_primes_upto():
-    assert primes_upto(1) == []
-    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_upto(1).tolist() == []
+    assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_upto(10**6)) == 78498
+    # A read-only int64 view of the one shared table, not a copy.
+    view = primes_upto(1000)
+    assert view.dtype == np.int64 and np.shares_memory(view, factor._prime_array)
+    with pytest.raises(ValueError):
+        view[0] = 4
 
 
 def test_introot():
@@ -34,6 +39,10 @@ def test_introot():
     assert introot(10**12, 3) == 10**4
     assert introot(10**12 - 1, 3) == 10**4 - 1
     assert introot(100, 9 * 10**18) == 1
+    # Past 2^1024, where a float estimate cannot be formed.
+    x = introot(2**2000, 3)
+    assert x**3 <= 2**2000 < (x + 1) ** 3
+    assert introot(10**400, 2) == isqrt(10**400)
     with pytest.raises(ValueError):
         introot(-1, 2)
 
@@ -61,6 +70,7 @@ def test_factorize_against_trial_division():
 def test_factorize_grows_the_prime_table_only_as_the_cofactor_needs(monkeypatch):
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(factor, "_prime_limit", 1)
+    factor._trial_primes.cache_clear()
     assert factorize(2**52) == trial_factorize(2**52)
     assert factor._prime_limit <= 2**17
     rows = rfull_factorizations(10, 2**63 - 1)  # every prime factor is at most 79
@@ -79,6 +89,7 @@ def test_factorize_large_cofactors_without_growing_the_table(monkeypatch):
     # table, which trial division alone would have to grow to isqrt(n).
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(factor, "_prime_limit", 1)
+    factor._trial_primes.cache_clear()
     cases = {
         2**61 - 1: ((2**61 - 1, 1),),
         1_000_000_007 * 998_244_353: ((998_244_353, 1), (1_000_000_007, 1)),
@@ -98,6 +109,7 @@ def test_warm_factorize_builds_no_prime_list(monkeypatch):
     # the shared table keeps its first size.
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(factor, "_prime_limit", 1)
+    factor._trial_primes.cache_clear()
     factorize(2**62 - 57)
     calls = []
     monkeypatch.setattr(factor, "primes_upto", lambda limit: calls.append(limit) or [])

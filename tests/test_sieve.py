@@ -144,7 +144,7 @@ def test_large_primes_sharing_an_offset(monkeypatch):
     import pimshort.sieve as sieve_mod
 
     rng = random.Random(3571)
-    small = primes_upto(1000)
+    small = primes_upto(1000).tolist()
     windows = [(37**2 * 41**2 - 500, 1000)]
     for _ in range(2):
         p = rng.choice([v for v in small if 37 <= v <= 43])
@@ -221,7 +221,7 @@ def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
-    monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
+    monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", 1)
     x, y = 0, 51_000
     assert introot(x + y, 3) == 37
     assert len({(n - x - 1) // 1000 for n in range(41**2, y + 1, 41**2)}) >= 25
@@ -239,7 +239,7 @@ def test_primes_below_the_chunk_stay_strided():
     import pimshort.sieve as sieve_mod
 
     chunks = list(sieve_mod._window_chunks(0, 3 * 10**6, 2))
-    assert all(small == primes_upto(127)[2:] for _, _, small, _, _ in chunks)
+    assert all(small == primes_upto(127)[2:].tolist() for _, _, small, _, _ in chunks)
     hit_primes = np.concatenate([p for *_, p in chunks])
     assert hit_primes.size and hit_primes.min() >= 128
     assert 131 in hit_primes
@@ -294,7 +294,7 @@ def test_prime_square_product_across_the_cut(monkeypatch, p):
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
-    monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", 1)
+    monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", 1)
     n = (p * 2003) ** 2
     x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
     assert p <= introot(x + y, 3) < 2003
@@ -346,7 +346,7 @@ def test_large_prime_powers_near_2_63(monkeypatch, r):
         facts = _factorized_window(x, y)
         assert dict(facts[n - x - 1])[p] >= r
         for floor in (1, 1 << 16):
-            monkeypatch.setattr(sieve_mod, "_CUT_FLOOR", floor)
+            monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", floor)
             assert count_r_free(x, y, r) == sum(all(a < r for _, a in f) for f in facts), (r, p)
             if r == 2:
                 for rule in builtin_rules():
@@ -453,6 +453,7 @@ def test_counting_builds_no_prime_table_above_the_cube_root(monkeypatch):
 
     monkeypatch.setattr(factor_mod, "_prime_array", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(factor_mod, "_prime_limit", 1)
+    factor_mod._trial_primes.cache_clear()
     x, y = 10**16 - 1000, 1000
     count_value(build_rule("plane"), 2, x, y)
     count_r_free(x, y, 2)
@@ -464,6 +465,22 @@ def test_counting_builds_no_prime_table_above_the_cube_root(monkeypatch):
     count_value(huge, 10**25, x, y)
     value_counts(huge, x, y)
     assert factor_mod._prime_limit <= introot(x + y, 3)
+
+
+def test_counting_grows_the_table_through_primes_upto(monkeypatch):
+    # The counting kernel reaches the shared table only through primes_upto,
+    # so a wrapper of the sieve's binding sees every limit it asks for.
+    import pimshort.factor as factor_mod
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(factor_mod, "_prime_array", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(factor_mod, "_prime_limit", 1)
+    factor_mod._trial_primes.cache_clear()
+    limits = []
+    monkeypatch.setattr(sieve_mod, "primes_upto",
+                        lambda limit: limits.append(limit) or primes_upto(limit))
+    count_value(build_rule("abelian"), 1, 10**16 - 10**4, 10**4)
+    assert any(limit >= introot(10**16, 3) for limit in limits), limits
 
 
 def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
