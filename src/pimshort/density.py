@@ -12,16 +12,18 @@ so successive doubling blocks of the reciprocal series shrink by roughly
 2^(1/r - 1).  The estimate is a heuristic uncertainty, not a proof-grade
 bound.
 
-Every series reads a prefix of one table per r, kept for the process and
-grown by one walk to the largest limit asked for: n (int64), 1/psi(n) and a
-pattern index, sorted by n; f and h are evaluated once per exponent pattern.
-n must fit int64, so a tail block is cut below 2^63.  Sums are math.fsum,
-exactly rounded in any term order, far inside the 1e-12 budget at B = 10^9.
+Every series reads a prefix of one table per r, kept for the process and grown
+to the largest limit asked for: n (int64), 1/psi(n) and a pattern index,
+sorted by n; f and h are evaluated once per exponent pattern.  A depth-first
+walk over blocks of nodes builds it in numpy, with int64 columns n, pattern,
+next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1); 1/psi(n) =
+c / (n a) is divided in Python ints, as n a passes int64.  n must fit int64,
+so a tail block is cut below 2^63.  Sums are math.fsum, exactly rounded in any
+term order, far inside the 1e-12 budget at B = 10^9.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import asdict, dataclass
 from math import exp, fsum, inf, log
 
@@ -31,6 +33,7 @@ from .bounds import zeta
 from .factor import (
     MAX_N,
     Factorization,
+    _ranges,
     eval_rule,
     factorize,
     introot,
@@ -40,6 +43,7 @@ from .factor import (
 from .rules import ExponentRule
 
 DEFAULT_BOUND = 10**9
+_BLOCK_PAIRS = 1 << 11  # (node, prime) pairs per block of the r-full walk
 
 # (facts, n, recip, pattern): every r-full n up to a limit ascending (int64), 1/psi(n)
 # (float64), and the index (int32) into facts, 2^e1 3^e2 ..., of n's exponent pattern.
@@ -49,43 +53,57 @@ RFullTable = tuple[list[Factorization], np.ndarray, np.ndarray, np.ndarray]
 def rfull_table(r: int, limit: int) -> RFullTable:
     """Every r-full n <= limit (1 included), for 1 <= limit < 2^63.
 
-    One walk over prime powers p^e, e >= r, for primes p <= limit^(1/r)
-    reaches each r-full n once and carries the exact pair a = prod (p^r - 1),
-    c = prod p^(r-1) (p - 1) down the tree, so that psi(n) = n * a / c and
-    1/psi(n) = c / (n * a) is one correctly rounded division.
+    Blocks of at most _BLOCK_PAIRS pairs (n, p), n p^r <= limit, are walked
+    depth first, each node as int64 columns (n, a, c, pattern index, next prime
+    index), a and c both below n; each pair gives a row per child n p^e, e >= r.
+    1/psi(n) = c / (n a) is divided in Python ints: n a passes int64, and a
+    float64 quotient would be exact only while psi < 2^53.
     """
     if r < 2:
         raise ValueError(f"rfull_table requires r >= 2, got {r}")
     if not 1 <= limit < MAX_N:
         raise ValueError(f"rfull_table requires 1 <= limit < 2**63, got {limit}")
-    primes = primes_upto(introot(limit, r)).tolist()  # Python ints: value * power must not wrap
-    index = {(): 0}  # exponent pattern -> its place in facts
-    ns, recips, patterns = array("q", [1]), array("d", [1.0]), array("i", [0])
-
-    def descend(start: int, value: int, pattern: tuple[int, ...], a: int, c: int) -> None:
-        for i in range(start, len(primes)):
-            p = primes[i]
-            power = p**r
-            if value * power > limit:
-                break
-            a_p = a * (power - 1)
-            c_p = c * (power // p) * (p - 1)
-            e = r
-            while value * power <= limit:
-                n = value * power
-                key = pattern + (e,)
-                ns.append(n)
-                recips.append(c_p / (n * a_p))
-                patterns.append(index.setdefault(key, len(index)))
-                descend(i + 1, n, key, a_p, c_p)
-                power *= p
-                e += 1
-
-    descend(0, 1, (), 1, 1)
-    del descend  # its closure refers to itself: free the buffers on return, not at the next gc
-    order = np.asarray(ns).argsort()
-    return ([tuple(zip(primes, key)) for key in index],
-            *(np.asarray(column)[order] for column in (ns, recips, patterns)))
+    primes = primes_upto(introot(limit, r))
+    power = primes**r
+    index: dict[int, int] = {}  # parent index * 64 + e (e < 63) -> the child's pattern index
+    size = int(rfull_count_bound(r, limit)) + 1  # pages never written are never resident
+    ns, recips, patterns = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
+    ns[0], recips[0], patterns[0], end = 1, 1.0, 0, 1
+    stack = [(*np.ones((3, 1), np.int64), *np.zeros((2, 1), np.int64))]  # the node n = 1
+    while stack:
+        n, a, c, q, nxt = stack.pop()
+        count = np.maximum(np.searchsorted(power, limit // n, "right") - nxt, 0)
+        if (total := np.cumsum(count))[-1] > _BLOCK_PAIRS:  # the rest waits on the stack
+            u = np.searchsorted(total, _BLOCK_PAIRS).item()
+            count[u] -= total[u] - _BLOCK_PAIRS  # node u's first pairs stay in this block
+            rest = np.concatenate(([nxt[u] + count[u]], nxt[u + 1:]))
+            stack.append((n[u:], a[u:], c[u:], q[u:], rest))
+            n, a, c, q, nxt, count = (x[:u + 1] for x in (n, a, c, q, nxt, count))
+        j, step = _ranges(count)
+        if not j.size:
+            continue
+        i = nxt[j] + step
+        p, m = primes[i], n[j] * power[i]
+        t, extra = limit // m // p, np.zeros(j.size, np.int64)
+        while t.any():  # one more child n p^(r + extra) <= limit where t > 0
+            extra += t > 0
+            t //= p
+        k, e = _ranges(extra + 1)
+        cn = m[k] * p[k] ** e
+        ca, cc = (a[j] * (power[i] - 1))[k], (c[j] * (power[i] // p) * (p - 1))[k]
+        keys, inverse = np.unique(q[j][k] * 64 + (r + e), return_inverse=True)
+        cq = np.array([index.setdefault(x, len(index) + 1) for x in keys.tolist()])[inverse]
+        start, end = end, end + cn.size
+        ns[start:end], patterns[start:end] = cn, cq
+        recips[start:end] = [z / (x * y) for x, y, z in zip(cn.tolist(), ca.tolist(), cc.tolist())]
+        stack.append((cn, ca, cc, cq, (i + 1)[k]))
+    facts = [()]  # in index order, each parent before its children
+    for x in index:
+        facts.append(facts[x >> 6] + ((int(primes[len(facts[x >> 6])]), x & 63),))
+    order = ns[:end].argsort()
+    ns = ns[:end][order]  # one column at a time: each unsorted one goes before the next
+    recips = recips[:end][order]
+    return facts, ns, recips, patterns[:end][order]
 
 
 # r -> (L, rfull_table(r, L)) for the largest L asked for so far.

@@ -51,6 +51,12 @@ def primes_upto(limit: int) -> np.ndarray:
     return _prime_array[: np.searchsorted(_prime_array, limit, "right")]
 
 
+def _ranges(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (j, step) listing step = 0 .. count[j] - 1 for every j in turn.
+    j = np.repeat(np.arange(count.size), count)
+    return j, np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
+
+
 @lru_cache(maxsize=None)
 def _trial_primes() -> list[int]:
     # The primes up to the floor, listed once: warm trial division reads no table.

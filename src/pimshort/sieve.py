@@ -36,7 +36,7 @@ import numpy as np
 
 from .bounds import bound_breakdown
 from .density import _table
-from .factor import _PRIME_FLOOR, MAX_N, Factorization, introot, primes_upto
+from .factor import _PRIME_FLOOR, MAX_N, Factorization, _ranges, introot, primes_upto
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
@@ -113,12 +113,6 @@ def _kernel_tables(rule: ExponentRule) -> tuple[np.ndarray, np.ndarray]:
     return gtab, pattern
 
 
-def _ranges(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (j, step) listing step = 0 .. count[j] - 1 for every j in turn.
-    j = np.repeat(np.arange(count.size), count)
-    return j, np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)
-
-
 def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     # Every multiple of some q[i] among n0..n0+y-1, as (i, offset) pairs.
     # The first offset is -n0 mod q, taken on int64 without forming n0 + q.
@@ -186,8 +180,10 @@ def _window_chunks(x: int, y: int, r: int):
     i, off = _multiples(primes[n_small:] ** r, x + 1, y)
     pieces = [(off, primes[n_small:][i]), *_large_prime_hits(x, y, r, cut, primes)]
     off, p = (np.concatenate(a) for a in zip(*pieces))
+    del i, pieces  # only the hits, sorted by offset, are read from here on
     order = np.argsort(off)
     off, p = off[order], p[order]
+    del order
     edges = np.searchsorted(off, range(0, y + span, span)).tolist()
     for c, (a, b) in enumerate(zip(edges, edges[1:])):
         c0 = c * span

@@ -7,9 +7,12 @@ programming, so that agreement is meaningful.
 
 from __future__ import annotations
 
+from array import array
 from math import fsum, gcd, isqrt
 
 import numpy as np
+
+from pimshort.factor import MAX_N, introot, primes_upto
 
 
 def partitions_dp(n: int) -> list[int]:
@@ -19,6 +22,48 @@ def partitions_dp(n: int) -> list[int]:
         for total in range(part, n + 1):
             table[total] += table[total - part]
     return table
+
+
+def rfull_table_dfs(r: int, limit: int):
+    """The table of density.rfull_table by one recursive call per r-full n.
+
+    One walk over prime powers p^e, e >= r, for primes p <= limit^(1/r)
+    reaches each r-full n once and carries the exact pair a = prod (p^r - 1),
+    c = prod p^(r-1) (p - 1) down the tree, so that psi(n) = n * a / c and
+    1/psi(n) = c / (n * a) is one correctly rounded division.
+    """
+    if r < 2:
+        raise ValueError(f"rfull_table requires r >= 2, got {r}")
+    if not 1 <= limit < MAX_N:
+        raise ValueError(f"rfull_table requires 1 <= limit < 2**63, got {limit}")
+    primes = primes_upto(introot(limit, r)).tolist()  # Python ints: value * power must not wrap
+    index = {(): 0}  # exponent pattern -> its place in facts
+    ns, recips, patterns = array("q", [1]), array("d", [1.0]), array("i", [0])
+
+    def descend(start: int, value: int, pattern: tuple[int, ...], a: int, c: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            power = p**r
+            if value * power > limit:
+                break
+            a_p = a * (power - 1)
+            c_p = c * (power // p) * (p - 1)
+            e = r
+            while value * power <= limit:
+                n = value * power
+                key = pattern + (e,)
+                ns.append(n)
+                recips.append(c_p / (n * a_p))
+                patterns.append(index.setdefault(key, len(index)))
+                descend(i + 1, n, key, a_p, c_p)
+                power *= p
+                e += 1
+
+    descend(0, 1, (), 1, 1)
+    del descend  # its closure refers to itself: free the buffers on return, not at the next gc
+    order = np.asarray(ns).argsort()
+    return ([tuple(zip(primes, key)) for key in index],
+            *(np.asarray(column)[order] for column in (ns, recips, patterns)))
 
 
 def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -26,7 +26,14 @@ from pimshort.factor import eval_rule, factorize, rfull_weights_up_to
 from pimshort.rules import build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import rfull_multiples_sum
 
-from oracles import decomposition_value, h_brute, rfull_decomposition, rfull_flags, trial_factorize
+from oracles import (
+    decomposition_value,
+    h_brute,
+    rfull_decomposition,
+    rfull_flags,
+    rfull_table_dfs,
+    trial_factorize,
+)
 
 
 def test_rfull_count_bound_is_an_upper_bound():
@@ -89,6 +96,44 @@ def test_table_groups_partition_by_pattern_with_exact_psi(r):
             c *= p ** (r - 1) * (p - 1)
         assert recip == float(Fraction(c, n * a)), n
     assert ns == [n for n in range(1, limit + 1) if flags[n]]
+
+
+# (r, limit) pairs where the blocked walk must give the recursive walk's table bit for bit.
+TABLE_PAIRS = [(2, 1), (2, 4), (3, 7), (2, 10**5), (3, 10**5), (4, 10**6), (2, 4 * 10**9),
+               (3, 8 * 10**9), (2, 10**12), (7, 2**62), (40, 2**63 - 1)]
+
+
+def assert_same_table(r, limit):
+    facts, ns, recips, pattern = rfull_table(r, limit)
+    want_facts, want_ns, want_recips, want_pattern = rfull_table_dfs(r, limit)
+    assert (ns.dtype, recips.dtype, pattern.dtype) == (np.int64, np.float64, np.int32)
+    assert np.array_equal(ns, want_ns), (r, limit)
+    assert np.array_equal(recips.view(np.int64), want_recips.view(np.int64)), (r, limit)
+    # Pattern indices may be dealt in another order: compare each row's exponent pattern.
+    assert sorted(facts) == sorted(want_facts), (r, limit)
+    place = {fact: q for q, fact in enumerate(want_facts)}
+    renamed = np.array([place[fact] for fact in facts], dtype=np.int64)
+    assert np.array_equal(renamed[pattern], want_pattern), (r, limit)
+
+
+@pytest.mark.parametrize("r, limit", TABLE_PAIRS)
+def test_table_matches_the_recursive_walk(r, limit):
+    assert_same_table(r, limit)
+
+
+def test_table_matches_the_recursive_walk_at_every_small_limit():
+    for r in range(2, 6):
+        for limit in range(1, 301):
+            assert_same_table(r, limit)
+
+
+def test_count_bound_holds_the_table():
+    # rfull_table sizes its columns by this bound, so it must hold wherever a table is built.
+    grid = [(r, limit) for r in range(2, 12) for k in range(64)
+            for limit in sorted({2**k - 1, 2**k, 10**k}) if 1 <= limit < min(2**63, 2 ** (8 * r))]
+    grid += [(r, limit) for r in range(20, 65) for limit in (10**18, 2**62 - 1, 2**62, 2**63 - 1)]
+    for r, limit in grid:
+        assert len(rfull_table(r, limit)[1]) <= rfull_count_bound(r, limit), (r, limit)
 
 
 def test_decompose_examples():
