@@ -2,7 +2,7 @@
 
 Records are emitted as a single JSON object per invocation or as CSV with a
 fixed column order, so outputs diff cleanly.  Exit codes: 0 success, 1
-verification failure, 2 usage or validation error.
+verification failure, 2 usage or validation error, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from pathlib import Path
 from .density import (
     DEFAULT_BOUND,
     check_series_args,
-    enumerate_rfull,
     local_density,
     rfull_count_bound,
+    rfull_table,
 )
 from .factor import MAX_N
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
@@ -169,8 +169,9 @@ def cmd_enumerate_rfull(args) -> int:
     if args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     check_terms("--limit", args.limit, args.r, args.limit)
-    for n in enumerate_rfull(args.r, args.limit):
-        print(n)
+    n = rfull_table(args.r, args.limit)[1]
+    for i in range(0, n.size, 1 << 16):  # one write per slice of 2^16 lines
+        sys.stdout.write("".join(f"{x}\n" for x in n[i : i + (1 << 16)].tolist()))
     return 0
 
 
@@ -251,7 +252,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a reader who left early is caught below
+        return code
+    except BrokenPipeError:  # fd 1 to devnull, so that the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (RuleError, UnknownRuleError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

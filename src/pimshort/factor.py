@@ -1,8 +1,8 @@
 """Exact factorization and pointwise evaluation of rule-valued functions.
 
 Every operation here is a pure function of immutable inputs.  The prime
-table is grown on demand behind a module-level cache by primes_upto alone,
-and each table is read-only once built, so concurrent use is unrestricted.
+table is grown on demand by primes_upto alone; it and the per-rule tables,
+built once and held as tuples, are read-only, so concurrent use is unrestricted.
 """
 
 from __future__ import annotations
@@ -179,14 +179,17 @@ def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
     return out
 
 
-def _inverse_at_exponent(alpha: int, r: int) -> int:
-    # Dirichlet inverse of the r-free indicator at p^alpha.
-    rem = alpha % r
-    if rem == 0:
-        return 1
-    if rem == 1:
-        return -1
-    return 0
+@lru_cache(maxsize=None)
+def _local_weights(rule: ExponentRule) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row alpha: the nonzero (value, coefficient) pairs of h's factor at p^alpha.
+    # The r-free-inverse at p^beta is +1 where r | beta, -1 one step above, else 0.
+    g, r = rule.values, rule.r
+    rows = []
+    for alpha in range(rule.alpha_max + 1):
+        local = Counter(g[alpha - beta] for beta in range(0, alpha + 1, r))
+        local.subtract(g[alpha - beta - 1] for beta in range(0, alpha, r))
+        rows.append(tuple((v, c) for v, c in local.items() if c))
+    return tuple(rows)
 
 
 def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> dict[int, int]:
@@ -194,32 +197,22 @@ def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> 
 
     h is the divisor sum, over d | n with f(n/d) = k, of the r-free-inverse
     at d.  The sum is evaluated grouped by the value f(n/d): each prime part
-    contributes a small map {value: coefficient}, and maps combine by value
+    contributes its row of _local_weights, and rows combine by value
     products.  Table values are >= 1, so partial products above k_max can
     never fall back under it and are dropped early; the result is still the
     exact divisor sum for every k <= k_max.
     """
     if k_max < 1:
         return {}
-    values = rule.values
-    amax = rule.alpha_max
-    r = rule.r
+    table = _local_weights(rule)
     combined = {1: 1}
     for _, alpha in fact:
-        if alpha > amax:
-            raise ValueError(f"exponent {alpha} exceeds the rule table (alpha_max {amax})")
-        local: dict[int, int] = {}
-        for beta in range(alpha + 1):
-            c = _inverse_at_exponent(beta, r)
-            if c == 0:
-                continue
-            v = values[alpha - beta]
-            local[v] = local.get(v, 0) + c
+        if alpha > rule.alpha_max:
+            raise ValueError(
+                f"exponent {alpha} exceeds the rule table (alpha_max {rule.alpha_max})")
         merged: dict[int, int] = {}
         for v1, c1 in combined.items():
-            for v2, c2 in local.items():
-                if c2 == 0:
-                    continue
+            for v2, c2 in table[alpha]:
                 v = v1 * v2
                 if v <= k_max:
                     merged[v] = merged.get(v, 0) + c1 * c2
@@ -227,4 +220,3 @@ def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> 
         if not combined:
             break
     return {k: c for k, c in combined.items() if c}
-

@@ -1,6 +1,8 @@
 import random
 import time
+from collections import Counter
 from math import isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +10,22 @@ import pytest
 from pimshort import factor
 from pimshort.density import rfull_factorizations
 from pimshort.factor import (
-    _inverse_at_exponent,
+    _local_weights,
     eval_rule,
     factorize,
     introot,
     primes_upto,
     rfull_weights_up_to,
 )
-from pimshort.rules import build_rule, builtin_rules
+from pimshort.rules import build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import count_r_free
 
-from oracles import h_brute, trial_factorize
+from oracles import h_brute, mu_r_inverse_brute, trial_factorize
+
+# The five families, three powerdiv thresholds and a custom rule with g far above 2^alpha.
+LOCAL_WEIGHT_RULES = builtin_rules() + tuple(
+    build_rule(f"powerdiv-r:{r}") for r in (3, 4, 64)) + (
+    load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text()),)
 
 
 def test_primes_upto():
@@ -141,23 +148,48 @@ def test_r_free_and_r_full():
 
 
 def test_r_free_inverse_case_table():
-    for r in (2, 3, 4):
+    # The r-free-inverse at p^alpha is 1 where r | alpha, -1 where alpha = 1
+    # mod r, else 0.  Row alpha of _local_weights sums it over beta <= alpha,
+    # so consecutive row sums difference it back out.
+    for rule in (build_rule("abelian"), build_rule("powerdiv-r:3"), build_rule("powerdiv-r:4")):
+        r = rule.r
+        sums = [sum(c for _, c in row) for row in _local_weights(rule)]
         for alpha in range(1, 4 * r):
             expected = 1 if alpha % r == 0 else (-1 if alpha % r == 1 else 0)
-            assert _inverse_at_exponent(alpha, r) == expected
-    assert _inverse_at_exponent(0, 3) == 1
+            assert mu_r_inverse_brute(((2, alpha),), r) == expected
+            assert sums[alpha] - sums[alpha - 1] == expected, (rule.name, alpha)
+        assert sums[0] == mu_r_inverse_brute((), r) == 1
 
 
 def test_r_free_inverse_inverts_r_free_indicator():
     # Dirichlet identity at prime powers: sum over the exponent split is
-    # [alpha == 0], for every r.
-    for r in (2, 3):
-        for alpha in range(1, 12):
-            total = sum(
-                (1 if j < r else 0) * _inverse_at_exponent(alpha - j, r)
-                for j in range(alpha + 1)
-            )
-            assert total == 0
+    # [alpha == 0], for every r.  f = 1 exactly on r-free n, so h_1 is that
+    # convolution: the value 1 carries [alpha == 0] in every row.
+    for r in (2, 3, 4, 64):
+        for alpha in range(0, 3 * r):
+            total = sum(mu_r_inverse_brute(((2, alpha - j),) if alpha > j else (), r)
+                        for j in range(min(r, alpha + 1)))
+            assert total == (alpha == 0)
+    for rule in LOCAL_WEIGHT_RULES:
+        for alpha, row in enumerate(_local_weights(rule)):
+            assert dict(row).get(1, 0) == (alpha == 0), (rule.name, alpha)
+
+
+@pytest.mark.parametrize("rule", LOCAL_WEIGHT_RULES, ids=lambda r: r.name)
+def test_local_weights_match_the_brute_exponent_split(rule):
+    # Row alpha is sum over beta <= alpha of the r-free-inverse at p^beta
+    # times the value g(alpha - beta), grouped by value, zero sums dropped.
+    rows = _local_weights(rule)
+    assert isinstance(rows, tuple) and len(rows) == rule.alpha_max + 1
+    for alpha, row in enumerate(rows):
+        brute = Counter()
+        for beta in range(alpha + 1):
+            mu = mu_r_inverse_brute(((2, beta),) if beta else (), rule.r)
+            brute[rule.values[alpha - beta]] += mu
+        assert isinstance(row, tuple) and all(isinstance(pair, tuple) for pair in row)
+        assert len(dict(row)) == len(row) and all(c for _, c in row)
+        assert dict(row) == {v: c for v, c in brute.items() if c}, (rule.name, alpha)
+    assert _local_weights(rule) is rows  # built once per rule
 
 
 def h_at(rule, k, fact):
