@@ -197,14 +197,14 @@ def test_enumerate_rfull_memory_stays_near_the_table():
 def test_closed_stdout_exits_141_silently():
     # A reader that leaves early (| head -n 2) is not a usage error: no
     # message, and the status a shell reports for SIGPIPE.
-    proc = subprocess.Popen([sys.executable, "-c", RUN_CLI + "sys.exit(code)\n",
-                             "enumerate-rfull", "--r", "2", "--limit", "1e10"],
-                            env=dict(os.environ, PYTHONPATH=SRC),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert [proc.stdout.readline() for _ in range(2)] == [b"1\n", b"4\n"]
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 141
+    with subprocess.Popen([sys.executable, "-c", RUN_CLI + "sys.exit(code)\n",
+                           "enumerate-rfull", "--r", "2", "--limit", "1e10"],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert [proc.stdout.readline() for _ in range(2)] == [b"1\n", b"4\n"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
     assert err == b""
 
 
