@@ -29,7 +29,7 @@ ever performed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 ALPHA_MAX = 64
@@ -89,7 +89,7 @@ class ExponentRule:
 
     name: str
     r: int
-    values: tuple[int, ...]
+    values: tuple[int, ...] = field(hash=False)  # cache lookups hash rules; == still compares it
 
     @property
     def alpha_max(self) -> int:
@@ -134,18 +134,18 @@ def build_rule(name: str) -> ExponentRule:
     """Construct a built-in rule by name.
 
     Accepted names: the families in FAMILY_NAMES plus "powerdiv-r:<r>" with
-    an integer r in [2, ALPHA_MAX].
+    r in [2, ALPHA_MAX] in plain ASCII decimal: no sign, space, underscore or
+    leading zero.
     """
     if name in _FAMILIES:
         return _validated_rule(name, _FAMILIES[name])
     if name.startswith(_POWERDIV_PREFIX):
         suffix = name[len(_POWERDIV_PREFIX):]
-        try:
-            r = int(suffix)
-        except ValueError:
-            raise UnknownRuleError(name) from None
-        if not 2 <= r <= ALPHA_MAX:
-            raise RuleError(f"rule {name!r}: R must lie in [2, {ALPHA_MAX}], got {r}")
+        if not (suffix.isascii() and suffix.isdigit()) or suffix != (suffix.lstrip("0") or "0"):
+            raise UnknownRuleError(name)
+        if len(suffix) > len(str(ALPHA_MAX)) or not 2 <= int(suffix) <= ALPHA_MAX:
+            raise RuleError(f"rule {name!r}: R must lie in [2, {ALPHA_MAX}], got {suffix}")
+        r = int(suffix)
         return _validated_rule(name, [1 + a // r for a in range(ALPHA_MAX + 1)], declared_r=r)
     raise UnknownRuleError(name)
 
@@ -168,9 +168,9 @@ def load_custom_rule(source: str) -> ExponentRule:
         raise RuleError(f"custom rule is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RuleError("custom rule document must be a JSON object")
-    for field in ("name", "r", "values"):
-        if field not in doc:
-            raise RuleError(f"custom rule document is missing field {field!r}")
+    for key in ("name", "r", "values"):
+        if key not in doc:
+            raise RuleError(f"custom rule document is missing field {key!r}")
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise RuleError("custom rule field 'name' must be a non-empty string")

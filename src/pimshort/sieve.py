@@ -61,25 +61,25 @@ def check_report_window(x: int, y: int) -> None:
         raise ValueError(f"the window needs 0 < y < x, got x={x}, y={y}")
 
 
-def sieve_segment(x: int, y: int) -> list[Factorization]:
-    """Squarefull part of each n in (x, x+y]: entry i holds (p, v_p(n)) for each p^2 | x+1+i.
+def sieve_segment(x: int, y: int) -> dict[int, Factorization]:
+    """Squarefull part of each squarefull n in (x, x+y]: n -> ((p, v_p(n)) for each p^2 | n).
 
-    Each multiple of p^2, for p up to sqrt(x+y), is divided by p until its
-    exponent is found.  Primes dividing n once are left out: g(1) = 1 in
-    every validated rule, so f(n) and the r-full divisors of n are read
-    from the squarefull part alone.
+    A squarefree n has no entry.  Each multiple of p^2, for p up to
+    sqrt(x+y) ascending, is divided by p until its exponent is found.
+    Primes dividing n once are left out: g(1) = 1 in every validated rule,
+    so f(n) and the r-full divisors of n are read from the squarefull part.
     """
     _check_window(x, y)
-    lists: list[list[tuple[int, int]]] = [[] for _ in range(y)]
+    parts: dict[int, Factorization] = {}
     for p in primes_upto(isqrt(x + y)).tolist():
         p2 = p * p
-        for idx in range(-(x + 1) % p2, y, p2):
-            m, e = (x + 1 + idx) // p2, 2
+        for n in range((x // p2 + 1) * p2, x + y + 1, p2):
+            m, e = n // p2, 2
             while m % p == 0:
                 m //= p
                 e += 1
-            lists[idx].append((p, e))
-    return [tuple(f) for f in lists]
+            parts[n] = parts.get(n, ()) + ((p, e),)
+    return parts
 
 
 def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.ndarray]:

@@ -267,7 +267,7 @@ def _multiples_sum_by_divisors(x: int, y: int, r: int) -> int:
     # rfull_multiples_sum counted per m in (X, X+Y]: its r-full divisors
     # above 2Y, built from the primes with exponent >= r in m.
     total = 0
-    for fact in sieve_segment(x, y):
+    for fact in sieve_segment(x, y).values():
         divisors = [1]
         for p, a in fact:
             if a >= r:
@@ -324,10 +324,10 @@ def checks_segment_equivalence(seed: int = 0) -> list[Check]:
     for _ in range(segments):
         x = rng.randrange(0, 10**8)
         y = rng.randrange(1, 10**4 + 1)
-        # f reads only the exponents >= 2 (g(1) = 1), so each squarefull
-        # exponent tuple is evaluated once; the n with none have the shape ().
-        shapes = Counter(tuple(a for _, a in f) for f in sieve_segment(x, y) if f)
-        shapes[()] = y - shapes.total()
+        # g(1) = 1: each squarefull exponent tuple is evaluated once, the squarefree n as ().
+        parts = sieve_segment(x, y)
+        shapes = Counter(tuple(a for _, a in f) for f in parts.values())
+        shapes[()] = y - len(parts)
         for rule in rules:
             pointwise: Counter[int] = Counter()
             for shape, count in shapes.items():

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from pimshort.factor import _local_weights
 from pimshort.rules import (
     ALPHA_MAX,
     FAMILY_NAMES,
@@ -11,7 +13,7 @@ from pimshort.rules import (
     builtin_rules,
     load_custom_rule,
 )
-
+from pimshort.sieve import _kernel_tables
 from pimshort.verify import _partitions_pentagonal
 
 from oracles import exponent_divisor_counts, partitions_dp
@@ -105,10 +107,29 @@ def test_build_rule_unknown_name():
         build_rule("nope")
     with pytest.raises(UnknownRuleError, match="unknown rule 'powerdiv-r:x'"):
         build_rule("powerdiv-r:x")
-    for r in (1, ALPHA_MAX + 1):
+    # Only the plain ASCII decimal spelling of R names a rule: int() would
+    # read each of these as 3 (or 30, or -1).
+    for suffix in ("3_0", "+3", " 3", "03", "3 ", "\u0663", "-1", "", "00", "2.0", "0x3"):
+        name = f"powerdiv-r:{suffix}"
+        with pytest.raises(UnknownRuleError, match=re.escape(f"unknown rule {name!r}")):
+            build_rule(name)
+    for r in ("0", "1", str(ALPHA_MAX + 1), "100", "9" * 5000):
         with pytest.raises(RuleError, match=rf"R must lie in \[2, {ALPHA_MAX}\], got {r}$"):
             build_rule(f"powerdiv-r:{r}")
-    assert build_rule(f"powerdiv-r:{ALPHA_MAX}").r == ALPHA_MAX
+    for r in (2, 3, 10, ALPHA_MAX):
+        assert build_rule(f"powerdiv-r:{r}").r == r
+
+
+def test_rule_hash_leaves_out_the_table():
+    # The per-rule caches hash a rule on every lookup; values only enter equality.
+    a = load_custom_rule(json.dumps(_custom_doc()))
+    b = load_custom_rule(json.dumps(_custom_doc(values=[1, 1, 3] + [2] * (ALPHA_MAX - 2))))
+    assert hash(a) == hash(b)
+    assert a != b
+    assert a == load_custom_rule(json.dumps(_custom_doc()))
+    assert _kernel_tables(a)[0][2] == 2 and _kernel_tables(b)[0][2] == 3
+    assert _local_weights(a) != _local_weights(b)
+    assert _local_weights(a) is _local_weights(load_custom_rule(json.dumps(_custom_doc())))
 
 
 def _custom_doc(**overrides):

@@ -41,21 +41,25 @@ def _huge_rule():
         return load_custom_rule(fh.read())
 
 
+def _assert_keys_in_window(segment, x, y):
+    assert all(x < n <= x + y for n in segment), (x, y)
+
+
 def test_segment_small_matches_factorize():
     for x, y in ((100, 10), (0, 10)):
         segment = sieve_segment(x, y)
-        assert len(segment) == y
-        for i in range(y):
-            assert segment[i] == _squarefull_part(x + 1 + i), x + 1 + i
+        _assert_keys_in_window(segment, x, y)
+        for n in range(x + 1, x + y + 1):
+            assert segment.get(n, ()) == _squarefull_part(n), n
 
 
 def test_segment_recomposition_high_base():
     # n is its squarefull part times a squarefree rest coprime to it.
     x, y = 10**10, 1000
     segment = sieve_segment(x, y)
-    assert len(segment) == y
-    for i, f in enumerate(segment):
-        n = x + 1 + i
+    _assert_keys_in_window(segment, x, y)
+    for n in range(x + 1, x + y + 1):
+        f = segment.get(n, ())
         part = 1
         for p, e in f:
             assert e >= 2
@@ -72,10 +76,20 @@ def test_segment_is_the_squarefull_part():
     n = 9973**2
     for x, y in ((10**6, 200), (n - 500, 1000)):
         segment = sieve_segment(x, y)
-        assert len(segment) == y
-        for i, m in enumerate(range(x + 1, x + y + 1)):
-            assert segment[i] == _squarefull_part(m), m
-    assert segment[499] == ((9973, 2),)
+        _assert_keys_in_window(segment, x, y)
+        for m in range(x + 1, x + y + 1):
+            assert segment.get(m, ()) == _squarefull_part(m), m
+    assert segment[n] == ((9973, 2),)
+
+
+def test_segment_keys_are_exactly_the_squarefull_n():
+    # One key per n with some p^2 | n, none for a squarefree n, and no empty part.
+    n = 9973**2
+    for x, y in ((100, 10), (10**6, 200), (n - 500, 1000)):
+        segment = sieve_segment(x, y)
+        squarefull = {m for m in range(x + 1, x + y + 1) if any(e >= 2 for _, e in factorize(m))}
+        assert set(segment) == squarefull, (x, y)
+        assert () not in segment.values(), (x, y)
 
 
 def test_segment_validation():
@@ -165,13 +179,19 @@ def test_large_primes_sharing_an_offset(monkeypatch):
         assert unpatched["abelian", w] == value_counts_brute(abelian, *w), w
 
 
-def _segment_profile(rule, x, y):
-    # f over (x, x+y] from the pure-Python sieve of each n's squarefull part.
-    return Counter(eval_rule(rule, f) for f in sieve_segment(x, y))
+def _segment_profile(rule, segment, y):
+    # f over a window of y integers from the pure-Python sieve of each n's
+    # squarefull part; the squarefree n, which have no entry, take f = 1.
+    return Counter({1: y - len(segment)}) + Counter(eval_rule(rule, f) for f in segment.values())
+
+
+def _r_free_in_segment(segment, y, r):
+    # The squarefree n, which have no entry, are r-free.
+    return y - len(segment) + sum(all(e < r for _, e in f) for f in segment.values())
 
 
 def _check_kernel_against_segment(rule, x, y):
-    expected = _segment_profile(rule, x, y)
+    expected = _segment_profile(rule, sieve_segment(x, y), y)
     assert value_counts(rule, x, y) == dict(sorted(expected.items()))
     for k in list(expected)[:4]:
         assert count_value(rule, k, x, y) == expected[k], k
@@ -199,7 +219,7 @@ def test_two_large_prime_squares_in_a_later_chunk(monkeypatch):
     n = (37 * 41) ** 2
     x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
     abelian = build_rule("abelian")
-    assert sieve_segment(x, y)[n - x - 1] == ((37, 2), (41, 2))
+    assert sieve_segment(x, y)[n] == ((37, 2), (41, 2))
     assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
 
 
@@ -229,7 +249,7 @@ def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
         _check_kernel_against_segment(rule, x, y)
     segment = sieve_segment(x, y)
     for r in (2, 3):  # at r = 3 the cut is 15, and 17^3 ... 37^3 are walked
-        assert count_r_free(x, y, r) == sum(all(e < r for _, e in f) for f in segment), r
+        assert count_r_free(x, y, r) == _r_free_in_segment(segment, y, r), r
 
 
 def test_primes_below_the_chunk_stay_strided():
@@ -253,7 +273,9 @@ def test_every_prime_applied_exactly_once(base, starts):
     # two paths (the 2-and-3 pattern, the strided list, the buckets, the
     # cofactor walk) or by none.
     lengths = (1, 2, 3, 4, 5, 8, 9, 26, 27, 30, 100, 865)
-    segment = sieve_segment(base, 900 + 865)
+    y_all = 900 + 865
+    parts = sieve_segment(base, y_all)
+    segment = [parts.get(n, ()) for n in range(base + 1, base + y_all + 1)]
     for rule in (*builtin_rules(), _huge_rule()):
         fvals = [eval_rule(rule, f) for f in segment]
         for i in starts:
@@ -279,11 +301,11 @@ def test_pattern_across_chunk_edges(monkeypatch):
         assert all((x + 1 + c) % 864 for c in range(0, y, 1000))
         segment = sieve_segment(x, y)
         for rule in rules:
-            expected = Counter(eval_rule(rule, f) for f in segment)
+            expected = _segment_profile(rule, segment, y)
             assert value_counts(rule, x, y) == dict(sorted(expected.items())), (rule.name, x)
             assert count_value(rule, 1, x, y) == expected[1], (rule.name, x)
         for r in (2, 3, 4):
-            assert count_r_free(x, y, r) == sum(all(e < r for _, e in f) for f in segment), (r, x)
+            assert count_r_free(x, y, r) == _r_free_in_segment(segment, y, r), (r, x)
 
 
 @pytest.mark.parametrize("p", [2, 37])
@@ -299,7 +321,7 @@ def test_prime_square_product_across_the_cut(monkeypatch, p):
     x, y = n - 3500, 5000  # n sits at offset 3499, in the fourth chunk
     assert p <= introot(x + y, 3) < 2003
     abelian = build_rule("abelian")
-    assert sieve_segment(x, y)[n - x - 1] == ((p, 2), (2003, 2))
+    assert sieve_segment(x, y)[n] == ((p, 2), (2003, 2))
     assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
 
 
@@ -413,8 +435,7 @@ def test_count_r_free_cubes_across_chunk_boundaries(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     for x, y in ((10**7 + 1, 7000), (2**30 - 3333, 4321)):
-        cube_free = sum(all(e < 3 for _, e in f) for f in sieve_segment(x, y))
-        assert count_r_free(x, y, 3) == cube_free, (x, y)
+        assert count_r_free(x, y, 3) == _r_free_in_segment(sieve_segment(x, y), y, 3), (x, y)
 
 
 def test_wide_windows_stay_small_in_memory():
