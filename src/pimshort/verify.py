@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import product
 from math import log, prod, sqrt
 
 from .bounds import bound_breakdown, interval_error_bound, zeta
@@ -93,45 +94,42 @@ def checks_sequences() -> list[Check]:
 
 
 def checks_convolution() -> list[Check]:
-    """Support, bound, unit case, prime-power vanishing and re-convolution."""
-    limit, k_max = 10_000, 10
-    out = []
-    facts = [()] + [factorize(n) for n in range(1, limit + 1)]
-    divisors: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            divisors[m].append(d)
+    """Support, bound, unit case, prime-power vanishing and re-convolution.
 
+    f(n) and h(n) read only the exponents of n, never its primes, so the n <= 10^4
+    that share a sorted exponent tuple (a shape) pass or fail alike: each shape is
+    checked at its least n and counts once per n.  The divisors of n = prod p_i^a_i
+    are the exponent vectors b <= a; the r-free ones have every b_i < r.
+    """
+    limit, k_max = 10_000, 10
+    shapes: dict[tuple[int, ...], list] = {}  # shape -> [least n's factorization, how many n]
+    for n in range(1, limit + 1):
+        fact = factorize(n)
+        shapes.setdefault(tuple(sorted(a for _, a in fact)), [fact, 0])[1] += 1
+
+    out = []
     for rule in builtin_rules():
         r = rule.r
-        rfree = [all(a < r for _, a in fact) for fact in facts]
-        weights = [rfull_weights_up_to(rule, fact, k_max) for fact in facts]
-
-        support_bad = sum(1 for n in range(2, limit + 1)
-                          if any(a < r for _, a in facts[n]) and weights[n])
+        support_bad = bound_bad = unit_bad = conv_bad = 0
+        for shape, (fact, count) in shapes.items():
+            weights = rfull_weights_up_to(rule, fact, k_max)
+            support_bad += count * bool(any(a < r for a in shape) and weights)
+            tau = prod(a + 1 for a in shape)
+            bound_bad += count * any(abs(h) > tau for h in weights.values())
+            unit_bad += count * (weights.get(1, 0) != (shape == ()))
+            acc: Counter[int] = Counter()
+            for b in product(*(range(min(a, r - 1) + 1) for _, a in fact)):
+                acc.update(rfull_weights_up_to(
+                    rule, tuple((p, a - c) for (p, a), c in zip(fact, b) if a > c), k_max))
+            fn = eval_rule(rule, fact)
+            conv_bad += count * sum(acc[k] != (fn == k) for k in range(1, k_max + 1))
         out.append(Check(f"{rule.name}-support-off-rfull", support_bad == 0, support_bad, 0))
-
-        bound_bad = sum(1 for n in range(1, limit + 1) if any(
-            abs(h) > prod(a + 1 for _, a in facts[n]) for h in weights[n].values()))
         out.append(Check(f"{rule.name}-weight-bound-tau", bound_bad == 0, bound_bad, 0))
-
-        unit_bad = sum(weights[n].get(1, 0) != (n == 1) for n in range(1, limit + 1))
         out.append(Check(f"{rule.name}-unit-case", unit_bad == 0, unit_bad, 0))
-
         vanish_bad = sum(1 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
                          for alpha in range(1, r)
                          if rfull_weights_up_to(rule, ((p, alpha),), k_max))
         out.append(Check(f"{rule.name}-prime-power-vanishing", vanish_bad == 0, vanish_bad, 0))
-
-        conv_bad = 0
-        for n in range(1, limit + 1):
-            acc: dict[int, int] = {}
-            for d in divisors[n]:
-                if rfree[d]:
-                    for k, h in weights[n // d].items():
-                        acc[k] = acc.get(k, 0) + h
-            fn = eval_rule(rule, facts[n])
-            conv_bad += sum(acc.get(k, 0) != (fn == k) for k in range(1, k_max + 1))
         out.append(Check(f"{rule.name}-reconvolution-identity", conv_bad == 0, conv_bad, 0))
     return out
 

@@ -46,3 +46,57 @@ def test_run_suite_all_is_every_suite_in_order(monkeypatch):
     assert calls == [(name, (COUNTS,) if name in COUNT_READERS else (), kwargs)
                      for name, kwargs in ALL_GROUPS.items()]
     assert counted == [("abelian", 0, verify.ORACLE_LIMIT, 3)]
+
+
+# Two prime-independent breakages of h, and the 25 observed counts that the
+# per-integer checks_convolution (every n <= 10^4 factorized and convolved on
+# its own) gave under each: grouping n by exponent shape must count each
+# failing n once.
+real_weights = verify.rfull_weights_up_to
+
+
+def plus_one_at_cubes(rule, fact, k_max):
+    # h(2) gains 1 wherever some exponent is 3.
+    out = dict(real_weights(rule, fact, k_max))
+    if any(a == 3 for _, a in fact):
+        out[2] = out.get(2, 0) + 1
+    return {k: c for k, c in out.items() if c}
+
+
+def quadrupled_unit_on_squarefree(rule, fact, k_max):
+    # Every weight times 4, and h(1) = 1 at every squarefree n.
+    out = {k: 4 * c for k, c in real_weights(rule, fact, k_max).items()}
+    if all(a == 1 for _, a in fact):
+        out[1] = 1
+    return out
+
+
+BROKEN_COUNTS = {
+    plus_one_at_cubes: [891, 0, 0, 0, 1342] * 5,
+    quadrupled_unit_on_squarefree: [
+        6082, 25, 6082, 15, 11998, 6082, 25, 6082, 15, 11290, 6082, 25, 6082, 15, 11938,
+        6082, 27, 6082, 15, 12231, 6082, 25, 6082, 15, 12235],
+}
+
+
+def test_convolution_counts_every_n_of_a_shape(monkeypatch):
+    for broken, expected in BROKEN_COUNTS.items():
+        monkeypatch.setattr(verify, "rfull_weights_up_to", broken)
+        checks = verify.checks_convolution()
+        assert [c.observed for c in checks] == expected, broken.__name__
+        assert [c.passed for c in checks] == [v == 0 for v in expected]
+
+
+def test_convolution_weighs_each_shape_not_each_n(monkeypatch):
+    # 83 exponent shapes occur below 10^4: one weight call per shape and r-free
+    # divisor vector, not one per n and divisor (50,080).
+    calls = []
+
+    def counted(rule, fact, k_max):
+        calls.append(fact)
+        return real_weights(rule, fact, k_max)
+
+    monkeypatch.setattr(verify, "rfull_weights_up_to", counted)
+    checks = verify.checks_convolution()
+    assert all(c.passed for c in checks) and len(checks) == 25
+    assert len(calls) <= 4000
