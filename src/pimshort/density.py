@@ -204,16 +204,16 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     top = min((1 << r) * bound, MAX_N - 1)
     facts, n, recip, pattern = _table(r, top)
     i = np.searchsorted(n, bound, "right").item()
-    value = np.zeros(len(facts), dtype=np.int64)  # f of each pattern in the head
+    slot = np.zeros(len(facts), dtype=np.int64)  # 1 + the place of f in ks, 0 for f not in ks
     for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
         f = eval_rule(rule, facts[q])
-        value[q] = f if f in ks else 0  # no k is 0; an f past ks may not fit int64
-    head = value[pattern[:i]]
+        slot[q] = ks.index(f) + 1 if f in ks else 0  # f itself may pass int64
+    head = slot[pattern[:i]]
     tail = tail_geometric_factor(r) * fsum(recip[i:].tolist())
     z = zeta(r)
     out = {}
-    for k in ks:
-        partial = fsum(recip[:i][head == k].tolist())
+    for j, k in enumerate(ks, 1):
+        partial = fsum(recip[:i][head == j].tolist())
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
 

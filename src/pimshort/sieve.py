@@ -1,23 +1,23 @@
 """Segmented factorization sieve and interval counting over (x, x+y].
 
-Counting {n : f(n) = k} in a window only needs prime squares: a prime
-dividing n exactly once contributes g(1) = 1, so the counting kernel finds
-each p^2 | n, extracts the exact exponent, and multiplies table values into
-an accumulator per offset.  The accumulator is int64 when g(alpha) <=
-2^alpha for every alpha (all built-in families) and an object array of
-exact Python ints otherwise; both run the same steps.
+Counting {n : f(n) = k} in a window only needs prime r-th powers, r the
+rule's threshold: a prime dividing n fewer than r times contributes g = 1,
+so the counting kernel finds each p^r | n, extracts the exact exponent, and
+multiplies table values into an accumulator per offset.  The accumulator is
+int64 when g(alpha) <= 2^alpha for every alpha (all built-in families) and
+an object array of exact Python ints otherwise; both run the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
-accumulator) and sieves only with the primes up to cut = (x+y)^(1/3), or
-min(sqrt(x+y), 2^16) if higher, from the shared table.  Each chunk starts
+accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
+min((x+y)^(1/r), 2^16) if higher, from the shared table.  Each chunk starts
 from a pattern of period 2^5 * 3^3 = 864 that holds the factors of 2 and 3
 below those powers, and strided passes over the multiples of 32 and 27 add
-the rest (the pre-sieve of Pritchard, Comm. ACM 24, 1981).  The primes with
-p^2 below min(chunk length, 2^14), 5 <= p < 128, take one strided pass
-each; each multiple of a larger p^2 up to the cut is filed into the bucket
-of its chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math.
-Comp. 83, 2014).  A prime p above the cut divides n = m p^2 only with
-m < (x+y)^(1/3), so its hits come from the cofactor side: for each m, the
+the rest (the pre-sieve of Pritchard, Comm. ACM 24, 1981).  The primes
+5 <= p with p^r below min(chunk length, 2^14) take one strided pass each;
+each multiple of a larger p^r up to the cut is filed into the bucket of its
+chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
+83, 2014).  A prime p above the cut divides n = m p^r only with m below
+(x+y)^(1/(r+1)), so its hits come from the cofactor side: for each m, the
 integer points p of a short interval (the hyperbola split of Filaseta and
 Trifonov, J. London Math. Soc. 45, 1992).  With several workers, each
 process takes one contiguous run of chunks.  Counts are exact integers.
@@ -170,7 +170,8 @@ def _window_chunks(x: int, y: int, r: int):
     primes 5 <= p with p^r below min(chunk length, _STRIDED_LIMIT), all under
     the floor, form the small list; each multiple of a larger p^r up to the
     cut goes to its chunk.  Each kernel applies 2 and 3 itself.  The walk
-    forms (cut+1)^r, so callers keep 2^r <= x+y or r = 2.
+    forms (cut+1)^r, cheap as a rule's r is at most its table length; where
+    3^r passes int64 the cut is 3, and no step reads the wrapped 2^r or 3^r.
     """
     span, end = min(y, DEFAULT_CHUNK), x + y
     cut = max(introot(end, r + 1), min(introot(end, r), _PRIME_FLOOR), 3)
@@ -190,10 +191,9 @@ def _window_chunks(x: int, y: int, r: int):
         yield x + 1 + c0, min(span, y - c0), small, off[a:b] - c0, p[a:b]
 
 
-def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Exact exponent of p[j] in n[j], where p[j]^2 divides n[j].
-    m = n // (p * p)
-    e = np.full(n.size, 2, dtype=np.intp)
+def _exponents(n: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
+    # Exact exponent of p[j] in n[j], where p[j]^r divides n[j].
+    m, e = n // p**r, np.full(n.size, r, dtype=np.intp)
     live = np.flatnonzero(m % p == 0)
     while live.size:
         m[live] //= p[live]
@@ -205,18 +205,18 @@ def _exponents(n: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
     """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the dtype of the rule's g table."""
     gtab, pattern = _kernel_tables(rule)
-    for n0, cy, small, off, hit_primes in _window_chunks(x, y, 2):
+    for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
         fval = np.empty(cy, dtype=gtab.dtype)
         whole, s = cy - cy % 864, n0 % 864
         fval[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
         fval[whole:] = pattern[s : s + cy - whole]
-        for p, a in ((2, 5), (3, 3), *((p, 2) for p in small)):
+        for p, a in ((2, 5), (3, 3), *((p, rule.r) for p in small)):
             s0, e = _small_prime_exponents(p, n0, cy, a)
             fval[s0 :: p**a] *= gtab[e]
-        # Two large primes can share an offset (n = p^2 q^2), and fancy
+        # Two large primes can share an offset (n = p^r q^r), and fancy
         # `fval[off] *= ...` would keep only one factor; multiply.at
         # applies every one.
-        np.multiply.at(fval, off, gtab[_exponents(n0 + off, hit_primes)])
+        np.multiply.at(fval, off, gtab[_exponents(n0 + off, hit_primes, rule.r)])
         yield fval
 
 
@@ -256,8 +256,8 @@ def _map_parts(worker, head: tuple, x: int, y: int, workers: int) -> list:
 def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) -> int:
     """#{n in (x, x+y] : f(n) = k}, by segmented sieve.
 
-    The sieved exponents alone determine f; prime cofactors above
-    sqrt(x+y) contribute g(1) = 1 and are never materialized.
+    Only the primes p with p^r | n are found, below the cut or from the
+    cofactor side; one dividing n fewer than r times contributes g = 1.
     """
     _check_window(x, y)
     if k < 1:

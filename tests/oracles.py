@@ -102,13 +102,6 @@ def all_divisor_factorizations(fact):
             yield ((p, e),) + tail
 
 
-def value_of(fact) -> int:
-    n = 1
-    for p, a in fact:
-        n *= p**a
-    return n
-
-
 def rfull_decomposition(fact, r: int) -> tuple[int, ...]:
     """The unique parts of an r-full n = parts[0]^r * parts[1]^(r+1) * ... * parts[r-1]^(2r-1).
 

@@ -190,6 +190,15 @@ def test_density_unattained_k_is_zero():
     assert res.tail_estimate > 0.0
 
 
+def test_density_of_a_k_past_int64():
+    # f(b) = 10^20 passes int64; below 2e6 only b = 2^20 has it, so the head is
+    # 1/psi(2^20) = 2 / (3 * 2^20) alone.
+    huge = load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text())
+    res = local_density(huge, 10**20, 2 * 10**6)
+    assert res.partial_sum == 2 / (3 * 2**20)
+    assert density_profile(huge, 2 * 10**6, 2)[2].partial_sum == local_density(huge, 2, 2 * 10**6).partial_sum
+
+
 def test_density_first_terms_abelian_k2():
     # Hand-checkable truncation: r-full b <= 10 with f(b) = 2 are 4 and 8,
     # so the partial sum is 1/psi(4) + 1/psi(8) = 1/6 + 1/12.

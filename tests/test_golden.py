@@ -59,6 +59,10 @@ def _calls() -> list[tuple[str, list[str]]]:
         # A deep window: the large primes reach 1e9.
         ("interval-abelian-k1-x1e18",
          ["interval", "--rule", "abelian", "--k", "1", "--x", "1e18", "--y", "1e4"]),
+        # r = 3: the kernel walks the prime cubes alone.
+        ("interval-powerdiv-r3-k2",
+         ["interval", "--rule", "powerdiv-r:3", "--k", "2", "--x", "1e12", "--y", "1e6",
+          "--B", "1e6"]),
         ("table-plane-k2",
          ["table", "--rule", "plane", "--k", "2", "--x", "1e8,1e9", "--y", "1e3,1e4",
           "--B", "1e6"]),

@@ -276,7 +276,7 @@ def test_every_prime_applied_exactly_once(base, starts):
     y_all = 900 + 865
     parts = sieve_segment(base, y_all)
     segment = [parts.get(n, ()) for n in range(base + 1, base + y_all + 1)]
-    for rule in (*builtin_rules(), _huge_rule()):
+    for rule in (*builtin_rules(), build_rule("powerdiv-r:3"), _huge_rule()):
         fvals = [eval_rule(rule, f) for f in segment]
         for i in starts:
             for y in lengths:
@@ -296,7 +296,7 @@ def test_pattern_across_chunk_edges(monkeypatch):
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
-    rules = (*builtin_rules(), _huge_rule())
+    rules = (*builtin_rules(), build_rule("powerdiv-r:3"), _huge_rule())
     for x, y in ((2**20 - 2599, 5321), (10**12 + 4321, 4100), (3**25 - 1729, 3500)):
         assert all((x + 1 + c) % 864 for c in range(0, y, 1000))
         segment = sieve_segment(x, y)
@@ -357,9 +357,11 @@ def test_large_prime_powers_near_2_63(monkeypatch, r):
     # A multiple of p^r just above (x+y)^(1/(r+1)), and one of the largest
     # p^r below 2^63, each in a window near 2^63, against factorize; with
     # the cut at that root and with its floor of 2^16 (at r = 4 the floor
-    # puts every prime in the buckets).
+    # puts every prime in the buckets).  The rules are the five families at
+    # r = 2 and powerdiv-r:r above it, whose kernel walks the same p^r.
     import pimshort.sieve as sieve_mod
 
+    rules = builtin_rules() if r == 2 else (build_rule(f"powerdiv-r:{r}"),)
     cut = introot(MAX_N - 1, r + 1)
     for p in (_prime_at_or_below(cut + 50), _prime_at_or_below(introot(MAX_N - 1, r))):
         n = (MAX_N - 1 - 50) // p**r * p**r
@@ -370,10 +372,57 @@ def test_large_prime_powers_near_2_63(monkeypatch, r):
         for floor in (1, 1 << 16):
             monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", floor)
             assert count_r_free(x, y, r) == sum(all(a < r for _, a in f) for f in facts), (r, p)
-            if r == 2:
-                for rule in builtin_rules():
-                    expected = Counter(eval_rule(rule, f) for f in facts)
-                    assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
+            for rule in rules:
+                expected = Counter(eval_rule(rule, f) for f in facts)
+                assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
+
+
+@pytest.mark.parametrize("r", [40, 62, 64])
+def test_rule_thresholds_past_the_int64_powers(r):
+    # At r >= 40, 3^r passes int64 and the cut is 3; 2^62 is the one 40th
+    # (and 62nd) power in these windows, where powerdiv-r:40 and :62 take
+    # f = 2.  Against factorize, at 1e6, around 2^62 and ending at 2^63 - 1.
+    rule = build_rule(f"powerdiv-r:{r}")
+    for x, y in ((10**6, 1000), (2**62 - 50, 100), (MAX_N - 101, 100)):
+        expected = Counter(eval_rule(rule, f) for f in _factorized_window(x, y))
+        assert value_counts(rule, x, y) == dict(sorted(expected.items())), (r, x)
+        assert count_value(rule, 1, x, y) == expected[1], (r, x)
+    assert value_counts(rule, 2**62 - 50, 100) == ({1: 99, 2: 1} if r < 64 else {1: 100})
+
+
+def test_kernel_walks_at_the_rule_threshold(monkeypatch):
+    # powerdiv-r:3 has g = 1 below 3, so every strided pass, bucket hit and
+    # cofactor hit of its kernel is a multiple of p^3.  With no floor under
+    # the cut (x+y)^(1/4) = 1006, 5^3 .. 13^3 take strided passes, 17^3 ..
+    # 997^3 go to the buckets and the 1009^3 | n come from the cofactor side.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", 1)
+    passes, hits = [], []
+    strided, exponents = sieve_mod._small_prime_exponents, sieve_mod._exponents
+
+    def strided_spy(p, n0, y, a):
+        passes.append((p, a))
+        return strided(p, n0, y, a)
+
+    def exponents_spy(n, p, r):
+        e = exponents(n, p, r)
+        hits.extend(zip(n.tolist(), p.tolist(), e.tolist()))
+        return e
+
+    monkeypatch.setattr(sieve_mod, "_small_prime_exponents", strided_spy)
+    monkeypatch.setattr(sieve_mod, "_exponents", exponents_spy)
+    rule = build_rule("powerdiv-r:3")
+    n = 1009**3 * 1000
+    x, y = n - 1500, 3000
+    assert introot(x + y, 4) == 1006
+    expected = _segment_profile(rule, sieve_segment(x, y), y)
+    assert value_counts(rule, x, y) == dict(sorted(expected.items()))
+    assert {a for p, a in passes if p >= 5} == {3}
+    assert {p for p, _ in passes if p >= 5} == {5, 7, 11, 13}
+    assert all(e >= 3 and m % p**e == 0 and m % p ** (e + 1) for m, p, e in hits)
+    assert {p for _, p, _ in hits} >= {17, 1009}
+    assert (n, 1009, 3) in hits
 
 
 def test_count_r_free_huge_r():
