@@ -196,7 +196,6 @@ def test_density_of_a_k_past_int64():
     huge = load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text())
     res = local_density(huge, 10**20, 2 * 10**6)
     assert res.partial_sum == 2 / (3 * 2**20)
-    assert density_profile(huge, 2 * 10**6, 2)[2].partial_sum == local_density(huge, 2, 2 * 10**6).partial_sum
 
 
 def test_density_first_terms_abelian_k2():
