@@ -35,9 +35,6 @@ class BoundBreakdown:
     scale     = X^(1/(2r+1)) + term_mid + term_tail
     """
 
-    r: int
-    x: float
-    y: float
     term_main: float
     term_mid: float
     term_tail: float
@@ -60,7 +57,7 @@ def bound_breakdown(r: int, x, y) -> BoundBreakdown:
     term_mid = exp(ly - 1.0 / (6 * (4 * r - 1) * (2 * r - 1)) * lx)
     term_tail = exp((1.0 - 2.0 * (r - 1) / (r * (3 * r - 1))) * ly)
     scale = exp(lx / (2 * r + 1)) + term_mid + term_tail
-    return BoundBreakdown(r, float(x), float(y), term_main, term_mid, term_tail, scale)
+    return BoundBreakdown(term_main, term_mid, term_tail, scale)
 
 
 def interval_error_bound(r: int, x, y) -> float:

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -131,7 +131,7 @@ def emit_records(columns, records: list[dict], fmt: str) -> None:
 def cmd_density(args) -> int:
     rule = resolve_rule(args.rule)
     check_bound(rule, args.bound)
-    record = local_density(rule, args.k, args.bound).to_record()
+    record = asdict(local_density(rule, args.k, args.bound))
     emit_records(record.keys(), [record], args.format)
     return 0
 
@@ -155,7 +155,7 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
             for x in xs for y in ys
         ]
     columns = [f.name for f in fields(IntervalReport)]
-    emit_records(columns, [report.to_record() for report in reports], fmt)
+    emit_records(columns, [asdict(report) for report in reports], fmt)
     return 0
 
 

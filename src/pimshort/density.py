@@ -24,7 +24,7 @@ term order, far inside the 1e-12 budget at B = 10^9.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import exp, fsum, inf, log
 
 import numpy as np
@@ -120,14 +120,9 @@ def _table(r: int, limit: int) -> RFullTable:
     return facts, n[:i], recip[:i], pattern[:i]
 
 
-def enumerate_rfull(r: int, limit: int) -> list[int]:
-    """Every r-full n <= limit in ascending order (1 included), for limit < 2^63."""
-    return _table(r, limit)[1].tolist()
-
-
 def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
     """Every r-full n <= limit with its factorization, ascending."""
-    return [(n, factorize(n)) for n in enumerate_rfull(r, limit)]
+    return [(n, factorize(n)) for n in _table(r, limit)[1].tolist()]
 
 
 def rfull_count_bound(r: int, limit: int) -> float:
@@ -171,19 +166,16 @@ def tail_geometric_factor(r: int) -> float:
 
 @dataclass(frozen=True)
 class DensityResult:
-    """Truncated density series for one (rule, k)."""
+    """Truncated density series for one (rule, k): the r-full b up to the truncation bound B."""
 
     rule: str
     k: int
     r: int
-    bound: int
+    B: int
     partial_sum: float
     tail_estimate: float
     zeta_r: float
     density: float
-
-    def to_record(self) -> dict:
-        return {("B" if key == "bound" else key): v for key, v in asdict(self).items()}
 
 
 def check_series_args(k: int, bound: int) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isqrt
 
@@ -206,6 +206,8 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
     """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the dtype of the rule's g table."""
     gtab, pattern = _kernel_tables(rule)
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
+        # Exactly cy values: np.tile's padded 2^20-offset chunk passes 8 MiB, and glibc's
+        # moving mmap threshold then kept about 4 MB more resident over verify --suite all.
         fval = np.empty(cy, dtype=gtab.dtype)
         whole, s = cy - cy % 864, n0 % 864
         fval[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
@@ -319,9 +321,6 @@ class IntervalReport:
     term_mid: float
     term_tail: float
     admissible: bool
-
-    def to_record(self) -> dict:
-        return asdict(self)
 
 
 def admissible_window(r: int, x: int, y: int, eps: float) -> bool:

@@ -1,5 +1,6 @@
 import time
 from bisect import bisect_right
+from dataclasses import asdict
 from fractions import Fraction
 from math import fsum, gcd
 from pathlib import Path
@@ -11,7 +12,6 @@ from pimshort import density
 from pimshort.bounds import zeta
 from pimshort.density import (
     density_profile,
-    enumerate_rfull,
     local_density,
     rfull_count_bound,
     rfull_factorizations,
@@ -39,7 +39,7 @@ from oracles import (
 def test_rfull_count_bound_is_an_upper_bound():
     for r in (2, 3, 4, 5, 8, 20):
         for limit in (1, 7, 2**r, 10**4, 10**7, 2**r * 10**9):
-            count = sum(1 for _ in enumerate_rfull(r, limit))
+            count = sum(1 for _ in rfull_table(r, limit)[1].tolist())
             bound = rfull_count_bound(r, limit)
             assert count <= bound <= 3 * count + 3, (r, limit, count, bound)
     assert rfull_count_bound(2, 0) == 0.0
@@ -52,9 +52,9 @@ def test_rfull_count_bound_is_an_upper_bound():
 
 
 def test_enumerate_examples():
-    assert list(enumerate_rfull(2, 100)) == [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
-    assert list(enumerate_rfull(3, 50)) == [1, 8, 16, 27, 32]
-    assert list(enumerate_rfull(2, 3)) == [1]
+    assert rfull_table(2, 100)[1].tolist() == [1, 4, 8, 9, 16, 25, 27, 32, 36, 49, 64, 72, 81, 100]
+    assert rfull_table(3, 50)[1].tolist() == [1, 8, 16, 27, 32]
+    assert rfull_table(2, 3)[1].tolist() == [1]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -62,7 +62,7 @@ def test_enumerate_matches_brute_filter(r):
     limit = 10**5
     flags = rfull_flags(limit, r)
     expected = [n for n in range(1, limit + 1) if flags[n]]
-    assert list(enumerate_rfull(r, limit)) == expected
+    assert rfull_table(r, limit)[1].tolist() == expected
 
 
 def test_enumeration_carries_correct_factorizations():
@@ -209,7 +209,7 @@ def test_density_first_terms_abelian_k2():
 
 def test_density_result_record_fields():
     res = local_density(build_rule("abelian"), 2, 1000)
-    rec = res.to_record()
+    rec = asdict(res)
     assert list(rec) == ["rule", "k", "r", "B", "partial_sum", "tail_estimate", "zeta_r", "density"]
     assert rec["rule"] == "abelian"
     assert rec["B"] == 1000
@@ -271,7 +271,7 @@ def _series_at(rule, bound):
     return ([local_density(rule, k, bound) for k in (1, 2, 4)],
             weight_harmonic_profile(rule, bound, 6),
             weight_partial_sum(rule, 2, 0.5, bound),
-            enumerate_rfull(rule.r, bound),
+            density._table(rule.r, bound)[1].tolist(),
             rfull_multiples_sum(bound, bound // 100, rule.r))
 
 
@@ -320,7 +320,7 @@ def test_harmonic_terms_are_exact_above_2_53():
     rule = build_rule("powerdiv-r:10")
     bound = 2**53 + 1
     per_term = [(n, rfull_weights_up_to(rule, trial_factorize(n), 3))
-                for n in enumerate_rfull(10, 2**63 - 1)]
+                for n in rfull_table(10, 2**63 - 1)[1].tolist()]
     prof = weight_harmonic_profile(rule, bound, 3)
     for k in (1, 2, 3):
         head = fsum(h.get(k, 0) / n for n, h in per_term if n <= bound)
@@ -345,7 +345,7 @@ def test_one_enumeration_per_r(monkeypatch):
     density_profile(abelian, bound, 6)
     weight_harmonic_profile(abelian, bound, 6)
     weight_partial_sum(abelian, 2, 0.5, bound)
-    assert enumerate_rfull(2, bound) == real(2, bound)[1].tolist()
+    assert density._table(2, bound)[1].tolist() == real(2, bound)[1].tolist()
     assert calls == [(2, 4 * bound)]
     local_density(abelian, 1, 2 * bound)
     assert calls == [(2, 4 * bound), (2, 8 * bound)]
@@ -437,7 +437,7 @@ def test_abelian_k2_weights_live_on_prime_powers():
 def test_count_shape_band():
     # #{r-full <= X} / X^(1/r) stays in a narrow band across decades.
     for r in (2, 3):
-        ns = enumerate_rfull(r, 10**8)
+        ns = rfull_table(r, 10**8)[1].tolist()
         ratios = []
         for e in range(3, 9):
             x = 10**e
@@ -453,14 +453,14 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         local_density(abelian, 1, 0)
     with pytest.raises(ValueError):
-        next(enumerate_rfull(1, 100))
+        rfull_table(1, 100)[1].tolist()
     with pytest.raises(ValueError):
-        next(enumerate_rfull(2, 0))
+        rfull_table(2, 0)[1].tolist()
     # n is held as int64: a limit at or above 2^63 is refused, not cut.
-    assert enumerate_rfull(40, 2**63 - 1) == [1] + [2**e for e in range(40, 63)]
+    assert rfull_table(40, 2**63 - 1)[1].tolist() == [1] + [2**e for e in range(40, 63)]
     for limit in (2**63, 2**70):
         with pytest.raises(ValueError, match=r"2\*\*63"):
-            enumerate_rfull(40, limit)
+            rfull_table(40, limit)[1].tolist()
         with pytest.raises(ValueError, match=r"2\*\*63"):
             rfull_table(2, limit)
         with pytest.raises(ValueError, match=r"2\*\*63"):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -730,7 +731,7 @@ def test_interval_report_fields_and_flag():
     assert rep.count == 8  # squarefree members of (100, 110]
     assert not rep.admissible
     assert rep.abs_error == pytest.approx(abs(8 - rep.main_term))
-    rec = rep.to_record()
+    rec = asdict(rep)
     assert list(rec) == [
         "rule", "k", "r", "x", "y", "count", "density", "main_term",
         "abs_error", "term_main", "term_mid", "term_tail", "admissible",
