@@ -3,11 +3,14 @@
 Counting {n : f(n) = k} in a window only needs prime r-th powers, r the
 rule's threshold: a prime dividing n fewer than r times contributes g = 1,
 so the counting kernel finds each p^r | n, extracts the exact exponent, and
-multiplies table values into an accumulator per offset.  The accumulator is
-int64 when g(alpha) <= 2^alpha for every alpha (all built-in families) and
-an object array of exact Python ints otherwise; both run the same steps.
+multiplies table values into an accumulator per offset.  count_value asks
+only whether f(n) = k, and every g is at least 1, so it clips at k + 1 in the
+narrowest dtype that holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254,
+int64 while that square is below 2^63.  Other counts keep exact values: int64
+when g(alpha) <= 2^alpha for every alpha (all built-in families), else an
+object array of Python ints.  Every path runs the same steps.
 
-Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (8 MB of int64
+Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
 min((x+y)^(1/r), 2^16) if higher, from the shared table.  Each chunk starts
 from a pattern of period 2^5 * 3^3 = 864 that holds the factors of 2 and 3
@@ -98,12 +101,14 @@ def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.nda
 
 @lru_cache(maxsize=None)
 def _kernel_tables(rule: ExponentRule) -> tuple[np.ndarray, np.ndarray]:
-    # g(alpha) <= 2^alpha for all alpha forces f(n) <= n < 2**63, so an int64
-    # product accumulator cannot overflow.  Holds for every built-in family;
-    # other tables multiply exact Python ints in object arrays.  The pattern is
-    # g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two periods of 864 so that a
-    # full period follows every phase.  The factor of 2 is 1 where 2^5 | n and
-    # that of 3 where 3^3 | n: the passes over 32 and 27 apply those.
+    # The exact tables.  g(alpha) <= 2^alpha for all alpha forces f(n) <= n <
+    # 2**63, so an int64 product accumulator cannot overflow.  Holds for every
+    # built-in family; other tables multiply exact Python ints in object arrays.
+    # count_value's copies, clipped at k + 1, are uint8, uint16 or int64
+    # (_fvalue_chunks).  The pattern is g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727,
+    # two periods of 864 so that a full period follows every phase.  The factor
+    # of 2 is 1 where 2^5 | n and that of 3 where 3^3 | n: the passes over 32
+    # and 27 apply those.
     safe = all(v <= 1 << a for a, v in enumerate(rule.values))
     n, gtab = np.arange(2 * 864), np.array(rule.values, dtype=np.int64 if safe else object)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
@@ -202,9 +207,12 @@ def _exponents(n: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
     return e
 
 
-def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
-    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, of the dtype of the rule's g table."""
+def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
+    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, as min(f, cap) if cap > 0."""
     gtab, pattern = _kernel_tables(rule)
+    if cap:  # min(g, cap) in the narrowest dtype that holds cap^2: two such values never wrap
+        dtype = np.uint8 if cap * cap < 1 << 8 else np.uint16 if cap * cap < 1 << 16 else np.int64
+        gtab, pattern = (np.minimum(t, cap).astype(dtype) for t in (gtab, pattern))
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
         # Exactly cy values: np.tile's padded 2^20-offset chunk passes 8 MiB, and glibc's
         # moving mmap threshold then kept about 4 MB more resident over verify --suite all.
@@ -215,16 +223,23 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int):
         for p, a in ((2, 5), (3, 3), *((p, rule.r) for p in small)):
             s0, e = _small_prime_exponents(p, n0, cy, a)
             fval[s0 :: p**a] *= gtab[e]
-        # Two large primes can share an offset (n = p^r q^r), and fancy
-        # `fval[off] *= ...` would keep only one factor; multiply.at
-        # applies every one.
-        np.multiply.at(fval, off, gtab[_exponents(n0 + off, hit_primes, rule.r)])
+            if cap:
+                np.minimum(fval[s0 :: p**a], cap, out=fval[s0 :: p**a])
+        # Two large primes can share an offset (n = p^r q^r), where fancy
+        # `fval[off] *= ...` keeps one factor.  The hits are sorted by offset, so
+        # each round applies the first hit left at each offset, then clips.
+        g = gtab[_exponents(n0 + off, hit_primes, rule.r)]
+        while off.size:
+            first = np.concatenate(([True], off[1:] != off[:-1]))
+            o, off, h, g = off[first], off[~first], g[first], g[~first]
+            fval[o] = np.minimum(fval[o] * h, cap) if cap else fval[o] * h
         yield fval
 
 
 def _count_task(task) -> int:
     rule, k, x, y = task
-    return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y))
+    cap = k + 1 if (k + 1) ** 2 < MAX_N else 0  # f past k never comes back down
+    return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, cap))
 
 
 def _profile_task(task) -> Counter:

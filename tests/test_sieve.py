@@ -640,6 +640,47 @@ def test_count_value_beyond_int64_is_zero():
         assert count_value(abelian, k, 10**6, 1000) == 0
 
 
+def _edge_rule(*values):
+    # g(2), g(3), ... = values, then 2 up to g(64).
+    values = [1, 1, *values] + [2] * (63 - len(values))
+    return load_custom_rule(json.dumps({"name": "edge", "r": 2, "values": values}))
+
+
+@pytest.mark.parametrize("k", [16, 256])  # the first k past the uint8 and the uint16 accumulator
+def test_clipped_count_at_the_dtype_edges(k):
+    # f(p^2 q^3) = k (k + 1): the partial product k meets the factor k + 1 = cap,
+    # and a dtype too narrow for cap^2 wraps k (k + 1) back to k.  At 500 the
+    # factor of 5 comes in as a bucket hit, and in the window (199, 799] by a
+    # strided pass; 1009^2 1013^3 takes two large-prime hits on one offset.
+    rule = _edge_rule(k, k + 1)
+    for n in (2**2 * 5**3, 1009**2 * 1013**3):
+        assert count_value(rule, k, n - 1, 1) == 0, n
+        assert count_value(rule, k * (k + 1), n - 1, 1) == 1, n
+    assert count_value(rule, k, 199, 600) == count_k_brute(rule, k, 199, 600)
+
+
+def test_clip_follows_every_factor():
+    # Unclipped, f = 14 * 5 * 7 * 11 = 5390 at n = 2^5 5^2 7^3 11^4 wraps to
+    # 14 in uint8 (k = 14).  With y = 1 the factors of 5, 7 and 11 come in as
+    # bucket hits on one offset, and in the wider window by strided passes.
+    rule = _edge_rule(5, 7, 11, 14)
+    n = 2**5 * 5**2 * 7**3 * 11**4
+    assert count_value(rule, 14, n - 1, 1) == 0
+    assert count_value(rule, 14, n - 150, 300) == value_counts(rule, n - 150, 300).get(14, 0)
+
+
+def test_clipped_counts_equal_the_exact_profile():
+    # Every accumulator dtype against the exact values, over windows that pass
+    # a 2^20-offset chunk edge and take cofactor-side hits.
+    rules = (build_rule("abelian"), build_rule("powerdiv-r:3"), _huge_rule(), _edge_rule(254, 255, 256))
+    for x in (10**12 - 5000, 3 * 10**13):
+        y = (1 << 20) + 10000
+        for rule in rules:
+            profile = value_counts(rule, x, y)
+            for k in (*range(1, 41), 100, 254, 255, 256):
+                assert count_value(rule, k, x, y) == profile.get(k, 0), (rule.name, x, k)
+
+
 def test_count_r_free_examples():
     assert count_r_free(100, 10, 2) == 8
     assert count_r_free(0, 10, 3) == 9
