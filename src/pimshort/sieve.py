@@ -6,9 +6,9 @@ so the counting kernel finds each p^r | n, extracts the exact exponent, and
 multiplies table values into an accumulator per offset.  count_value asks
 only whether f(n) = k, and every g is at least 1, so it clips at k + 1 in the
 narrowest dtype that holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254,
-int64 while that square is below 2^63.  Other counts keep exact values: int64
-when g(alpha) <= 2^alpha for every alpha (all built-in families), else an
-object array of Python ints.  Every path runs the same steps.
+and int64 below 2^63 in place of an object table.  Other counts keep exact
+values: int64 when g(alpha) <= 2^alpha for every alpha (all built-in
+families), else an object array of Python ints.  Every path runs the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
@@ -104,11 +104,11 @@ def _kernel_tables(rule: ExponentRule) -> tuple[np.ndarray, np.ndarray]:
     # The exact tables.  g(alpha) <= 2^alpha for all alpha forces f(n) <= n <
     # 2**63, so an int64 product accumulator cannot overflow.  Holds for every
     # built-in family; other tables multiply exact Python ints in object arrays.
-    # count_value's copies, clipped at k + 1, are uint8, uint16 or int64
-    # (_fvalue_chunks).  The pattern is g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727,
-    # two periods of 864 so that a full period follows every phase.  The factor
-    # of 2 is 1 where 2^5 | n and that of 3 where 3^3 | n: the passes over 32
-    # and 27 apply those.
+    # count_value's copies, clipped at k + 1, are uint8, uint16 or, in place of
+    # an object table, int64 (_count_task).  The pattern is g(v_2(n)) * g(v_3(n))
+    # at n = 0 .. 1727, two periods of 864 so that a full period follows every
+    # phase.  The factor of 2 is 1 where 2^5 | n and that of 3 where 3^3 | n:
+    # the passes over 32 and 27 apply those.
     safe = all(v <= 1 << a for a, v in enumerate(rule.values))
     n, gtab = np.arange(2 * 864), np.array(rule.values, dtype=np.int64 if safe else object)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
@@ -238,7 +238,9 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
 
 def _count_task(task) -> int:
     rule, k, x, y = task
-    cap = k + 1 if (k + 1) ** 2 < MAX_N else 0  # f past k never comes back down
+    cap = k + 1  # f past k never comes back down; clip to uint8/uint16, or int64 for objects
+    if cap * cap >= 1 << 16 and (cap * cap >= MAX_N or _kernel_tables(rule)[0].dtype != object):
+        cap = 0
     return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, cap))
 
 

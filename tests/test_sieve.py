@@ -669,6 +669,22 @@ def test_clip_follows_every_factor():
     assert count_value(rule, 14, n - 150, 300) == value_counts(rule, n - 150, 300).get(14, 0)
 
 
+def test_clip_only_where_it_narrows_the_accumulator(monkeypatch):
+    # An int64 table past k = 254 is as narrow as the clip could make it, so it
+    # counts exactly, without a clip after every multiply; an object table
+    # clips in int64 while (k + 1)^2 < 2^63.
+    import pimshort.sieve as sieve_mod
+
+    caps, chunks = [], sieve_mod._fvalue_chunks
+    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", lambda *a: caps.append(a[3]) or chunks(*a))
+    abelian, huge = build_rule("abelian"), _huge_rule()
+    cases = {(abelian, 14): 15, (abelian, 254): 255, (abelian, 255): 0, (abelian, 10**12): 0,
+             (huge, 100): 101, (huge, 255): 256, (huge, 3 * 10**9): 3 * 10**9 + 1, (huge, 10**12): 0}
+    for (rule, k), cap in cases.items():
+        count_value(rule, k, 10**6, 100)
+        assert caps.pop() == cap, (rule.name, k)
+
+
 def test_clipped_counts_equal_the_exact_profile():
     # Every accumulator dtype against the exact values, over windows that pass
     # a 2^20-offset chunk edge and take cofactor-side hits.
