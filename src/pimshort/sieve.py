@@ -22,8 +22,9 @@ chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
 83, 2014).  A prime p above the cut divides n = m p^r only with m below
 (x+y)^(1/(r+1)), so its hits come from the cofactor side: for each m, the
 integer points p of a short interval (the hyperbola split of Filaseta and
-Trifonov, J. London Math. Soc. 45, 1992).  With several workers, each
-process takes one contiguous run of chunks.  Counts are exact integers.
+Trifonov, J. London Math. Soc. 45, 1992).  With several workers, an exact
+count or profile gives each process one run of chunks; a clipped count runs
+in the calling process.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _kernel_tables(rule: ExponentRule) -> tuple[np.ndarray, np.ndarray]:
     # 2**63, so an int64 product accumulator cannot overflow.  Holds for every
     # built-in family; other tables multiply exact Python ints in object arrays.
     # count_value's copies, clipped at k + 1, are uint8, uint16 or, in place of
-    # an object table, int64 (_count_task).  The pattern is g(v_2(n)) * g(v_3(n))
+    # an object table, int64.  The pattern is g(v_2(n)) * g(v_3(n))
     # at n = 0 .. 1727, two periods of 864 so that a full period follows every
     # phase.  The factor of 2 is 1 where 2^5 | n and that of 3 where 3^3 | n:
     # the passes over 32 and 27 apply those.
@@ -237,10 +238,7 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
 
 
 def _count_task(task) -> int:
-    rule, k, x, y = task
-    cap = k + 1  # f past k never comes back down; clip to uint8/uint16, or int64 for objects
-    if cap * cap >= 1 << 16 and (cap * cap >= MAX_N or _kernel_tables(rule)[0].dtype != object):
-        cap = 0
+    rule, k, cap, x, y = task
     return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, cap))
 
 
@@ -277,11 +275,16 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
 
     Only the primes p with p^r | n are found, below the cut or from the
     cofactor side; one dividing n fewer than r times contributes g = 1.
+    workers (>= 1) bounds the processes only for an exact count: a clipped
+    count runs in this process, as a pool costs more to start than it saves.
     """
     _check_window(x, y)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    return sum(_map_parts(_count_task, (rule, k), x, y, workers))
+    cap = k + 1  # f past k never comes back down; clip to uint8/uint16, or int64 for objects
+    if cap * cap >= 1 << 16 and (cap * cap >= MAX_N or _kernel_tables(rule)[0].dtype != object):
+        cap = 0
+    return sum(_map_parts(_count_task, (rule, k, cap), x, y, min(workers, 1) if cap else workers))
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:

@@ -143,11 +143,15 @@ def test_counts_independent_of_chunking_and_workers(monkeypatch):
     base_profile = value_counts(abelian, x, y)
     assert sum(base_profile.values()) == y
     assert base_profile[1] == base_count == count_r_free(x, y, 2)
+    # k = 1 counts in one process; a k past 254 counts exactly, through the pool.
+    exact = max(base_profile)
+    assert exact >= 255
     for chunk in (1000, 7001, 1 << 20):
         monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", chunk)
         assert count_r_free(x, y, 2) == base_count, chunk
         for workers in (1, 2, 3):
             assert count_value(abelian, 1, x, y, workers=workers) == base_count, (chunk, workers)
+            assert count_value(abelian, exact, x, y, workers=workers) == base_profile[exact]
             assert value_counts(abelian, x, y, workers=workers) == base_profile, (chunk, workers)
 
 
@@ -575,8 +579,12 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(sieve_mod, "multiprocessing", SimpleNamespace(Pool=CountedPool))
     abelian = build_rule("abelian")
     x = 10**7
-    counts = {y: count_value(abelian, 1, x, y) for y in (7001, 14000, 21000, 30000)}
     profiles = {y: value_counts(abelian, x, y) for y in (7001, 21000, 30000)}
+    # 462 is past 254, so it counts exactly on the int64 table, with a pool.
+    k = max(profiles[30000])
+    assert k >= 255
+    counts = {y: count_value(abelian, k, x, y) for y in (7001, 14000, 21000, 30000)}
+    clipped = count_value(abelian, 1, x, 30000)
     # Chunks of 7001 offsets: y = 7001, 14000, 21000 and 30000 take 1, 2, 3 and 5.
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 7001)
     cpu_calls = []
@@ -585,24 +593,38 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
         return lambda: cpu_calls.append(n) or n
 
     monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(1))
-    assert count_value(abelian, 1, x, 30000, workers=8) == counts[30000]
+    assert count_value(abelian, k, x, 30000, workers=8) == counts[30000]
     assert value_counts(abelian, x, 30000, workers=64) == profiles[30000]
     assert pools == []
     monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(None))
-    assert count_value(abelian, 1, x, 14000, workers=8) == counts[14000]
+    assert count_value(abelian, k, x, 14000, workers=8) == counts[14000]
     assert pools == []
     monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(4))
     assert value_counts(abelian, x, 21000, workers=8) == profiles[21000]
-    assert count_value(abelian, 1, x, 30000, workers=2) == counts[30000]
+    assert count_value(abelian, k, x, 30000, workers=2) == counts[30000]
     assert pools == [3, 2]
-    # One chunk, or one worker, starts no pool and asks for no CPU count.
+    # One chunk, one worker, or a clipped count starts no pool and asks for no CPU count.
     del cpu_calls[:]
     assert value_counts(abelian, x, 7001, workers=8) == profiles[7001]
-    assert count_value(abelian, 1, x, 7001, workers=8) == counts[7001]
-    assert count_value(abelian, 1, x, 30000) == counts[30000]
+    assert count_value(abelian, k, x, 7001, workers=8) == counts[7001]
+    assert count_value(abelian, k, x, 30000) == counts[30000]
+    assert count_value(abelian, 1, x, 30000, workers=8) == clipped
     assert cpu_calls == []
-    assert count_value(abelian, 1, x, 30000, workers=8) == counts[30000]
+    assert pools == [3, 2]
+    assert count_value(abelian, k, x, 30000, workers=8) == counts[30000]
     assert pools == [3, 2, 4]
+
+
+@pytest.mark.parametrize("k", [1, 300, None], ids=["clipped", "exact", "value_counts"])
+def test_workers_below_one_raise(k):
+    # The clipped count runs in one process whatever workers asks, but still checks it.
+    abelian = build_rule("abelian")
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            if k is None:
+                value_counts(abelian, 10**6, 100, workers=workers)
+            else:
+                count_value(abelian, k, 10**6, 100, workers=workers)
 
 
 def test_slow_path_for_non_int64_safe_rule():
