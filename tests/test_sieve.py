@@ -615,16 +615,16 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
     assert pools == [3, 2, 4]
 
 
-@pytest.mark.parametrize("k", [1, 300, None], ids=["clipped", "exact", "value_counts"])
-def test_workers_below_one_raise(k):
+@pytest.mark.parametrize("call", [
+    lambda rule, workers: count_value(rule, 1, 10**6, 100, workers=workers),
+    lambda rule, workers: count_value(rule, 300, 10**6, 100, workers=workers),
+    lambda rule, workers: value_counts(rule, 10**6, 100, workers=workers),
+], ids=["clipped", "exact", "value_counts"])
+def test_workers_below_one_raise(call):
     # The clipped count runs in one process whatever workers asks, but still checks it.
-    abelian = build_rule("abelian")
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
-            if k is None:
-                value_counts(abelian, 10**6, 100, workers=workers)
-            else:
-                count_value(abelian, k, 10**6, 100, workers=workers)
+            call(build_rule("abelian"), workers)
 
 
 def test_slow_path_for_non_int64_safe_rule():
