@@ -56,6 +56,14 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-huge-rule-k100",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "100",
           "--x", "1073736000", "--y", "1e4", "--B", "1e6"]),
+        # (k + 1)^2 passes 2^63 for a rule with g(alpha) > 2^alpha: f counted exactly.
+        ("interval-huge-rule-k1e12",
+         ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
+          "--x", "1e12", "--y", "1e6", "--B", "1e6"]),
+        # k past the uint16 accumulator, on a built-in rule's exact int64 table.
+        ("interval-abelian-k297",
+         ["interval", "--rule", "abelian", "--k", "297", "--x", "1e11", "--y", "1e6",
+          "--B", "1e6"]),
         # A deep window: the large primes reach 1e9.
         ("interval-abelian-k1-x1e18",
          ["interval", "--rule", "abelian", "--k", "1", "--x", "1e18", "--y", "1e4"]),
