@@ -3,12 +3,15 @@
 Counting {n : f(n) = k} in a window only needs prime r-th powers, r the
 rule's threshold: a prime dividing n fewer than r times contributes g = 1,
 so the counting kernel finds each p^r | n, extracts the exact exponent, and
-multiplies table values into an accumulator per offset.  count_value asks
-only whether f(n) = k, and every g is at least 1, so it clips at k + 1 in the
-narrowest dtype that holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254,
-and int64 below 2^63 in place of an object table.  Other counts keep exact
-values: int64 when g(alpha) <= 2^alpha for every alpha (all built-in
-families), else an object array of Python ints.  Every path runs the same steps.
+multiplies table values into an accumulator per offset.  value_counts runs it
+once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha)
+over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r):
+sigma_r(n) <= n fits int64, as prime(alpha) <= 2^alpha, and f is evaluated once
+per distinct code, in Python ints.  count_value asks only whether f(n) = k, and
+every g is at least 1, so it clips at k + 1 in the narrowest dtype that holds
+(k + 1)^2: uint8 for k <= 14, uint16 for k <= 254.  Past that it counts on the
+exact int64 table if g(alpha) <= 2^alpha for all alpha (all built-in families),
+else reads value_counts.  Every path runs the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
@@ -34,13 +37,13 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isqrt
+from math import inf, isqrt, prod
 
 import numpy as np
 
 from .bounds import bound_breakdown
 from .density import _table
-from .factor import _PRIME_FLOOR, MAX_N, Factorization, _ranges, introot, primes_upto
+from .factor import _PRIME_FLOOR, MAX_N, Factorization, _ranges, factorize, introot, primes_upto
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
@@ -101,20 +104,38 @@ def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.nda
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(rule: ExponentRule) -> tuple[np.ndarray, np.ndarray]:
-    # The exact tables.  g(alpha) <= 2^alpha for all alpha forces f(n) <= n <
-    # 2**63, so an int64 product accumulator cannot overflow.  Holds for every
-    # built-in family; other tables multiply exact Python ints in object arrays.
-    # count_value's copies, clipped at k + 1, are uint8, uint16 or, in place of
-    # an object table, int64.  The pattern is g(v_2(n)) * g(v_3(n))
-    # at n = 0 .. 1727, two periods of 864 so that a full period follows every
-    # phase.  The factor of 2 is 1 where 2^5 | n and that of 3 where 3^3 | n:
-    # the passes over 32 and 27 apply those.
-    safe = all(v <= 1 << a for a, v in enumerate(rule.values))
-    n, gtab = np.arange(2 * 864), np.array(rule.values, dtype=np.int64 if safe else object)
+def _signature_rule(r: int) -> ExponentRule:
+    # sigma_r as a rule: g(alpha) = prime(alpha) from r on, for every exponent of an n < 2^63.
+    return ExponentRule(f"signature-r{r}", r, (1,) * r + tuple(primes_upto(307).tolist()[r - 1 :]))
+
+
+@lru_cache(maxsize=1 << 12)
+def _signature_exponents(code: int) -> tuple[int, ...]:
+    # The exponents alpha >= r of every n with this code, from its factors prime(alpha).
+    primes = primes_upto(307).tolist()
+    return tuple(primes.index(p) + 1 for p, e in factorize(code) for _ in range(e))
+
+
+def _fold(rule: ExponentRule, codes: Counter) -> dict[int, int]:
+    # value_counts from the signature counts: f once per code, in exact Python ints.
+    counts: Counter = Counter()
+    for code, c in codes.items():
+        counts[prod(rule.values[a] for a in _signature_exponents(code))] += c
+    return dict(sorted(counts.items()))
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(rule: ExponentRule, cap: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    # g and the pattern of 2 and 3: exact int64 (g(alpha) <= 2^alpha), or min(g, cap)
+    # in uint8 or uint16, the narrowest dtype that holds cap^2, so that two clipped
+    # values never wrap.  The pattern is g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two
+    # periods of 864 so that a full period follows every phase.  The factor of 2 is
+    # 1 where 2^5 | n and that of 3 where 3^3 | n: the passes over 32 and 27 apply those.
+    dtype = np.int64 if not cap else np.uint8 if cap * cap < 1 << 8 else np.uint16
+    n, gtab = np.arange(2 * 864), np.array([min(v, cap or v) for v in rule.values], dtype)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
               for p, a in ((2, 5), (3, 3)))
-    pattern = gtab[v2] * gtab[v3]
+    pattern = np.minimum(gtab[v2] * gtab[v3], cap) if cap else gtab[v2] * gtab[v3]
     gtab.flags.writeable = pattern.flags.writeable = False
     return gtab, pattern
 
@@ -210,10 +231,7 @@ def _exponents(n: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
 
 def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
     """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, as min(f, cap) if cap > 0."""
-    gtab, pattern = _kernel_tables(rule)
-    if cap:  # min(g, cap) in the narrowest dtype that holds cap^2: two such values never wrap
-        dtype = np.uint8 if cap * cap < 1 << 8 else np.uint16 if cap * cap < 1 << 16 else np.int64
-        gtab, pattern = (np.minimum(t, cap).astype(dtype) for t in (gtab, pattern))
+    gtab, pattern = _kernel_tables(rule, cap)
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
         # Exactly cy values: np.tile's padded 2^20-offset chunk passes 8 MiB, and glibc's
         # moving mmap threshold then kept about 4 MB more resident over verify --suite all.
@@ -242,15 +260,13 @@ def _count_task(task) -> int:
     return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, cap))
 
 
-def _profile_task(task) -> Counter:
-    rule, x, y = task
+def _signature_counts(task) -> Counter:
+    # task = (r, x, y): the count of every code sigma_r(n) over (x, x+y], for every rule at r.
+    r, x, y = task
     profile: Counter = Counter()
-    for fval in _fvalue_chunks(rule, x, y):
-        if fval.dtype == object:  # np.unique would sort Python ints
-            profile.update(fval.tolist())
-        else:
-            values, counts = np.unique(fval, return_counts=True)
-            profile.update(dict(zip(values.tolist(), counts.tolist())))
+    for fval in _fvalue_chunks(_signature_rule(r), x, y):
+        values, counts = np.unique(fval, return_counts=True)
+        profile.update(dict(zip(values.tolist(), counts.tolist())))
     return profile
 
 
@@ -281,16 +297,16 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
     _check_window(x, y)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    cap = k + 1  # f past k never comes back down; clip to uint8/uint16, or int64 for objects
-    if cap * cap >= 1 << 16 and (cap * cap >= MAX_N or _kernel_tables(rule)[0].dtype != object):
-        cap = 0
+    cap = k + 1 if k < 255 else 0  # f past k never comes back down: clip to uint8/uint16
+    if not cap and any(v > 1 << a for a, v in enumerate(rule.values)):  # f may pass int64
+        return value_counts(rule, x, y, workers).get(k, 0)
     return sum(_map_parts(_count_task, (rule, k, cap), x, y, min(workers, 1) if cap else workers))
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
-    """Counts of every f value attained in (x, x+y], keyed by value."""
+    """Counts of every f value attained in (x, x+y], keyed by value, from the signature counts."""
     _check_window(x, y)
-    return dict(sorted(sum(_map_parts(_profile_task, (rule,), x, y, workers), Counter()).items()))
+    return _fold(rule, sum(_map_parts(_signature_counts, (rule.r,), x, y, workers), Counter()))
 
 
 def count_r_free(x: int, y: int, r: int) -> int:

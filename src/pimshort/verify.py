@@ -24,6 +24,8 @@ from .density import (
 from .factor import eval_rule, factorize, rfull_weights_up_to
 from .rules import build_rule, builtin_rules
 from .sieve import (
+    _fold,
+    _signature_counts,
     admissible_window,
     count_r_free,
     count_value,
@@ -311,31 +313,30 @@ def checks_desk_scale() -> list[Check]:
 def checks_segment_equivalence(seed: int = 0) -> list[Check]:
     """Counting kernel vs each n's squarefull part over seeded random windows.
 
-    Comparing against the squarefull part alone is exact: g(1) = 1 for every
-    validated rule, so the primes dividing n once do not change f(n).
+    One signature sieve of a window serves every rule, as in value_counts.  The
+    oracle is exact: g(1) = 1 for every validated rule, so f(n) reads only the
+    squarefull part of n, evaluated once per exponent shape.
     """
     segments = 200
     rng = random.Random(seed)
     rules = builtin_rules()
-    mismatch = 0
-    partition_bad = 0
+    mismatch = partition_bad = 0
     for _ in range(segments):
         x = rng.randrange(0, 10**8)
         y = rng.randrange(1, 10**4 + 1)
-        # g(1) = 1: each squarefull exponent tuple is evaluated once, the squarefree n as ().
+        # Each distinct squarefull part gives its exponent shape; the squarefree n give ().
         parts = sieve_segment(x, y)
-        shapes = Counter(tuple(a for _, a in f) for f in parts.values())
-        shapes[()] = y - len(parts)
+        shapes = Counter({(): y - len(parts)})
+        for part, count in Counter(parts.values()).items():
+            shapes[tuple(a for _, a in part)] += count
+        codes = {r: _signature_counts((r, x, y)) for r in {rule.r for rule in rules}}
         for rule in rules:
             pointwise: Counter[int] = Counter()
             for shape, count in shapes.items():
                 pointwise[eval_rule(rule, tuple(enumerate(shape)))] += count
-            counted = value_counts(rule, x, y)
-            if sum(counted.values()) != y:
-                partition_bad += 1
-            for k in range(1, 7):
-                if counted.get(k, 0) != pointwise.get(k, 0):
-                    mismatch += 1
+            counted = _fold(rule, codes[rule.r])
+            partition_bad += sum(counted.values()) != y
+            mismatch += sum(counted.get(k, 0) != pointwise[k] for k in range(1, 7))
     return [
         Check("segment-pointwise-equivalence", mismatch == 0, mismatch, 0,
               note=f"{segments} seeded windows, {len(rules)} rules, k <= 6"),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from math import prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -228,11 +229,13 @@ def test_two_large_prime_squares_in_a_later_chunk(monkeypatch):
     assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
 
 
-def test_object_rule_over_many_chunks(monkeypatch):
+def test_huge_rule_over_many_chunks(monkeypatch):
+    # g(alpha) = 10^alpha passes int64: the profile counts int64 signatures,
+    # and f is evaluated once per code in Python ints.
     import pimshort.sieve as sieve_mod
 
     huge = _huge_rule()
-    assert sieve_mod._kernel_tables(huge)[0].dtype == object
+    assert sieve_mod._kernel_tables(sieve_mod._signature_rule(huge.r))[0].dtype == np.int64
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     x, y = 2**40 - 2750, 5500  # six chunks, the last one short
     expected = _check_kernel_against_segment(huge, x, y)
@@ -627,9 +630,9 @@ def test_workers_below_one_raise(call):
             call(build_rule("abelian"), workers)
 
 
-def test_slow_path_for_non_int64_safe_rule():
-    # A custom table with a huge value makes f exceed int64, so the kernel
-    # multiplies exact Python ints.
+def test_rule_past_int64_counts_from_the_signature():
+    # A custom table with a huge value makes f exceed int64: the kernel counts
+    # int64 signatures, and each code's f is an exact Python int.
     values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
     rule = load_custom_rule(json.dumps({"name": "huge", "r": 2, "values": values}))
     x, y = 1000, 300
@@ -693,18 +696,24 @@ def test_clip_follows_every_factor():
 
 def test_clip_only_where_it_narrows_the_accumulator(monkeypatch):
     # An int64 table past k = 254 is as narrow as the clip could make it, so it
-    # counts exactly, without a clip after every multiply; an object table
-    # clips in int64 while (k + 1)^2 < 2^63.
+    # counts exactly, without a clip after every multiply.  A rule with some
+    # g(alpha) > 2^alpha has no exact int64 table: past 254 it reads the
+    # signature profile.
     import pimshort.sieve as sieve_mod
 
-    caps, chunks = [], sieve_mod._fvalue_chunks
-    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", lambda *a: caps.append(a[3]) or chunks(*a))
+    tables, chunks = [], sieve_mod._fvalue_chunks
+    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", lambda rule, x, y, cap=0:
+                        tables.append((rule.name, cap)) or chunks(rule, x, y, cap))
     abelian, huge = build_rule("abelian"), _huge_rule()
-    cases = {(abelian, 14): 15, (abelian, 254): 255, (abelian, 255): 0, (abelian, 10**12): 0,
-             (huge, 100): 101, (huge, 255): 256, (huge, 3 * 10**9): 3 * 10**9 + 1, (huge, 10**12): 0}
-    for (rule, k), cap in cases.items():
-        count_value(rule, k, 10**6, 100)
-        assert caps.pop() == cap, (rule.name, k)
+    cases = {(abelian, 14): ("abelian", 15), (abelian, 254): ("abelian", 255),
+             (abelian, 255): ("abelian", 0), (abelian, 10**12): ("abelian", 0),
+             (huge, 100): ("huge", 101), (huge, 254): ("huge", 255)}
+    cases |= {(huge, k): ("signature-r2", 0) for k in (255, 3 * 10**9, 10**12)}
+    x, y = 3999, 1000
+    assert count_k_brute(huge, 10**12, x, y) == 1  # n = 2^12 = 4096
+    for (rule, k), table in cases.items():
+        assert count_value(rule, k, x, y) == count_k_brute(rule, k, x, y), (rule.name, k)
+        assert tables.pop() == table, (rule.name, k)
 
 
 def test_clipped_counts_equal_the_exact_profile():
@@ -717,6 +726,50 @@ def test_clipped_counts_equal_the_exact_profile():
             profile = value_counts(rule, x, y)
             for k in (*range(1, 41), 100, 254, 255, 256):
                 assert count_value(rule, k, x, y) == profile.get(k, 0), (rule.name, x, k)
+
+
+def _signature_code(r, n):
+    # sigma_r(n), read off a one-integer window of the signature kernel.
+    import pimshort.sieve as sieve_mod
+
+    (code,) = sieve_mod._signature_counts((r, n - 1, 1))
+    return code
+
+
+def test_signature_bounded_by_n_and_decoded_to_its_exponents():
+    # prime(alpha) <= 2^alpha <= p^alpha, so sigma_r(n) <= n at the int64 extremes:
+    # the top powers of 2 and 3, and products of the least primes squared just below
+    # 2^63.  Each code decodes back to the exponents alpha >= r of n.
+    import pimshort.sieve as sieve_mod
+
+    square = prod(p * p for p in primes_upto(23).tolist())  # (2 3 5 ... 23)^2 ~ 5.0e16
+    extremes = [2**62, 3**39, 2**63 - 1, (MAX_N - 1) // square * square,
+                square * 2**7, square * 3**4, square * 2**2 * 3**2 * 5]
+    assert all(n < MAX_N for n in extremes)
+    for n in extremes:
+        exponents = sorted(a for _, a in factorize(n))
+        for r in (2, 3):
+            code = _signature_code(r, n)
+            assert 1 <= code <= n, (n, r)
+            assert code == prod(int(primes_upto(311)[a - 1]) for a in exponents if a >= r)
+            assert sieve_mod._signature_exponents(code) == tuple(a for a in exponents if a >= r)
+    assert _signature_code(2, 2**62) == 293  # prime(62)
+    assert _signature_code(3, 2**2 * 3**3 * 5**5) == 5 * 11  # prime(3) prime(5); the 2^2 drops
+
+
+@pytest.mark.parametrize("rule, x, y, ks", [
+    (_huge_rule(), 4000, 30000, (1, 100, 10**3, 10**4, 10**6, 10**12)),
+    (build_rule("powerdiv-r:3"), 10**6, 5000, (1, 2, 3, 4, 6, 300)),
+], ids=["huge-rule", "powerdiv-r3"])
+def test_every_tier_against_brute(rule, x, y, ks):
+    # The clipped kernel, the exact int64 table (powerdiv-r:3 at 300) and the
+    # signature profile (the huge rule past 254), each against factorizing every
+    # n; test_rule_past_int64_counts_from_the_signature does the same for f past 2^63.
+    profile = value_counts(rule, x, y)
+    assert profile == value_counts_brute(rule, x, y)
+    assert all(type(v) is int for v in profile)
+    for k in ks:
+        assert count_value(rule, k, x, y) == count_k_brute(rule, k, x, y), k
 
 
 def test_count_r_free_examples():

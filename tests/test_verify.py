@@ -1,4 +1,6 @@
-from pimshort import verify
+from dataclasses import replace
+
+from pimshort import sieve, verify
 
 # The one value_counts(abelian, 0, ORACLE_LIMIT) of the density-cross suite,
 # stubbed below; the two groups that read it get it as their argument.
@@ -100,3 +102,30 @@ def test_convolution_weighs_each_shape_not_each_n(monkeypatch):
     checks = verify.checks_convolution()
     assert all(c.passed for c in checks) and len(checks) == 25
     assert len(calls) <= 4000
+
+
+def test_segment_check_fails_on_a_wrong_signature_or_oracle(monkeypatch):
+    # One signature sieve serves all five rules, so each side must still be able
+    # to fail the check: prime(2) and prime(3) swapped in the signature table
+    # (every p^2 || n decodes as p^3), and an oracle that loses one squarefull n.
+    sig = sieve._signature_rule(2)
+    values = list(sig.values)
+    values[2], values[3] = values[3], values[2]
+    monkeypatch.setattr(sieve, "_signature_rule", lambda r: replace(sig, values=tuple(values)))
+    mismatch, partition = verify.checks_segment_equivalence(seed=0)
+    assert mismatch.observed > 0 and not mismatch.passed
+    assert partition.passed
+    monkeypatch.undo()
+
+    real_segment, dropped = verify.sieve_segment, []
+
+    def segment_losing_one_entry(x, y):
+        parts = real_segment(x, y)
+        if parts and not dropped:
+            dropped.append(parts.pop(min(parts)))
+        return parts
+
+    monkeypatch.setattr(verify, "sieve_segment", segment_losing_one_entry)
+    mismatch, partition = verify.checks_segment_equivalence(seed=0)
+    assert len(dropped) == 1
+    assert mismatch.observed > 0 and not mismatch.passed
