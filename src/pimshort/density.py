@@ -16,10 +16,11 @@ Every series reads a prefix of one table per r, kept for the process and grown
 to the largest limit asked for: n (int64), 1/psi(n) and a pattern index,
 sorted by n; f and h are evaluated once per exponent pattern.  A depth-first
 walk over blocks of nodes builds it in numpy, with int64 columns n, pattern,
-next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1); 1/psi(n) =
-c / (n a) is divided in Python ints, as n a passes int64.  n must fit int64,
-so a tail block is cut below 2^63.  Sums are math.fsum, exactly rounded in any
-term order, far inside the 1e-12 budget at B = 10^9.
+next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1); 1/psi(n) = c / (n a)
+is correctly rounded in float64 by Dekker's TwoProduct, or in Python ints near a
+rounding midpoint or past 2^53.  n must fit int64, so a tail block is cut below
+2^63.  Sums are math.fsum, exactly rounded in any term order, far inside the
+1e-12 budget at B = 10^9; a tail block's sum is held with the table.
 """
 
 from __future__ import annotations
@@ -44,10 +45,41 @@ from .rules import ExponentRule
 
 DEFAULT_BOUND = 10**9
 _BLOCK_PAIRS = 1 << 11  # (node, prime) pairs per block of the r-full walk
+_EXACT = 1 << 53  # int64 values below this are exact float64
+# The offset c / (n a) - q is computed within 2^-45 ulp(q), so q is taken as correctly
+# rounded only when |offset| is below half the gap under q (never the wider) by 2^-40 of it.
+_DECIDED = 0.5 - 2.0**-41
 
 # (facts, n, recip, pattern): every r-full n up to a limit ascending (int64), 1/psi(n)
 # (float64), and the index (int32) into facts, 2^e1 3^e2 ..., of n's exponent pattern.
 RFullTable = tuple[list[Factorization], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's TwoProduct, Veltkamp split."""
+    tx, ty = x * 134217729.0, y * 134217729.0  # 2^27 + 1
+    xh, yh = tx - (tx - x), ty - (ty - y)
+    xl, yl, p = x - xh, y - yh, x * y
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _reciprocals(n: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c / (n a) correctly rounded, the mask of terms divided in Python ints), for 0 < a, c < n.
+
+    Below 2^53, n a = ph + pl exactly, and the residual of q0 = c / ph gives the
+    offset c / (n a) - q0.  Terms with n >= 2^53 or undecided go to Python ints.
+    """
+    x, y, z = n.astype(np.float64), a.astype(np.float64), c.astype(np.float64)
+    ph, pl = _two_product(x, y)
+    q0 = z / ph
+    t1, t2 = _two_product(q0, ph)
+    d = (((z - t1) - t2) - q0 * pl) / ph  # c / (n a) - q0
+    q = q0 + d
+    e = (q0 - q) + d  # c / (n a) - q; q0 - q is exact
+    slow = (n >= _EXACT) | (np.abs(e) >= _DECIDED * (q - np.nextafter(q, 0.0)))
+    i = np.flatnonzero(slow)
+    q[i] = [w / (u * v) for u, v, w in zip(n[i].tolist(), a[i].tolist(), c[i].tolist())]
+    return q, slow
 
 
 def rfull_table(r: int, limit: int) -> RFullTable:
@@ -56,8 +88,7 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     Blocks of at most _BLOCK_PAIRS pairs (n, p), n p^r <= limit, are walked
     depth first, each node as int64 columns (n, a, c, pattern index, next prime
     index), a and c both below n; each pair gives a row per child n p^e, e >= r.
-    1/psi(n) = c / (n a) is divided in Python ints: n a passes int64, and a
-    float64 quotient would be exact only while psi < 2^53.
+    1/psi(n) = c / (n a) is correctly rounded by _reciprocals, though n a passes int64.
     """
     if r < 2:
         raise ValueError(f"rfull_table requires r >= 2, got {r}")
@@ -95,7 +126,7 @@ def rfull_table(r: int, limit: int) -> RFullTable:
         cq = np.array([index.setdefault(x, len(index) + 1) for x in keys.tolist()])[inverse]
         start, end = end, end + cn.size
         ns[start:end], patterns[start:end] = cn, cq
-        recips[start:end] = [z / (x * y) for x, y, z in zip(cn.tolist(), ca.tolist(), cc.tolist())]
+        recips[start:end] = _reciprocals(cn, ca, cc)[0]
         stack.append((cn, ca, cc, cq, (i + 1)[k]))
     facts = [()]  # in index order, each parent before its children
     for x in index:
@@ -106,15 +137,15 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     return facts, ns, recips, patterns[:end][order]
 
 
-# r -> (L, rfull_table(r, L)) for the largest L asked for so far.
-_tables: dict[int, tuple[int, RFullTable]] = {}
+# r -> (L, rfull_table(r, L), {B: B's tail estimate}) for the largest L asked for so far.
+_tables: dict[int, tuple[int, RFullTable, dict[int, float]]] = {}
 
 
 def _table(r: int, limit: int) -> RFullTable:
     """The r-full table cut at n <= limit (a limit outside [1, 2^63) reaches rfull_table)."""
     held = _tables.get(r)
     if held is None or not 1 <= limit <= held[0]:
-        held = _tables[r] = (limit, rfull_table(r, limit))
+        held = _tables[r] = (limit, rfull_table(r, limit), {})
     facts, n, recip, pattern = held[1]
     i = np.searchsorted(n, limit, "right").item()
     return facts, n[:i], recip[:i], pattern[:i]
@@ -201,7 +232,9 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
         f = eval_rule(rule, facts[q])
         slot[q] = ks.index(f) + 1 if f in ks else 0  # f itself may pass int64
     head = slot[pattern[:i]]
-    tail = tail_geometric_factor(r) * fsum(recip[i:].tolist())
+    tail = _tables[r][2].get(bound)  # held per bound: the tail block does not depend on the rule
+    if tail is None:
+        tail = _tables[r][2][bound] = tail_geometric_factor(r) * fsum(recip[i:].tolist())
     z = zeta(r)
     out = {}
     for j, k in enumerate(ks, 1):
@@ -257,10 +290,13 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
         h_of[present] = [w.get(k, 0) for w in weights]
         h = h_of[pattern]
         nonzero = np.flatnonzero(h)
-        # int / int is correctly rounded; float64 n is not exact past 2^53.
-        terms = [a / b for a, b in zip(h[nonzero].tolist(), n[nonzero].tolist())]
+        hk, nk = h[nonzero], n[nonzero]
+        terms = hk / nk  # correctly rounded, as int / int is, where float64 holds both
+        big = np.flatnonzero((np.abs(hk) >= _EXACT) | (nk >= _EXACT))
+        terms[big] = [a / b for a, b in zip(hk[big].tolist(), nk[big].tolist())]
         head = np.searchsorted(nonzero, i).item()
-        out[k] = (fsum(terms[:head]), tail_geometric_factor(rule.r) * fsum(map(abs, terms[head:])))
+        tail = tail_geometric_factor(rule.r) * fsum(np.abs(terms[head:]).tolist())
+        out[k] = (fsum(terms[:head].tolist()), tail)
     return out
 
 

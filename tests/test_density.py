@@ -127,6 +127,21 @@ def test_table_matches_the_recursive_walk_at_every_small_limit():
             assert_same_table(r, limit)
 
 
+def test_reciprocal_near_a_rounding_midpoint_is_divided_in_python_ints():
+    # n a = 2^6 (2^53 + 1) and c = 2^52 + 1, so c / (n a) lies 2^-53 of a half gap
+    # below the midpoint 2^-7 + 2^-60.  The second triple is 1/psi(16411^2) at r = 2,
+    # which the float64 path decides.  In both, c / fl(n a) is the wrong neighbour.
+    p = 16411
+    triples = [(3 * 28059810762433 * 2**6, 107, 2**52 + 1), (p**2, p**2 - 1, p * (p - 1))]
+    n, a, c = (np.array(column, dtype=np.int64) for column in zip(*triples))
+    q, slow = density._reciprocals(n, a, c)
+    assert slow.tolist() == [True, False]
+    assert q.tolist() == [z / (x * y) for x, y, z in triples]
+    assert q[0] == 2.0**-7
+    for x, y, z in triples:
+        assert z / (x * y) != z / float(x * y)
+
+
 def test_count_bound_holds_the_table():
     # rfull_table sizes its columns by this bound, so it must hold wherever a table is built.
     grid = [(r, limit) for r in range(2, 12) for k in range(64)
@@ -342,6 +357,7 @@ def test_one_enumeration_per_r(monkeypatch):
     bound = 10**5
     for k in (1, 2, 3):
         local_density(abelian, k, bound)
+    assert list(density._tables[2][2]) == [bound]  # one tail sum, held with the table
     density_profile(abelian, bound, 6)
     weight_harmonic_profile(abelian, bound, 6)
     weight_partial_sum(abelian, 2, 0.5, bound)
@@ -349,6 +365,7 @@ def test_one_enumeration_per_r(monkeypatch):
     assert calls == [(2, 4 * bound)]
     local_density(abelian, 1, 2 * bound)
     assert calls == [(2, 4 * bound), (2, 8 * bound)]
+    assert list(density._tables[2][2]) == [2 * bound]  # the new walk dropped the old sum
     local_density(abelian, 1, bound // 10)
     weight_partial_sum(abelian, 2, 0.0, bound)
     assert len(calls) == 2
