@@ -64,6 +64,18 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-abelian-k297",
          ["interval", "--rule", "abelian", "--k", "297", "--x", "1e11", "--y", "1e6",
           "--B", "1e6"]),
+        # (k + 1)^2 passes 2^32 and stays below 2^64: f(n) = 79524 at one n.
+        ("interval-plane-k79524",
+         ["interval", "--rule", "plane", "--k", "79524", "--x", "1e11", "--y", "1e6",
+          "--B", "1e6"]),
+        # k = plane(62) = f(2^62), and (k + 1)^2 passes 2^64, over (2^62 - 1000, 2^62 + 1000].
+        ("interval-plane-k607771804065",
+         ["interval", "--rule", "plane", "--k", "607771804065", "--x", "4611686018427386904",
+          "--y", "2000", "--B", "1e6"]),
+        # A rule with g(alpha) > 2^alpha, at a k whose (k + 1)^2 stays below 2^64.
+        ("interval-huge-rule-k1e6",
+         ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e6",
+          "--x", "1e12", "--y", "1e6", "--B", "1e6"]),
         # A deep window: the large primes reach 1e9.
         ("interval-abelian-k1-x1e18",
          ["interval", "--rule", "abelian", "--k", "1", "--x", "1e18", "--y", "1e4"]),
