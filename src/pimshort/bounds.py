@@ -45,7 +45,9 @@ def bound_breakdown(r: int, x, y) -> BoundBreakdown:
     """Evaluate each closed-form error term at (X, Y) = (x, y).
 
     Terms are computed in log space so large integer inputs cannot overflow.
-    Requires 0 < y < x.
+    Requires 0 < y < x.  term_mid x^eps >= y once eps >= 1/(6(4r-1)(2r-1))
+    (1/126 at r = 2), and no |count - d y| in the window exceeds y: the
+    bound is trivial there.
     """
     if r < 2:
         raise ValueError(f"bound_breakdown requires r >= 2, got {r}")

@@ -8,10 +8,10 @@ once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha)
 over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r):
 sigma_r(n) <= n fits int64, as prime(alpha) <= 2^alpha, and f is evaluated once
 per distinct code, in Python ints.  count_value asks only whether f(n) = k, and
-every g is at least 1, so it clips at k + 1 in the narrowest dtype that holds
-(k + 1)^2: uint8 for k <= 14, uint16 for k <= 254.  Past that it counts on the
-exact int64 table if g(alpha) <= 2^alpha for all alpha (all built-in families),
-else reads value_counts.  Every path runs the same steps.
+every g is at least 1, so it clips at k + 1 in the narrowest unsigned dtype that
+holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254, uint32 for k <= 65534,
+uint64 for k <= 2^32 - 2.  Past that it reads value_counts.  The choice rests on
+k alone, and every path runs the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
@@ -25,9 +25,9 @@ chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
 83, 2014).  A prime p above the cut divides n = m p^r only with m below
 (x+y)^(1/(r+1)), so its hits come from the cofactor side: for each m, the
 integer points p of a short interval (the hyperbola split of Filaseta and
-Trifonov, J. London Math. Soc. 45, 1992).  With several workers, an exact
-count or profile gives each process one run of chunks; a clipped count runs
-in the calling process.  Counts are exact integers.
+Trifonov, J. London Math. Soc. 45, 1992).  With several workers, a profile
+gives each process one run of chunks; a clipped count runs in the calling
+process.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -124,14 +124,14 @@ def _fold(rule: ExponentRule, codes: Counter) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _kernel_tables(rule: ExponentRule, cap: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    # g and the pattern of 2 and 3: exact int64 (g(alpha) <= 2^alpha), or min(g, cap)
-    # in uint8 or uint16, the narrowest dtype that holds cap^2, so that two clipped
-    # values never wrap.  The pattern is g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two
+    # g and the pattern of 2 and 3: exact int64 for the signature rule, or min(g, cap)
+    # in the narrowest unsigned dtype that holds cap^2 < 2^64, so that two clipped
+    # values never wrap (cap runs to 2^32, hence a bounded cache).  The pattern is g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two
     # periods of 864 so that a full period follows every phase.  The factor of 2 is
     # 1 where 2^5 | n and that of 3 where 3^3 | n: the passes over 32 and 27 apply those.
-    dtype = np.int64 if not cap else np.uint8 if cap * cap < 1 << 8 else np.uint16
+    dtype = np.min_scalar_type(cap * cap) if cap else np.int64
     n, gtab = np.arange(2 * 864), np.array([min(v, cap or v) for v in rule.values], dtype)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
               for p, a in ((2, 5), (3, 3)))
@@ -255,11 +255,6 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
         yield fval
 
 
-def _count_task(task) -> int:
-    rule, k, cap, x, y = task
-    return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, cap))
-
-
 def _signature_counts(task) -> Counter:
     # task = (r, x, y): the count of every code sigma_r(n) over (x, x+y], for every rule at r.
     r, x, y = task
@@ -270,43 +265,42 @@ def _signature_counts(task) -> Counter:
     return profile
 
 
-def _map_parts(worker, head: tuple, x: int, y: int, workers: int) -> list:
-    # worker(head + (x', y')) over one contiguous run of whole chunks per
-    # process, with min(workers, chunks, CPUs) processes and no pool for one.
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    chunks = -(-y // DEFAULT_CHUNK)
-    n = min(workers, chunks)
-    n = min(n, os.cpu_count() or 1) if n > 1 else 1
-    edges = [i * chunks // n * DEFAULT_CHUNK for i in range(n)] + [y]
-    tasks = [head + (x + a, b - a) for a, b in zip(edges, edges[1:])]
-    if n == 1:
-        return [worker(t) for t in tasks]
-    with multiprocessing.Pool(n) as pool:
-        return pool.map(worker, tasks)
-
-
 def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) -> int:
     """#{n in (x, x+y] : f(n) = k}, by segmented sieve.
 
     Only the primes p with p^r | n are found, below the cut or from the
     cofactor side; one dividing n fewer than r times contributes g = 1.
-    workers (>= 1) bounds the processes only for an exact count: a clipped
-    count runs in this process, as a pool costs more to start than it saves.
+    f past k never comes back down, so values clip at k + 1, in this process:
+    a pool costs more to start than it saves.  workers (>= 1) bounds the
+    processes of value_counts, read where no unsigned dtype holds (k + 1)^2.
     """
     _check_window(x, y)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    cap = k + 1 if k < 255 else 0  # f past k never comes back down: clip to uint8/uint16
-    if not cap and any(v > 1 << a for a, v in enumerate(rule.values)):  # f may pass int64
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if (k + 1) ** 2 >= 1 << 64:
         return value_counts(rule, x, y, workers).get(k, 0)
-    return sum(_map_parts(_count_task, (rule, k, cap), x, y, min(workers, 1) if cap else workers))
+    return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, k + 1))
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
     """Counts of every f value attained in (x, x+y], keyed by value, from the signature counts."""
     _check_window(x, y)
-    return _fold(rule, sum(_map_parts(_signature_counts, (rule.r,), x, y, workers), Counter()))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    # One contiguous run of whole chunks per process, min(workers, chunks, CPUs) of them.
+    chunks = -(-y // DEFAULT_CHUNK)
+    n = min(workers, chunks)
+    n = min(n, os.cpu_count() or 1) if n > 1 else 1
+    edges = [i * chunks // n * DEFAULT_CHUNK for i in range(n)] + [y]
+    tasks = [(rule.r, x + a, b - a) for a, b in zip(edges, edges[1:])]
+    if n == 1:
+        profiles = map(_signature_counts, tasks)
+    else:
+        with multiprocessing.Pool(n) as pool:
+            profiles = pool.map(_signature_counts, tasks)
+    return _fold(rule, sum(profiles, Counter()))
 
 
 def count_r_free(x: int, y: int, r: int) -> int:

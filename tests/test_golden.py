@@ -60,7 +60,7 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-huge-rule-k1e12",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
           "--x", "1e12", "--y", "1e6", "--B", "1e6"]),
-        # k past the uint16 accumulator, on a built-in rule's exact int64 table.
+        # k past the uint16 accumulator: uint32.
         ("interval-abelian-k297",
          ["interval", "--rule", "abelian", "--k", "297", "--x", "1e11", "--y", "1e6",
           "--B", "1e6"]),

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 from collections import Counter
@@ -144,15 +145,20 @@ def test_counts_independent_of_chunking_and_workers(monkeypatch):
     base_profile = value_counts(abelian, x, y)
     assert sum(base_profile.values()) == y
     assert base_profile[1] == base_count == count_r_free(x, y, 2)
-    # k = 1 counts in one process; a k past 254 counts exactly, through the pool.
-    exact = max(base_profile)
-    assert exact >= 255
+    # k = 1 (uint8) and k = 462 (uint32) count in this process; value_counts pools.
+    wide = max(base_profile)
+    assert wide == 462
+    pools, real = [], sieve_mod.multiprocessing
+    monkeypatch.setattr(sieve_mod, "multiprocessing",
+                        SimpleNamespace(Pool=lambda n: pools.append(n) or real.Pool(n)))
     for chunk in (1000, 7001, 1 << 20):
         monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", chunk)
         assert count_r_free(x, y, 2) == base_count, chunk
         for workers in (1, 2, 3):
+            del pools[:]
             assert count_value(abelian, 1, x, y, workers=workers) == base_count, (chunk, workers)
-            assert count_value(abelian, exact, x, y, workers=workers) == base_profile[exact]
+            assert count_value(abelian, wide, x, y, workers=workers) == base_profile[wide]
+            assert pools == [], (chunk, workers)
             assert value_counts(abelian, x, y, workers=workers) == base_profile, (chunk, workers)
 
 
@@ -580,13 +586,16 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(sieve_mod, "multiprocessing", SimpleNamespace(Pool=CountedPool))
-    abelian = build_rule("abelian")
+    abelian, huge = build_rule("abelian"), _huge_rule()
     x = 10**7
     profiles = {y: value_counts(abelian, x, y) for y in (7001, 21000, 30000)}
-    # 462 is past 254, so it counts exactly on the int64 table, with a pool.
-    k = max(profiles[30000])
-    assert k >= 255
-    counts = {y: count_value(abelian, k, x, y) for y in (7001, 14000, 21000, 30000)}
+    # 462 counts on uint32, in this process.  No unsigned dtype holds (10^10 + 1)^2,
+    # so the huge rule's f = 10^10 (n = 2^10 m^2 and others) is read from value_counts.
+    k, big = max(profiles[30000]), 10**10
+    assert k == 462
+    counts = {y: count_value(abelian, k, x, y) for y in (7001, 30000)}
+    huge_counts = {y: value_counts(huge, x, y)[big] for y in (7001, 14000, 30000)}
+    assert huge_counts == {7001: 9, 14000: 15, 30000: 35}
     clipped = count_value(abelian, 1, x, 30000)
     # Chunks of 7001 offsets: y = 7001, 14000, 21000 and 30000 take 1, 2, 3 and 5.
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 7001)
@@ -596,35 +605,39 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
         return lambda: cpu_calls.append(n) or n
 
     monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(1))
-    assert count_value(abelian, k, x, 30000, workers=8) == counts[30000]
+    assert count_value(huge, big, x, 30000, workers=8) == huge_counts[30000]
     assert value_counts(abelian, x, 30000, workers=64) == profiles[30000]
     assert pools == []
     monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(None))
-    assert count_value(abelian, k, x, 14000, workers=8) == counts[14000]
+    assert count_value(huge, big, x, 14000, workers=8) == huge_counts[14000]
     assert pools == []
     monkeypatch.setattr(sieve_mod.os, "cpu_count", cpus(4))
     assert value_counts(abelian, x, 21000, workers=8) == profiles[21000]
-    assert count_value(abelian, k, x, 30000, workers=2) == counts[30000]
+    assert count_value(huge, big, x, 30000, workers=2) == huge_counts[30000]
     assert pools == [3, 2]
-    # One chunk, one worker, or a clipped count starts no pool and asks for no CPU count.
+    # One chunk, one worker, or a clipped count (k = 1 or 462) starts no pool and
+    # asks for no CPU count.
     del cpu_calls[:]
     assert value_counts(abelian, x, 7001, workers=8) == profiles[7001]
+    assert count_value(huge, big, x, 7001, workers=8) == huge_counts[7001]
+    assert count_value(huge, big, x, 30000) == huge_counts[30000]
     assert count_value(abelian, k, x, 7001, workers=8) == counts[7001]
-    assert count_value(abelian, k, x, 30000) == counts[30000]
+    assert count_value(abelian, k, x, 30000, workers=8) == counts[30000] == profiles[30000][k]
     assert count_value(abelian, 1, x, 30000, workers=8) == clipped
     assert cpu_calls == []
     assert pools == [3, 2]
-    assert count_value(abelian, k, x, 30000, workers=8) == counts[30000]
+    assert count_value(huge, big, x, 30000, workers=8) == huge_counts[30000]
     assert pools == [3, 2, 4]
 
 
 @pytest.mark.parametrize("call", [
     lambda rule, workers: count_value(rule, 1, 10**6, 100, workers=workers),
-    lambda rule, workers: count_value(rule, 300, 10**6, 100, workers=workers),
+    lambda rule, workers: count_value(rule, 2**32 - 1, 10**6, 100, workers=workers),
     lambda rule, workers: value_counts(rule, 10**6, 100, workers=workers),
 ], ids=["clipped", "exact", "value_counts"])
 def test_workers_below_one_raise(call):
-    # The clipped count runs in one process whatever workers asks, but still checks it.
+    # The clipped count runs in one process whatever workers asks, but still checks it;
+    # past k = 2^32 - 2 the exact count is read from value_counts.
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             call(build_rule("abelian"), workers)
@@ -671,7 +684,7 @@ def _edge_rule(*values):
     return load_custom_rule(json.dumps({"name": "edge", "r": 2, "values": values}))
 
 
-@pytest.mark.parametrize("k", [16, 256])  # the first k past the uint8 and the uint16 accumulator
+@pytest.mark.parametrize("k", [16, 256, 65536])  # k past the uint8, uint16 and uint32 accumulators
 def test_clipped_count_at_the_dtype_edges(k):
     # f(p^2 q^3) = k (k + 1): the partial product k meets the factor k + 1 = cap,
     # and a dtype too narrow for cap^2 wraps k (k + 1) back to k.  At 500 the
@@ -695,20 +708,20 @@ def test_clip_follows_every_factor():
 
 
 def test_clip_only_where_it_narrows_the_accumulator(monkeypatch):
-    # An int64 table past k = 254 is as narrow as the clip could make it, so it
-    # counts exactly, without a clip after every multiply.  A rule with some
-    # g(alpha) > 2^alpha has no exact int64 table: past 254 it reads the
-    # signature profile.
+    # The accumulator is the narrowest unsigned dtype that holds (k + 1)^2, chosen
+    # from k alone: a built-in rule and one with g(alpha) > 2^alpha get the same.
+    # Where no such dtype exists, both read the int64 signature profile.
     import pimshort.sieve as sieve_mod
 
     tables, chunks = [], sieve_mod._fvalue_chunks
-    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", lambda rule, x, y, cap=0:
-                        tables.append((rule.name, cap)) or chunks(rule, x, y, cap))
+    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", lambda rule, x, y, cap=0: tables.append(
+        (rule.name, sieve_mod._kernel_tables(rule, cap)[0].dtype)) or chunks(rule, x, y, cap))
     abelian, huge = build_rule("abelian"), _huge_rule()
-    cases = {(abelian, 14): ("abelian", 15), (abelian, 254): ("abelian", 255),
-             (abelian, 255): ("abelian", 0), (abelian, 10**12): ("abelian", 0),
-             (huge, 100): ("huge", 101), (huge, 254): ("huge", 255)}
-    cases |= {(huge, k): ("signature-r2", 0) for k in (255, 3 * 10**9, 10**12)}
+    dtypes = {14: np.uint8, 254: np.uint16, 255: np.uint32, 65534: np.uint32,
+              65535: np.uint64, 2**32 - 2: np.uint64}
+    cases = {(rule, k): (rule.name, dtype) for k, dtype in dtypes.items() for rule in (abelian, huge)}
+    cases |= {(rule, k): ("signature-r2", np.int64)
+              for k in (2**32 - 1, 10**12) for rule in (abelian, huge)}
     x, y = 3999, 1000
     assert count_k_brute(huge, 10**12, x, y) == 1  # n = 2^12 = 4096
     for (rule, k), table in cases.items():
@@ -724,7 +737,7 @@ def test_clipped_counts_equal_the_exact_profile():
         y = (1 << 20) + 10000
         for rule in rules:
             profile = value_counts(rule, x, y)
-            for k in (*range(1, 41), 100, 254, 255, 256):
+            for k in (*range(1, 41), 100, 254, 255, 256, 65535):
                 assert count_value(rule, k, x, y) == profile.get(k, 0), (rule.name, x, k)
 
 
@@ -762,9 +775,9 @@ def test_signature_bounded_by_n_and_decoded_to_its_exponents():
     (build_rule("powerdiv-r:3"), 10**6, 5000, (1, 2, 3, 4, 6, 300)),
 ], ids=["huge-rule", "powerdiv-r3"])
 def test_every_tier_against_brute(rule, x, y, ks):
-    # The clipped kernel, the exact int64 table (powerdiv-r:3 at 300) and the
-    # signature profile (the huge rule past 254), each against factorizing every
-    # n; test_rule_past_int64_counts_from_the_signature does the same for f past 2^63.
+    # The clipped kernel in every dtype and the signature profile (the huge rule at
+    # 10^12), each against factorizing every n;
+    # test_rule_past_int64_counts_from_the_signature does the same for f past 2^63.
     profile = value_counts(rule, x, y)
     assert profile == value_counts_brute(rule, x, y)
     assert all(type(v) is int for v in profile)
@@ -790,6 +803,23 @@ def test_count_r_free_asymptotic():
     y = 10**5
     count = count_r_free(10**9, y, 2)
     assert abs(count - y / zeta(2)) < 0.01 * y
+
+
+
+@pytest.mark.parametrize("name, ks", [("abelian", (1, 2)), ("powerdiv-r:3", (1,))])
+def test_count_spread_follows_halls_variance_law(name, ks):
+    # Hall (Mathematika 29, 1982): over windows (x, x+y] with x in [1e11, 1e12), the
+    # standard deviation of count - d y grows as y^(1/(2r)).  Its ratio to y^(1/(2r)) is
+    # 0.41-0.93 over these 60 windows; it must stay within a factor of 2 from y = 1e4 to
+    # 1e6, where a binomial spread, growing as y^(1/2), would move it 3.2-fold at r = 2.
+    rule = build_rule(name)
+    rng = random.Random(0)
+    xs = [rng.randrange(10**11, 10**12) for _ in range(60)]
+    for k in ks:
+        d = local_density(rule, k, 10**6).density
+        ratios = [statistics.stdev(count_value(rule, k, x, y) - d * y for x in xs)
+                  / y ** (1 / (2 * rule.r)) for y in (10**4, 10**5, 10**6)]
+        assert max(ratios) <= 2 * min(ratios), (k, ratios)
 
 
 def test_count_value_k1_equals_r_free():
