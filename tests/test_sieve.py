@@ -590,7 +590,8 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
     x = 10**7
     profiles = {y: value_counts(abelian, x, y) for y in (7001, 21000, 30000)}
     # 462 counts on uint32, in this process.  No unsigned dtype holds (10^10 + 1)^2,
-    # so the huge rule's f = 10^10 (n = 2^10 m^2 and others) is read from value_counts.
+    # so the huge rule's f = 10^10 (the exponents >= 2 of n sum to 10) is read from
+    # value_counts.
     k, big = max(profiles[30000]), 10**10
     assert k == 462
     counts = {y: count_value(abelian, k, x, y) for y in (7001, 30000)}
@@ -803,7 +804,6 @@ def test_count_r_free_asymptotic():
     y = 10**5
     count = count_r_free(10**9, y, 2)
     assert abs(count - y / zeta(2)) < 0.01 * y
-
 
 
 @pytest.mark.parametrize("name, ks", [("abelian", (1, 2)), ("powerdiv-r:3", (1,))])
