@@ -79,6 +79,15 @@ def _calls() -> list[tuple[str, list[str]]]:
         # A deep window: the large primes reach 1e9.
         ("interval-abelian-k1-x1e18",
          ["interval", "--rule", "abelian", "--k", "1", "--x", "1e18", "--y", "1e4"]),
+        # The deepest window at r = 2, just below 2^63: about 2.1 million cofactors m,
+        # each giving the short interval of p from two exact square roots.
+        ("interval-abelian-k2-deep",
+         ["interval", "--rule", "abelian", "--k", "2", "--x", "9223372036854765807",
+          "--y", "1e4", "--B", "1e6"]),
+        # The same window at r = 3: the cofactors m run to 32,766, with exact cube roots.
+        ("interval-powerdiv-r3-k2-deep",
+         ["interval", "--rule", "powerdiv-r:3", "--k", "2", "--x", "9223372036854765807",
+          "--y", "1e4", "--B", "1e6"]),
         # r = 3: the kernel walks the prime cubes alone.
         ("interval-powerdiv-r3-k2",
          ["interval", "--rule", "powerdiv-r:3", "--k", "2", "--x", "1e12", "--y", "1e6",
