@@ -25,9 +25,10 @@ chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
 83, 2014).  A prime p above the cut divides n = m p^r only with m below
 (x+y)^(1/(r+1)), so its hits come from the cofactor side: for each m, the
 integer points p of a short interval (the hyperbola split of Filaseta and
-Trifonov, J. London Math. Soc. 45, 1992).  With several workers, a profile
-gives each process one run of chunks; a clipped count runs in the calling
-process.  Counts are exact integers.
+Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots: the
+float64 root, or introot's where that lies near an integer.  With several
+workers, a profile gives each process one run of chunks; a clipped count runs
+in the calling process.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -151,18 +152,12 @@ def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iroot(v: np.ndarray, r: int) -> np.ndarray:
-    """floor(v^(1/r)) of each int64 v >= 0, exact up to 2^63 - 1."""
+    """floor(v^(1/r)) of each int64 v >= 0: float64, or introot's exact root near an integer."""
     f = v.astype(np.float64) ** (1.0 / r)
     s = f.astype(np.int64)
-    # f is off by far less than 1e-12 f: only a root that near an integer needs the exact test.
+    # f is off by far less than 1e-12 f: only a root that near an integer can floor wrong.
     i = np.flatnonzero(np.abs(f - np.rint(f)) <= 1e-12 * f)
-    def below(c):  # c^r <= v[i], by r floor divisions that never leave int64
-        t = v[i]
-        for _ in range(r):
-            t = t // np.maximum(c, 1)
-        return (t > 0) | (c == 0)
-    s[i] -= ~below(s[i])
-    s[i] += below(s[i] + 1)
+    s[i] = [introot(t, r) for t in v[i].tolist()]
     return s
 
 
@@ -308,6 +303,8 @@ def count_r_free(x: int, y: int, r: int) -> int:
     _check_window(x, y)
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
+    # At a huge r the cut is 3, and the return also keeps the walk from forming 2**r, 3**r
+    # and (cut + 1)**r = 4**r: Python ints whose cost grows with r, past memory at r = 10**18.
     if r >= (x + y).bit_length():  # 2^r > x+y: no p^r divides any n
         return y
     total = 0

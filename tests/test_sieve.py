@@ -463,8 +463,14 @@ def test_vector_root_is_exact(r):
     bases = [1, 2, 3, top - 1, top] + [rng.randrange(2, top) for _ in range(300)]
     values = {0, MAX_N - 1} | {min(s**r + d, MAX_N - 1) for s in bases for d in (-1, 0, 1)}
     values = sorted(values | {rng.randrange(1 << rng.randrange(1, 64)) for _ in range(300)})
-    roots = sieve_mod._iroot(np.array(values, dtype=np.int64), r)
-    assert roots.tolist() == [introot(v, r) for v in values]
+    # floor((s + 1/2)^r): every root lies about 1/2 from an integer, so none takes introot.
+    halves = [(2 * s + 1) ** r >> r for s in bases if s < top]
+    f = np.array(halves, dtype=np.float64) ** (1.0 / r)
+    assert (np.abs(f - np.rint(f)) > 0.1).all()
+    for inputs in (values, [], halves):
+        roots = sieve_mod._iroot(np.array(inputs, dtype=np.int64), r)
+        assert roots.dtype == np.int64
+        assert roots.tolist() == [introot(v, r) for v in inputs]
 
 
 def test_deep_windows_keep_a_time_and_memory_budget():
