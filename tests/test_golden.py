@@ -88,6 +88,11 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-powerdiv-r3-k2-deep",
          ["interval", "--rule", "powerdiv-r:3", "--k", "2", "--x", "9223372036854765807",
           "--y", "1e4", "--B", "1e6"]),
+        # The benchmark's seed-0 deep-top op, ending at 1e16: about 215,000 cofactors m
+        # walked for 23 that hold a candidate p.
+        ("interval-semisimple-k4-deep-top",
+         ["interval", "--rule", "semisimple", "--k", "4", "--x", "9999999999903154",
+          "--y", "96846", "--B", "1e6"]),
         # r = 3: the kernel walks the prime cubes alone.
         ("interval-powerdiv-r3-k2",
          ["interval", "--rule", "powerdiv-r:3", "--k", "2", "--x", "1e12", "--y", "1e6",
