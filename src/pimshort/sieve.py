@@ -49,7 +49,7 @@ from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
 
-_COFACTOR_BLOCK = 1 << 16  # cofactors m per block of _large_prime_hits
+_COFACTOR_BLOCK = 1 << 13  # cofactors m per block of _large_prime_hits
 _STRIDED_LIMIT = 1 << 14  # p^r below it (and below the chunk length) takes a strided pass
 
 
@@ -151,14 +151,22 @@ def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
     return i, first[i] + step * q[i]
 
 
-def _iroot(v: np.ndarray, r: int) -> np.ndarray:
-    """floor(v^(1/r)) of each int64 v >= 0: float64, or introot's exact root near an integer."""
-    f = v.astype(np.float64) ** (1.0 / r)
-    s = f.astype(np.int64)
-    # f is off by far less than 1e-12 f: only a root that near an integer can floor wrong.
-    i = np.flatnonzero(np.abs(f - np.rint(f)) <= 1e-12 * f)
-    s[i] = [introot(t, r) for t in v[i].tolist()]
-    return s
+def _iroots(ends: tuple[int, ...], m: np.ndarray, r: int) -> list[np.ndarray]:
+    """floor(root_r(e // m)) for each end e >= 0 and each int64 m >= 1, one float power per m.
+
+    floor(root_r(e // m)) = floor(root_r(e / m)), read as fl(e^(1/r)) * m^(-1/r),
+    or introot's exact root of e // m where that lies near an integer.
+    """
+    w = m.astype(np.float64) ** (-1.0 / r)
+    roots = []
+    for e in ends:
+        f = float(e) ** (1.0 / r) * w
+        s = f.astype(np.int64)
+        # f is off by a few ulp, far less than 1e-12 f: only a root that near an integer can floor wrong.
+        i = np.flatnonzero(np.abs(f - np.rint(f)) <= 1e-12 * f)
+        s[i] = [introot(e // t, r) for t in m[i].tolist()]
+        roots.append(s)
+    return roots
 
 
 def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
@@ -167,15 +175,20 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
     `primes` holds the primes up to cut >= (x+y)^(1/(r+1)).  For each m <=
     (x+y) / (cut+1)^r, p lies in (root_r(x // m), root_r((x+y) // m)], and
     is prime if no prime up to the cut divides it: a composite p <=
-    (x+y)^(1/r) has a prime factor at most (x+y)^(1/(2r)) <= cut.
+    (x+y)^(1/r) has a prime factor at most (x+y)^(1/(2r)) <= cut.  Both ends
+    share one float power of m, and only the m whose interval holds an
+    integer above the cut list their p.
     """
     top = (x + y) // (cut + 1) ** r
     for a in range(1, top + 1, _COFACTOR_BLOCK):
         m = np.arange(a, min(a + _COFACTOR_BLOCK, top + 1), dtype=np.int64)
-        lo = np.maximum(_iroot(x // m, r), cut)
-        j, step = _ranges(np.maximum(_iroot((x + y) // m, r) - lo, 0))
-        if not j.size:
+        lo, hi = _iroots((x, x + y), m, r)
+        lo = np.maximum(lo, cut)
+        live = np.flatnonzero(hi > lo)
+        if not live.size:
             continue
+        m, lo = m[live], lo[live]
+        j, step = _ranges(hi[live] - lo)
         m, p = m[j], lo[j] + 1 + step
         base = primes[: np.searchsorted(primes, isqrt(int(p.max())), "right")]
         rows = max(1, _COFACTOR_BLOCK // max(base.size, 1))

@@ -391,6 +391,30 @@ def test_large_prime_powers_near_2_63(monkeypatch, r):
                 assert value_counts(rule, x, y) == dict(sorted(expected.items())), rule.name
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("top", [10**16, MAX_N - 1], ids=["1e16", "2_63"])
+def test_window_ends_on_a_large_prime_power(r, top):
+    # A window whose left end x = m p^r is left out, and one whose right end
+    # x + y = m p^r is counted, with p prime above the cut and m at 1 and at
+    # the first cofactor of the second block (3 where the walk stops before it).
+    # Each end's root is an exact integer, where the float root meets the
+    # near-integer test.  Against factorize.
+    import pimshort.sieve as sieve_mod
+
+    rule = build_rule("abelian" if r == 2 else f"powerdiv-r:{r}")
+    y = 40
+    cut = max(introot(top, r + 1), 1 << 16)
+    for m in [m for m in (1, sieve_mod._COFACTOR_BLOCK + 1, 3) if (cut + 1) ** r * m <= top - y][:2]:
+        p = _prime_at_or_below(introot((top - y) // m, r))
+        assert p > cut
+        n = m * p**r
+        assert dict(factorize(n))[p] >= r
+        for x in (n, n - y):
+            expected = Counter(eval_rule(rule, f) for f in _factorized_window(x, y))
+            assert value_counts(rule, x, y) == dict(sorted(expected.items())), (m, x)
+            assert count_value(rule, 1, x, y) == expected[1], (m, x)
+
+
 @pytest.mark.parametrize("r", [40, 62, 64])
 def test_rule_thresholds_past_the_int64_powers(r):
     # At r >= 40, 3^r passes int64 and the cut is 3; 2^62 is the one 40th
@@ -456,6 +480,9 @@ def test_count_r_free_huge_r():
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_vector_root_is_exact(r):
+    # _iroots reads floor(root_r(x // m)) as fl(x^(1/r)) * m^(-1/r).  Each input v
+    # comes in as x // m = v, at x = v m and x = v m + m - 1, for m from 1 to past
+    # the deepest window's cofactors; each root must be int64 and equal introot(v).
     import pimshort.sieve as sieve_mod
 
     top = introot(MAX_N - 1, r)
@@ -467,10 +494,16 @@ def test_vector_root_is_exact(r):
     halves = [(2 * s + 1) ** r >> r for s in bases if s < top]
     f = np.array(halves, dtype=np.float64) ** (1.0 / r)
     assert (np.abs(f - np.rint(f)) > 0.1).all()
-    for inputs in (values, [], halves):
-        roots = sieve_mod._iroot(np.array(inputs, dtype=np.int64), r)
-        assert roots.dtype == np.int64
-        assert roots.tolist() == [introot(v, r) for v in inputs]
+    for m in (1, 2, 3, 1 << 13, 10**12 + 39):
+        one = np.array([m], dtype=np.int64)
+        for inputs in (values, halves):
+            for d in (0, m - 1):
+                roots = sieve_mod._iroots(tuple(v * m + d for v in inputs), one, r)
+                assert all(s.dtype == np.int64 and s.shape == (1,) for s in roots)
+                assert [int(s[0]) for s in roots] == [introot(v, r) for v in inputs], (m, d)
+        # An empty block of cofactors.
+        (empty,) = sieve_mod._iroots((m,), np.empty(0, dtype=np.int64), r)
+        assert empty.dtype == np.int64 and empty.size == 0
 
 
 def test_deep_windows_keep_a_time_and_memory_budget():
