@@ -25,8 +25,9 @@ chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
 83, 2014).  A prime p above the cut divides n = m p^r only with m below
 (x+y)^(1/(r+1)), so its hits come from the cofactor side: for each m, the
 integer points p of a short interval (the hyperbola split of Filaseta and
-Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots: the
-float64 root, or introot's where that lies near an integer.  With several
+Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots of
+x / m and (x+y) / m: one float64 power m^(-1/r) per m serves both, and an end
+near an integer takes introot's root of x // m or (x+y) // m.  With several
 workers, a profile gives each process one run of chunks; a clipped count runs
 in the calling process.  Counts are exact integers.
 """
@@ -49,7 +50,10 @@ from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
 
-_COFACTOR_BLOCK = 1 << 13  # cofactors m per block of _large_prime_hits
+# Cofactors m per block of _large_prime_hits.  Each 64 KB temporary fits in L2 and stays
+# below glibc's initial 128 KB mmap threshold, so later blocks reuse the heap pages of
+# earlier ones in place of faulting in fresh ones.
+_COFACTOR_BLOCK = 1 << 13
 _STRIDED_LIMIT = 1 << 14  # p^r below it (and below the chunk length) takes a strided pass
 
 
@@ -152,17 +156,13 @@ def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iroots(ends: tuple[int, ...], m: np.ndarray, r: int) -> list[np.ndarray]:
-    """floor(root_r(e // m)) for each end e >= 0 and each int64 m >= 1, one float power per m.
-
-    floor(root_r(e // m)) = floor(root_r(e / m)), read as fl(e^(1/r)) * m^(-1/r),
-    or introot's exact root of e // m where that lies near an integer.
-    """
-    w = m.astype(np.float64) ** (-1.0 / r)
-    roots = []
+    """floor(root_r(e // m)) = floor(root_r(e / m)) for each end e >= 0 and each int64 m >= 1."""
+    w, roots = m.astype(np.float64) ** (-1.0 / r), []
     for e in ends:
+        # fl(e^(1/r)) * m^(-1/r) is off by a few ulp, far less than 1e-12 of itself: only a
+        # root that near an integer can floor wrong, and it takes introot's.
         f = float(e) ** (1.0 / r) * w
         s = f.astype(np.int64)
-        # f is off by a few ulp, far less than 1e-12 f: only a root that near an integer can floor wrong.
         i = np.flatnonzero(np.abs(f - np.rint(f)) <= 1e-12 * f)
         s[i] = [introot(e // t, r) for t in m[i].tolist()]
         roots.append(s)
@@ -175,9 +175,8 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
     `primes` holds the primes up to cut >= (x+y)^(1/(r+1)).  For each m <=
     (x+y) / (cut+1)^r, p lies in (root_r(x // m), root_r((x+y) // m)], and
     is prime if no prime up to the cut divides it: a composite p <=
-    (x+y)^(1/r) has a prime factor at most (x+y)^(1/(2r)) <= cut.  Both ends
-    share one float power of m, and only the m whose interval holds an
-    integer above the cut list their p.
+    (x+y)^(1/r) has a prime factor at most (x+y)^(1/(2r)) <= cut.  Only the
+    m whose interval holds an integer above the cut list their p.
     """
     top = (x + y) // (cut + 1) ** r
     for a in range(1, top + 1, _COFACTOR_BLOCK):
