@@ -77,9 +77,9 @@ def sieve_segment(x: int, y: int) -> dict[int, Factorization]:
     """Squarefull part of each squarefull n in (x, x+y]: n -> ((p, v_p(n)) for each p^2 | n).
 
     A squarefree n has no entry.  Each multiple of p^2, for p up to
-    sqrt(x+y) ascending, is divided by p until its exponent is found.
-    Primes dividing n once are left out: g(1) = 1 in every validated rule,
-    so f(n) and the r-full divisors of n are read from the squarefull part.
+    sqrt(x+y) ascending, is divided by p until its exponent is found.  Primes
+    dividing n once are left out (g(1) = 1): f(n) and the r-full divisors of n
+    read the squarefull part.  A pure-Python oracle for verify's multiples sum.
     """
     _check_window(x, y)
     parts: dict[int, Factorization] = {}

@@ -13,9 +13,12 @@ from dataclasses import asdict, dataclass
 from itertools import product
 from math import log, prod, sqrt
 
+import numpy as np
+
 from .bounds import bound_breakdown, interval_error_bound, zeta
 from .density import (
     DEFAULT_BOUND,
+    _table,
     density_profile,
     local_density,
     weight_harmonic_profile,
@@ -152,10 +155,8 @@ def checks_k1_collapse(seed: int = 0) -> list[Check]:
     windows = [(rng.randrange(0, 10**8), rng.randrange(1, 10**4 + 1)) for _ in range(segments)]
     bad = 0
     for x, y in windows:
-        free_counts: dict[int, int] = {}
+        free_counts = {r: count_r_free(x, y, r) for r in {rule.r for rule in rules}}
         for rule in rules:
-            if rule.r not in free_counts:
-                free_counts[rule.r] = count_r_free(x, y, rule.r)
             if count_value(rule, 1, x, y) != free_counts[rule.r]:
                 bad += 1
     out.append(Check("k1-count-equals-r-free", bad == 0, bad, 0,
@@ -310,33 +311,50 @@ def checks_desk_scale() -> list[Check]:
     return out
 
 
-def checks_segment_equivalence(seed: int = 0) -> list[Check]:
-    """Counting kernel vs each n's squarefull part over seeded random windows.
+def _segment_counts(rules, windows, ks):
+    """For each window (x, y), [#{n in (x, x+y] : f(n) = k} for k in ks] for each rule.
 
-    One signature sieve of a window serves every rule, as in value_counts.  The
-    oracle is exact: g(1) = 1 for every validated rule, so f(n) reads only the
-    squarefull part of n, evaluated once per exponent shape.
+    The sum over e <= x+y of H_k(e) (floor((x+y)/e) - floor(x/e)), H_k = 1_{f=k} * mu, whose
+    factor at p^a || e is X^g(a) - X^g(a-1), where X^u X^v = X^(uv): 0 for a < r and prime-free,
+    so taken once per pattern of the r-full table, and cut past max(ks), as every g >= 1.
     """
-    segments = 200
-    rng = random.Random(seed)
-    rules = builtin_rules()
+    tables = {r: _table(r, max(x + y for x, y in windows)) for r in {rule.r for rule in rules}}
+    weights = {rule: np.zeros((len(tables[rule.r][0]), len(ks))) for rule in rules}
+    for rule, w in weights.items():
+        (facts, _, _, pattern), g, cut = tables[rule.r], rule.values, max(ks)
+        for q in np.flatnonzero(np.bincount(pattern)).tolist():
+            h = {1: 1}
+            for _, a in facts[q]:
+                terms, h = h.items(), {}
+                for (v, c), (u, s) in product(terms, ((g[a], 1), (g[a - 1], -1))):
+                    if v * u <= cut:
+                        h[v * u] = h.get(v * u, 0) + s * c
+            w[q] = [h.get(k, 0) for k in ks]
+    for x, y in windows:
+        moved = {}  # r -> the multiples in (x, x+y] of the r-full e of each pattern
+        for r, (facts, n, _, pattern) in tables.items():
+            e = n[: np.searchsorted(n, x + y, "right")]
+            # float64 sums, exact while the window's total stays below 2^53; so is the product.
+            moved[r] = np.bincount(pattern[: e.size], (x + y) // e - x // e, len(facts))
+        yield [(moved[rule.r] @ weights[rule]).astype(np.int64).tolist() for rule in rules]
+
+
+def checks_segment_equivalence(seed: int = 0) -> list[Check]:
+    """Counting kernel vs the Moebius identity of _segment_counts over seeded random windows.
+
+    One signature sieve of a window serves every rule, as in value_counts.  The identity
+    is exact and sieves nothing: it reads the cached r-full table up to the last window end.
+    """
+    segments, ks = 200, range(1, 7)
+    rng, rules = random.Random(seed), builtin_rules()
+    windows = [(rng.randrange(0, 10**8), rng.randrange(1, 10**4 + 1)) for _ in range(segments)]
     mismatch = partition_bad = 0
-    for _ in range(segments):
-        x = rng.randrange(0, 10**8)
-        y = rng.randrange(1, 10**4 + 1)
-        # Each distinct squarefull part gives its exponent shape; the squarefree n give ().
-        parts = sieve_segment(x, y)
-        shapes = Counter({(): y - len(parts)})
-        for part, count in Counter(parts.values()).items():
-            shapes[tuple(a for _, a in part)] += count
+    for (x, y), expected in zip(windows, _segment_counts(rules, windows, ks)):
         codes = {r: _signature_counts((r, x, y)) for r in {rule.r for rule in rules}}
-        for rule in rules:
-            pointwise: Counter[int] = Counter()
-            for shape, count in shapes.items():
-                pointwise[eval_rule(rule, tuple(enumerate(shape)))] += count
+        for rule, want in zip(rules, expected):
             counted = _fold(rule, codes[rule.r])
             partition_bad += sum(counted.values()) != y
-            mismatch += sum(counted.get(k, 0) != pointwise[k] for k in range(1, 7))
+            mismatch += sum(counted.get(k, 0) != c for k, c in zip(ks, want))
     return [
         Check("segment-pointwise-equivalence", mismatch == 0, mismatch, 0,
               note=f"{segments} seeded windows, {len(rules)} rules, k <= 6"),

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
-from math import prod
+from math import pi, prod, sqrt
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -859,6 +860,20 @@ def test_count_spread_follows_halls_variance_law(name, ks):
         ratios = [statistics.stdev(count_value(rule, k, x, y) - d * y for x in xs)
                   / y ** (1 / (2 * rule.r)) for y in (10**4, 10**5, 10**6)]
         assert max(ratios) <= 2 * min(ratios), (k, ratios)
+
+
+def test_r_free_spread_matches_halls_constant():
+    # Hall (Mathematika 29, 1982): the mean square of count_r_free(x, y, 2) - y / zeta(2)
+    # over x is ~ A y^(1/2), A = zeta(3/2) / pi * prod_p (1 - 3/p^2 + 2/p^3) = 0.2384.  Over
+    # 300 windows with x in [1e11, 1e12), sd / (sqrt(A) y^(1/4)) reads 0.961-0.974 at seeds
+    # 0 and 1, at y = 1e4 and 1e5.
+    p = primes_upto(10**6).astype(np.float64)
+    a = float(mpmath.zeta(1.5)) / pi * float(np.prod(1 - 3 / p**2 + 2 / p**3))
+    rng = random.Random(0)
+    xs = [rng.randrange(10**11, 10**12) for _ in range(300)]
+    for y in (10**4, 10**5):
+        sd = sqrt(statistics.fmean((count_r_free(x, y, 2) - y / zeta(2)) ** 2 for x in xs))
+        assert 0.85 <= sd / (sqrt(a) * y**0.25) <= 1.15, y
 
 
 def test_count_value_k1_equals_r_free():

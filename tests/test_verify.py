@@ -1,6 +1,16 @@
+import random
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from pimshort import sieve, verify
+from pimshort.factor import eval_rule
+from pimshort.rules import build_rule, builtin_rules, load_custom_rule
+
+from oracles import count_k_brute
 
 # The one value_counts(abelian, 0, ORACLE_LIMIT) of the density-cross suite,
 # stubbed below; the two groups that read it get it as their argument.
@@ -104,28 +114,67 @@ def test_convolution_weighs_each_shape_not_each_n(monkeypatch):
     assert len(calls) <= 4000
 
 
+# Mismatches over the 200 seed-0 windows, 5 rules and k <= 6 under each breakage below.
+SWAPPED_SIGNATURE_MISMATCHES = 1598
+LOST_ROW_MISMATCHES = 1990
+
+
 def test_segment_check_fails_on_a_wrong_signature_or_oracle(monkeypatch):
     # One signature sieve serves all five rules, so each side must still be able
     # to fail the check: prime(2) and prime(3) swapped in the signature table
-    # (every p^2 || n decodes as p^3), and an oracle that loses one squarefull n.
+    # (every p^2 || n decodes as p^3), and an identity whose r-full table has lost
+    # e = 4, so that no H_k(4) term counts the multiples of 4.
     sig = sieve._signature_rule(2)
     values = list(sig.values)
     values[2], values[3] = values[3], values[2]
     monkeypatch.setattr(sieve, "_signature_rule", lambda r: replace(sig, values=tuple(values)))
     mismatch, partition = verify.checks_segment_equivalence(seed=0)
-    assert mismatch.observed > 0 and not mismatch.passed
+    assert mismatch.observed == SWAPPED_SIGNATURE_MISMATCHES and not mismatch.passed
     assert partition.passed
     monkeypatch.undo()
 
-    real_segment, dropped = verify.sieve_segment, []
+    real_table = verify._table
 
-    def segment_losing_one_entry(x, y):
-        parts = real_segment(x, y)
-        if parts and not dropped:
-            dropped.append(parts.pop(min(parts)))
-        return parts
+    def table_losing_four(r, limit):
+        facts, n, recip, pattern = real_table(r, limit)
+        assert n[1] == 4
+        return facts, np.delete(n, 1), np.delete(recip, 1), np.delete(pattern, 1)
 
-    monkeypatch.setattr(verify, "sieve_segment", segment_losing_one_entry)
+    monkeypatch.setattr(verify, "_table", table_losing_four)
     mismatch, partition = verify.checks_segment_equivalence(seed=0)
-    assert len(dropped) == 1
-    assert mismatch.observed > 0 and not mismatch.passed
+    assert mismatch.observed == LOST_ROW_MISMATCHES and not mismatch.passed
+    assert partition.passed
+
+
+# The windows of checks_segment_equivalence, drawn as it draws them: x, then y.
+_rng = random.Random(0)
+SEED0_WINDOWS = [(_rng.randrange(0, 10**8), _rng.randrange(1, 10**4 + 1)) for _ in range(200)]
+
+
+def test_identity_counts_equal_the_pointwise_oracle():
+    # The pure-Python sieve_segment gives each squarefull n's part; f reads its
+    # exponent shape alone (the squarefree n have shape ()).
+    rules = builtin_rules()
+    identity = verify._segment_counts(rules, SEED0_WINDOWS, range(1, 7))
+    for (x, y), counts in zip(SEED0_WINDOWS, identity):
+        shapes = Counter(tuple(a for _, a in part) for part in sieve.sieve_segment(x, y).values())
+        shapes[()] = y - sum(shapes.values())
+        for rule, got in zip(rules, counts):
+            pointwise = Counter()
+            for shape, c in shapes.items():
+                pointwise[eval_rule(rule, tuple(enumerate(shape)))] += c
+            assert got == [pointwise[k] for k in range(1, 7)], (rule.name, x, y)
+
+
+HUGE_RULE = load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text())
+
+
+@pytest.mark.parametrize("rule, ks", [
+    (build_rule("powerdiv-r:3"), (1, 2, 3, 4, 6, 300)),
+    (HUGE_RULE, (1, 100, 10**3, 10**4, 10**6, 10**12)),
+], ids=["powerdiv-r3", "huge-rule"])
+def test_identity_counts_against_brute(rule, ks):
+    # The r = 3 table, and a rule with g(alpha) = 10^alpha: f(4096) = f(10^6) = 10^12.
+    windows = [(0, 1), (1, 1), (0, 5000), (7, 1), (10**6 - 1000, 2000), (2**20 - 3, 4)]
+    for (x, y), (counts,) in zip(windows, verify._segment_counts((rule,), windows, ks)):
+        assert counts == [count_k_brute(rule, k, x, y) for k in ks], (x, y)
