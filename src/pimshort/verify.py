@@ -314,9 +314,9 @@ def checks_desk_scale() -> list[Check]:
 def _segment_counts(rules, windows, ks):
     """For each window (x, y), [#{n in (x, x+y] : f(n) = k} for k in ks] for each rule.
 
-    The sum over e <= x+y of H_k(e) (floor((x+y)/e) - floor(x/e)), H_k = 1_{f=k} * mu, whose
-    factor at p^a || e is X^g(a) - X^g(a-1), where X^u X^v = X^(uv): 0 for a < r and prime-free,
-    so taken once per pattern of the r-full table, and cut past max(ks), as every g >= 1.
+    Each is the sum over e <= x+y of H_k(e) (floor((x+y)/e) - floor(x/e)), H_k = 1_{f=k} * mu.
+    At p^a || e, H_k's factor is X^g(a) - X^g(a-1) in the algebra X^u X^v = X^(uv): 0 for
+    a < r and free of p, so taken once per pattern of the r-full table; cut at max(ks), as g >= 1.
     """
     tables = {r: _table(r, max(x + y for x, y in windows)) for r in {rule.r for rule in rules}}
     weights = {rule: np.zeros((len(tables[rule.r][0]), len(ks))) for rule in rules}
