@@ -94,7 +94,7 @@ def _calls() -> list[tuple[str, list[str]]]:
          ["interval", "--rule", "semisimple", "--k", "4", "--x", "9999999999903154",
           "--y", "96846", "--B", "1e6"]),
         # A wide window whose large primes reach the cofactor side: a p above the cut
-        # (x+y)^(1/3) ~ 10^4 with p^2 | n is found from its cofactor m = n / p^2.
+        # (the 2^16 floor here) with p^2 | n is found from its cofactor m = n / p^2.
         ("interval-abelian-k1-x1e12-y1e8",
          ["interval", "--rule", "abelian", "--k", "1", "--x", "1e12", "--y", "1e8",
           "--B", "1e6"]),
