@@ -72,6 +72,11 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-plane-k607771804065",
          ["interval", "--rule", "plane", "--k", "607771804065", "--x", "4611686018427386904",
           "--y", "2000", "--B", "1e6"]),
+        # k = abelian(62) = f(2^62), on the uint64 accumulator: 2^62 is the one n with
+        # f(n) = k in (2^62 - 5000, 2^62 + 5000], where every other power of 2 is below 2^14.
+        ("interval-abelian-k1300156-x2_62",
+         ["interval", "--rule", "abelian", "--k", "1300156", "--x", "4611686018427382904",
+          "--y", "1e4", "--B", "1e6"]),
         # A rule with g(alpha) > 2^alpha, at a k whose (k + 1)^2 stays below 2^64.
         ("interval-huge-rule-k1e6",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e6",
