@@ -154,6 +154,10 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
             interval_report(rule, args.k, x, y, density, eps=args.eps)
             for x in xs for y in ys
         ]
+        for rep in reports:  # no |count - density y| exceeds y, so such a bound says nothing
+            if (rep.term_main + rep.term_mid + rep.term_tail) * float(rep.x) ** args.eps >= rep.y:
+                print(f"warning: at x={rep.x}, y={rep.y} the error bound (term_main + term_mid"
+                      f" + term_tail) x^eps is not below y: it says nothing", file=sys.stderr)
     columns = [f.name for f in fields(IntervalReport)]
     emit_records(columns, [asdict(report) for report in reports], fmt)
     return 0

@@ -17,19 +17,20 @@ Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
 min((x+y)^(1/r), 2^16) if higher, from the shared table.  Each chunk starts
 from a pattern of period 2^5 * 3^3 = 864 that holds the factors of 2 and 3
-below those powers, and strided passes over the multiples of 32 and 27 add
-the rest (the pre-sieve of Pritchard, Comm. ACM 24, 1981).  The primes
-5 <= p with p^r below min(chunk length, 2^14) take one strided pass each;
-each multiple of a larger p^r up to the cut is filed into the bucket of its
-chunk (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp.
-83, 2014).  A prime p above the cut divides n = m p^r only with m below
-(x+y)^(1/(r+1)), so its hits come from the cofactor side: for each m, the
-integer points p of a short interval (the hyperbola split of Filaseta and
-Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots of
-x / m and (x+y) / m: one float64 power m^(-1/r) per m serves both, and an end
-near an integer takes introot's root of x // m or (x+y) // m.  With several
-workers, a profile gives each process one run of chunks; a clipped count runs
-in the calling process.  Counts are exact integers.
+below those powers (the pre-sieve of Pritchard, Comm. ACM 24, 1981).  Each of
+32, 27 and the p^r with 5 <= p and p^r below min(chunk length, 2^14) takes one
+strided pass, by a cached ruler of g values: v_p of consecutive multiples of
+p^a is periodic mod p^K below a + K.  Each multiple of a larger p^r up to the
+cut is filed into the bucket of its chunk (the bucket sieve of Oliveira e
+Silva, Herzog and Pardi, Math. Comp. 83, 2014).  A prime p above the cut
+divides n = m p^r only with m below (x+y)^(1/(r+1)), so its hits come from the
+cofactor side: for each m, the integer points p of a short interval (the
+hyperbola split of Filaseta and Trifonov, J. London Math. Soc. 45, 1992).
+Its ends are exact r-th roots of x / m and (x+y) / m: one float64 power
+m^(-1/r) per m serves both, and an end near an integer takes introot's root of
+x // m or (x+y) // m.  With several workers, a profile gives each process one
+run of chunks; a clipped count runs in the calling process.  Counts are exact
+integers.
 """
 
 from __future__ import annotations
@@ -95,9 +96,8 @@ def sieve_segment(x: int, y: int) -> dict[int, Factorization]:
 
 
 def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.ndarray]:
-    # Offsets s0, s0 + p^a, ... of the multiples of p^a among n0..n0+y-1
-    # (none in a short last chunk) and the exact exponent of p at each.  The
-    # multiples of p^b sit at every p^(b-a)-th of them, from (s_b - s0) / p^a.
+    # Offsets s0, s0 + p^a, ... of the multiples of p^a among n0..n0+y-1 and the exact
+    # exponent of p at each; those of p^b sit at every p^(b-a)-th, from (s_b - s0) / p^a.
     q = p**a
     s0 = -n0 % q
     e = np.full((y - 1 - s0) // q + 1, a, dtype=np.intp)
@@ -143,6 +143,26 @@ def _kernel_tables(rule: ExponentRule, cap: int = 0) -> tuple[np.ndarray, np.nda
     pattern = np.minimum(gtab[v2] * gtab[v3], cap) if cap else gtab[v2] * gtab[v3]
     gtab.flags.writeable = pattern.flags.writeable = False
     return gtab, pattern
+
+
+@lru_cache(maxsize=16)
+def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
+    # p -> (a, K, ruler) for each strided pass over chunks of at most span offsets, for
+    # g = values, shared by rules whose clipped tables agree: the c = ceil(span / p^a)
+    # multiples of p^a read ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c, K the least
+    # with p^(2K) >= c.  The dtype holds every g, as copies take the g at p^(a+K) | n.  16
+    # entries of at most 688,416 bytes (r = 2, span 2^20, uint32) make 11 MB.
+    dtype, rulers = np.min_scalar_type(max(values)), {}
+    small = [p for p in primes_upto(isqrt(_STRIDED_LIMIT)).tolist()[2:] if p**r < _STRIDED_LIMIT]
+    for p, a in ((2, 5), (3, 3), *((p, r) for p in small)):
+        c = -(-span // p**a)
+        K = next(k for k in range(1, 64) if p ** (2 * k) >= c)
+        ruler = np.full(p**K + c, values[a], dtype)
+        for b in range(1, K):  # the multiples of p^b lie among those of p^(b-1)
+            ruler[:: p**b] = values[a + b]
+        ruler.flags.writeable = False
+        rulers[p] = a, K, ruler
+    return rulers
 
 
 def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,11 +266,19 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
         whole, s = cy - cy % 864, n0 % 864
         fval[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
         fval[whole:] = pattern[s : s + cy - whole]
-        for p, a in ((2, 5), (3, 3), *((p, rule.r) for p in small)):
-            s0, e = _small_prime_exponents(p, n0, cy, a)
-            fval[s0 :: p**a] *= gtab[e]
+        rulers = _rulers(tuple(gtab.tolist()), rule.r, 1 << (cy - 1).bit_length())
+        for p in (2, 3, *small):
+            a, K, ruler = rulers[p]
+            q, P, s0 = p**a, p**K, -n0 % p**a
+            view = fval[s0::q]
+            h = ruler[(n0 + s0) // q % P :][: view.size]
+            if -n0 % (q * P) < cy:
+                s1, e = _small_prime_exponents(p, n0, cy, a + K)
+                h = h.copy()
+                h[(s1 - s0) // q :: P] = gtab[e]
+            view *= h
             if cap:
-                np.minimum(fval[s0 :: p**a], cap, out=fval[s0 :: p**a])
+                np.minimum(view, cap, out=view)
         # Two large primes can share an offset (n = p^r q^r), where fancy
         # `fval[off] *= ...` keeps one factor.  The hits are sorted by offset, so
         # each round applies the first hit left at each offset, then clips.

@@ -123,7 +123,10 @@ def test_interval_record_and_warning(capsys):
     code, out, err = run_cli(capsys, "interval", "--rule", "abelian", "--k", "1",
                              "--x", "100", "--y", "10", "--B", "1e4")
     assert code == 0
-    assert err.count("\n") == 1 and "-1/126" in err
+    r2_line, bound_line = err.splitlines()
+    assert "-1/126" in r2_line
+    assert bound_line == ("warning: at x=100, y=10 the error bound (term_main + term_mid"
+                          " + term_tail) x^eps is not below y: it says nothing")
     record = json.loads(out)
     assert record["count"] == 8
     assert record["admissible"] is False
@@ -140,10 +143,33 @@ def test_interval_rejects_wide_window(capsys):
 
 
 def test_interval_no_warning_for_r3(capsys):
+    # No -1/126 line at r = 3; the bound's own warning stays, as it reaches y here.
     code, out, err = run_cli(capsys, "interval", "--rule", "powerdiv-r:3", "--k", "1",
                              "--x", "1e6", "--y", "100", "--B", "1e4")
     assert code == 0
-    assert err == ""
+    assert err.count("\n") == 1 and "-1/126" not in err
+    assert err.startswith("warning: at x=1000000, y=100 the error bound")
+
+
+@pytest.mark.parametrize("rule, eps, warned", [
+    ("abelian", "0.001", False), ("abelian", "0.01", True),
+    ("powerdiv-r:3", "0.001", False), ("powerdiv-r:3", "0.01", True),
+])
+def test_bound_warning_only_where_the_bound_reaches_y(monkeypatch, capsys, rule, eps, warned):
+    # At x = 9e18, y = 1e8, (term_main + term_mid + term_tail) x^eps is 0.77 y at r = 2 and
+    # 0.96 y at r = 3 for eps = 0.001, and above y for eps = 0.01.  The count is stubbed:
+    # the warning reads the bound terms alone, and stdout keeps the record's keys.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "count_value", lambda *args: 0)
+    for command in ("interval", "table"):
+        code, out, err = run_cli(capsys, command, "--rule", rule, "--k", "1", "--x", "9e18",
+                                 "--y", "1e8", "--B", "1e4", "--eps", eps)
+        assert code == 0 and out
+        lines = [line for line in err.splitlines() if "-1/126" not in line]
+        assert lines == (["warning: at x=9000000000000000000, y=100000000 the error bound"
+                          " (term_main + term_mid + term_tail) x^eps is not below y:"
+                          " it says nothing"] if warned else []), (command, err)
 
 
 def test_unknown_rule_exits_2(capsys):

@@ -438,18 +438,22 @@ def test_kernel_walks_at_the_rule_threshold(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", 1)
     passes, hits = [], []
-    strided, exponents = sieve_mod._small_prime_exponents, sieve_mod._exponents
+    rulers, exponents = sieve_mod._rulers, sieve_mod._exponents
 
-    def strided_spy(p, n0, y, a):
-        passes.append((p, a))
-        return strided(p, n0, y, a)
+    class ReadRulers(dict):  # records (p, a) for each ruler a strided pass reads
+        def __getitem__(self, p):
+            passes.append((p, super().__getitem__(p)[0]))
+            return super().__getitem__(p)
+
+    def rulers_spy(values, r, span):
+        return ReadRulers(rulers(values, r, span))
 
     def exponents_spy(n, p, r):
         e = exponents(n, p, r)
         hits.extend(zip(n.tolist(), p.tolist(), e.tolist()))
         return e
 
-    monkeypatch.setattr(sieve_mod, "_small_prime_exponents", strided_spy)
+    monkeypatch.setattr(sieve_mod, "_rulers", rulers_spy)
     monkeypatch.setattr(sieve_mod, "_exponents", exponents_spy)
     rule = build_rule("powerdiv-r:3")
     n = 1009**3 * 1000
@@ -824,6 +828,71 @@ def test_every_tier_against_brute(rule, x, y, ks):
     assert all(type(v) is int for v in profile)
     for k in ks:
         assert count_value(rule, k, x, y) == count_k_brute(rule, k, x, y), k
+
+
+_TOP_POWERS = {"2^62": 2**62, "3^39": 3**39, "5^27": 5**27, "7^22": 7**22}
+
+
+def _tier_rule(top_value):
+    # g = 2 from alpha = 2 on, but top_value at the exponents of the four top powers.
+    values = [1, 1] + [2] * 63
+    for e in (22, 27, 39, 62):
+        values[e] = top_value
+    return load_custom_rule(json.dumps({"name": f"tier-{top_value}", "r": 2, "values": values}))
+
+
+@pytest.mark.parametrize("top", _TOP_POWERS.values(), ids=_TOP_POWERS.keys())
+def test_rulers_exact_at_the_top_prime_powers(monkeypatch, top):
+    # top = p^e, the highest power of p below 2^63, is the one multiple of a high p^(a+K)
+    # in its window, and its g lies far above the g on the ruler of p: the strided pass
+    # writes it into a copy of the ruler's slice, which must hold every g of the table.
+    # With chunks of 128 the window (top - 140, top + 20] ends in a short chunk of 32
+    # offsets that holds top.  The tier rules count k = g(e) on the uint8, uint16, uint32
+    # and uint64 accumulators and the signature profile; abelian at 2^62 on uint64, plane
+    # and the huge rule on the signature profile.  Each against factorize, and at y = 1.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 128)
+    x, y = top - 140, 160
+    exponents = [[a for _, a in factorize(n)] for n in range(x + 1, x + y + 1)]
+    tiers = [_tier_rule(t) for t in (14, 254, 65534, 2**32 - 2, 2**32 - 1)]
+    named = [build_rule(name) for name in ("abelian", "plane", "powerdiv-r:3")] + [_huge_rule()]
+    for rule in tiers + named:
+        f = [prod(rule.values[a] for a in e) for e in exponents]
+        assert f.count(f[139]) == 1, rule.name
+        assert count_value(rule, f[139], x, y) == 1, rule.name
+        assert count_value(rule, f[139], top - 1, 1) == 1, rule.name
+    for rule in named:
+        f = [prod(rule.values[a] for a in e) for e in exponents]
+        assert value_counts(rule, x, y) == dict(sorted(Counter(f).items())), rule.name
+
+
+def test_ruler_cache_stays_under_its_bound(monkeypatch):
+    # 300 distinct k over 2^20 + 1000 offsets ask for 600 (rule, cap, span) entries, two
+    # length classes each.  Every ruler handed out is watched: those alive after the calls
+    # are the cache's, and hold no more than the 16 entries of 688,416 bytes its comment
+    # bounds it by, 11 MB.
+    import gc
+    import weakref
+
+    import pimshort.sieve as sieve_mod
+
+    rulers, watched = sieve_mod._rulers, []
+
+    def rulers_spy(*key):
+        out = rulers(*key)
+        watched.extend(weakref.ref(ruler) for _, _, ruler in out.values())
+        return out
+
+    rulers.cache_clear()
+    monkeypatch.setattr(sieve_mod, "_rulers", rulers_spy)
+    rule = build_rule("abelian")
+    for k in range(1, 301):
+        count_value(rule, k, 10**12, (1 << 20) + 1000)
+    assert rulers.cache_info().misses == 600
+    gc.collect()
+    held = {id(ruler): ruler.nbytes for ruler in (ref() for ref in watched) if ruler is not None}
+    assert 0 < sum(held.values()) <= 16 * 688_416 < 16 << 20
 
 
 def test_count_r_free_examples():
