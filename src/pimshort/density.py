@@ -15,7 +15,7 @@ bound.
 Every series reads a prefix of one table per r, kept for the process and grown
 to the largest limit asked for: n (int64), 1/psi(n) and a pattern index,
 sorted by n; f and h are evaluated once per exponent pattern.  A depth-first
-walk over blocks of nodes builds it in numpy, with int64 columns n, pattern,
+walk over blocks of inner nodes builds it in numpy, int64 columns n, pattern,
 next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1); 1/psi(n) = c / (n a)
 is correctly rounded in float64 by Dekker's TwoProduct, or in Python ints near a
 rounding midpoint or past 2^53.  n must fit int64, so a tail block is cut below
@@ -44,7 +44,7 @@ from .factor import (
 from .rules import ExponentRule
 
 DEFAULT_BOUND = 10**9
-_BLOCK_PAIRS = 1 << 11  # (node, prime) pairs per block of the r-full walk
+_BLOCK_PAIRS = 1 << 13  # (node, prime) pairs per block of the r-full walk
 _EXACT = 1 << 53  # int64 values below this are exact float64
 # The offset c / (n a) - q is computed within 2^-45 ulp(q), so q is taken as correctly
 # rounded only when |offset| is below half the gap under q (never the wider) by 2^-40 of it.
@@ -87,7 +87,9 @@ def rfull_table(r: int, limit: int) -> RFullTable:
 
     Blocks of at most _BLOCK_PAIRS pairs (n, p), n p^r <= limit, are walked
     depth first, each node as int64 columns (n, a, c, pattern index, next prime
-    index), a and c both below n; each pair gives a row per child n p^e, e >= r.
+    index), a and c both below n; each pair gives a row per child n p^e, e >= r,
+    and only a child with a pair of its own is pushed.  A child's pattern index is
+    looked up by its key (parent pattern, e) among the sorted keys met so far.
     1/psi(n) = c / (n a) is correctly rounded by _reciprocals, though n a passes int64.
     """
     if r < 2:
@@ -96,14 +98,16 @@ def rfull_table(r: int, limit: int) -> RFullTable:
         raise ValueError(f"rfull_table requires 1 <= limit < 2**63, got {limit}")
     primes = primes_upto(introot(limit, r))
     power = primes**r
-    index: dict[int, int] = {}  # parent index * 64 + e (e < 63) -> the child's pattern index
+    cap = np.append(limit // power, 0)  # n p_i^r <= limit just when n <= cap[i]
+    # Sorted keys parent index * 64 + e (e < 63) of the patterns met, a sentinel last, and their indices.
+    seen, place = np.array([MAX_N - 1]), np.zeros(1, np.int64)
     size = int(rfull_count_bound(r, limit)) + 1  # pages never written are never resident
     ns, recips, patterns = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
     ns[0], recips[0], patterns[0], end = 1, 1.0, 0, 1
-    stack = [(*np.ones((3, 1), np.int64), *np.zeros((2, 1), np.int64))]  # the node n = 1
+    stack = [(*np.ones((3, 1), np.int64), *np.zeros((2, 1), np.int64))] if cap[0] else []  # n = 1
     while stack:
         n, a, c, q, nxt = stack.pop()
-        count = np.maximum(np.searchsorted(power, limit // n, "right") - nxt, 0)
+        count = np.searchsorted(power, limit // n, "right") - nxt
         if (total := np.cumsum(count))[-1] > _BLOCK_PAIRS:  # the rest waits on the stack
             u = np.searchsorted(total, _BLOCK_PAIRS).item()
             count[u] -= total[u] - _BLOCK_PAIRS  # node u's first pairs stay in this block
@@ -111,25 +115,31 @@ def rfull_table(r: int, limit: int) -> RFullTable:
             stack.append((n[u:], a[u:], c[u:], q[u:], rest))
             n, a, c, q, nxt, count = (x[:u + 1] for x in (n, a, c, q, nxt, count))
         j, step = _ranges(count)
-        if not j.size:
-            continue
         i = nxt[j] + step
-        p, m = primes[i], n[j] * power[i]
-        t, extra = limit // m // p, np.zeros(j.size, np.int64)
-        while t.any():  # one more child n p^(r + extra) <= limit where t > 0
-            extra += t > 0
-            t //= p
-        k, e = _ranges(extra + 1)
-        cn = m[k] * p[k] ** e
+        p, ks, cn = primes[i], [np.arange(j.size)], [n[j] * power[i]]
+        while (keep := cn[-1] <= limit // p[ks[-1]]).any():  # the live pairs: one more child n p^e
+            ks.append(ks[-1][keep])
+            cn.append(cn[-1][keep] * p[ks[-1]])
+        e = np.repeat(np.arange(r, r + len(ks)), [x.size for x in ks])
+        k, cn = np.concatenate(ks), np.concatenate(cn)
         ca, cc = (a[j] * (power[i] - 1))[k], (c[j] * (power[i] // p) * (p - 1))[k]
-        keys, inverse = np.unique(q[j][k] * 64 + (r + e), return_inverse=True)
-        cq = np.array([index.setdefault(x, len(index) + 1) for x in keys.tolist()])[inverse]
+        uq, rq = np.unique(q, return_inverse=True)  # the block's node patterns
+        rq = rq[j][k] * 64 + e  # each row's (node pattern, e) among them
+        used = np.flatnonzero(np.bincount(rq))
+        keys = uq[used >> 6] * 64 + (used & 63)  # the block's child keys, sorted
+        slot = np.searchsorted(seen, keys)
+        if (fresh := seen[slot] != keys).any():  # new patterns, numbered on in key order
+            place = np.insert(place, slot[fresh], np.arange(seen.size, seen.size + fresh.sum()))
+            seen = np.insert(seen, slot[fresh], keys[fresh])
+            slot = np.searchsorted(seen, keys)
+        cq = place[slot][np.searchsorted(used, rq)]
         start, end = end, end + cn.size
         ns[start:end], patterns[start:end] = cn, cq
         recips[start:end] = _reciprocals(cn, ca, cc)[0]
-        stack.append((cn, ca, cc, cq, (i + 1)[k]))
+        if (inner := np.flatnonzero(cn <= cap[(i + 1)[k]])).size:  # it has a pair of its own
+            stack.append(tuple(x[inner] for x in (cn, ca, cc, cq, (i + 1)[k])))
     facts = [()]  # in index order, each parent before its children
-    for x in index:
+    for x in seen[place.argsort()][1:].tolist():
         facts.append(facts[x >> 6] + ((int(primes[len(facts[x >> 6])]), x & 63),))
     order = ns[:end].argsort()
     ns = ns[:end][order]  # one column at a time: each unsorted one goes before the next

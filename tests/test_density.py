@@ -127,6 +127,18 @@ def test_table_matches_the_recursive_walk_at_every_small_limit():
             assert_same_table(r, limit)
 
 
+@pytest.mark.parametrize("pairs", [1, 2, 3, 64])
+def test_table_matches_the_recursive_walk_in_tiny_blocks(monkeypatch, pairs):
+    # At the default block size only the largest tables split a node's pairs between
+    # blocks; tiny blocks split them at every place, and split the children's blocks too.
+    monkeypatch.setattr(density, "_BLOCK_PAIRS", pairs)
+    for r in range(2, 6):
+        for limit in range(1, 301):
+            assert_same_table(r, limit)
+    assert_same_table(2, 10**5)
+    assert_same_table(3, 10**5)
+
+
 def test_reciprocal_near_a_rounding_midpoint_is_divided_in_python_ints():
     # n a = 2^6 (2^53 + 1) and c = 2^52 + 1, so c / (n a) lies 2^-53 of a half gap
     # below the midpoint 2^-7 + 2^-60.  The second triple is 1/psi(16411^2) at r = 2,
