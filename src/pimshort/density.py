@@ -99,7 +99,7 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     primes = primes_upto(introot(limit, r))
     power = primes**r
     cap = np.append(limit // power, 0)  # n p_i^r <= limit just when n <= cap[i]
-    # Sorted keys parent index * 64 + e (e < 63) of the patterns met, a sentinel last, and their indices.
+    # Sorted keys parent index * 64 + e (e < 63) of the patterns met, a sentinel last; indices.
     seen, place = np.array([MAX_N - 1]), np.zeros(1, np.int64)
     size = int(rfull_count_bound(r, limit)) + 1  # pages never written are never resident
     ns, recips, patterns = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
@@ -138,7 +138,7 @@ def rfull_table(r: int, limit: int) -> RFullTable:
         recips[start:end] = _reciprocals(cn, ca, cc)[0]
         if (inner := np.flatnonzero(cn <= cap[(i + 1)[k]])).size:  # it has a pair of its own
             stack.append(tuple(x[inner] for x in (cn, ca, cc, cq, (i + 1)[k])))
-    facts = [()]  # in index order, each parent before its children
+    facts = [()]  # in index order, each parent before its children; the sentinel's 0 goes first
     for x in seen[place.argsort()][1:].tolist():
         facts.append(facts[x >> 6] + ((int(primes[len(facts[x >> 6])]), x & 63),))
     order = ns[:end].argsort()
