@@ -13,14 +13,14 @@ so successive doubling blocks of the reciprocal series shrink by roughly
 bound.
 
 Every series reads a prefix of one table per r, kept for the process and grown
-to the largest limit asked for: n (int64), 1/psi(n) and a pattern index,
-sorted by n; f and h are evaluated once per exponent pattern.  A depth-first
-walk over blocks of inner nodes builds it in numpy, int64 columns n, pattern,
-next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1); 1/psi(n) = c / (n a)
-is correctly rounded in float64 by Dekker's TwoProduct, or in Python ints near a
-rounding midpoint or past 2^53.  n must fit int64, so a tail block is cut below
-2^63.  Sums are math.fsum, exactly rounded in any term order, far inside the
-1e-12 budget at B = 10^9; a tail block's sum is held with the table.
+to the largest limit asked for: n (int64), 1/psi(n) and a signature index,
+sorted by n; f and h are evaluated once per signature, n's sorted exponents.  A
+depth-first walk over blocks of inner nodes builds it in numpy, int64 columns n,
+signature code, next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1);
+1/psi(n) = c / (n a) is correctly rounded in float64 by Dekker's TwoProduct, or
+in Python ints near a rounding midpoint or past 2^53.  n must fit int64, so a
+tail block is cut below 2^63.  Sums are math.fsum, exactly rounded in any term
+order, far inside the 1e-12 budget at B = 10^9; a tail block's sum is held with the table.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ import numpy as np
 
 from .bounds import zeta
 from .factor import (
+    _SIGNATURE_PRIMES,
     MAX_N,
     Factorization,
     _ranges,
+    _signature_exponents,
     eval_rule,
     factorize,
     introot,
@@ -51,7 +53,7 @@ _EXACT = 1 << 53  # int64 values below this are exact float64
 _DECIDED = 0.5 - 2.0**-41
 
 # (facts, n, recip, pattern): every r-full n up to a limit ascending (int64), 1/psi(n)
-# (float64), and the index (int32) into facts, 2^e1 3^e2 ..., of n's exponent pattern.
+# (float64), and the index (int32) into facts, 2^e1 3^e2 ... with e1 <= e2 ..., of n's signature.
 RFullTable = tuple[list[Factorization], np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -86,10 +88,10 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     """Every r-full n <= limit (1 included), for 1 <= limit < 2^63.
 
     Blocks of at most _BLOCK_PAIRS pairs (n, p), n p^r <= limit, are walked
-    depth first, each node as int64 columns (n, a, c, pattern index, next prime
+    depth first, each node as int64 columns (n, a, c, signature code, next prime
     index), a and c both below n; each pair gives a row per child n p^e, e >= r,
-    and only a child with a pair of its own is pushed.  A child's pattern index is
-    looked up by its key (parent pattern, e) among the sorted keys met so far.
+    and only a child with a pair of its own is pushed.  A child's code is its
+    parent's times prime(e), and its index is looked up among the sorted codes met.
     1/psi(n) = c / (n a) is correctly rounded by _reciprocals, though n a passes int64.
     """
     if r < 2:
@@ -99,12 +101,13 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     primes = primes_upto(introot(limit, r))
     power = primes**r
     cap = np.append(limit // power, 0)  # n p_i^r <= limit just when n <= cap[i]
-    # Sorted keys parent index * 64 + e (e < 63) of the patterns met, a sentinel last; indices.
-    seen, place = np.array([MAX_N - 1]), np.zeros(1, np.int64)
+    sig = np.array(_SIGNATURE_PRIMES)  # prime(e) at e
+    # Sorted signature codes met so far, a sentinel last (past every code, as code <= n); indices.
+    seen, place = np.array([1, MAX_N - 1]), np.array([0, MAX_N - 1])
     size = int(rfull_count_bound(r, limit)) + 1  # pages never written are never resident
     ns, recips, patterns = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
     ns[0], recips[0], patterns[0], end = 1, 1.0, 0, 1
-    stack = [(*np.ones((3, 1), np.int64), *np.zeros((2, 1), np.int64))] if cap[0] else []  # n = 1
+    stack = [(*np.ones((4, 1), np.int64), np.zeros(1, np.int64))] if cap[0] else []  # n = 1
     while stack:
         n, a, c, q, nxt = stack.pop()
         count = np.searchsorted(power, limit // n, "right") - nxt
@@ -123,24 +126,24 @@ def rfull_table(r: int, limit: int) -> RFullTable:
         e = np.repeat(np.arange(r, r + len(ks)), [x.size for x in ks])
         k, cn = np.concatenate(ks), np.concatenate(cn)
         ca, cc = (a[j] * (power[i] - 1))[k], (c[j] * (power[i] // p) * (p - 1))[k]
-        uq, rq = np.unique(q, return_inverse=True)  # the block's node patterns
-        rq = rq[j][k] * 64 + e  # each row's (node pattern, e) among them
-        used = np.flatnonzero(np.bincount(rq))
-        keys = uq[used >> 6] * 64 + (used & 63)  # the block's child keys, sorted
-        slot = np.searchsorted(seen, keys)
-        if (fresh := seen[slot] != keys).any():  # new patterns, numbered on in key order
-            place = np.insert(place, slot[fresh], np.arange(seen.size, seen.size + fresh.sum()))
-            seen = np.insert(seen, slot[fresh], keys[fresh])
-            slot = np.searchsorted(seen, keys)
-        cq = place[slot][np.searchsorted(used, rq)]
+        uq, rq = np.unique(q, return_inverse=True)  # the block's node codes
+        rq = rq[j][k] * 64 + e  # each row's (node code, e) among them
+        used = np.flatnonzero(np.bincount(rq))  # the block's keys; two may give one child code
+        codes, inv = np.unique(uq[used >> 6] * sig[used & 63], return_inverse=True)
+        slot = np.searchsorted(seen, codes)
+        if (fresh := seen[slot] != codes).any():  # new signatures, numbered on in code order
+            place = np.insert(place, slot[fresh], seen.size - 1 + np.arange(fresh.sum()))
+            seen = np.insert(seen, slot[fresh], codes[fresh])
+            slot = np.searchsorted(seen, codes)
+        at = inv[np.searchsorted(used, rq)]  # each row's child code among them
         start, end = end, end + cn.size
-        ns[start:end], patterns[start:end] = cn, cq
+        ns[start:end], patterns[start:end] = cn, place[slot][at]
         recips[start:end] = _reciprocals(cn, ca, cc)[0]
         if (inner := np.flatnonzero(cn <= cap[(i + 1)[k]])).size:  # it has a pair of its own
-            stack.append(tuple(x[inner] for x in (cn, ca, cc, cq, (i + 1)[k])))
-    facts = [()]  # in index order, each parent before its children; the sentinel's 0 goes first
-    for x in seen[place.argsort()][1:].tolist():
-        facts.append(facts[x >> 6] + ((int(primes[len(facts[x >> 6])]), x & 63),))
+            stack.append(tuple(x[inner] for x in (cn, ca, cc, codes[at], (i + 1)[k])))
+    # One canonical factorization per signature, in index order: its exponents on 2, 3, 5, ...
+    facts = [tuple(zip(_SIGNATURE_PRIMES[1:], _signature_exponents(x)))
+             for x in seen[place.argsort()][:-1].tolist()]
     order = ns[:end].argsort()
     ns = ns[:end][order]  # one column at a time: each unsorted one goes before the next
     recips = recips[:end][order]
@@ -231,7 +234,7 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     """The reciprocal-psi pass: a DensityResult for every k in ks.
 
     Head sums are kept only for values f(b) in ks, with f evaluated once per
-    exponent pattern; the tail block is every r-full b in (bound, 2^r * bound].
+    signature; the tail block is every r-full b in (bound, 2^r * bound].
     """
     r = rule.r
     top = min((1 << r) * bound, MAX_N - 1)
@@ -287,26 +290,28 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
 
 def weight_harmonic_profile(rule: ExponentRule, bound: int,
                             k_max: int) -> dict[int, tuple[float, float]]:
-    """(harmonic sum, tail estimate) for every k <= k_max, h evaluated once per pattern."""
+    """(harmonic sum, tail estimate) for every k <= k_max over the signatures with h_k != 0."""
     check_series_args(k_max, bound)
     top = min((1 << rule.r) * bound, MAX_N - 1)
     facts, n, _, pattern = _table(rule.r, top)
     i = np.searchsorted(n, bound, "right").item()
-    present = np.flatnonzero(np.bincount(pattern))
+    order, count = pattern.argsort(), np.bincount(pattern)  # the rows grouped by signature
+    present, start = np.flatnonzero(count), np.cumsum(count) - count
     weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
-    h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each pattern
+    h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each signature
     out = {}
     for k in range(1, k_max + 1):
         h_of[present] = [w.get(k, 0) for w in weights]
-        h = h_of[pattern]
-        nonzero = np.flatnonzero(h)
-        hk, nk = h[nonzero], n[nonzero]
+        live = np.flatnonzero(h_of)
+        j, step = _ranges(count[live])
+        rows = order[start[live][j] + step]  # in any order within a group: fsum is exact
+        hk, nk = h_of[live][j], n[rows]
         terms = hk / nk  # correctly rounded, as int / int is, where float64 holds both
         big = np.flatnonzero((np.abs(hk) >= _EXACT) | (nk >= _EXACT))
         terms[big] = [a / b for a, b in zip(hk[big].tolist(), nk[big].tolist())]
-        head = np.searchsorted(nonzero, i).item()
-        tail = tail_geometric_factor(rule.r) * fsum(np.abs(terms[head:]).tolist())
-        out[k] = (fsum(terms[:head].tolist()), tail)
+        head = rows < i
+        tail = tail_geometric_factor(rule.r) * fsum(np.abs(terms[~head]).tolist())
+        out[k] = (fsum(terms[head].tolist()), tail)
     return out
 
 

@@ -167,6 +167,21 @@ def factorize(n: int) -> Factorization:
     return tuple(pairs)
 
 
+# The encoder of sigma_r(n) = prod prime(alpha) over p^alpha || n, alpha >= r (at most n < 2^63).
+_SIGNATURE_PRIMES = (1, *(p for p in range(2, 308) if all(p % d for d in range(2, isqrt(p) + 1))))
+
+
+def _signature_exponents(code: int) -> tuple[int, ...]:
+    # The decoder: the exponents alpha of every n with this code, ascending.
+    out, alpha = [], 0
+    while code > 1:
+        alpha += 1
+        while code % _SIGNATURE_PRIMES[alpha] == 0:
+            code //= _SIGNATURE_PRIMES[alpha]
+            out.append(alpha)
+    return tuple(out)
+
+
 def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
     """f(n) = product of g(alpha) over the factorization; 1 for n = 1."""
     out = 1

@@ -7,7 +7,7 @@ multiplies table values into an accumulator per offset.  value_counts runs it
 once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha)
 over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r):
 sigma_r(n) <= n fits int64, as prime(alpha) <= 2^alpha, and f is evaluated once
-per distinct code, in Python ints.  count_value asks only whether f(n) = k, and
+per rule and code, in Python ints.  count_value asks only whether f(n) = k, and
 every g is at least 1, so it clips at k + 1 in the narrowest unsigned dtype that
 holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254, uint32 for k <= 65534,
 uint64 for k <= 2^32 - 2.  Past that it reads value_counts.  The choice rests on
@@ -46,7 +46,8 @@ import numpy as np
 
 from .bounds import bound_breakdown
 from .density import _table
-from .factor import _PRIME_FLOOR, MAX_N, Factorization, _ranges, factorize, introot, primes_upto
+from .factor import (_PRIME_FLOOR, _SIGNATURE_PRIMES, MAX_N, Factorization, _ranges,
+                     _signature_exponents, introot, primes_upto)
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
@@ -111,21 +112,20 @@ def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.nda
 @lru_cache(maxsize=None)
 def _signature_rule(r: int) -> ExponentRule:
     # sigma_r as a rule: g(alpha) = prime(alpha) from r on, for every exponent of an n < 2^63.
-    return ExponentRule(f"signature-r{r}", r, (1,) * r + tuple(primes_upto(307).tolist()[r - 1 :]))
+    return ExponentRule(f"signature-r{r}", r, (1,) * r + _SIGNATURE_PRIMES[r:])
 
 
-@lru_cache(maxsize=1 << 12)
-def _signature_exponents(code: int) -> tuple[int, ...]:
-    # The exponents alpha >= r of every n with this code, from its factors prime(alpha).
-    primes = primes_upto(307).tolist()
-    return tuple(primes.index(p) + 1 for p, e in factorize(code) for _ in range(e))
+@lru_cache(maxsize=1 << 16)
+def _code_value(rule: ExponentRule, code: int) -> int:
+    # f at a code, in exact Python ints; keyed by the whole rule, its values included.
+    return prod(rule.values[a] for a in _signature_exponents(code))
 
 
 def _fold(rule: ExponentRule, codes: Counter) -> dict[int, int]:
-    # value_counts from the signature counts: f once per code, in exact Python ints.
+    # value_counts from the signature counts: f once per (rule, code) for the process.
     counts: Counter = Counter()
     for code, c in codes.items():
-        counts[prod(rule.values[a] for a in _signature_exponents(code))] += c
+        counts[_code_value(rule, code)] += c
     return dict(sorted(counts.items()))
 
 

@@ -24,7 +24,8 @@ from .density import (
     weight_harmonic_profile,
     weight_partial_sum,
 )
-from .factor import eval_rule, factorize, rfull_weights_up_to
+from .factor import (_SIGNATURE_PRIMES, _signature_exponents, eval_rule, factorize, introot,
+                     primes_upto, rfull_weights_up_to)
 from .rules import build_rule, builtin_rules
 from .sieve import (
     _fold,
@@ -103,37 +104,36 @@ def checks_convolution() -> list[Check]:
 
     f(n) and h(n) read only the exponents of n, never its primes, so the n <= 10^4
     that share a sorted exponent tuple (a shape) pass or fail alike: each shape is
-    checked at its least n and counts once per n.  The divisors of n = prod p_i^a_i
-    are the exponent vectors b <= a; the r-free ones have every b_i < r.
+    weighed once (each n/d and 2^a met is an n <= 10^4 too), checked at its least n
+    and counts once per n.  The r-free divisors of prod p_i^a_i are the b <= a, all b_i < r.
     """
     limit, k_max = 10_000, 10
-    shapes: dict[tuple[int, ...], list] = {}  # shape -> [least n's factorization, how many n]
-    for n in range(1, limit + 1):
-        fact = factorize(n)
-        shapes.setdefault(tuple(sorted(a for _, a in fact)), [fact, 0])[1] += 1
+    code = np.ones(limit + 1, np.int64)  # sigma_1(n) = prod prime(a) over p^a || n
+    for a in range(1, limit.bit_length()):
+        for q in (p**a for p in primes_upto(introot(limit, a)).tolist()):
+            code[q::q] = code[q::q] // _SIGNATURE_PRIMES[a - 1] * _SIGNATURE_PRIMES[a]
+    found = zip(*(x.tolist() for x in np.unique(code[1:], return_index=True, return_counts=True)))
+    shapes = {_signature_exponents(c): (factorize(i + 1), k) for c, i, k in found}  # least n, count
 
     out = []
     for rule in builtin_rules():
         r = rule.r
+        h = {shape: rfull_weights_up_to(rule, fact, k_max) for shape, (fact, _) in shapes.items()}
         support_bad = bound_bad = unit_bad = conv_bad = 0
         for shape, (fact, count) in shapes.items():
-            weights = rfull_weights_up_to(rule, fact, k_max)
-            support_bad += count * bool(any(a < r for a in shape) and weights)
+            support_bad += count * bool(any(a < r for a in shape) and h[shape])
             tau = prod(a + 1 for a in shape)
-            bound_bad += count * any(abs(h) > tau for h in weights.values())
-            unit_bad += count * (weights.get(1, 0) != (shape == ()))
+            bound_bad += count * any(abs(v) > tau for v in h[shape].values())
+            unit_bad += count * (h[shape].get(1, 0) != (shape == ()))
             acc: Counter[int] = Counter()
-            for b in product(*(range(min(a, r - 1) + 1) for _, a in fact)):
-                acc.update(rfull_weights_up_to(
-                    rule, tuple((p, a - c) for (p, a), c in zip(fact, b) if a > c), k_max))
+            for b in product(*(range(min(a, r - 1) + 1) for a in shape)):
+                acc.update(h[tuple(sorted(a - c for a, c in zip(shape, b) if a > c))])
             fn = eval_rule(rule, fact)
             conv_bad += count * sum(acc[k] != (fn == k) for k in range(1, k_max + 1))
         out.append(Check(f"{rule.name}-support-off-rfull", support_bad == 0, support_bad, 0))
         out.append(Check(f"{rule.name}-weight-bound-tau", bound_bad == 0, bound_bad, 0))
         out.append(Check(f"{rule.name}-unit-case", unit_bad == 0, unit_bad, 0))
-        vanish_bad = sum(1 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-                         for alpha in range(1, r)
-                         if rfull_weights_up_to(rule, ((p, alpha),), k_max))
+        vanish_bad = 15 * sum(1 for a in range(1, r) if h[(a,)])  # p^a alike for each p <= 47
         out.append(Check(f"{rule.name}-prime-power-vanishing", vanish_bad == 0, vanish_bad, 0))
         out.append(Check(f"{rule.name}-reconvolution-identity", conv_bad == 0, conv_bad, 0))
     return out
@@ -316,7 +316,7 @@ def _segment_counts(rules, windows, ks):
 
     Each is the sum over e <= x+y of H_k(e) (floor((x+y)/e) - floor(x/e)), H_k = 1_{f=k} * mu.
     At p^a || e, H_k's factor is X^g(a) - X^g(a-1) in the algebra X^u X^v = X^(uv): 0 for
-    a < r and free of p, so taken once per pattern of the r-full table; cut at max(ks), as g >= 1.
+    a < r and free of p, so taken once per signature of the r-full table; cut at max(ks), as g >= 1.
     """
     tables = {r: _table(r, max(x + y for x, y in windows)) for r in {rule.r for rule in rules}}
     weights = {rule: np.zeros((len(tables[rule.r][0]), len(ks))) for rule in rules}
@@ -331,7 +331,7 @@ def _segment_counts(rules, windows, ks):
                         h[v * u] = h.get(v * u, 0) + s * c
             w[q] = [h.get(k, 0) for k in ks]
     for x, y in windows:
-        moved = {}  # r -> the multiples in (x, x+y] of the r-full e of each pattern
+        moved = {}  # r -> the multiples in (x, x+y] of the r-full e of each signature
         for r, (facts, n, _, pattern) in tables.items():
             e = n[: np.searchsorted(n, x + y, "right")]
             # float64 sums, exact while the window's total stays below 2^53; so is the product.

@@ -73,8 +73,9 @@ def test_enumeration_carries_correct_factorizations():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_table_groups_partition_by_pattern_with_exact_psi(r):
     # The table holds every r-full n <= limit once, strictly ascending; each
-    # n has the exponent pattern its index names, and carries 1/psi(n) =
-    # c / (n a) correctly rounded, with a = prod (p^r - 1), c = prod p^(r-1) (p - 1).
+    # n has the signature (sorted exponents) its index names, one index per
+    # signature, and carries 1/psi(n) = c / (n a) correctly rounded, with
+    # a = prod (p^r - 1), c = prod p^(r-1) (p - 1).
     limit = 10**5
     flags = rfull_flags(limit, r)
     facts, ns, recips, index = rfull_table(r, limit)
@@ -82,14 +83,15 @@ def test_table_groups_partition_by_pattern_with_exact_psi(r):
     assert ns.itemsize + recips.itemsize + index.itemsize <= 20
     assert len(ns) == len(recips) == len(index)
     assert (np.diff(ns) > 0).all()
-    patterns = [tuple(e for _, e in fact) for fact in facts]
-    assert len(set(patterns)) == len(patterns)
-    for fact, pattern in zip(facts, patterns):
-        assert fact == tuple(zip((2, 3, 5, 7, 11, 13, 17), pattern))
+    signatures = [tuple(sorted(e for _, e in fact)) for fact in facts]
+    assert len(set(signatures)) == len(signatures)
+    for fact in facts:  # each a factorization: exponents >= r on 2, 3, 5, ...
+        assert [p for p, _ in fact] == [2, 3, 5, 7, 11, 13, 17][: len(fact)]
+        assert all(e >= r for _, e in fact)
     ns = ns.tolist()
     for n, recip, q in zip(ns, recips.tolist(), index.tolist()):
         got = trial_factorize(n)
-        assert tuple(e for _, e in got) == patterns[q], n
+        assert tuple(sorted(e for _, e in got)) == signatures[q], n
         a = c = 1
         for p, _ in got:
             a *= p**r - 1
@@ -109,11 +111,14 @@ def assert_same_table(r, limit):
     assert (ns.dtype, recips.dtype, pattern.dtype) == (np.int64, np.float64, np.int32)
     assert np.array_equal(ns, want_ns), (r, limit)
     assert np.array_equal(recips.view(np.int64), want_recips.view(np.int64)), (r, limit)
-    # Pattern indices may be dealt in another order: compare each row's exponent pattern.
-    assert sorted(facts) == sorted(want_facts), (r, limit)
-    place = {fact: q for q, fact in enumerate(want_facts)}
-    renamed = np.array([place[fact] for fact in facts], dtype=np.int64)
-    assert np.array_equal(renamed[pattern], want_pattern), (r, limit)
+    # The oracle numbers exponent patterns, the table signatures (sorted exponents), one
+    # index each: map each oracle pattern to the index of its signature, row by row.
+    signatures = [tuple(sorted(e for _, e in fact)) for fact in facts]
+    want = [tuple(sorted(e for _, e in fact)) for fact in want_facts]
+    assert sorted(signatures) == sorted(set(want)), (r, limit)
+    place = {signature: q for q, signature in enumerate(signatures)}
+    renamed = np.array([place[signature] for signature in want], dtype=np.int64)
+    assert np.array_equal(renamed[want_pattern], pattern), (r, limit)
 
 
 @pytest.mark.parametrize("r, limit", TABLE_PAIRS)
@@ -414,12 +419,12 @@ PATTERN_RULES = builtin_rules() + (
 
 @pytest.mark.parametrize("rule", PATTERN_RULES, ids=[rule.name for rule in PATTERN_RULES])
 def test_weights_evaluated_once_per_exponent_pattern(monkeypatch, rule):
-    # h(n) depends only on the exponents of n, so each series evaluates it
-    # once per exponent tuple and must still equal the per-term sums.
+    # h(n) depends only on the signature of n (its sorted exponents), so each
+    # series evaluates it once per signature and must still equal the per-term sums.
     calls = []
 
     def spy(rule_, fact, k_max):
-        calls.append(tuple(a for _, a in fact))
+        calls.append(tuple(sorted(a for _, a in fact)))
         return rfull_weights_up_to(rule_, fact, k_max)
 
     monkeypatch.setattr(density, "rfull_weights_up_to", spy)
@@ -427,11 +432,11 @@ def test_weights_evaluated_once_per_exponent_pattern(monkeypatch, rule):
     top = (1 << rule.r) * bound
     terms = rfull_factorizations(rule.r, top)
 
-    def patterns(limit):
-        return sorted({tuple(a for _, a in fact) for n, fact in terms if n <= limit})
+    def signatures(limit):
+        return sorted({tuple(sorted(a for _, a in fact)) for n, fact in terms if n <= limit})
 
     prof = weight_harmonic_profile(rule, bound, k_max)
-    assert sorted(calls) == patterns(top)
+    assert sorted(calls) == signatures(top)
     per_term = [(n, rfull_weights_up_to(rule, fact, k_max)) for n, fact in terms]
     factor = tail_geometric_factor(rule.r)
     for k in range(1, k_max + 1):
@@ -441,7 +446,7 @@ def test_weights_evaluated_once_per_exponent_pattern(monkeypatch, rule):
 
     calls.clear()
     got = weight_partial_sum(rule, 2, 0.5, bound)
-    assert sorted(calls) == patterns(bound)
+    assert sorted(calls) == signatures(bound)
     expected = fsum(abs(h) * n ** -0.5 for n, fact in terms if n <= bound
                     if (h := rfull_weights_up_to(rule, fact, 2).get(2, 0)))
     assert got == expected

@@ -114,6 +114,34 @@ def test_convolution_weighs_each_shape_not_each_n(monkeypatch):
     assert len(calls) <= 4000
 
 
+def test_convolution_asks_for_each_weight_once(monkeypatch):
+    # h reads the rule and the sorted exponents alone: one call per (rule, shape, k_max),
+    # 5 rules times the 83 shapes, where the per-divisor calls repeated them 3,585 times.
+    calls = Counter()
+
+    def counted(rule, fact, k_max):
+        calls[rule, tuple(sorted(a for _, a in fact)), k_max] += 1
+        return real_weights(rule, fact, k_max)
+
+    monkeypatch.setattr(verify, "rfull_weights_up_to", counted)
+    assert all(c.passed for c in verify.checks_convolution())
+    assert set(calls.values()) == {1}
+    assert len(calls) == 5 * 83
+
+
+def test_fold_tells_apart_rules_that_differ_only_in_values():
+    # Two rules with one name and r but other g tables fold one code Counter apart, in
+    # either order: f at a code is remembered per whole rule, never per name.  Codes
+    # 3, 5, 7 and 15 are prime(2), prime(3), prime(4) and prime(2) prime(3).
+    twins = [replace(build_rule(name), name="twin") for name in ("abelian", "expdiv")]
+    assert twins[0] != twins[1] and hash(twins[0]) == hash(twins[1])
+    codes = Counter({1: 5, 3: 2, 5: 1, 7: 4, 15: 3})
+    want = {1: 5, 2: 2, 3: 1, 5: 4, 6: 3}, {1: 5, 2: 3, 3: 4, 4: 3}
+    for order in ((0, 1), (1, 0)):
+        for i in order:
+            assert sieve._fold(twins[i], codes) == want[i], (order, i)
+
+
 # Mismatches over the 200 seed-0 windows, 5 rules and k <= 6 under each breakage below.
 SWAPPED_SIGNATURE_MISMATCHES = 1598
 LOST_ROW_MISMATCHES = 1990
