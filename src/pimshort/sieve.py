@@ -5,13 +5,17 @@ rule's threshold: a prime dividing n fewer than r times contributes g = 1,
 so the counting kernel finds each p^r | n, extracts the exact exponent, and
 multiplies table values into an accumulator per offset.  value_counts runs it
 once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha)
-over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r):
-sigma_r(n) <= n fits int64, as prime(alpha) <= 2^alpha, and f is evaluated once
-per rule and code, in Python ints.  count_value asks only whether f(n) = k, and
-every g is at least 1, so it clips at k + 1 in the narrowest unsigned dtype that
-holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254, uint32 for k <= 65534,
-uint64 for k <= 2^32 - 2.  Past that it reads value_counts.  The choice rests on
-k alone, and every path runs the same steps.
+over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r), and f
+is evaluated once per rule and code, in Python ints.  sigma_r(n) <= (11/sqrt(32))
+sqrt(n) < 2 sqrt(n), with equality at n = 32 and 288: prime(alpha) <= 3^(alpha/2)
+<= p^(alpha/2) for p >= 3 and alpha >= 2, and prime(alpha) / 2^(alpha/2) peaks at
+alpha = 5.  So the codes of a window (x, x+y] fit the unsigned dtype that holds
+2 isqrt(x+y): uint16 for x+y < 2^30, uint32 below 2^62, uint64 above; the table's
+largest g, prime(63) = 307, keeps it at uint16 or wider.  count_value asks only
+whether f(n) = k, and every g is at least 1, so it clips at k + 1 in the narrowest
+unsigned dtype that holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254, uint32
+for k <= 65534, uint64 for k <= 2^32 - 2.  Past that it reads value_counts.  Each
+path picks its dtype from one bound, and every path runs the same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
@@ -115,28 +119,32 @@ def _signature_rule(r: int) -> ExponentRule:
     return ExponentRule(f"signature-r{r}", r, (1,) * r + _SIGNATURE_PRIMES[r:])
 
 
-@lru_cache(maxsize=1 << 16)
-def _code_value(rule: ExponentRule, code: int) -> int:
-    # f at a code, in exact Python ints; keyed by the whole rule, its values included.
-    return prod(rule.values[a] for a in _signature_exponents(code))
+@lru_cache(maxsize=16)
+def _code_values(rule: ExponentRule) -> dict[int, int]:
+    # code -> f at that code, in exact Python ints, filled by _fold; keyed by the whole
+    # rule, its values included.
+    return {}
 
 
 def _fold(rule: ExponentRule, codes: Counter) -> dict[int, int]:
     # value_counts from the signature counts: f once per (rule, code) for the process.
-    counts: Counter = Counter()
+    memo, counts = _code_values(rule), Counter()
     for code, c in codes.items():
-        counts[_code_value(rule, code)] += c
+        f = memo.get(code)
+        if f is None:
+            f = memo[code] = prod(rule.values[a] for a in _signature_exponents(code))
+        counts[f] += c
     return dict(sorted(counts.items()))
 
 
 @lru_cache(maxsize=1 << 10)
-def _kernel_tables(rule: ExponentRule, cap: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    # g and the pattern of 2 and 3: exact int64 for the signature rule, or min(g, cap)
-    # in the narrowest unsigned dtype that holds cap^2 < 2^64, so that two clipped
-    # values never wrap (cap runs to 2^32, hence a bounded cache).  The pattern is g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two
-    # periods of 864 so that a full period follows every phase.  The factor of 2 is
-    # 1 where 2^5 | n and that of 3 where 3^3 | n: the passes over 32 and 27 apply those.
-    dtype = np.min_scalar_type(cap * cap) if cap else np.int64
+def _kernel_tables(rule: ExponentRule, cap: int = 0,
+                   dtype: np.dtype = np.dtype(np.uint64)) -> tuple[np.ndarray, np.ndarray]:
+    # g, or min(g, cap) if cap > 0, and the pattern of 2 and 3, in the accumulator's dtype,
+    # the widest unless named (cap runs to 2^32, hence a bounded cache).  The pattern is
+    # g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two periods of 864 so that a full period
+    # follows every phase.  The factor of 2 is 1 where 2^5 | n and that of 3 where
+    # 3^3 | n: the passes over 32 and 27 apply those.
     n, gtab = np.arange(2 * 864), np.array([min(v, cap or v) for v in rule.values], dtype)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
               for p, a in ((2, 5), (3, 3)))
@@ -257,8 +265,14 @@ def _exponents(n: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
 
 
 def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
-    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, as min(f, cap) if cap > 0."""
-    gtab, pattern = _kernel_tables(rule, cap)
+    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, as min(f, cap) if cap > 0.
+
+    The accumulator is the narrowest unsigned dtype that holds cap^2, where two clipped
+    values meet, or else 2 isqrt(x+y) and every g: the signature rule's f(n) = sigma_r(n)
+    is below 2 sqrt(n), and each factor applied at an offset divides its final value.
+    """
+    top = cap * cap if cap else max(2 * isqrt(x + y), *rule.values)
+    gtab, pattern = _kernel_tables(rule, cap, np.min_scalar_type(top))
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
         # Exactly cy values: np.tile's padded 2^20-offset chunk passes 8 MiB, and glibc's
         # moving mmap threshold then kept about 4 MB more resident over verify --suite all.

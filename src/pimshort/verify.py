@@ -115,8 +115,13 @@ def checks_convolution() -> list[Check]:
     found = zip(*(x.tolist() for x in np.unique(code[1:], return_index=True, return_counts=True)))
     shapes = {_signature_exponents(c): (factorize(i + 1), k) for c, i, k in found}  # least n, count
 
-    out = []
-    for rule in builtin_rules():
+    # The sorted shape of n/d for each r-free divisor d of each shape, once per r.
+    rules, out = builtin_rules(), []
+    quotients = {r: {shape: [tuple(sorted(a - c for a, c in zip(shape, b) if a > c))
+                             for b in product(*(range(min(a, r - 1) + 1) for a in shape))]
+                     for shape in shapes}
+                 for r in {rule.r for rule in rules}}
+    for rule in rules:
         r = rule.r
         h = {shape: rfull_weights_up_to(rule, fact, k_max) for shape, (fact, _) in shapes.items()}
         support_bad = bound_bad = unit_bad = conv_bad = 0
@@ -126,8 +131,8 @@ def checks_convolution() -> list[Check]:
             bound_bad += count * any(abs(v) > tau for v in h[shape].values())
             unit_bad += count * (h[shape].get(1, 0) != (shape == ()))
             acc: Counter[int] = Counter()
-            for b in product(*(range(min(a, r - 1) + 1) for a in shape)):
-                acc.update(h[tuple(sorted(a - c for a, c in zip(shape, b) if a > c))])
+            for quotient in quotients[r][shape]:
+                acc.update(h[quotient])
             fn = eval_rule(rule, fact)
             conv_bad += count * sum(acc[k] != (fn == k) for k in range(1, k_max + 1))
         out.append(Check(f"{rule.name}-support-off-rfull", support_bad == 0, support_bad, 0))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from itertools import product
 from math import pi, prod, sqrt
 from types import SimpleNamespace
 
@@ -236,17 +237,34 @@ def test_two_large_prime_squares_in_a_later_chunk(monkeypatch):
     assert _check_kernel_against_segment(abelian, x, y)[4] >= 1
 
 
+def _record_accumulators(monkeypatch):
+    # (rule name, accumulator dtype) of each chunk that _fvalue_chunks yields, in order.
+    import pimshort.sieve as sieve_mod
+
+    used, chunks = [], sieve_mod._fvalue_chunks
+
+    def recorded(rule, x, y, cap=0):
+        for fval in chunks(rule, x, y, cap):
+            used.append((rule.name, fval.dtype))
+            yield fval
+
+    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", recorded)
+    return used
+
+
 def test_huge_rule_over_many_chunks(monkeypatch):
-    # g(alpha) = 10^alpha passes int64: the profile counts int64 signatures,
-    # and f is evaluated once per code in Python ints.
+    # g(alpha) = 10^alpha passes int64: the profile counts signatures, in uint32 as
+    # x + y passes 2^30, and f is evaluated once per code in Python ints.
     import pimshort.sieve as sieve_mod
 
     huge = _huge_rule()
-    assert sieve_mod._kernel_tables(sieve_mod._signature_rule(huge.r))[0].dtype == np.int64
+    used = _record_accumulators(monkeypatch)
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
     x, y = 2**40 - 2750, 5500  # six chunks, the last one short
     expected = _check_kernel_against_segment(huge, x, y)
     assert expected[10**40] == 1  # n = 2^40, in the third chunk
+    profile = [dtype for name, dtype in used if name == "signature-r2"]
+    assert len(profile) >= 6 and all(dtype == np.uint32 for dtype in profile)
 
 
 def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
@@ -755,23 +773,26 @@ def test_clip_follows_every_factor():
 def test_clip_only_where_it_narrows_the_accumulator(monkeypatch):
     # The accumulator is the narrowest unsigned dtype that holds (k + 1)^2, chosen
     # from k alone: a built-in rule and one with g(alpha) > 2^alpha get the same.
-    # Where no such dtype exists, both read the int64 signature profile.
-    import pimshort.sieve as sieve_mod
-
-    tables, chunks = [], sieve_mod._fvalue_chunks
-    monkeypatch.setattr(sieve_mod, "_fvalue_chunks", lambda rule, x, y, cap=0: tables.append(
-        (rule.name, sieve_mod._kernel_tables(rule, cap)[0].dtype)) or chunks(rule, x, y, cap))
+    # Where no such dtype exists, both read the signature profile, whose dtype holds
+    # 2 isqrt(x + y): uint16 for x + y < 2^30, uint32 below 2^62 and uint64 above.
+    used = _record_accumulators(monkeypatch)
     abelian, huge = build_rule("abelian"), _huge_rule()
     dtypes = {14: np.uint8, 254: np.uint16, 255: np.uint32, 65534: np.uint32,
               65535: np.uint64, 2**32 - 2: np.uint64}
     cases = {(rule, k): (rule.name, dtype) for k, dtype in dtypes.items() for rule in (abelian, huge)}
-    cases |= {(rule, k): ("signature-r2", np.int64)
+    cases |= {(rule, k): ("signature-r2", np.uint16)
               for k in (2**32 - 1, 10**12) for rule in (abelian, huge)}
     x, y = 3999, 1000
     assert count_k_brute(huge, 10**12, x, y) == 1  # n = 2^12 = 4096
-    for (rule, k), table in cases.items():
+    for (rule, k), accumulator in cases.items():
         assert count_value(rule, k, x, y) == count_k_brute(rule, k, x, y), (rule.name, k)
-        assert tables.pop() == table, (rule.name, k)
+        assert used.pop() == accumulator, (rule.name, k)
+    # f(2^62) = 10^62 for the huge rule, in the second window.
+    for x, y, dtype in ((2**30 - 100, 100, np.uint32), (2**62 - 50, 100, np.uint64)):
+        facts = _factorized_window(x, y)
+        for rule, k in product((abelian, huge), (2**32 - 1, 10**12, 10**62)):
+            assert count_value(rule, k, x, y) == sum(eval_rule(rule, f) == k for f in facts)
+            assert used.pop() == ("signature-r2", dtype), (rule.name, k, x)
 
 
 def test_clipped_counts_equal_the_exact_profile():
@@ -795,10 +816,16 @@ def _signature_code(r, n):
 
 
 def test_signature_bounded_by_n_and_decoded_to_its_exponents():
-    # prime(alpha) <= 2^alpha <= p^alpha, so sigma_r(n) <= n at the int64 extremes:
-    # the top powers of 2 and 3, and products of the least primes squared just below
-    # 2^63.  Each code decodes back to the exponents alpha >= r of n.
+    # sigma_r(n) <= (11/sqrt(32)) sqrt(n), so 32 sigma_r(n)^2 <= 121 n, with equality
+    # at n = 32 and 288 alone: over every n up to 2^20, and at the int64 extremes: the
+    # top powers of 2 and 3, and products of the least primes squared just below 2^63.
+    # Each code decodes back to the exponents alpha >= r of n.
     import pimshort.sieve as sieve_mod
+
+    for r, tight in ((2, [32, 288]), (3, [32])):  # sigma_3(288) = sigma_3(2^5) = 11
+        (codes,) = sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), 0, 1 << 20)
+        slack = 121 * np.arange(1, 1 + (1 << 20)) - 32 * codes.astype(np.int64) ** 2
+        assert slack.min() == 0 and (np.flatnonzero(slack == 0) + 1).tolist() == tight, r
 
     square = prod(p * p for p in primes_upto(23).tolist())  # (2 3 5 ... 23)^2 ~ 5.0e16
     extremes = [2**62, 3**39, 2**63 - 1, (MAX_N - 1) // square * square,
@@ -808,11 +835,28 @@ def test_signature_bounded_by_n_and_decoded_to_its_exponents():
         exponents = sorted(a for _, a in factorize(n))
         for r in (2, 3):
             code = _signature_code(r, n)
-            assert 1 <= code <= n, (n, r)
+            assert 1 <= code and 32 * code**2 <= 121 * n, (n, r)
             assert code == prod(int(primes_upto(311)[a - 1]) for a in exponents if a >= r)
             assert sieve_mod._signature_exponents(code) == tuple(a for a in exponents if a >= r)
     assert _signature_code(2, 2**62) == 293  # prime(62)
     assert _signature_code(3, 2**2 * 3**3 * 5**5) == 5 * 11  # prime(3) prime(5); the 2^2 drops
+
+
+@pytest.mark.parametrize("end, dtype", [(2**30 - 1, np.uint16), (2**30, np.uint32),
+                                        (2**62 - 1, np.uint32), (2**62, np.uint64)],
+                         ids=["2_30-1", "2_30", "2_62-1", "2_62"])
+def test_signature_profile_exact_at_the_dtype_edges(monkeypatch, end, dtype):
+    # The profile's dtype holds 2 isqrt(x + y): it widens as a window's end reaches 2^30
+    # and 2^62.  No n that large has sigma_2(n) / sqrt(n) near 11/sqrt(32); each window
+    # holds the largest within reach of its end: 455 at 1073736000 = 2^6 3^4 5^3 1657,
+    # within 10^4 below 2^30, and 175 at 2^62 - 904, or 293 at 2^62 itself.
+    used = _record_accumulators(monkeypatch)
+    y = 10**4 if end < 2**31 else 1000
+    facts = _factorized_window(end - y, y)
+    for rule in (*builtin_rules(), _huge_rule()):
+        expected = Counter(eval_rule(rule, f) for f in facts)
+        assert value_counts(rule, end - y, y) == dict(sorted(expected.items())), rule.name
+    assert used and all(chunk == ("signature-r2", dtype) for chunk in used)
 
 
 @pytest.mark.parametrize("rule, x, y, ks", [
