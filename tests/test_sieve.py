@@ -708,7 +708,7 @@ def test_workers_below_one_raise(call):
 
 def test_rule_past_int64_counts_from_the_signature():
     # A custom table with a huge value makes f exceed int64: the kernel counts
-    # int64 signatures, and each code's f is an exact Python int.
+    # signatures, and each code's f is an exact Python int.
     values = [1, 1] + [10**25] * (ALPHA_MAX - 1)
     rule = load_custom_rule(json.dumps({"name": "huge", "r": 2, "values": values}))
     x, y = 1000, 300
