@@ -41,6 +41,9 @@ def _calls() -> list[tuple[str, list[str]]]:
     # The two heaviest density pairs, at the default truncation B = 1e9.
     for rule in ("expdiv", "unitary-expdiv"):
         calls.append((f"density-{rule}-k4-B1e9", ["density", "--rule", rule, "--k", "4"]))
+    # f(b) = 10^16 passes 2^53, so the series takes f in Python ints.
+    calls.append(("density-huge-rule-k1e16-B1e9",
+                  ["density", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e16"]))
     # The tail block (B, 2^40 B] passes 2^63 and is cut below it.
     calls.append(("density-powerdiv-r40-k1-B1e9",
                   ["density", "--rule", "powerdiv-r:40", "--k", "1"]))
@@ -64,6 +67,11 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-huge-rule-k1e12-x2_30",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
           "--x", "1073731823", "--y", "1e4", "--B", "1e6"]),
+        # The same k in a window holding the largest signature code below 2^46: 56,265 at
+        # n = 64,545,465,600,000 = 2^11 3^5 5^5 7^3 11^2.
+        ("interval-huge-rule-k1e12-sig56265",
+         ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
+          "--x", "64545465595000", "--y", "1e4", "--B", "1e6"]),
         # k past the uint16 accumulator: uint32.
         ("interval-abelian-k297",
          ["interval", "--rule", "abelian", "--k", "297", "--x", "1e11", "--y", "1e6",
