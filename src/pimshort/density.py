@@ -19,8 +19,9 @@ depth-first walk over blocks of inner nodes builds it in numpy, int64 columns n,
 signature code, next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1);
 1/psi(n) = c / (n a) is correctly rounded in float64 by Dekker's TwoProduct, or
 in Python ints near a rounding midpoint or past 2^53.  n must fit int64, so a
-tail block is cut below 2^63.  Sums are math.fsum, exactly rounded in any term
-order, far inside the 1e-12 budget at B = 10^9; a tail block's sum is held with the table.
+tail block is cut below 2^63.  f is one float64 product per signature, over an exponent
+matrix held with the table.  Sums are _exact_sum's, exactly rounded in any term order as
+math.fsum is, far inside the 1e-12 budget at B = 10^9; a tail block's sum is held too.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .rules import ExponentRule
 DEFAULT_BOUND = 10**9
 _BLOCK_PAIRS = 1 << 13  # (node, prime) pairs per block of the r-full walk
 _EXACT = 1 << 53  # int64 values below this are exact float64
+_SUM_BLOCK = 1 << 27  # terms per np.bincount of _exact_sum: its float64 sums stay exact
 # The offset c / (n a) - q is computed within 2^-45 ulp(q), so q is taken as correctly
 # rounded only when |offset| is below half the gap under q (never the wider) by 2^-40 of it.
 _DECIDED = 0.5 - 2.0**-41
@@ -82,6 +84,24 @@ def _reciprocals(n: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarra
     i = np.flatnonzero(slow)
     q[i] = [w / (u * v) for u, v, w in zip(n[i].tolist(), a[i].tolist(), c[i].tolist())]
     return q, slow
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """The sum of the finite float64 terms a, correctly rounded (+0.0 for zero), as math.fsum.
+
+    A term is m 2^e, 1/2 <= |m| < 1, and m = hi + lo, hi a multiple of 2^-26, |lo| <= 2^-27
+    one of 2^-53: np.bincount sums each by e, exactly in float64 for up to 2^27 terms, so
+    longer arrays go in blocks.  The sums meet in Python ints; int / int rounds once.
+    """
+    total = 0
+    for s in range(0, a.size, _SUM_BLOCK):
+        m, e = np.frexp(a[s : s + _SUM_BLOCK])
+        hi = (m + 100663296.0) - 100663296.0  # 1.5 * 2^26 rounds m to a multiple of 2^-26
+        e = e.astype(np.intp) + 1074  # np.frexp(5e-324) = (0.5, -1073)
+        for part in (hi, m - hi):
+            sums = np.bincount(e, part) * 2.0**53  # integers below 2^81
+            total += sum(int(sums[j]) << j for j in np.flatnonzero(sums).tolist())
+    return total / (1 << 1127)  # 2^(1074 + 53)
 
 
 def rfull_table(r: int, limit: int) -> RFullTable:
@@ -150,15 +170,17 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     return facts, ns, recips, patterns[:end][order]
 
 
-# r -> (L, rfull_table(r, L), {B: B's tail estimate}) for the largest L asked for so far.
-_tables: dict[int, tuple[int, RFullTable, dict[int, float]]] = {}
+# r -> (L, rfull_table(r, L), {B: B's tail estimate}, exponents) for the largest L asked for.
+_tables: dict[int, tuple[int, RFullTable, dict[int, float], np.ndarray]] = {}
 
 
 def _table(r: int, limit: int) -> RFullTable:
     """The r-full table cut at n <= limit (a limit outside [1, 2^63) reaches rfull_table)."""
     held = _tables.get(r)
     if held is None or not 1 <= limit <= held[0]:
-        held = _tables[r] = (limit, rfull_table(r, limit), {})
+        table = rfull_table(r, limit)  # row q: facts[q]'s exponents, 0 (g(0) = 1) past them
+        exponents = np.array([[e for _, e in x] + [0] * (9 - len(x)) for x in table[0]], np.uint8)
+        held = _tables[r] = (limit, table, {}, exponents)  # 9 primes: (2 3 ... 29)^2 > 2^63
     facts, n, recip, pattern = held[1]
     i = np.searchsorted(n, limit, "right").item()
     return facts, n[:i], recip[:i], pattern[:i]
@@ -233,25 +255,28 @@ def check_series_args(k: int, bound: int) -> None:
 def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityResult]:
     """The reciprocal-psi pass: a DensityResult for every k in ks.
 
-    Head sums are kept only for values f(b) in ks, with f evaluated once per
-    signature; the tail block is every r-full b in (bound, 2^r * bound].
+    f of each signature is a product of g clipped at 2^53, exact in float64 below 2^53 (each
+    partial product is an integer no larger than f), and eval_rule's from there on.  Head
+    sums are kept for f(b) in ks; the tail block is every r-full b in (bound, 2^r * bound].
     """
     r = rule.r
     top = min((1 << r) * bound, MAX_N - 1)
     facts, n, recip, pattern = _table(r, top)
     i = np.searchsorted(n, bound, "right").item()
-    slot = np.zeros(len(facts), dtype=np.int64)  # 1 + the place of f in ks, 0 for f not in ks
-    for q in np.flatnonzero(np.bincount(pattern[:i])).tolist():
-        f = eval_rule(rule, facts[q])
-        slot[q] = ks.index(f) + 1 if f in ks else 0  # f itself may pass int64
-    head = slot[pattern[:i]]
+    f = np.array([min(v, _EXACT) for v in rule.values], np.float64)[_tables[r][3]].prod(1)
+    lo, hi = float(min(ks.start, _EXACT)), float(min(ks.stop, _EXACT))
+    slot = np.where((lo <= f) & (f < hi), f - (lo - 1), 0).astype(np.min_scalar_type(len(ks)))
+    for q in np.flatnonzero(f >= _EXACT).tolist():  # slot: 1 + the place of f in ks, or 0
+        if (v := eval_rule(rule, facts[q])) in ks:  # v itself may pass int64
+            slot[q] = v - ks.start + 1
+    head = slot.take(pattern[:i])
     tail = _tables[r][2].get(bound)  # held per bound: the tail block does not depend on the rule
     if tail is None:
-        tail = _tables[r][2][bound] = tail_geometric_factor(r) * fsum(recip[i:].tolist())
+        tail = _tables[r][2][bound] = tail_geometric_factor(r) * _exact_sum(recip[i:])
     z = zeta(r)
     out = {}
     for j, k in enumerate(ks, 1):
-        partial = fsum(recip[:i][head == j].tolist())
+        partial = _exact_sum(recip[:i].compress(head == j))  # 4x a boolean index's speed
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
 
@@ -304,14 +329,14 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
         h_of[present] = [w.get(k, 0) for w in weights]
         live = np.flatnonzero(h_of)
         j, step = _ranges(count[live])
-        rows = order[start[live][j] + step]  # in any order within a group: fsum is exact
+        rows = order[start[live][j] + step]  # in any order within a group: the sum is exact
         hk, nk = h_of[live][j], n[rows]
         terms = hk / nk  # correctly rounded, as int / int is, where float64 holds both
         big = np.flatnonzero((np.abs(hk) >= _EXACT) | (nk >= _EXACT))
         terms[big] = [a / b for a, b in zip(hk[big].tolist(), nk[big].tolist())]
         head = rows < i
-        tail = tail_geometric_factor(rule.r) * fsum(np.abs(terms[~head]).tolist())
-        out[k] = (fsum(terms[head].tolist()), tail)
+        tail = tail_geometric_factor(rule.r) * _exact_sum(np.abs(terms[~head]))
+        out[k] = (_exact_sum(terms[head]), tail)
     return out
 
 

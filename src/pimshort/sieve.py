@@ -6,16 +6,16 @@ so the counting kernel finds each p^r | n, extracts the exact exponent, and
 multiplies table values into an accumulator per offset.  value_counts runs it
 once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha)
 over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r), and f
-is evaluated once per rule and code, in Python ints.  sigma_r(n) <= (11/sqrt(32))
-sqrt(n) < 2 sqrt(n), with equality at n = 32 and 288: prime(alpha) <= 3^(alpha/2)
-<= p^(alpha/2) for p >= 3 and alpha >= 2, and prime(alpha) / 2^(alpha/2) peaks at
-alpha = 5.  So the codes of a window (x, x+y] fit the unsigned dtype that holds
-2 isqrt(x+y): uint16 for x+y < 2^30, uint32 below 2^62, uint64 above; the table's
-largest g, prime(63) = 307, keeps it at uint16 or wider.  count_value asks only
-whether f(n) = k, and every g is at least 1, so it clips at k + 1 in the narrowest
-unsigned dtype that holds (k + 1)^2: uint8 for k <= 14, uint16 for k <= 254, uint32
-for k <= 65534, uint64 for k <= 2^32 - 2.  Past that it reads value_counts.  Each
-path picks its dtype from one bound, and every path runs the same steps.
+is evaluated once per rule and code, in Python ints.  sigma_r(n) <= sigma_2(n), and
+the least n of each code has non-increasing exponents on 2, 3, 5, ..., so a search
+over those finds the largest code: 56,265 below 2^46 (at n = 2^11 3^5 5^5 7^3 11^2)
+and 684,255 below 2^63.  So the codes of a window (x, x+y] fit uint16 for
+x+y < 2^46 and uint32 above, and so does the table's largest g, prime(63) = 307.
+count_value asks only whether f(n) = k, and every g is at least 1, so it clips at
+k + 1 in the narrowest unsigned dtype that holds (k + 1)^2: uint8 for k <= 14, uint16
+for k <= 254, uint32 for k <= 65534, uint64 for k <= 2^32 - 2.  Past that it reads
+value_counts.  Each path picks its dtype from one bound, and every path runs the
+same steps.
 
 Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
 accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
@@ -268,10 +268,10 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
     """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, as min(f, cap) if cap > 0.
 
     The accumulator is the narrowest unsigned dtype that holds cap^2, where two clipped
-    values meet, or else 2 isqrt(x+y) and every g: the signature rule's f(n) = sigma_r(n)
-    is below 2 sqrt(n), and each factor applied at an offset divides its final value.
+    values meet, or else the largest signature code in reach and every g: uint16 below
+    2^46, uint32 above.  Each factor applied at an offset divides its final value.
     """
-    top = cap * cap if cap else max(2 * isqrt(x + y), *rule.values)
+    top = cap * cap if cap else max(56_265 if x + y < 1 << 46 else 684_255, *rule.values)
     gtab, pattern = _kernel_tables(rule, cap, np.min_scalar_type(top))
     for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
         # Exactly cy values: np.tile's padded 2^20-offset chunk passes 8 MiB, and glibc's

@@ -1,8 +1,10 @@
+import json
 import time
 from bisect import bisect_right
 from dataclasses import asdict
 from fractions import Fraction
 from math import fsum, gcd
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from pimshort.density import (
     weight_partial_sum,
 )
 from pimshort.factor import eval_rule, factorize, rfull_weights_up_to
-from pimshort.rules import build_rule, builtin_rules, load_custom_rule
+from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import rfull_multiples_sum
 
 from oracles import (
@@ -228,6 +230,69 @@ def test_density_of_a_k_past_int64():
     huge = load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text())
     res = local_density(huge, 10**20, 2 * 10**6)
     assert res.partial_sum == 2 / (3 * 2**20)
+
+
+def _psi_reciprocals(rule, limit):
+    # {f(b): [(b, 1/psi(b) correctly rounded)]} over the r-full b <= limit, from Fractions.
+    terms: dict[int, list[tuple[int, float]]] = {}
+    for n in map(int, rfull_flags(limit, rule.r).nonzero()[0]):
+        fact = trial_factorize(n)
+        psi = Fraction(n)
+        for p, _ in fact:
+            psi *= sum(Fraction(1, p**j) for j in range(rule.r))
+        terms.setdefault(eval_rule(rule, fact), []).append((n, float(1 / psi)))
+    return terms
+
+
+@pytest.mark.parametrize("g2", [2**53 - 1, 2**53 + 1, 10**400], ids=["2_53-1", "2_53+1", "1e400"])
+def test_density_where_f_meets_2_53(g2):
+    # f is a float64 product of g clipped at 2^53, exact below it, and eval_rule's
+    # Python int from there on: f(p^a) = g2 for a >= 2 and f(p^a q^b) = g2^2, whether
+    # or not float64 holds them, and no g is converted to a float unclipped.
+    rule = load_custom_rule(json.dumps({"name": "edge", "r": 2,
+                                        "values": [1, 1] + [g2] * (ALPHA_MAX - 1)}))
+    heads = _psi_reciprocals(rule, 40)  # b = 4, 8, 9, 16, 25, 27, 32 and 36 = 2^2 3^2
+    assert len(heads[g2]) == 7 and len(heads[g2**2]) == 1
+    for k, bound in product((g2 - 1, g2, g2 + 1, 2**53, g2**2), (10, 40)):
+        expected = fsum(t for b, t in heads.get(k, []) if b <= bound)
+        assert local_density(rule, k, bound).partial_sum == expected, (k, bound)
+    assert [x.partial_sum for x in density_profile(rule, 40, 3).values()] == [1.0, 0.0, 0.0]
+
+
+EDGE_SUMS = {
+    "empty": [],
+    "one": [0.1],
+    "subnormal": [5e-324, 5e-324, 2.0**-1060, -2.0**-1073],
+    "subnormal-result": [2.0**-1022, -5e-324],
+    "cancel": [1e16, 1.0, -1e16, 1e-300, -1.0],
+    "tie-even-down": [1.0, 2.0**-53],
+    "tie-even-up": [1.0 + 2.0**-52, 2.0**-53],
+    "past-tie": [1.0, 2.0**-53, 2.0**-1000],
+    "short-of-tie": [1.0, 2.0**-53, -(2.0**-1000)],
+    "wide": [2.0**1000, 1.0, 2.0**-1000, -(2.0**1000), 3.0 * 2.0**-1000],
+    "largest": [1.7976931348623157e308, -1.7976931348623157e308, 2.0**1023],
+}
+
+
+@pytest.mark.parametrize("terms", EDGE_SUMS.values(), ids=EDGE_SUMS)
+def test_exact_sum_equals_fsum_at_the_edges(monkeypatch, terms):
+    # Both round the exact sum once, so they agree bit for bit, also where blocks of
+    # two or three terms must carry a tie's deciding bit from one block to the next.
+    a = np.array(terms, dtype=np.float64)
+    assert density._exact_sum(a).hex() == fsum(terms).hex()
+    for block in (2, 3):
+        monkeypatch.setattr(density, "_SUM_BLOCK", block)
+        assert density._exact_sum(a).hex() == fsum(terms).hex(), block
+
+
+def test_exact_sum_equals_fsum_on_random_terms():
+    rng = np.random.default_rng(2010)
+    for _ in range(500):
+        size = int(rng.integers(1, 300))
+        a = rng.choice((-1.0, 1.0), size) * rng.random(size) * 10.0 ** rng.integers(-300, 300, size)
+        assert density._exact_sum(a).hex() == fsum(a.tolist()).hex()
+    recip = rfull_table(2, 10**7)[2]
+    assert density._exact_sum(recip).hex() == fsum(recip.tolist()).hex()
 
 
 def test_density_first_terms_abelian_k2():

@@ -253,8 +253,8 @@ def _record_accumulators(monkeypatch):
 
 
 def test_huge_rule_over_many_chunks(monkeypatch):
-    # g(alpha) = 10^alpha passes int64: the profile counts signatures, in uint32 as
-    # x + y passes 2^30, and f is evaluated once per code in Python ints.
+    # g(alpha) = 10^alpha passes int64: the profile counts signatures, in uint16 as
+    # x + y stays below 2^46, and f is evaluated once per code in Python ints.
     import pimshort.sieve as sieve_mod
 
     huge = _huge_rule()
@@ -264,7 +264,7 @@ def test_huge_rule_over_many_chunks(monkeypatch):
     expected = _check_kernel_against_segment(huge, x, y)
     assert expected[10**40] == 1  # n = 2^40, in the third chunk
     profile = [dtype for name, dtype in used if name == "signature-r2"]
-    assert len(profile) >= 6 and all(dtype == np.uint32 for dtype in profile)
+    assert len(profile) >= 6 and all(dtype == np.uint16 for dtype in profile)
 
 
 def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
@@ -774,7 +774,7 @@ def test_clip_only_where_it_narrows_the_accumulator(monkeypatch):
     # The accumulator is the narrowest unsigned dtype that holds (k + 1)^2, chosen
     # from k alone: a built-in rule and one with g(alpha) > 2^alpha get the same.
     # Where no such dtype exists, both read the signature profile, whose dtype holds
-    # 2 isqrt(x + y): uint16 for x + y < 2^30, uint32 below 2^62 and uint64 above.
+    # the largest code in reach: uint16 for x + y < 2^46 and uint32 above.
     used = _record_accumulators(monkeypatch)
     abelian, huge = build_rule("abelian"), _huge_rule()
     dtypes = {14: np.uint8, 254: np.uint16, 255: np.uint32, 65534: np.uint32,
@@ -788,7 +788,7 @@ def test_clip_only_where_it_narrows_the_accumulator(monkeypatch):
         assert count_value(rule, k, x, y) == count_k_brute(rule, k, x, y), (rule.name, k)
         assert used.pop() == accumulator, (rule.name, k)
     # f(2^62) = 10^62 for the huge rule, in the second window.
-    for x, y, dtype in ((2**30 - 100, 100, np.uint32), (2**62 - 50, 100, np.uint64)):
+    for x, y, dtype in ((2**30 - 100, 100, np.uint16), (2**62 - 50, 100, np.uint32)):
         facts = _factorized_window(x, y)
         for rule, k in product((abelian, huge), (2**32 - 1, 10**12, 10**62)):
             assert count_value(rule, k, x, y) == sum(eval_rule(rule, f) == k for f in facts)
@@ -805,6 +805,43 @@ def test_clipped_counts_equal_the_exact_profile():
             profile = value_counts(rule, x, y)
             for k in (*range(1, 41), 100, 254, 255, 256, 65535):
                 assert count_value(rule, k, x, y) == profile.get(k, 0), (rule.name, x, k)
+
+
+# 2^11 3^5 5^5 7^3 11^2: the least n whose code sigma_2(n) = 31 11 11 5 3 = 56,265 is the
+# largest below 2^46.
+_LARGEST_CODE_N = 64_545_465_600_000
+
+
+def _largest_codes(limits):
+    # limit -> (largest sigma_2(n) over n < limit, least n with it).  The least n of each
+    # code has non-increasing exponents >= 2 on 2, 3, 5, ...: a walk over those finds it.
+    primes = primes_upto(311).tolist()
+    best = dict.fromkeys(limits, (1, 1))
+
+    def walk(i, n, code, top):
+        for limit in limits:
+            if n < limit and (code, -n) > (best[limit][0], -best[limit][1]):
+                best[limit] = code, n
+        m = n * primes[i] ** 2
+        for a in range(2, top + 1):
+            if m >= max(limits):
+                break
+            walk(i + 1, m, code * primes[a - 1], a)
+            m *= primes[i]
+
+    walk(0, 1, 1, 62)
+    return best
+
+
+def test_largest_signature_codes_below_2_46_and_2_63():
+    # The profile's uint16 below 2^46 and uint32 above rest on these two maxima; r > 2
+    # drops factors from sigma_2(n), so they bound every sigma_r.
+    best = _largest_codes((2**46, 2**63))
+    assert best[2**46] == (56_265, _LARGEST_CODE_N) and 56_265 < 2**16
+    assert best[2**63][0] == 684_255 < 2**32
+    for code, n in best.values():
+        assert _signature_code(2, n) == code and code == prod(
+            int(primes_upto(311)[a - 1]) for _, a in factorize(n))
 
 
 def _signature_code(r, n):
@@ -842,14 +879,16 @@ def test_signature_bounded_by_n_and_decoded_to_its_exponents():
     assert _signature_code(3, 2**2 * 3**3 * 5**5) == 5 * 11  # prime(3) prime(5); the 2^2 drops
 
 
-@pytest.mark.parametrize("end, dtype", [(2**30 - 1, np.uint16), (2**30, np.uint32),
-                                        (2**62 - 1, np.uint32), (2**62, np.uint64)],
-                         ids=["2_30-1", "2_30", "2_62-1", "2_62"])
+@pytest.mark.parametrize("end, dtype", [(2**30 - 1, np.uint16), (2**30, np.uint16),
+                                        (2**46 - 1, np.uint16), (2**46, np.uint32),
+                                        (_LARGEST_CODE_N + 500, np.uint16),
+                                        (2**62 - 1, np.uint32), (2**62, np.uint32)],
+                         ids=["2_30-1", "2_30", "2_46-1", "2_46", "code-56265", "2_62-1", "2_62"])
 def test_signature_profile_exact_at_the_dtype_edges(monkeypatch, end, dtype):
-    # The profile's dtype holds 2 isqrt(x + y): it widens as a window's end reaches 2^30
-    # and 2^62.  No n that large has sigma_2(n) / sqrt(n) near 11/sqrt(32); each window
-    # holds the largest within reach of its end: 455 at 1073736000 = 2^6 3^4 5^3 1657,
-    # within 10^4 below 2^30, and 175 at 2^62 - 904, or 293 at 2^62 itself.
+    # The profile's dtype holds the largest code below 2^46 (uint16) or 2^63 (uint32): it
+    # widens as a window's end reaches 2^46.  The windows hold large codes within reach
+    # of their ends: 455 at 1073736000 = 2^6 3^4 5^3 1657, within 10^4 below 2^30, the
+    # largest of all below 2^46 (56,265), and 175 at 2^62 - 904, or 293 at 2^62 itself.
     used = _record_accumulators(monkeypatch)
     y = 10**4 if end < 2**31 else 1000
     facts = _factorized_window(end - y, y)
