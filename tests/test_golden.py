@@ -63,7 +63,7 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-huge-rule-k1e12",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
           "--x", "1e12", "--y", "1e6", "--B", "1e6"]),
-        # The same k in the last window whose signature codes fit uint16: it ends at 2^30 - 1.
+        # The same k in a window ending at 2^30 - 1, on uint16 signature codes.
         ("interval-huge-rule-k1e12-x2_30",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
           "--x", "1073731823", "--y", "1e4", "--B", "1e6"]),
