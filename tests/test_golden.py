@@ -47,6 +47,11 @@ def _calls() -> list[tuple[str, list[str]]]:
     # The tail block (B, 2^40 B] passes 2^63 and is cut below it.
     calls.append(("density-powerdiv-r40-k1-B1e9",
                   ["density", "--rule", "powerdiv-r:40", "--k", "1"]))
+    # The smallest heads: b = 1 alone, and the r-full b <= 10 (1, 4, 8, 9).
+    calls.append(("density-abelian-k1-B1",
+                  ["density", "--rule", "abelian", "--k", "1", "--B", "1"]))
+    calls.append(("density-expdiv-k2-B10",
+                  ["density", "--rule", "expdiv", "--k", "2", "--B", "10"]))
     calls += [
         ("density-abelian-k2-csv",
          ["density", "--rule", "abelian", "--k", "2", "--B", "1e6", "--format", "csv"]),
