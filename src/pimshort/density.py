@@ -13,15 +13,15 @@ so successive doubling blocks of the reciprocal series shrink by roughly
 bound.
 
 Every series reads a prefix of one table per r, kept for the process and grown
-to the largest limit asked for: n (int64), 1/psi(n) and a signature index,
-sorted by n; f and h are evaluated once per signature, n's sorted exponents.  A
-depth-first walk over blocks of inner nodes builds it in numpy, int64 columns n,
-signature code, next prime, a = prod (p^r - 1) and c = prod p^(r-1) (p - 1);
-1/psi(n) = c / (n a) is correctly rounded in float64 by Dekker's TwoProduct, or
-in Python ints near a rounding midpoint or past 2^53.  n must fit int64, so a
-tail block is cut below 2^63.  f is one float64 product per signature, over an exponent
-matrix held with the table.  Sums are _exact_sum's, exactly rounded in any term order as
-math.fsum is, far inside the 1e-12 budget at B = 10^9; a tail block's sum is held too.
+to the largest limit asked for: n (int64), 1/psi(n) and the index of n's signature,
+its sorted exponents, in the order of the signature codes prod prime(e); f and h are
+evaluated once per signature.  A depth-first walk over blocks of inner nodes builds
+it in numpy; 1/psi(n) is correctly rounded, and n must fit int64, so a tail block is
+cut below 2^63.  f is one float64 product per signature, over an exponent matrix held
+with the table.  Sums are exactly rounded, as math.fsum's: terms split by exponent sum
+exactly in float64 (Zhu and Hayes, ACM TOMS 37(3), 2010).  So the head's sums are held
+by signature and exponent for the last bound asked for, and a density adds those with
+f = k, in O(signatures); a tail block's sum is held per bound.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .rules import ExponentRule
 DEFAULT_BOUND = 10**9
 _BLOCK_PAIRS = 1 << 13  # (node, prime) pairs per block of the r-full walk
 _EXACT = 1 << 53  # int64 values below this are exact float64
-_SUM_BLOCK = 1 << 27  # terms per np.bincount of _exact_sum: its float64 sums stay exact
+_SUM_BLOCK = 1 << 27  # terms per float64 sum of _binned: its sums stay exact
+_CHUNK = 1 << 14  # terms per np.bincount of _binned: small temporaries
 # The offset c / (n a) - q is computed within 2^-45 ulp(q), so q is taken as correctly
 # rounded only when |offset| is below half the gap under q (never the wider) by 2^-40 of it.
 _DECIDED = 0.5 - 2.0**-41
@@ -86,22 +87,27 @@ def _reciprocals(n: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarra
     return q, slow
 
 
-def _exact_sum(a: np.ndarray) -> float:
-    """The sum of the finite float64 terms a, correctly rounded (+0.0 for zero), as math.fsum.
+def _binned(a: np.ndarray, group: np.ndarray | None, count: int, at: int, width: int):
+    """Exact sums (2, count, width) of the finite float64 terms a, one per _SUM_BLOCK of them.
 
     A term is m 2^e, 1/2 <= |m| < 1, and m = hi + lo, hi a multiple of 2^-26, |lo| <= 2^-27
-    one of 2^-53: np.bincount sums each by e, exactly in float64 for up to 2^27 terms, so
-    longer arrays go in blocks.  The sums meet in Python ints; int / int rounds once.
-    """
-    total = 0
+    one of 2^-53: rows 0 and 1 sum hi and lo at [group (0 if None), e + at], np.bincount taking
+    _CHUNK terms at a time.  A sum of at most 2^27 of them is exact in float64, in any grouping."""
     for s in range(0, a.size, _SUM_BLOCK):
-        m, e = np.frexp(a[s : s + _SUM_BLOCK])
-        hi = (m + 100663296.0) - 100663296.0  # 1.5 * 2^26 rounds m to a multiple of 2^-26
-        e = e.astype(np.intp) + 1074  # np.frexp(5e-324) = (0.5, -1073)
-        for part in (hi, m - hi):
-            sums = np.bincount(e, part) * 2.0**53  # integers below 2^81
-            total += sum(int(sums[j]) << j for j in np.flatnonzero(sums).tolist())
-    return total / (1 << 1127)  # 2^(1074 + 53)
+        sums = np.zeros((2, count * width))
+        for t in range(s, min(s + _SUM_BLOCK, a.size), _CHUNK):
+            m, e = np.frexp(a[t:min(t + _CHUNK, s + _SUM_BLOCK)])
+            hi = (m + 100663296.0) - 100663296.0  # 1.5 * 2^26 rounds m to a multiple of 2^-26
+            e += at if group is None else group[t:t + m.size] * width + at
+            sums += [np.bincount(e, hi, sums.shape[1]), np.bincount(e, m - hi, sums.shape[1])]
+        yield sums.reshape(2, count, width)
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """The sum of the finite float64 terms a, correctly rounded (+0.0 for zero), as math.fsum:
+    _binned's sums (np.frexp(5e-324) = (0.5, -1073)) meet in Python ints, int / int rounds once."""
+    parts = [p * 2.0**53 for x in _binned(a, None, 1, 1074, 2099) for p in x[:, 0]]  # < 2^81
+    return sum(int(p[j]) << j for p in parts for j in np.flatnonzero(p != 0).tolist()) / (1 << 1127)
 
 
 def rfull_table(r: int, limit: int) -> RFullTable:
@@ -110,8 +116,8 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     Blocks of at most _BLOCK_PAIRS pairs (n, p), n p^r <= limit, are walked
     depth first, each node as int64 columns (n, a, c, signature code, next prime
     index), a and c both below n; each pair gives a row per child n p^e, e >= r,
-    and only a child with a pair of its own is pushed.  A child's code is its
-    parent's times prime(e), and its index is looked up among the sorted codes met.
+    and only a child with a pair of its own is pushed.  Signatures are numbered in
+    code order: the index of a code is its rank among the codes met (int32).
     1/psi(n) = c / (n a) is correctly rounded by _reciprocals, though n a passes int64.
     """
     if r < 2:
@@ -122,11 +128,9 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     power = primes**r
     cap = np.append(limit // power, 0)  # n p_i^r <= limit just when n <= cap[i]
     sig = np.array(_SIGNATURE_PRIMES)  # prime(e) at e
-    # Sorted signature codes met so far, a sentinel last (past every code, as code <= n); indices.
-    seen, place = np.array([1, MAX_N - 1]), np.array([0, MAX_N - 1])
     size = int(rfull_count_bound(r, limit)) + 1  # pages never written are never resident
-    ns, recips, patterns = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
-    ns[0], recips[0], patterns[0], end = 1, 1.0, 0, 1
+    ns, recips, codes = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
+    ns[0], recips[0], codes[0], end = 1, 1.0, 1, 1
     stack = [(*np.ones((4, 1), np.int64), np.zeros(1, np.int64))] if cap[0] else []  # n = 1
     while stack:
         n, a, c, q, nxt = stack.pop()
@@ -146,32 +150,23 @@ def rfull_table(r: int, limit: int) -> RFullTable:
         e = np.repeat(np.arange(r, r + len(ks)), [x.size for x in ks])
         k, cn = np.concatenate(ks), np.concatenate(cn)
         ca, cc = (a[j] * (power[i] - 1))[k], (c[j] * (power[i] // p) * (p - 1))[k]
-        uq, rq = np.unique(q, return_inverse=True)  # the block's node codes
-        rq = rq[j][k] * 64 + e  # each row's (node code, e) among them
-        used = np.flatnonzero(np.bincount(rq))  # the block's keys; two may give one child code
-        codes, inv = np.unique(uq[used >> 6] * sig[used & 63], return_inverse=True)
-        slot = np.searchsorted(seen, codes)
-        if (fresh := seen[slot] != codes).any():  # new signatures, numbered on in code order
-            place = np.insert(place, slot[fresh], seen.size - 1 + np.arange(fresh.sum()))
-            seen = np.insert(seen, slot[fresh], codes[fresh])
-            slot = np.searchsorted(seen, codes)
-        at = inv[np.searchsorted(used, rq)]  # each row's child code among them
         start, end = end, end + cn.size
-        ns[start:end], patterns[start:end] = cn, place[slot][at]
-        recips[start:end] = _reciprocals(cn, ca, cc)[0]
+        ns[start:end], recips[start:end] = cn, _reciprocals(cn, ca, cc)[0]
+        codes[start:end] = cq = q[j][k] * sig[e]  # a child's code: its parent's times prime(e)
         if (inner := np.flatnonzero(cn <= cap[(i + 1)[k]])).size:  # it has a pair of its own
-            stack.append(tuple(x[inner] for x in (cn, ca, cc, codes[at], (i + 1)[k])))
-    # One canonical factorization per signature, in index order: its exponents on 2, 3, 5, ...
+            stack.append(tuple(x[inner] for x in (cn, ca, cc, cq, (i + 1)[k])))
+    met = np.bincount(codes[:end]) > 0  # one code per signature
     facts = [tuple(zip(_SIGNATURE_PRIMES[1:], _signature_exponents(x)))
-             for x in seen[place.argsort()][:-1].tolist()]
+             for x in np.flatnonzero(met).tolist()]
     order = ns[:end].argsort()
     ns = ns[:end][order]  # one column at a time: each unsorted one goes before the next
     recips = recips[:end][order]
-    return facts, ns, recips, patterns[:end][order]
+    return facts, ns, recips, (np.cumsum(met, dtype=np.int32) - 1)[codes[:end][order]]
 
 
-# r -> (L, rfull_table(r, L), {B: B's tail estimate}, exponents) for the largest L asked for.
-_tables: dict[int, tuple[int, RFullTable, dict[int, float], np.ndarray]] = {}
+# r -> [L, rfull_table(r, L), {B: B's tail estimate}, exponents, (B, the head's _binned sums by
+# signature, each at its scale 2^e) for the last B asked for, _groups's] for the largest L.
+_tables: dict[int, list] = {}
 
 
 def _table(r: int, limit: int) -> RFullTable:
@@ -180,10 +175,20 @@ def _table(r: int, limit: int) -> RFullTable:
     if held is None or not 1 <= limit <= held[0]:
         table = rfull_table(r, limit)  # row q: facts[q]'s exponents, 0 (g(0) = 1) past them
         exponents = np.array([[e for _, e in x] + [0] * (9 - len(x)) for x in table[0]], np.uint8)
-        held = _tables[r] = (limit, table, {}, exponents)  # 9 primes: (2 3 ... 29)^2 > 2^63
+        held = _tables[r] = [limit, table, {}, exponents, (0,), None]  # 9: (2 3 ... 29)^2 > 2^63
     facts, n, recip, pattern = held[1]
     i = np.searchsorted(n, limit, "right").item()
     return facts, n[:i], recip[:i], pattern[:i]
+
+
+def _groups(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, count, first), int32, held from the first call: the held r-full table's rows of
+    signature q are order[start:][:count[q]], start = count[:q].sum(), the least first[q]."""
+    held = _tables[r]
+    if held[5] is None:
+        order, count = (x.astype(np.int32) for x in (held[1][3].argsort(), np.bincount(held[1][3])))
+        held[5] = order, count, np.minimum.reduceat(order, np.cumsum(count) - count)
+    return held[5]
 
 
 def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
@@ -269,14 +274,17 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     for q in np.flatnonzero(f >= _EXACT).tolist():  # slot: 1 + the place of f in ks, or 0
         if (v := eval_rule(rule, facts[q])) in ks:  # v itself may pass int64
             slot[q] = v - ks.start + 1
-    head = slot.take(pattern[:i])
-    tail = _tables[r][2].get(bound)  # held per bound: the tail block does not depend on the rule
-    if tail is None:
-        tail = _tables[r][2][bound] = tail_geometric_factor(r) * _exact_sum(recip[i:])
-    z = zeta(r)
+    held = _tables[r]
+    if bound not in held[2]:  # held per bound: the tail block does not depend on the rule
+        held[2][bound] = tail_geometric_factor(r) * _exact_sum(recip[i:])
+    if held[4][0] != bound:  # the head sums of one bound at a time, each bin at its scale
+        at = -np.frexp(recip[:i].min())[1].item()  # e runs from -at to 1, 1/psi(1) = 1's
+        bins = _binned(recip[:i], pattern[:i], len(facts), at, 2 + at)
+        held[4] = bound, [np.ldexp(x, np.arange(-at, 2)) for x in bins]
+    tail, z = held[2][bound], zeta(r)
     out = {}
-    for j, k in enumerate(ks, 1):
-        partial = _exact_sum(recip[:i].compress(head == j))  # 4x a boolean index's speed
+    for j, k in enumerate(ks, 1):  # the bins of the signatures with f = k add up exactly
+        partial = fsum(np.concatenate([x[:, slot == j].sum(1) for x in held[4][1]], None).tolist())
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
 
@@ -320,8 +328,8 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
     top = min((1 << rule.r) * bound, MAX_N - 1)
     facts, n, _, pattern = _table(rule.r, top)
     i = np.searchsorted(n, bound, "right").item()
-    order, count = pattern.argsort(), np.bincount(pattern)  # the rows grouped by signature
-    present, start = np.flatnonzero(count), np.cumsum(count) - count
+    order, count, first = _groups(rule.r)
+    start, present = np.cumsum(count) - count, np.flatnonzero(first < n.size)
     weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
     h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each signature
     out = {}
@@ -330,7 +338,8 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
         live = np.flatnonzero(h_of)
         j, step = _ranges(count[live])
         rows = order[start[live][j] + step]  # in any order within a group: the sum is exact
-        hk, nk = h_of[live][j], n[rows]
+        rows = rows[rows < n.size]  # the held table may run past top
+        hk, nk = h_of[pattern[rows]], n[rows]
         terms = hk / nk  # correctly rounded, as int / int is, where float64 holds both
         big = np.flatnonzero((np.abs(hk) >= _EXACT) | (nk >= _EXACT))
         terms[big] = [a / b for a, b in zip(hk[big].tolist(), nk[big].tolist())]
@@ -350,7 +359,7 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> floa
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
     facts, n, _, pattern = _table(rule.r, x)
     weight = np.zeros(len(facts), dtype=np.int64)
-    for q in np.flatnonzero(np.bincount(pattern)).tolist():
+    for q in np.flatnonzero(_groups(rule.r)[2] < n.size).tolist():  # the signatures met up to x
         weight[q] = abs(rfull_weights_up_to(rule, facts[q], k).get(k, 0))
     h = weight[pattern]
     keep = h != 0

@@ -3,7 +3,7 @@ import time
 from bisect import bisect_right
 from dataclasses import asdict
 from fractions import Fraction
-from math import fsum, gcd
+from math import fsum, gcd, prod
 from itertools import product
 from pathlib import Path
 
@@ -24,7 +24,7 @@ from pimshort.density import (
     weight_harmonic_tail,
     weight_partial_sum,
 )
-from pimshort.factor import eval_rule, factorize, rfull_weights_up_to
+from pimshort.factor import _SIGNATURE_PRIMES, eval_rule, factorize, rfull_weights_up_to
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import rfull_multiples_sum
 
@@ -257,6 +257,94 @@ def test_density_where_f_meets_2_53(g2):
         expected = fsum(t for b, t in heads.get(k, []) if b <= bound)
         assert local_density(rule, k, bound).partial_sum == expected, (k, bound)
     assert [x.partial_sum for x in density_profile(rule, 40, 3).values()] == [1.0, 0.0, 0.0]
+
+
+def _edge_rule(g2):
+    # Every g(a >= 2) = g2: f(p^a) = g2 and f(p^a q^b) = g2^2.
+    return load_custom_rule(json.dumps({"name": "edge", "r": 2,
+                                        "values": [1, 1] + [g2] * (ALPHA_MAX - 1)}))
+
+
+HEAD_RULES = builtin_rules() + (
+    build_rule("powerdiv-r:3"),
+    load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text()),
+    *(_edge_rule(g2) for g2 in (2**53 - 1, 2**53 + 1, 10**400)),
+)
+
+
+def _compressed_partials(rule, bound, ks):
+    # The head sums as the series took them before they were held: each k's terms
+    # compressed out of the head and summed by _exact_sum.  The oracle.
+    top = min((1 << rule.r) * bound, 2**63 - 1)
+    facts, n, recip, pattern = rfull_table(rule.r, top)
+    i = np.searchsorted(n, bound, "right").item()
+    values = [eval_rule(rule, fact) for fact in facts]
+    slot = np.array([ks.index(v) + 1 if v in ks else 0 for v in values])
+    head = slot.take(pattern[:i])
+    return {k: density._exact_sum(recip[:i].compress(head == j)) for j, k in enumerate(ks, 1)}
+
+
+def _head_ks(rule):
+    # ks for local_density: small ones, those around g(2) (2^53 for the edge rules), its
+    # square, and 10^12 (unattained but by the huge rule).
+    g2 = rule.values[2]
+    return sorted({1, 2, 3, 4, 6, g2 - 1, g2, g2 + 1, g2**2, 2**53, 10**12} - {0})
+
+
+# In blocks of 2 or 3 terms the head holds one (2, signatures, exponents) array per block,
+# so those bounds stop at 1e3.
+HEAD_CASES = [(block, bound) for block in (density._SUM_BLOCK, 2, 3)
+              for bound in (1, 10, 10**3, 10**6, 10**9) if block > 3 or bound <= 10**3]
+
+
+@pytest.mark.parametrize("block, bound", HEAD_CASES)
+def test_held_head_sums_equal_the_compressed_terms(monkeypatch, block, bound):
+    # local_density and density_profile add the held per-signature sums of the head; they
+    # must give _exact_sum of the compressed head terms bit for bit.
+    monkeypatch.setattr(density, "_SUM_BLOCK", block)
+    monkeypatch.setattr(density, "_tables", {})
+    for rule in HEAD_RULES:
+        ks = _head_ks(rule)
+        want = _compressed_partials(rule, bound, ks)
+        for k in ks:
+            got = local_density(rule, k, bound).partial_sum
+            assert got.hex() == want[k].hex(), (rule.name, bound, k)
+        want = _compressed_partials(rule, bound, list(range(1, 41)))
+        for k, res in density_profile(rule, bound, 40).items():
+            assert res.partial_sum.hex() == want[k].hex(), (rule.name, bound, k)
+
+
+@pytest.mark.parametrize("r, limit", [(2, 1), (2, 10**5), (3, 10**5), (2, 4 * 10**9),
+                                      (7, 2**62), (40, 2**63 - 1)])
+def test_table_numbers_signatures_in_code_order(r, limit):
+    # A signature's index is its code's rank among the codes met, code = prod prime(e).
+    facts, _, _, pattern = rfull_table(r, limit)
+    codes = [prod(_SIGNATURE_PRIMES[e] for _, e in fact) for fact in facts]
+    assert facts[0] == ()
+    assert all(a < b for a, b in zip(codes, codes[1:])), (r, limit)
+    assert pattern.dtype == np.int32
+
+
+def test_one_bound_of_head_sums_is_held(monkeypatch):
+    # Whatever bounds a caller loops over, the held state for r keeps one bound's head
+    # sums (tails stay per bound), and a bound asked for again gets the same bits.
+    monkeypatch.setattr(density, "_tables", {})
+    abelian = build_rule("abelian")
+    bounds = [10**7 - 1000 * t for t in range(50)]
+    first = local_density(abelian, 2, bounds[0])
+    for bound in bounds[1:]:
+        local_density(abelian, 2, bound)
+    held = density._tables[2]
+    assert held[4][0] == bounds[-1] and len(held[4][1]) == 1
+    assert sorted(held[2]) == sorted(bounds)
+    assert held[5] is None  # the grouping by signature waits for the h(n)/n series
+    again = local_density(abelian, 2, bounds[0])
+    assert again.partial_sum.hex() == first.partial_sum.hex()
+    assert again == first
+    weight_harmonic_profile(abelian, 10**6, 3)
+    order, count, first_row = held[5]
+    assert (order.dtype, count.dtype, first_row.dtype) == (np.int32,) * 3
+    assert np.array_equal(np.bincount(held[1][3]), count)
 
 
 EDGE_SUMS = {
