@@ -55,8 +55,8 @@ _CHUNK = 1 << 14  # terms per np.bincount of _binned: small temporaries
 # rounded only when |offset| is below half the gap under q (never the wider) by 2^-40 of it.
 _DECIDED = 0.5 - 2.0**-41
 
-# (facts, n, recip, pattern): every r-full n up to a limit ascending (int64), 1/psi(n)
-# (float64), and the index (int32) into facts, 2^e1 3^e2 ... with e1 <= e2 ..., of n's signature.
+# (facts, n, recip, pattern): every r-full n up to a limit ascending (int64), 1/psi(n) (float64)
+# and the index (int32) of n's signature into facts, 2^e1 3^e2 ... (e1 <= e2 ...) in code order.
 RFullTable = tuple[list[Factorization], np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -262,7 +262,7 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
 
     f of each signature is a product of g clipped at 2^53, exact in float64 below 2^53 (each
     partial product is an integer no larger than f), and eval_rule's from there on.  Head
-    sums are kept for f(b) in ks; the tail block is every r-full b in (bound, 2^r * bound].
+    sums add the held bins of the signatures with f = k; the tail block is (bound, 2^r bound].
     """
     r = rule.r
     top = min((1 << r) * bound, MAX_N - 1)
