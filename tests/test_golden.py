@@ -68,6 +68,10 @@ def _calls() -> list[tuple[str, list[str]]]:
         ("interval-huge-rule-k1e12",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
           "--x", "1e12", "--y", "1e6", "--B", "1e6"]),
+        # The same k over three 2^20-offset chunks of signature codes: 901 n.
+        ("interval-huge-rule-k1e12-y3e6",
+         ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
+          "--x", "1e12", "--y", "3e6", "--B", "1e6"]),
         # The same k in a window ending at 2^30 - 1, on uint16 signature codes.
         ("interval-huge-rule-k1e12-x2_30",
          ["interval", "--rule", str(GOLDEN / "huge-rule.json"), "--k", "1e12",
