@@ -17,11 +17,11 @@ to the largest limit asked for: n (int64), 1/psi(n) and the index of n's signatu
 its sorted exponents, in the order of the signature codes prod prime(e); f and h are
 evaluated once per signature.  A depth-first walk over blocks of inner nodes builds
 it in numpy; 1/psi(n) is correctly rounded, and n must fit int64, so a tail block is
-cut below 2^63.  f is one float64 product per signature, over an exponent matrix held
-with the table.  Sums are exactly rounded, as math.fsum's: terms split by exponent sum
-exactly in float64 (Zhu and Hayes, ACM TOMS 37(3), 2010).  So the head's sums are held
-by signature and exponent for the last bound asked for, and a density adds those with
-f = k, in O(signatures); a tail block's sum is held per bound.
+cut below 2^63.  f is a float64 product per signature over the few uint8 exponent columns
+held with the table, and a k finds its signatures by one comparison.  Sums are exactly
+rounded, as math.fsum's: terms split by exponent sum exactly in float64 (Zhu and Hayes,
+ACM TOMS 37(3), 2010).  So the head's sums are held by signature and exponent for the last
+bound asked for, and a density adds those with f = k; a tail block's sum is held per bound.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     return facts, ns, recips, (np.cumsum(met, dtype=np.int32) - 1)[codes[:end][order]]
 
 
-# r -> [L, rfull_table(r, L), {B: B's tail estimate}, exponents, (B, the head's _binned sums by
-# signature, each at its scale 2^e) for the last B asked for, _groups's] for the largest L.
+# r -> [L, rfull_table(r, L), {B: B's tail estimate}, (exponent columns, largest exponent),
+# (B, the head's _binned sums by signature at their scales 2^e) for the last B, _groups's].
 _tables: dict[int, list] = {}
 
 
@@ -173,9 +173,10 @@ def _table(r: int, limit: int) -> RFullTable:
     """The r-full table cut at n <= limit (a limit outside [1, 2^63) reaches rfull_table)."""
     held = _tables.get(r)
     if held is None or not 1 <= limit <= held[0]:
-        table = rfull_table(r, limit)  # row q: facts[q]'s exponents, 0 (g(0) = 1) past them
-        exponents = np.array([[e for _, e in x] + [0] * (9 - len(x)) for x in table[0]], np.uint8)
-        held = _tables[r] = [limit, table, {}, exponents, (0,), None]  # 9: (2 3 ... 29)^2 > 2^63
+        table = rfull_table(r, limit)
+        width = max(map(len, table[0]))  # at most 9: (2 3 ... 29)^2 > 2^63
+        exps = np.array([[e for _, e in x] + [0] * (width - len(x)) for x in table[0]], np.uint8).T
+        held = _tables[r] = [limit, table, {}, (exps.copy(), int(exps.max(initial=0))), (0,), None]
     facts, n, recip, pattern = held[1]
     i = np.searchsorted(n, limit, "right").item()
     return facts, n[:i], recip[:i], pattern[:i]
@@ -260,21 +261,19 @@ def check_series_args(k: int, bound: int) -> None:
 def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityResult]:
     """The reciprocal-psi pass: a DensityResult for every k in ks.
 
-    f of each signature is a product of g clipped at 2^53, exact in float64 below 2^53 (each
-    partial product is an integer no larger than f), and eval_rule's from there on.  Head
-    sums add the held bins of the signatures with f = k; the tail block is (bound, 2^r bound].
+    f is the running product of g clipped at 2^53 over the held exponent columns (column j: each
+    signature's j-th exponent, 0 past its last; g(0) = 1).  Each partial product below 2^53 is
+    an integer no larger than f, so exact, and one at 2^53 stays there (rounding is monotone),
+    so only a k >= 2^53 reads eval_rule's ints.  Head sums add the held bins of the signatures
+    with f = k; the tail block is (bound, 2^r bound].
     """
     r = rule.r
     top = min((1 << r) * bound, MAX_N - 1)
     facts, n, recip, pattern = _table(r, top)
     i = np.searchsorted(n, bound, "right").item()
-    f = np.array([min(v, _EXACT) for v in rule.values], np.float64)[_tables[r][3]].prod(1)
-    lo, hi = float(min(ks.start, _EXACT)), float(min(ks.stop, _EXACT))
-    slot = np.where((lo <= f) & (f < hi), f - (lo - 1), 0).astype(np.min_scalar_type(len(ks)))
-    for q in np.flatnonzero(f >= _EXACT).tolist():  # slot: 1 + the place of f in ks, or 0
-        if (v := eval_rule(rule, facts[q])) in ks:  # v itself may pass int64
-            slot[q] = v - ks.start + 1
     held = _tables[r]
+    columns, emax = held[3]
+    f = np.array([min(v, _EXACT) for v in rule.values[:emax + 1]], np.float64)[columns].prod(0)
     if bound not in held[2]:  # held per bound: the tail block does not depend on the rule
         held[2][bound] = tail_geometric_factor(r) * _exact_sum(recip[i:])
     if held[4][0] != bound:  # the head sums of one bound at a time, each bin at its scale
@@ -283,8 +282,10 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
         held[4] = bound, [np.ldexp(x, np.arange(-at, 2)) for x in bins]
     tail, z = held[2][bound], zeta(r)
     out = {}
-    for j, k in enumerate(ks, 1):  # the bins of the signatures with f = k add up exactly
-        partial = fsum(np.concatenate([x[:, slot == j].sum(1) for x in held[4][1]], None).tolist())
+    for k in ks:  # the bins of the signatures with f = k add up exactly
+        q = np.flatnonzero(f == k) if k < _EXACT else [
+            q for q in np.flatnonzero(f >= _EXACT).tolist() if eval_rule(rule, facts[q]) == k]
+        partial = fsum(np.concatenate([x[:, q].sum(1) for x in held[4][1]], None).tolist())
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
 

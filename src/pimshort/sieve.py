@@ -309,8 +309,9 @@ def _signature_counts(task) -> Counter:
     r, x, y = task
     profile: Counter = Counter()
     for fval in _fvalue_chunks(_signature_rule(r), x, y):
-        values, counts = np.unique(fval, return_counts=True)
-        profile.update(dict(zip(values.tolist(), counts.tolist())))
+        fval.sort()  # each chunk is a fresh array of its own: sorted in place, counted by runs
+        last = np.append(np.flatnonzero(fval[1:] != fval[:-1]), fval.size - 1)  # runs' ends
+        profile.update(dict(zip(fval[last].tolist(), np.diff(last, prepend=-1).tolist())))
     return profile
 
 

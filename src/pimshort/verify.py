@@ -322,8 +322,10 @@ def _segment_counts(rules, windows, ks):
     Each is the sum over e <= x+y of H_k(e) (floor((x+y)/e) - floor(x/e)), H_k = 1_{f=k} * mu.
     At p^a || e, H_k's factor is X^g(a) - X^g(a-1) in the algebra X^u X^v = X^(uv): 0 for
     a < r and free of p, so taken once per signature of the r-full table; cut at max(ks), as g >= 1.
+    Floors are exact in float64 for x + y < 2^53: fl(N/e) is within 2^-53 N/e < 1/e of N/e.
     """
     tables = {r: _table(r, max(x + y for x, y in windows)) for r in {rule.r for rule in rules}}
+    floats = {r: table[1].astype(np.float64) for r, table in tables.items()}  # once per call
     weights = {rule: np.zeros((len(tables[rule.r][0]), len(ks))) for rule in rules}
     for rule, w in weights.items():
         (facts, _, _, pattern), g, cut = tables[rule.r], rule.values, max(ks)
@@ -338,9 +340,10 @@ def _segment_counts(rules, windows, ks):
     for x, y in windows:
         moved = {}  # r -> the multiples in (x, x+y] of the r-full e of each signature
         for r, (facts, n, _, pattern) in tables.items():
-            e = n[: np.searchsorted(n, x + y, "right")]
+            e = floats[r][: np.searchsorted(n, x + y, "right")]
+            multiples = np.floor((x + y) / e) - np.floor(x / e)
             # float64 sums, exact while the window's total stays below 2^53; so is the product.
-            moved[r] = np.bincount(pattern[: e.size], (x + y) // e - x // e, len(facts))
+            moved[r] = np.bincount(pattern[: e.size], multiples, len(facts))
         yield [(moved[rule.r] @ weights[rule]).astype(np.int64).tolist() for rule in rules]
 
 

@@ -347,6 +347,46 @@ def test_one_bound_of_head_sums_is_held(monkeypatch):
     assert np.array_equal(np.bincount(held[1][3]), count)
 
 
+# The tables behind B = 1e9 at r = 2 and 3 (they run to 2^r B), and b = 1 alone.
+@pytest.mark.parametrize("r, limit", [(2, 4 * 10**9), (3, 8 * 10**9), (2, 1)])
+def test_held_exponent_columns(monkeypatch, r, limit):
+    # One uint8 column per prime of the widest signature: column j holds each signature's
+    # j-th exponent, 0 past its last; with them the table's largest exponent.
+    monkeypatch.setattr(density, "_tables", {})
+    facts = density._table(r, limit)[0]
+    columns, emax = density._tables[r][3]
+    assert columns.dtype == np.uint8 and columns.shape == (max(map(len, facts)), len(facts))
+    for j, column in enumerate(columns):
+        assert column.tolist() == [fact[j][1] if j < len(fact) else 0 for fact in facts], j
+    assert emax == max((e for fact in facts for _, e in fact), default=0)
+    if limit == 1:
+        assert facts == [()] and len(columns) == 0 and emax == 0
+
+
+def test_a_warm_density_reads_the_held_state_alone(monkeypatch):
+    # At the held bound a density builds no table, no head or tail sums; while f stays
+    # below 2^53 it reads no eval_rule either, whatever k is asked for.  The huge rule's
+    # f passes 2^53, and a k past it reads eval_rule alone.
+    monkeypatch.setattr(density, "_tables", {})
+    abelian = build_rule("abelian")
+    huge = load_custom_rule((Path(__file__).parent / "golden" / "huge-rule.json").read_text())
+    bound = 10**6
+    cold = [local_density(abelian, 2, bound), local_density(huge, 10**20, bound)]
+    calls = []
+    for name in ("rfull_table", "_binned", "_exact_sum", "eval_rule"):
+        real = getattr(density, name)
+        monkeypatch.setattr(density, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for k in (1, 2, 3, 10**12, 2**53, 2**60):
+        local_density(abelian, k, bound)
+    density_profile(abelian, bound, 6)
+    local_density(huge, 1, bound)
+    assert local_density(abelian, 2, bound) == cold[0]
+    assert calls == []
+    assert local_density(huge, 10**20, bound) == cold[1]
+    assert calls and set(calls) == {"eval_rule"}
+
+
 EDGE_SUMS = {
     "empty": [],
     "one": [0.1],

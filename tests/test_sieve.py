@@ -898,6 +898,25 @@ def test_signature_profile_exact_at_the_dtype_edges(monkeypatch, end, dtype):
     assert used and all(chunk == ("signature-r2", dtype) for chunk in used)
 
 
+@pytest.mark.parametrize("x, y", [(0, 5000), (0, 2**20 + 1), (2**46 - 3001, 3000),
+                                  (2**46 - 2000, 3000), (2**62, 2000)],
+                         ids=["0", "chunk-edge", "below-2_46", "above-2_46", "2_62"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_signature_counts_equal_np_unique(r, x, y):
+    # _signature_counts sorts each chunk in place and reads its counts off the runs; the
+    # oracle counts fresh chunks of the same kernel with np.unique.  The windows start at
+    # 0, cross a chunk edge, end just below and just above 2^46, and start at 2^62.
+    import pimshort.sieve as sieve_mod
+
+    expected = Counter()
+    for codes in sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), x, y):
+        values, counts = np.unique(codes, return_counts=True)
+        expected.update(dict(zip(values.tolist(), counts.tolist())))
+    got = sieve_mod._signature_counts((r, x, y))
+    assert got == expected and sum(got.values()) == y
+    assert all(type(code) is int and type(count) is int for code, count in got.items())
+
+
 @pytest.mark.parametrize("rule, x, y, ks", [
     (_huge_rule(), 4000, 30000, (1, 100, 10**3, 10**4, 10**6, 10**12)),
     (build_rule("powerdiv-r:3"), 10**6, 5000, (1, 2, 3, 4, 6, 300)),

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pimshort import sieve, verify
+from pimshort import density, sieve, verify
 from pimshort.factor import eval_rule
 from pimshort.rules import build_rule, builtin_rules, load_custom_rule
 
@@ -206,3 +208,53 @@ def test_identity_counts_against_brute(rule, ks):
     windows = [(0, 1), (1, 1), (0, 5000), (7, 1), (10**6 - 1000, 2000), (2**20 - 3, 4)]
     for (x, y), (counts,) in zip(windows, verify._segment_counts((rule,), windows, ks)):
         assert counts == [count_k_brute(rule, k, x, y) for k in ks], (x, y)
+
+
+def test_float_floors_equal_int_floors():
+    # floor(fl(N / e)) = N // e for integers 0 <= N < 2^53 and 1 <= e: fl(N/e) lies within
+    # 2^-53 N/e < 1/e of N/e, which is at least 1/e from every integer it is not.  Seeded
+    # pairs, the edges at N = 2^53 - 1, exact multiples and the integers next to them.
+    rng, top = random.Random(5), 2**53 - 1
+    pairs = [(top, 1), (top, top - 1), (top, top), (top - 1, top), (0, 1), (0, top)]
+    pairs += [(rng.randrange(2**53), rng.randrange(1, 2**53)) for _ in range(10**4)]
+    pairs += [(rng.randrange(2**53), rng.randrange(1, 2**12)) for _ in range(10**4)]
+    for e in [rng.randrange(1, 2**26) for _ in range(10**4)] + [3, 7, 2**26 + 1]:
+        m = e * rng.randrange(1, 2**53 // e)
+        pairs += [(m - 1, e), (m, e), (m + 1, e)] if m + 1 < 2**53 else [(m - 1, e), (m, e)]
+    n, e = (np.array(column, np.int64) for column in zip(*pairs))
+    floors = np.floor(n.astype(np.float64) / e.astype(np.float64)).astype(np.int64)
+    assert np.array_equal(floors, n // e)
+
+
+def _int64_segment_counts(rules, windows, ks):
+    # The identity of _segment_counts with int64 floors and sums: H_k of a signature adds,
+    # over the choices of a or a - 1 at each exponent a, the sign (-1)^(count of a - 1)
+    # where the product of g is k.
+    top, weights = max(x + y for x, y in windows), []
+    for rule in rules:
+        rows = []
+        for fact in verify._table(rule.r, top)[0]:
+            h = Counter()
+            for drop in product((0, 1), repeat=len(fact)):
+                h[prod(rule.values[a - d] for (_, a), d in zip(fact, drop))] += (-1) ** sum(drop)
+            rows.append([h[k] for k in ks])
+        weights.append(np.array(rows, np.int64))
+    for x, y in windows:
+        out = []
+        for rule, w in zip(rules, weights):
+            _, n, _, pattern = verify._table(rule.r, x + y)
+            moved = np.zeros(len(w), np.int64)
+            np.add.at(moved, pattern, (x + y) // n - x // n)
+            out.append((moved @ w).tolist())
+        yield out
+
+
+def test_segment_counts_equal_their_int64_form(monkeypatch):
+    # The float64 floors of _segment_counts against int64 ones, on 50 seeded windows that
+    # reach 10^9 for the five families and an r = 3 rule.
+    monkeypatch.setattr(density, "_tables", {})
+    rng = random.Random(3)
+    windows = [(rng.randrange(0, 10**9), rng.randrange(1, 10**4 + 1)) for _ in range(50)]
+    rules, ks = (*builtin_rules(), build_rule("powerdiv-r:3")), range(1, 7)
+    got = list(verify._segment_counts(rules, windows, ks))
+    assert got == list(_int64_segment_counts(rules, windows, ks))
