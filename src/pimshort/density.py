@@ -284,7 +284,7 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     out = {}
     for k in ks:  # the bins of the signatures with f = k add up exactly
         q = np.flatnonzero(f == k) if k < _EXACT else [
-            q for q in np.flatnonzero(f >= _EXACT).tolist() if eval_rule(rule, facts[q]) == k]
+            j for j in np.flatnonzero(f >= _EXACT).tolist() if eval_rule(rule, facts[j]) == k]
         partial = fsum(np.concatenate([x[:, q].sum(1) for x in held[4][1]], None).tolist())
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
