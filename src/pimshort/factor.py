@@ -1,8 +1,10 @@
 """Exact factorization and pointwise evaluation of rule-valued functions.
 
 Every operation here is a pure function of immutable inputs.  The prime
-table is grown on demand by primes_upto alone; it and the per-rule tables,
-built once and held as tuples, are read-only, so concurrent use is unrestricted.
+table is grown on demand by primes_upto alone; it and the per-rule tables of
+rows, built once and held as tuples, are read-only, so concurrent use is
+unrestricted.  One row builder and one product serve both convolutions of
+1_{f=k}: h, with the r-free indicator's inverse, and H_k, with mu.
 """
 
 from __future__ import annotations
@@ -195,16 +197,34 @@ def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
 
 
 @lru_cache(maxsize=None)
-def _local_weights(rule: ExponentRule) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row alpha: the nonzero (value, coefficient) pairs of h's factor at p^alpha.
-    # The r-free-inverse at p^beta is +1 where r | beta, -1 one step above, else 0.
-    g, r = rule.values, rule.r
+def _local_weights(rule: ExponentRule, period: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row alpha: the nonzero (value, coefficient) pairs of 1_{f=k} * (1_{period-free})^-1
+    # at p^alpha; that inverse at p^beta is +1 where period | beta, -1 one step above, else 0.
+    # Period r gives h's rows; past every exponent the inverse is mu, and row alpha is H_k's
+    # X^g(alpha) - X^g(alpha-1).
+    g = rule.values
     rows = []
     for alpha in range(rule.alpha_max + 1):
-        local = Counter(g[alpha - beta] for beta in range(0, alpha + 1, r))
-        local.subtract(g[alpha - beta - 1] for beta in range(0, alpha, r))
+        local = Counter(g[alpha - beta] for beta in range(0, alpha + 1, period))
+        local.subtract(g[alpha - beta - 1] for beta in range(0, alpha, period))
         rows.append(tuple((v, c) for v, c in local.items() if c))
     return tuple(rows)
+
+
+def _lattice_product(rows, fact: Factorization, k_max: int) -> dict[int, int]:
+    # The nonzero coefficients of X^k, k <= k_max, in the product of rows[alpha] over
+    # p^alpha || n, in the algebra X^u X^v = X^(uv).  Values are >= 1, so a partial product
+    # past k_max never falls back under it: the values <= k_max are divisor-closed.
+    combined = {1: 1} if k_max >= 1 else {}
+    for _, alpha in fact:
+        merged: dict[int, int] = {}
+        for v1, c1 in combined.items():
+            for v2, c2 in rows[alpha]:
+                v = v1 * v2
+                if v <= k_max:
+                    merged[v] = merged.get(v, 0) + c1 * c2
+        combined = merged
+    return {k: c for k, c in combined.items() if c}
 
 
 def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> dict[int, int]:
@@ -212,26 +232,9 @@ def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> 
 
     h is the divisor sum, over d | n with f(n/d) = k, of the r-free-inverse
     at d.  The sum is evaluated grouped by the value f(n/d): each prime part
-    contributes its row of _local_weights, and rows combine by value
-    products.  Table values are >= 1, so partial products above k_max can
-    never fall back under it and are dropped early; the result is still the
-    exact divisor sum for every k <= k_max.
+    contributes its row of h, and rows combine by value products, cut at
+    k_max.  The same product and row builder give H_k = 1_{f=k} * mu.
     """
-    if k_max < 1:
-        return {}
-    table = _local_weights(rule)
-    combined = {1: 1}
-    for _, alpha in fact:
-        if alpha > rule.alpha_max:
-            raise ValueError(
-                f"exponent {alpha} exceeds the rule table (alpha_max {rule.alpha_max})")
-        merged: dict[int, int] = {}
-        for v1, c1 in combined.items():
-            for v2, c2 in table[alpha]:
-                v = v1 * v2
-                if v <= k_max:
-                    merged[v] = merged.get(v, 0) + c1 * c2
-        combined = merged
-        if not combined:
-            break
-    return {k: c for k, c in combined.items() if c}
+    if (top := max((a for _, a in fact), default=0)) > rule.alpha_max:
+        raise ValueError(f"exponent {top} exceeds the rule table (alpha_max {rule.alpha_max})")
+    return _lattice_product(_local_weights(rule, rule.r), fact, k_max)

@@ -24,8 +24,8 @@ from .density import (
     weight_harmonic_profile,
     weight_partial_sum,
 )
-from .factor import (_SIGNATURE_PRIMES, _signature_exponents, eval_rule, factorize, introot,
-                     primes_upto, rfull_weights_up_to)
+from .factor import (_SIGNATURE_PRIMES, _lattice_product, _local_weights, _signature_exponents,
+                     eval_rule, factorize, introot, primes_upto, rfull_weights_up_to)
 from .rules import build_rule, builtin_rules
 from .sieve import (
     _fold,
@@ -320,22 +320,17 @@ def _segment_counts(rules, windows, ks):
     """For each window (x, y), [#{n in (x, x+y] : f(n) = k} for k in ks] for each rule.
 
     Each is the sum over e <= x+y of H_k(e) (floor((x+y)/e) - floor(x/e)), H_k = 1_{f=k} * mu.
-    At p^a || e, H_k's factor is X^g(a) - X^g(a-1) in the algebra X^u X^v = X^(uv): 0 for
-    a < r and free of p, so taken once per signature of the r-full table; cut at max(ks), as g >= 1.
+    At p^a || e, H_k's factor is factor._local_weights's row a at a period past every exponent,
+    X^g(a) - X^g(a-1): 0 for a < r and free of p, so the product is taken once per signature.
     Floors are exact in float64 for x + y < 2^53: fl(N/e) is within 2^-53 N/e < 1/e of N/e.
     """
     tables = {r: _table(r, max(x + y for x, y in windows)) for r in {rule.r for rule in rules}}
     floats = {r: table[1].astype(np.float64) for r, table in tables.items()}  # once per call
     weights = {rule: np.zeros((len(tables[rule.r][0]), len(ks))) for rule in rules}
     for rule, w in weights.items():
-        (facts, _, _, pattern), g, cut = tables[rule.r], rule.values, max(ks)
+        (facts, _, _, pattern), rows = tables[rule.r], _local_weights(rule, rule.alpha_max + 1)
         for q in np.flatnonzero(np.bincount(pattern)).tolist():
-            h = {1: 1}
-            for _, a in facts[q]:
-                terms, h = h.items(), {}
-                for (v, c), (u, s) in product(terms, ((g[a], 1), (g[a - 1], -1))):
-                    if v * u <= cut:
-                        h[v * u] = h.get(v * u, 0) + s * c
+            h = _lattice_product(rows, facts[q], max(ks))
             w[q] = [h.get(k, 0) for k in ks]
     for x, y in windows:
         moved = {}  # r -> the multiples in (x, x+y] of the r-full e of each signature

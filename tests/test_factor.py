@@ -153,7 +153,7 @@ def test_r_free_inverse_case_table():
     # so consecutive row sums difference it back out.
     for rule in (build_rule("abelian"), build_rule("powerdiv-r:3"), build_rule("powerdiv-r:4")):
         r = rule.r
-        sums = [sum(c for _, c in row) for row in _local_weights(rule)]
+        sums = [sum(c for _, c in row) for row in _local_weights(rule, r)]
         for alpha in range(1, 4 * r):
             expected = 1 if alpha % r == 0 else (-1 if alpha % r == 1 else 0)
             assert mu_r_inverse_brute(((2, alpha),), r) == expected
@@ -171,25 +171,32 @@ def test_r_free_inverse_inverts_r_free_indicator():
                         for j in range(min(r, alpha + 1)))
             assert total == (alpha == 0)
     for rule in LOCAL_WEIGHT_RULES:
-        for alpha, row in enumerate(_local_weights(rule)):
+        for alpha, row in enumerate(_local_weights(rule, rule.r)):
             assert dict(row).get(1, 0) == (alpha == 0), (rule.name, alpha)
 
 
-@pytest.mark.parametrize("rule", LOCAL_WEIGHT_RULES, ids=lambda r: r.name)
-def test_local_weights_match_the_brute_exponent_split(rule):
-    # Row alpha is sum over beta <= alpha of the r-free-inverse at p^beta
+@pytest.mark.parametrize("rule, period", [
+    *(pytest.param(rule, rule.r, id=rule.name) for rule in LOCAL_WEIGHT_RULES),
+    *(pytest.param(rule, rule.alpha_max + 1, id=f"{rule.name}-mu") for rule in LOCAL_WEIGHT_RULES),
+])
+def test_local_weights_match_the_brute_exponent_split(rule, period):
+    # Row alpha is sum over beta <= alpha of the period-free-inverse at p^beta
     # times the value g(alpha - beta), grouped by value, zero sums dropped.
-    rows = _local_weights(rule)
+    # Period r gives h's rows; past every exponent the inverse is mu, and the
+    # rows are H_k's X^g(alpha) - X^g(alpha-1), empty for 0 < alpha < r.
+    rows = _local_weights(rule, period)
     assert isinstance(rows, tuple) and len(rows) == rule.alpha_max + 1
     for alpha, row in enumerate(rows):
         brute = Counter()
         for beta in range(alpha + 1):
-            mu = mu_r_inverse_brute(((2, beta),) if beta else (), rule.r)
+            mu = mu_r_inverse_brute(((2, beta),) if beta else (), period)
             brute[rule.values[alpha - beta]] += mu
         assert isinstance(row, tuple) and all(isinstance(pair, tuple) for pair in row)
         assert len(dict(row)) == len(row) and all(c for _, c in row)
         assert dict(row) == {v: c for v, c in brute.items() if c}, (rule.name, alpha)
-    assert _local_weights(rule) is rows  # built once per rule
+    if period > rule.alpha_max:
+        assert rows[0] == ((1, 1),) and not any(rows[1:rule.r])
+    assert _local_weights(rule, period) is rows  # built once per rule and period
 
 
 def h_at(rule, k, fact):
@@ -209,6 +216,10 @@ def test_rfull_weight_k_validation():
     abelian = build_rule("abelian")
     assert rfull_weights_up_to(abelian, (), 0) == {}
     assert rfull_weights_up_to(abelian, factorize(4), -1) == {}
+    # Every exponent is checked against the rule table, wherever it stands in n.
+    for fact in (((3, 65),), ((2, 65), (3, 1)), ((2, 1), (3, 65))):
+        with pytest.raises(ValueError, match="exceeds the rule table"):
+            rfull_weights_up_to(abelian, fact, 10)
 
 
 @pytest.mark.parametrize("rule", builtin_rules(), ids=lambda r: r.name)

@@ -128,8 +128,8 @@ def test_rule_hash_leaves_out_the_table():
     assert a != b
     assert a == load_custom_rule(json.dumps(_custom_doc()))
     assert _kernel_tables(a)[0][2] == 2 and _kernel_tables(b)[0][2] == 3
-    assert _local_weights(a) != _local_weights(b)
-    assert _local_weights(a) is _local_weights(load_custom_rule(json.dumps(_custom_doc())))
+    assert _local_weights(a, 2) != _local_weights(b, 2)
+    assert _local_weights(a, 2) is _local_weights(load_custom_rule(json.dumps(_custom_doc())), 2)
 
 
 def _custom_doc(**overrides):
