@@ -105,12 +105,6 @@ def check_bound(rule: ExponentRule, bound: int) -> None:
     check_terms("--B", bound, rule.r, 2**rule.r * bound)
 
 
-def check_window(y: int) -> None:
-    """Refuse a --y longer than MAX_WINDOW."""
-    if y > MAX_WINDOW:
-        raise ValueError(f"--y {y} is longer than the window limit {MAX_WINDOW}")
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -142,7 +136,8 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
     check_series_args(args.k, args.bound)
     check_bound(rule, args.bound)
     for y in ys:
-        check_window(y)
+        if y > MAX_WINDOW:
+            raise ValueError(f"--y {y} is longer than the window limit {MAX_WINDOW}")
         for x in xs:
             check_report_window(x, y)
     reports = []

@@ -20,8 +20,8 @@ it in numpy; 1/psi(n) is correctly rounded, and n must fit int64, so a tail bloc
 cut below 2^63.  f is a float64 product per signature over the few uint8 exponent columns
 held with the table, and a k finds its signatures by one comparison.  Sums are exactly
 rounded, as math.fsum's: terms split by exponent sum exactly in float64 (Zhu and Hayes,
-ACM TOMS 37(3), 2010).  So the head's sums are held by signature and exponent for the last
-bound asked for, and a density adds those with f = k; a tail block's sum is held per bound.
+ACM TOMS 37(3), 2010).  So the head's sums by signature and exponent and the tail block's sum
+are held for the last bound asked for, and a density adds the head's with f = k.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     return facts, ns, recips, (np.cumsum(met, dtype=np.int32) - 1)[codes[:end][order]]
 
 
-# r -> [L, rfull_table(r, L), {B: B's tail estimate}, (exponent columns, largest exponent),
-# (B, the head's _binned sums by signature at their scales 2^e) for the last B, _groups's].
+# r -> [L, rfull_table(r, L), (exponent columns, largest exponent), (B, the head's _binned sums
+# by signature at their scales 2^e, the tail estimate) for the last B, _groups's].
 _tables: dict[int, list] = {}
 
 
@@ -176,20 +176,19 @@ def _table(r: int, limit: int) -> RFullTable:
         table = rfull_table(r, limit)
         width = max(map(len, table[0]))  # at most 9: (2 3 ... 29)^2 > 2^63
         exps = np.array([[e for _, e in x] + [0] * (width - len(x)) for x in table[0]], np.uint8).T
-        held = _tables[r] = [limit, table, {}, (exps.copy(), int(exps.max(initial=0))), (0,), None]
+        held = _tables[r] = [limit, table, (exps.copy(), int(exps.max(initial=0))), (0,), None]
     facts, n, recip, pattern = held[1]
     i = np.searchsorted(n, limit, "right").item()
     return facts, n[:i], recip[:i], pattern[:i]
 
 
-def _groups(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, count, first), int32, held from the first call: the held r-full table's rows of
-    signature q are order[start:][:count[q]], start = count[:q].sum(), the least first[q]."""
+def _groups(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, start), held from the first call: signature q's rows ascend from order[start[q]]."""
     held = _tables[r]
-    if held[5] is None:
-        order, count = (x.astype(np.int32) for x in (held[1][3].argsort(), np.bincount(held[1][3])))
-        held[5] = order, count, np.minimum.reduceat(order, np.cumsum(count) - count)
-    return held[5]
+    if held[4] is None:  # below 2^16 signatures (13,301 at r = 2 under 2^63): a radix sort
+        count, pattern = np.bincount(held[1][3]), held[1][3].astype(np.uint16)
+        held[4] = pattern.argsort(kind="stable").astype(np.int32), np.cumsum(count) - count
+    return held[4]
 
 
 def rfull_factorizations(r: int, limit: int) -> list[tuple[int, Factorization]]:
@@ -272,20 +271,19 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     facts, n, recip, pattern = _table(r, top)
     i = np.searchsorted(n, bound, "right").item()
     held = _tables[r]
-    columns, emax = held[3]
+    columns, emax = held[2]
     f = np.array([min(v, _EXACT) for v in rule.values[:emax + 1]], np.float64)[columns].prod(0)
-    if bound not in held[2]:  # held per bound: the tail block does not depend on the rule
-        held[2][bound] = tail_geometric_factor(r) * _exact_sum(recip[i:])
-    if held[4][0] != bound:  # the head sums of one bound at a time, each bin at its scale
+    if held[3][0] != bound:  # one bound at a time, each head bin at its scale; neither reads f
         at = -np.frexp(recip[:i].min())[1].item()  # e runs from -at to 1, 1/psi(1) = 1's
         bins = _binned(recip[:i], pattern[:i], len(facts), at, 2 + at)
-        held[4] = bound, [np.ldexp(x, np.arange(-at, 2)) for x in bins]
-    tail, z = held[2][bound], zeta(r)
+        held[3] = (bound, [np.ldexp(x, np.arange(-at, 2)) for x in bins],
+                   tail_geometric_factor(r) * _exact_sum(recip[i:]))
+    (_, sums, tail), z = held[3], zeta(r)
     out = {}
     for k in ks:  # the bins of the signatures with f = k add up exactly
         q = np.flatnonzero(f == k) if k < _EXACT else [
             j for j in np.flatnonzero(f >= _EXACT).tolist() if eval_rule(rule, facts[j]) == k]
-        partial = fsum(np.concatenate([x[:, q].sum(1) for x in held[4][1]], None).tolist())
+        partial = fsum(np.concatenate([x[:, q].sum(1) for x in sums], None).tolist())
         out[k] = DensityResult(rule.name, k, r, bound, partial, tail, z, partial / z)
     return out
 
@@ -329,8 +327,9 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
     top = min((1 << rule.r) * bound, MAX_N - 1)
     facts, n, _, pattern = _table(rule.r, top)
     i = np.searchsorted(n, bound, "right").item()
-    order, count, first = _groups(rule.r)
-    start, present = np.cumsum(count) - count, np.flatnonzero(first < n.size)
+    order, start = _groups(rule.r)
+    count = np.bincount(pattern, minlength=len(facts))  # each group's rows up to top lead it
+    present = np.flatnonzero(count)
     weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
     h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each signature
     out = {}
@@ -338,9 +337,8 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
         h_of[present] = [w.get(k, 0) for w in weights]
         live = np.flatnonzero(h_of)
         j, step = _ranges(count[live])
-        rows = order[start[live][j] + step]  # in any order within a group: the sum is exact
-        rows = rows[rows < n.size]  # the held table may run past top
-        hk, nk = h_of[pattern[rows]], n[rows]
+        rows = order[start[live][j] + step]  # by signature, not by n: the sums are exact
+        hk, nk = h_of[live][j], n[rows]
         terms = hk / nk  # correctly rounded, as int / int is, where float64 holds both
         big = np.flatnonzero((np.abs(hk) >= _EXACT) | (nk >= _EXACT))
         terms[big] = [a / b for a, b in zip(hk[big].tolist(), nk[big].tolist())]
@@ -360,7 +358,7 @@ def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> floa
         raise ValueError(f"weight_partial_sum requires x >= 2, got {x}")
     facts, n, _, pattern = _table(rule.r, x)
     weight = np.zeros(len(facts), dtype=np.int64)
-    for q in np.flatnonzero(_groups(rule.r)[2] < n.size).tolist():  # the signatures met up to x
+    for q in np.flatnonzero(np.bincount(pattern)).tolist():  # the signatures met up to x
         weight[q] = abs(rfull_weights_up_to(rule, facts[q], k).get(k, 0))
     h = weight[pattern]
     keep = h != 0

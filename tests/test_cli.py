@@ -12,7 +12,6 @@ from pimshort import cli
 from pimshort.cli import (
     MAX_WINDOW,
     check_bound,
-    check_window,
     exact_int,
     exact_int_list,
     main,
@@ -76,9 +75,15 @@ def test_window_beyond_the_budget_exits_2_at_once(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == "", argv
         assert "window limit" in err
-    check_window(MAX_WINDOW)
-    with pytest.raises(ValueError):
-        check_window(MAX_WINDOW + 1)
+    # y = MAX_WINDOW passes the limit and meets the window's own check, 0 < y < x.
+    base = ("table", "--rule", "abelian", "--k", "1", "--x", str(MAX_WINDOW))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *base, "--y", str(MAX_WINDOW))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "0 < y < x" in err and "window limit" not in err
+    code, out, err = run_cli(capsys, *base, "--y", str(MAX_WINDOW + 1))
+    assert code == 2 and out == "" and "window limit" in err
 
 
 def test_default_and_moderate_bounds_accepted():

@@ -326,25 +326,55 @@ def test_table_numbers_signatures_in_code_order(r, limit):
 
 
 def test_one_bound_of_head_sums_is_held(monkeypatch):
-    # Whatever bounds a caller loops over, the held state for r keeps one bound's head
-    # sums (tails stay per bound), and a bound asked for again gets the same bits.
+    # Whatever bounds a caller loops over, the held state for r keeps one record, the last
+    # bound's head sums and tail estimate, and a bound asked for again gets the same bits.
     monkeypatch.setattr(density, "_tables", {})
     abelian = build_rule("abelian")
     bounds = [10**7 - 1000 * t for t in range(50)]
     first = local_density(abelian, 2, bounds[0])
     for bound in bounds[1:]:
-        local_density(abelian, 2, bound)
+        last = local_density(abelian, 2, bound)
     held = density._tables[2]
-    assert held[4][0] == bounds[-1] and len(held[4][1]) == 1
-    assert sorted(held[2]) == sorted(bounds)
-    assert held[5] is None  # the grouping by signature waits for the h(n)/n series
+    assert len(held) == 5
+    bound, sums, tail = held[3]
+    assert bound == bounds[-1] and len(sums) == 1 and tail == last.tail_estimate
+    assert held[4] is None  # the grouping by signature waits for the h(n)/n series
     again = local_density(abelian, 2, bounds[0])
     assert again.partial_sum.hex() == first.partial_sum.hex()
+    assert again.tail_estimate.hex() == first.tail_estimate.hex()
     assert again == first
+    assert held[3][0] == bounds[0]
     weight_harmonic_profile(abelian, 10**6, 3)
-    order, count, first_row = held[5]
-    assert (order.dtype, count.dtype, first_row.dtype) == (np.int32,) * 3
-    assert np.array_equal(np.bincount(held[1][3]), count)
+    order, start = held[4]
+    assert order.dtype == np.int32
+    assert np.array_equal(start, np.cumsum(np.bincount(held[1][3])) - np.bincount(held[1][3]))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_signature_groups_ascend(monkeypatch, r):
+    # order[start[q]:][:count[q]] lists signature q's rows in ascending order (so ascending n),
+    # which is what lets a caller take the rows up to any limit from the front of a group.
+    monkeypatch.setattr(density, "_tables", {})
+    facts, n, _, pattern = density._table(r, 10**7)
+    order, start = density._groups(r)
+    count = np.bincount(pattern, minlength=len(facts))
+    assert order.dtype == np.int32 and sorted(order.tolist()) == list(range(n.size))
+    for q in range(len(facts)):
+        rows = order[start[q]:][:count[q]]
+        assert rows.size == count[q] > 0 and (pattern[rows] == q).all(), q
+        assert (np.diff(rows) > 0).all(), q
+
+
+def test_weight_partial_sum_leaves_the_grouping_unbuilt(monkeypatch):
+    # weight_partial_sum finds the signatures met up to x by counting them; only the h(n)/n
+    # profile builds the grouping of the rows by signature.
+    monkeypatch.setattr(density, "_tables", {})
+    abelian = build_rule("abelian")
+    for x in (10**3, 10**6, 10**5):
+        weight_partial_sum(abelian, 2, 0.5, x)
+    assert density._tables[2][4] is None
+    weight_harmonic_profile(abelian, 10**5, 2)
+    assert density._tables[2][4] is not None
 
 
 # The tables behind B = 1e9 at r = 2 and 3 (they run to 2^r B), and b = 1 alone.
@@ -354,7 +384,7 @@ def test_held_exponent_columns(monkeypatch, r, limit):
     # j-th exponent, 0 past its last; with them the table's largest exponent.
     monkeypatch.setattr(density, "_tables", {})
     facts = density._table(r, limit)[0]
-    columns, emax = density._tables[r][3]
+    columns, emax = density._tables[r][2]
     assert columns.dtype == np.uint8 and columns.shape == (max(map(len, facts)), len(facts))
     for j, column in enumerate(columns):
         assert column.tolist() == [fact[j][1] if j < len(fact) else 0 for fact in facts], j
@@ -567,7 +597,7 @@ def test_one_enumeration_per_r(monkeypatch):
     bound = 10**5
     for k in (1, 2, 3):
         local_density(abelian, k, bound)
-    assert list(density._tables[2][2]) == [bound]  # one tail sum, held with the table
+    assert density._tables[2][3][0] == bound  # one bound's sums, held with the table
     density_profile(abelian, bound, 6)
     weight_harmonic_profile(abelian, bound, 6)
     weight_partial_sum(abelian, 2, 0.5, bound)
@@ -575,7 +605,7 @@ def test_one_enumeration_per_r(monkeypatch):
     assert calls == [(2, 4 * bound)]
     local_density(abelian, 1, 2 * bound)
     assert calls == [(2, 4 * bound), (2, 8 * bound)]
-    assert list(density._tables[2][2]) == [2 * bound]  # the new walk dropped the old sum
+    assert density._tables[2][3][0] == 2 * bound  # the new walk dropped the old sums
     local_density(abelian, 1, bound // 10)
     weight_partial_sum(abelian, 2, 0.0, bound)
     assert len(calls) == 2
