@@ -17,24 +17,30 @@ for k <= 254, uint32 for k <= 65534, uint64 for k <= 2^32 - 2.  Past that it rea
 value_counts.  Each path picks its dtype from one bound, and every path runs the
 same steps.
 
-Each window walks chunks of DEFAULT_CHUNK = 2^20 offsets (1 to 8 MB of
-accumulator) and sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
-min((x+y)^(1/r), 2^16) if higher, from the shared table.  Each chunk starts
-from a pattern of period 2^5 * 3^3 = 864 that holds the factors of 2 and 3
-below those powers (the pre-sieve of Pritchard, Comm. ACM 24, 1981).  Each of
-32, 27 and the p^r with 5 <= p and p^r below min(chunk length, 2^14) takes one
-strided pass, by a cached ruler of g values: v_p of consecutive multiples of
-p^a is periodic mod p^K below a + K.  Each multiple of a larger p^r up to the
-cut is filed into the bucket of its chunk (the bucket sieve of Oliveira e
-Silva, Herzog and Pardi, Math. Comp. 83, 2014).  A prime p above the cut
-divides n = m p^r only with m below (x+y)^(1/(r+1)), so its hits come from the
-cofactor side: for each m, the integer points p of a short interval (the
-hyperbola split of Filaseta and Trifonov, J. London Math. Soc. 45, 1992).
-Its ends are exact r-th roots of x / m and (x+y) / m: one float64 power
-m^(-1/r) per m serves both, and an end near an integer takes introot's root of
-x // m or (x+y) // m.  With several workers, a profile gives each process one
-run of chunks; a clipped count runs in the calling process.  Counts are exact
-integers.
+The kernel counts a list of windows in one pass.  The windows lie back to back:
+whole windows are packed into one chunk while their offsets plus their bucket
+primes stay within _PACK = 2^16, and a longer window takes chunks of DEFAULT_CHUNK
+= 2^20 offsets (1 to 8 MB of accumulator).  count_value, value_counts and
+count_r_free count a one-window list; verify counts its seeded windows by lists.
+A window sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
+min((x+y)^(1/r), 2^16) if higher, from the shared table.  Each segment of a
+chunk (a window, or a chunk of a longer one) starts from a pattern of period
+2^5 * 3^3 = 864 that holds the factors of 2 and 3 below those powers (the
+pre-sieve of Pritchard, Comm. ACM 24, 1981).  Its moduli are 32, 27 and the p^r
+with 5 <= p <= cut.  A modulus q with at least 64 multiples in a segment,
+64 q <= its length, takes one strided pass there, by a cached ruler of g values:
+v_p of consecutive multiples of p^a is periodic mod p^K below a + K.  So a full
+2^20-offset chunk strides 32, 27 and the p^r below 2^14.  Every multiple of the
+other moduli is a hit with its base exponent, 5, 3 or r, found for a whole pack
+at once (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83,
+2014).  A prime p above the cut divides n = m p^r only with m below
+(x+y)^(1/(r+1)), so its hits come from each window's cofactor side: for each m,
+the integer points p of a short interval (the hyperbola split of Filaseta and
+Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots of
+x / m and (x+y) / m: one float64 power m^(-1/r) per m serves both, and an end
+near an integer takes introot's root of x // m or (x+y) // m.  With several
+workers, a profile gives each process one run of chunks; a clipped count runs in
+the calling process.  Counts are exact integers.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import inf, isqrt, prod
 
 import numpy as np
@@ -60,7 +67,15 @@ DEFAULT_CHUNK = 1 << 20
 # below glibc's initial 128 KB mmap threshold, so later blocks reuse the heap pages of
 # earlier ones in place of faulting in fresh ones.
 _COFACTOR_BLOCK = 1 << 13
-_STRIDED_LIMIT = 1 << 14  # p^r below it (and below the chunk length) takes a strided pass
+# Offsets plus bucket primes per packed chunk of small windows, so that a pack's pairs, hits
+# and their int64 temporaries stay near 0.5 MB each: packs of up to 2^20 offsets raised the
+# peak RSS of verify --suite all by about 1 MB, to 42.6-42.9 MB.
+_PACK = 1 << 16
+# A modulus q takes a strided pass over a segment of at least 64 q offsets, so a full
+# 2^20-offset chunk strides the q below 2^14; the fewer multiples of a larger q cost less as
+# hits than a pass's fixed cost.
+_STRIDED_MULTIPLES = 64
+_BASES = {2: 5, 3: 3}  # the exponents of 2 and 3 that the pattern of 2 and 3 leaves to a modulus
 
 
 def _check_window(x: int, y: int) -> None:
@@ -126,8 +141,9 @@ def _code_values(rule: ExponentRule) -> dict[int, int]:
     return {}
 
 
-def _fold(rule: ExponentRule, codes: Counter) -> dict[int, int]:
-    # value_counts from the signature counts: f once per (rule, code) for the process.
+def _fold(rule: ExponentRule, codes) -> dict:
+    # f -> its count, summed over a mapping code -> count, sorted by f: f once per (rule, code)
+    # for the process.  A count may be an array of counts, one per window.
     memo, counts = _code_values(rule), Counter()
     for code, c in codes.items():
         f = memo.get(code)
@@ -155,14 +171,17 @@ def _kernel_tables(rule: ExponentRule, cap: int = 0,
 
 @lru_cache(maxsize=16)
 def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
-    # p -> (a, K, ruler) for each strided pass over chunks of at most span offsets, for
-    # g = values, shared by rules whose clipped tables agree: the c = ceil(span / p^a)
-    # multiples of p^a read ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c, K the least
-    # with p^(2K) >= c.  The dtype holds every g, as copies take the g at p^(a+K) | n.  16
-    # entries of at most 688,416 bytes (r = 2, span 2^20, uint32) make 11 MB.
+    # p -> (a, K, ruler) for each modulus p^a that can take a strided pass over segments of
+    # at most span offsets (64 p^a <= span), for g = values, shared by rules whose clipped
+    # tables agree: the c = ceil(span / p^a) multiples of p^a read ruler[j] =
+    # g(a + min(v_p(j), K - 1)), j < p^K + c, K the least with p^(2K) >= c.  The dtype holds
+    # every g, as copies take the g at p^(a+K) | n.  16 entries of at most 688,416 bytes
+    # (r = 2, span 2^20, uint32) make 11 MB.
     dtype, rulers = np.min_scalar_type(max(values)), {}
-    small = [p for p in primes_upto(isqrt(_STRIDED_LIMIT)).tolist()[2:] if p**r < _STRIDED_LIMIT]
-    for p, a in ((2, 5), (3, 3), *((p, r) for p in small)):
+    for p in primes_upto(isqrt(span // _STRIDED_MULTIPLES)).tolist():
+        a = _BASES.get(p, r)
+        if _STRIDED_MULTIPLES * p**a > span:
+            continue
         c = -(-span // p**a)
         K = next(k for k in range(1, 64) if p ** (2 * k) >= c)
         ruler = np.full(p**K + c, values[a], dtype)
@@ -173,14 +192,31 @@ def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
     return rulers
 
 
-def _multiples(q: np.ndarray, n0: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-    # Every multiple of some q[i] among n0..n0+y-1, as (i, offset) pairs.
-    # The first offset is -n0 mod q, taken on int64 without forming n0 + q.
-    first = np.remainder(-n0, q)
-    i = np.flatnonzero(first < y)
-    j, step = _ranges((y - 1 - first[i]) // q[i] + 1)
-    i = i[j]
-    return i, first[i] + step * q[i]
+_held_moduli: dict = {}  # r -> (cut, q, p, base) for the largest cut met at r
+
+
+def _moduli(r: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (q, p, base exponent) of the moduli of the primes up to cut at least, ascending in q:
+    # 27, 32 first or between 5^2 and 7^2, then p^r.  So the moduli of the primes up to any
+    # cut lead them (a cut below 5 has x+y < 5^2), as do those a segment strides, and one
+    # table per r, grown to the largest cut met, serves every window: 2.6 MB at r = 2 and
+    # the largest cut, 2^21, and 0.1 MB at any other r, whose cut stays at 2^16.
+    if _held_moduli.get(r, (0,))[0] < cut:
+        primes = primes_upto(cut)
+        q = primes[2:] ** r
+        at = int(np.searchsorted(q, 27))
+        moduli = tuple(np.concatenate((v[:at], np.array(lead, v.dtype), v[at:])) for v, lead in (
+            (q, (27, 32)), (primes[2:], (3, 2)), (np.full(q.size, r, dtype=np.uint8), (3, 5))))
+        for v in moduli:
+            v.flags.writeable = False
+        _held_moduli[r] = cut, *moduli
+    return _held_moduli[r][1:]
+
+
+def _free_moduli(r: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # count_r_free's moduli, p^r for the primes up to cut with p^r below 2^63, ascending.
+    primes = primes_upto(min(cut, introot(MAX_N - 1, r)))
+    return primes**r, primes, np.full(primes.size, r, dtype=np.uint8)
 
 
 def _iroots(ends: tuple[int, ...], m: np.ndarray, r: int) -> list[np.ndarray]:
@@ -200,7 +236,7 @@ def _iroots(ends: tuple[int, ...], m: np.ndarray, r: int) -> list[np.ndarray]:
 def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
     """Yield (offsets, p) for the n = m p^r in (x, x+y] with p > cut prime, in blocks of m.
 
-    `primes` holds the primes up to cut >= (x+y)^(1/(r+1)).  For each m <=
+    `primes` holds the primes up to cut >= (x+y)^(1/(r+1)) at least.  For each m <=
     (x+y) / (cut+1)^r, p lies in (root_r(x // m), root_r((x+y) // m)], and
     is prime if no prime up to the cut divides it: a composite p <=
     (x+y)^(1/r) has a prime factor at most (x+y)^(1/(2r)) <= cut.  Only the
@@ -224,38 +260,76 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
         yield m[prime] * p[prime] ** r - (x + 1), p[prime]
 
 
-def _window_chunks(x: int, y: int, r: int):
-    """Yield (n0, length, small primes, hit offsets, hit primes) per chunk of (x, x+y].
+def _window_chunks(x: list[int], y: list[int], r: int, moduli=_moduli):
+    """Yield (segments, hit offsets, hit primes, hit base exponents) per chunk of the windows.
 
-    cut = max((x+y)^(1/(r+1)), min(root_r(x+y), _PRIME_FLOOR), 3): a prime in
-    the table costs one remainder, less than walking its cofactors.  The
-    primes 5 <= p with p^r below min(chunk length, _STRIDED_LIMIT), all under
-    the floor, form the small list; each multiple of a larger p^r up to the
-    cut goes to its chunk.  Each kernel applies 2 and 3 itself.  The walk
-    forms (cut+1)^r, cheap as a rule's r is at most its table length; where
-    3^r passes int64 the cut is 3, and no step reads the wrapped 2^r or 3^r.
+    The windows (x[i], x[i] + y[i]] lie back to back and each chunk is the next run
+    of them: whole windows packed while their offsets and bucket primes stay within
+    min(_PACK, DEFAULT_CHUNK), or one DEFAULT_CHUNK-offset slice of a longer window.
+    A segment (n0, length, start) puts n0, n0 + 1, ... at the chunk's offsets start,
+    start + 1, ...  A window sieves with the primes up to cut = max((x+y)^(1/(r+1)),
+    min(root_r(x+y), _PRIME_FLOOR), 3): a prime in the table costs one remainder,
+    less than walking its cofactors.  Its moduli ascend: the kernel's are 27, 32 (base
+    exponents 3 and 5) and p^r for 5 <= p <= cut (base r), count_r_free's p^r for
+    every p <= cut.  A segment of length L strides those with 64 q <= L, and every
+    multiple of the others is a hit: one remainder per window over its moduli finds
+    the (window, modulus) pairs with a hit, and the hits of all a pack's pairs are
+    listed at once.  The primes above the cut come from each window's cofactor walk.
+    The walk forms (cut+1)^r, cheap as a rule's r is at most its table length; where
+    3^r passes int64 the cut is 3, and no step forms a p^r past int64.
     """
-    span, end = min(y, DEFAULT_CHUNK), x + y
-    cut = max(introot(end, r + 1), min(introot(end, r), _PRIME_FLOOR), 3)
-    primes = primes_upto(cut)
-    n_small = max(2, int(np.searchsorted(primes**r, min(span, _STRIDED_LIMIT))))
-    small = primes[2:n_small].tolist()
-    i, off = _multiples(primes[n_small:] ** r, x + 1, y)
-    pieces = [(off, primes[n_small:][i]), *_large_prime_hits(x, y, r, cut, primes)]
-    off, p = (np.concatenate(a) for a in zip(*pieces))
-    del i, pieces  # only the hits, sorted by offset, are read from here on
-    order = np.argsort(off)
-    off, p = off[order], p[order]
-    del order
-    edges = np.searchsorted(off, range(0, y + span, span)).tolist()
-    for c, (a, b) in enumerate(zip(edges, edges[1:])):
-        c0 = c * span
-        yield x + 1 + c0, min(span, y - c0), small, off[a:b] - c0, p[a:b]
+    chunk, ends = DEFAULT_CHUNK, [a + b for a, b in zip(x, y)]
+    cuts = [max(introot(e, r + 1), min(introot(e, r), _PRIME_FLOOR), 3) for e in ends]
+    primes = primes_upto(max(cuts))
+    counts = np.searchsorted(primes, cuts, "right").tolist()  # primes up to each cut
+    q, bp, base = moduli(r, max(cuts))
+    groups, load = [[]], 0
+    for i, n in enumerate(counts):
+        if groups[-1] and load + y[i] + n > min(_PACK, chunk):
+            groups.append([])
+            load = 0
+        groups[-1].append(i)
+        load += y[i] + n
+    for group in groups:
+        starts = list(accumulate((y[i] for i in group), initial=0))
+        # (first n, length, start, stride length, moduli up to) of each window, and of the
+        # last chunk of a longer one, which strides fewer moduli than its whole chunks.
+        runs = [(x[i] + 1, y[i], t, min(y[i], chunk), counts[i]) for i, t in zip(group, starts)]
+        runs += [(x[i] + 1 + y[i] - rest, rest, t + y[i] - rest, rest,
+                  int(np.searchsorted(q, chunk // _STRIDED_MULTIPLES, "right")))
+                 for i, t in zip(group, starts) if y[i] > chunk and (rest := y[i] % chunk)]
+        lo = np.searchsorted(q, [run[3] // _STRIDED_MULTIPLES for run in runs], "right").tolist()
+        # (modulus, first and last offset) of each pair of a run and a modulus with a hit in it;
+        # the first offset is -n0 mod q, taken on int64 without forming n0 + q.
+        pairs = []
+        for (n0, size, start, _, hi), a in zip(runs, lo):
+            first = np.remainder(-n0, q[a:hi])
+            i = np.flatnonzero(first < size)
+            pairs.append((a + i, start + first[i], np.full(i.size, start + size - 1)))
+        j, first, last = (np.concatenate(v) for v in zip(*pairs))
+        i, step = _ranges((last - first) // q[j] + 1)  # the hits of every pair at once
+        j = j[i]
+        pieces = [(first[i] + step * q[j], bp[j], base[j])]
+        del i, j, step, pairs  # only the hits are read from here on
+        for t, g in zip(starts, group):
+            pieces += [(t + o, p, np.full(p.size, r, dtype=np.uint8))
+                       for o, p in _large_prime_hits(x[g], y[g], r, cuts[g], primes)]
+        off, p, a = (np.concatenate(v) for v in zip(*pieces))
+        del pieces  # the hits are sorted by offset from here on
+        order = np.argsort(off)
+        off, p, a = off[order], p[order], a[order]
+        del order
+        edges = np.searchsorted(off, range(0, starts[-1] + chunk, chunk)).tolist()
+        for c0, (b, e) in zip(range(0, starts[-1], chunk), zip(edges, edges[1:])):
+            segments = [(x[i] + 1 + max(c0 - t, 0), min(t + y[i], c0 + chunk) - max(t, c0),
+                         max(t - c0, 0))
+                        for i, t in zip(group, starts) if t < c0 + chunk and t + y[i] > c0]
+            yield segments, off[b:e] - c0, p[b:e], a[b:e]
 
 
-def _exponents(n: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
-    # Exact exponent of p[j] in n[j], where p[j]^r divides n[j].
-    m, e = n // p**r, np.full(n.size, r, dtype=np.intp)
+def _exponents(n: np.ndarray, p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Exact exponent of p[j] in n[j], where p[j]^a[j] divides n[j].
+    m, e = n // p**a, a.astype(np.intp)
     live = np.flatnonzero(m % p == 0)
     while live.size:
         m[live] //= p[live]
@@ -264,39 +338,54 @@ def _exponents(n: np.ndarray, p: np.ndarray, r: int) -> np.ndarray:
     return e
 
 
-def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
-    """Yield f(x+1), ..., f(x+y) in order, chunk by chunk, as min(f, cap) if cap > 0.
+def _fvalue_chunks(rule: ExponentRule, x, y, cap: int = 0):
+    """Yield f over the windows (x[i], x[i] + y[i]] laid back to back, chunk by chunk.
 
-    The accumulator is the narrowest unsigned dtype that holds cap^2, where two clipped
-    values meet, or else the largest signature code in reach and every g: uint16 below
-    2^46, uint32 above.  Each factor applied at an offset divides its final value.
+    x and y are one window's base and length, or lists of them.  Values are min(f, cap)
+    if cap > 0.  The accumulator is the narrowest unsigned dtype that holds cap^2, where
+    two clipped values meet, or else the largest signature code in reach and every g:
+    uint16 below 2^46, uint32 above.  Each factor applied at an offset divides its final
+    value.
     """
-    top = cap * cap if cap else max(56_265 if x + y < 1 << 46 else 684_255, *rule.values)
+    x, y = np.atleast_1d(x).tolist(), np.atleast_1d(y).tolist()
+    end = max(a + b for a, b in zip(x, y))
+    top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *rule.values)
     gtab, pattern = _kernel_tables(rule, cap, np.min_scalar_type(top))
-    for n0, cy, small, off, hit_primes in _window_chunks(x, y, rule.r):
-        # Exactly cy values: np.tile's padded 2^20-offset chunk passes 8 MiB, and glibc's
-        # moving mmap threshold then kept about 4 MB more resident over verify --suite all.
-        fval = np.empty(cy, dtype=gtab.dtype)
-        whole, s = cy - cy % 864, n0 % 864
-        fval[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
-        fval[whole:] = pattern[s : s + cy - whole]
-        rulers = _rulers(tuple(gtab.tolist()), rule.r, 1 << (cy - 1).bit_length())
-        for p in (2, 3, *small):
-            a, K, ruler = rulers[p]
-            q, P, s0 = p**a, p**K, -n0 % p**a
-            view = fval[s0::q]
-            h = ruler[(n0 + s0) // q % P :][: view.size]
-            if -n0 % (q * P) < cy:
-                s1, e = _small_prime_exponents(p, n0, cy, a + K)
-                h = h.copy()
-                h[(s1 - s0) // q :: P] = gtab[e]
-            view *= h
-            if cap:
-                np.minimum(view, cap, out=view)
-        # Two large primes can share an offset (n = p^r q^r), where fancy
-        # `fval[off] *= ...` keeps one factor.  The hits are sorted by offset, so
-        # each round applies the first hit left at each offset, then clips.
-        g = gtab[_exponents(n0 + off, hit_primes, rule.r)]
+    values, held = tuple(gtab.tolist()), None
+    for segments, off, hit_primes, bases in _window_chunks(x, y, rule.r):
+        longest = max(cy for _, cy, _ in segments)
+        rulers = _rulers(values, rule.r, 1 << (longest - 1).bit_length())
+        if rulers is not held:
+            held, moduli = rulers, [(p, p ** _BASES.get(p, rule.r)) for p in rulers]
+        # Exactly the chunk's values: np.tile's padded 2^20-offset chunk passes 8 MiB, and
+        # glibc's moving mmap threshold then kept about 4 MB more resident over verify --suite all.
+        fval = np.empty(sum(cy for _, cy, _ in segments), dtype=gtab.dtype)
+        n = np.empty_like(off)  # the n of each hit, segment by segment
+        edges = np.searchsorted(off, [start for _, _, start in segments] + [fval.size]).tolist()
+        for (n0, cy, start), b, e in zip(segments, edges, edges[1:]):
+            np.add(off[b:e], n0 - start, out=n[b:e])
+            seg = fval[start : start + cy]
+            whole, s = cy - cy % 864, n0 % 864
+            seg[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
+            seg[whole:] = pattern[s : s + cy - whole]
+            for p, q in moduli:
+                if _STRIDED_MULTIPLES * q > cy:
+                    continue
+                a, K, ruler = rulers[p]
+                P, s0 = p**K, -n0 % q
+                view = seg[s0::q]
+                h = ruler[(n0 + s0) // q % P :][: view.size]
+                if -n0 % (q * P) < cy:
+                    s1, e = _small_prime_exponents(p, n0, cy, a + K)
+                    h = h.copy()
+                    h[(s1 - s0) // q :: P] = gtab[e]
+                view *= h
+                if cap:
+                    np.minimum(view, cap, out=view)
+        # Two hits can share an offset (n = p^r q^r), where fancy `fval[off] *= ...`
+        # keeps one factor.  The hits are sorted by offset, so each round applies the
+        # first hit left at each offset, then clips.
+        g = gtab[_exponents(n, hit_primes, bases)]
         while off.size:
             first = np.concatenate(([True], off[1:] != off[:-1]))
             o, off, h, g = off[first], off[~first], g[first], g[~first]
@@ -304,14 +393,81 @@ def _fvalue_chunks(rule: ExponentRule, x: int, y: int, cap: int = 0):
         yield fval
 
 
+def _laid_out(y: list[int], chunks):
+    # (window of each segment, segment edges, chunk) for the chunks of windows of lengths y
+    # laid back to back.
+    w, seen = 0, 0  # seen: offsets of window w in earlier chunks
+    for fval in chunks:
+        ids, edges = [], [0]
+        while edges[-1] < fval.size:
+            take = min(y[w] - seen, fval.size - edges[-1])
+            ids.append(w)
+            edges.append(edges[-1] + take)
+            seen += take
+            if seen == y[w]:
+                w, seen = w + 1, 0
+        yield ids, edges, fval
+
+
+def _count_windows(rule: ExponentRule, k: int, x: list[int], y: list[int]) -> list[int]:
+    # [#{n in (x[i], x[i] + y[i]] : f(n) = k}] on the accumulator clipped at k + 1, where
+    # (k + 1)^2 < 2^64.
+    out = [0] * len(y)
+    for ids, edges, fval in _laid_out(y, _fvalue_chunks(rule, x, y, k + 1)):
+        hit = fval == k
+        for w, a, b in zip(ids, edges, edges[1:]):
+            out[w] += int(np.count_nonzero(hit[a:b]))
+        del hit  # before the next chunk is made
+    return out
+
+
+def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
+    # [#{n in (x[i], x[i] + y[i]] : n is r-free}], by marking the multiples of p^r, apart from
+    # the g tables and their clip.  No p^r with r >= 63 divides an n < 2^63 = MAX_N, and the
+    # walk would form (cut + 1)**r = 4**r, a Python int past memory at r = 10**18.
+    if r >= 63:
+        return list(y)
+
+    def marked_chunks():
+        for segments, off, _, _ in _window_chunks(x, y, r, _free_moduli):
+            marked = np.zeros(sum(cy for _, cy, _ in segments), dtype=bool)
+            for n0, cy, start in segments:  # the strided moduli, 64 p^r <= cy
+                for q in (p**r for p in primes_upto(introot(cy // _STRIDED_MULTIPLES, r)).tolist()):
+                    marked[start + -n0 % q : start + cy : q] = True
+            marked[off] = True
+            yield marked
+
+    out = [0] * len(y)
+    for ids, edges, marked in _laid_out(y, marked_chunks()):
+        for w, a, b in zip(ids, edges, edges[1:]):
+            out[w] += b - a - int(np.count_nonzero(marked[a:b]))
+    return out
+
+
+def _profile_windows(r: int, x: list[int], y: list[int]):
+    """Yield (window, code, count) rows per chunk: the count of each code sigma_r(n).
+
+    Each segment is sorted in place, the chunk being a fresh array of its own, and
+    counted by its runs.
+    """
+    for ids, edges, fval in _laid_out(y, _fvalue_chunks(_signature_rule(r), x, y)):
+        for a, b in zip(edges, edges[1:]):
+            fval[a:b].sort()
+        new = np.empty(fval.size + 1, dtype=bool)  # where a run starts, and the end
+        np.not_equal(fval[1:], fval[:-1], out=new[1:-1])
+        new[edges] = True
+        first = np.flatnonzero(new)
+        del new  # before the next chunk is made
+        runs = np.diff(np.searchsorted(first, edges))
+        yield np.repeat(ids, runs), fval[first[:-1]], np.diff(first)
+
+
 def _signature_counts(task) -> Counter:
     # task = (r, x, y): the count of every code sigma_r(n) over (x, x+y], for every rule at r.
     r, x, y = task
     profile: Counter = Counter()
-    for fval in _fvalue_chunks(_signature_rule(r), x, y):
-        fval.sort()  # each chunk is a fresh array of its own: sorted in place, counted by runs
-        last = np.append(np.flatnonzero(fval[1:] != fval[:-1]), fval.size - 1)  # runs' ends
-        profile.update(dict(zip(fval[last].tolist(), np.diff(last, prepend=-1).tolist())))
+    for _, codes, counts in _profile_windows(r, [x], [y]):
+        profile.update(dict(zip(codes.tolist(), counts.tolist())))
     return profile
 
 
@@ -331,7 +487,7 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
         raise ValueError(f"workers must be >= 1, got {workers}")
     if (k + 1) ** 2 >= 1 << 64:
         return value_counts(rule, x, y, workers).get(k, 0)
-    return sum(int(np.count_nonzero(fval == k)) for fval in _fvalue_chunks(rule, x, y, k + 1))
+    return _count_windows(rule, k, [x], [y])[0]
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
@@ -354,22 +510,11 @@ def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[i
 
 
 def count_r_free(x: int, y: int, r: int) -> int:
-    """#{n in (x, x+y] : n is r-free}, by marking multiples of p^r."""
+    """#{n in (x, x+y] : n is r-free}: the n where no p^r divides n, sigma_r(n) = 1."""
     _check_window(x, y)
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
-    # At a huge r the cut is 3, and the return also keeps the walk from forming 2**r, 3**r
-    # and (cut + 1)**r = 4**r: Python ints whose cost grows with r, past memory at r = 10**18.
-    if r >= (x + y).bit_length():  # 2^r > x+y: no p^r divides any n
-        return y
-    total = 0
-    for n0, cy, small, off, _ in _window_chunks(x, y, r):
-        marked = np.zeros(cy, dtype=bool)
-        for q in [p**r for p in (2, 3, *small)]:
-            marked[-n0 % q :: q] = True
-        marked[off] = True
-        total += cy - int(np.count_nonzero(marked))
-    return total
+    return _r_free_windows([x], [y], r)[0]
 
 
 def rfull_multiples_sum(x: int, y: int, r: int) -> int:

@@ -286,16 +286,22 @@ def test_prime_above_the_cut_hits_several_chunks(monkeypatch):
 
 
 def test_primes_below_the_chunk_stay_strided():
-    # The cut min(sqrt(x+y), 2^16) = 1732 is above sqrt(2^14) = 128; the
-    # primes 5 <= p < 128 take the strided path, every larger one up to the
-    # cut goes to a bucket, and 2 and 3 (applied by each kernel) to neither.
+    # The cut min(sqrt(x+y), 2^16) = 1732 is above sqrt(2^14) = 128; in a full
+    # chunk of 2^20 offsets the primes 5 <= p < 128 take the strided path (64 p^2
+    # <= 2^20), every larger one up to the cut goes to a bucket, and 2 and 3
+    # (applied by each kernel) to neither.  The last chunk, 902,848 offsets,
+    # strides p^2 <= 14,107 alone: 127^2 comes in as a bucket hit there.
     import pimshort.sieve as sieve_mod
 
-    chunks = list(sieve_mod._window_chunks(0, 3 * 10**6, 2))
-    assert all(small == primes_upto(127)[2:].tolist() for _, _, small, _, _ in chunks)
-    hit_primes = np.concatenate([p for *_, p in chunks])
-    assert hit_primes.size and hit_primes.min() >= 128
-    assert 131 in hit_primes
+    chunks = list(sieve_mod._window_chunks([0], [3 * 10**6], 2))
+    assert [segments for segments, *_ in chunks] == [
+        [(1, 1 << 20, 0)], [((1 << 20) + 1, 1 << 20, 0)], [((1 << 21) + 1, 902_848, 0)]]
+    strided = sieve_mod._rulers(build_rule("abelian").values, 2, 1 << 20)
+    assert list(strided) == primes_upto(127).tolist()
+    for _, _, hit_primes, bases in chunks[:2]:
+        assert hit_primes.size and hit_primes.min() >= 128 and 131 in hit_primes
+        assert set(bases.tolist()) == {2}
+    assert chunks[2][2].min() == 127
 
 
 @pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
@@ -339,6 +345,98 @@ def test_pattern_across_chunk_edges(monkeypatch):
             assert count_value(rule, 1, x, y) == expected[1], (rule.name, x)
         for r in (2, 3, 4):
             assert count_r_free(x, y, r) == _r_free_in_segment(segment, y, r), (r, x)
+
+
+def _window_profiles(r, x, y):
+    # The code counts of each window from one list call of the signature kernel.
+    import pimshort.sieve as sieve_mod
+
+    profiles = [Counter() for _ in y]
+    for rows in sieve_mod._profile_windows(r, x, y):
+        for w, code, count in zip(*(v.tolist() for v in rows)):
+            profiles[w][code] += count
+    return profiles
+
+
+@pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
+def test_window_lists_apply_every_prime_exactly_once(base, starts):
+    # The windows of test_every_prime_applied_exactly_once, and some at the strided edges
+    # 64 q - 1 and 64 q for q = 25, 27 and 32, as one list call per rule and k and per r:
+    # packed back to back, many to a chunk, against the pure-Python sieve.
+    import pimshort.sieve as sieve_mod
+
+    lengths = (1, 2, 3, 4, 5, 8, 9, 26, 27, 30, 100, 865)
+    edges = (1599, 1600, 1727, 1728, 2047, 2048)
+    y_all = 900 + 2048
+    parts = sieve_segment(base, y_all)
+    segment = [parts.get(n, ()) for n in range(base + 1, base + y_all + 1)]
+    windows = [(i, n) for i in starts for n in lengths]
+    windows += [(i, n) for i in starts[::40] for n in edges]
+    x, y = [base + i for i, _ in windows], [n for _, n in windows]
+
+    def per_window(flags):
+        prefix = np.concatenate(([0], np.cumsum(flags)))
+        return [int(prefix[a - base + b] - prefix[a - base]) for a, b in zip(x, y)]
+
+    for rule in (*builtin_rules(), build_rule("powerdiv-r:3"), _huge_rule()):
+        fvals = [eval_rule(rule, f) for f in segment]
+        k = Counter(f for f in fvals if f > 1).most_common(1)[0][0]
+        got = sieve_mod._count_windows(rule, k, x, y)
+        assert got == per_window([f == k for f in fvals]), (rule.name, k)
+    for r in (2, 3):
+        codes = [prod(primes_upto(311)[a - 1].item() for _, a in f if a >= r) for f in segment]
+        want = [Counter(codes[a - base : a - base + b]) for a, b in zip(x, y)]
+        assert _window_profiles(r, x, y) == want, r
+    for r in (2, 3, 4, 6):
+        free = [all(e < r for _, e in f) for f in segment]
+        assert sieve_mod._r_free_windows(x, y, r) == per_window(free), r
+
+
+@pytest.mark.parametrize("chunk", [1000, 5000])
+def test_window_lists_equal_their_windows_alone(monkeypatch, chunk):
+    # One list call per rule and k, and per r, over windows of every kind a pack meets: y = 1,
+    # a duplicate, an overlap, one window past a chunk among tiny ones (two chunks of 5000
+    # offsets or five of 1000), and windows ending just below and just above 2^46, where the
+    # list's profile is uint32 for all of them.  Each window's counts equal those of the
+    # window counted alone.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", chunk)
+    windows = [(10**6, 1), (10**6, 1), (10**6 - 500, 2000), (7, 1), (10**9, 7000),
+               (10**6 + 3, 30), (2**46 - 1000, 500), (2**46 - 300, 600), (0, 64)]
+    x, y = (list(v) for v in zip(*windows))
+    for rule in (*builtin_rules(), build_rule("powerdiv-r:3"), _huge_rule()):
+        for k in (1, 2, 100):
+            want = [count_value(rule, k, a, b) for a, b in windows]
+            assert sieve_mod._count_windows(rule, k, x, y) == want, (rule.name, k)
+    for r in (2, 3):
+        assert _window_profiles(r, x, y) == [sieve_mod._signature_counts((r, a, b))
+                                            for a, b in windows], r
+        assert sieve_mod._r_free_windows(x, y, r) == [count_r_free(a, b, r) for a, b in windows]
+
+
+def test_window_lists_near_2_63_and_past_the_r_th_powers():
+    # Windows around p^2 and 2 p^2 near 2^63, p above the cut, take their hits from the
+    # cofactor side at their own offsets in the list, against factorize.  At r = 40, 2^40
+    # is the one multiple of a 40th power: 2^r > x+y in the windows below it.
+    import pimshort.sieve as sieve_mod
+
+    p = _prime_at_or_below(introot((MAX_N - 1) // 2 - 100, 2))
+    windows = [(10**6, 50), (p * p - 40, 80), (7, 1), (2 * p * p - 1, 1), (2 * p * p - 30, 60)]
+    x, y = (list(v) for v in zip(*windows))
+    facts = [_factorized_window(a, b) for a, b in windows]
+    abelian = build_rule("abelian")
+    for w, profile in enumerate(_window_profiles(2, x, y)):
+        assert sieve_mod._fold(abelian, profile) == dict(
+            sorted(Counter(eval_rule(abelian, f) for f in facts[w]).items())), windows[w]
+    for r in (2, 3):
+        free = [sum(all(a < r for _, a in f) for f in fw) for fw in facts]
+        assert sieve_mod._r_free_windows(x, y, r) == free, r
+    assert sieve_mod._count_windows(abelian, 1, x, y) == [
+        sum(eval_rule(abelian, f) == 1 for f in fw) for fw in facts]
+    x, y = [10**6, 2**40 - 50, 7, 2**40 + 1], [1000, 100, 1, 5]
+    assert sieve_mod._r_free_windows(x, y, 40) == [1000, 99, 1, 5]
+    assert sieve_mod._count_windows(build_rule("powerdiv-r:40"), 1, x, y) == [1000, 99, 1, 5]
 
 
 @pytest.mark.parametrize("p", [2, 37])
@@ -450,8 +548,9 @@ def test_rule_thresholds_past_the_int64_powers(r):
 def test_kernel_walks_at_the_rule_threshold(monkeypatch):
     # powerdiv-r:3 has g = 1 below 3, so every strided pass, bucket hit and
     # cofactor hit of its kernel is a multiple of p^3.  With no floor under
-    # the cut (x+y)^(1/4) = 1006, 5^3 .. 13^3 take strided passes, 17^3 ..
-    # 997^3 go to the buckets and the 1009^3 | n come from the cofactor side.
+    # the cut (x+y)^(1/4) = 1006, 5^3 .. 13^3 take strided passes over the
+    # 150,000 offsets (64 p^3 <= 150,000), 17^3 .. 997^3 go to the buckets and
+    # the 1009^3 | n come from the cofactor side.
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", 1)
@@ -475,7 +574,7 @@ def test_kernel_walks_at_the_rule_threshold(monkeypatch):
     monkeypatch.setattr(sieve_mod, "_exponents", exponents_spy)
     rule = build_rule("powerdiv-r:3")
     n = 1009**3 * 1000
-    x, y = n - 1500, 3000
+    x, y = n - 75_000, 150_000
     assert introot(x + y, 4) == 1006
     expected = _segment_profile(rule, sieve_segment(x, y), y)
     assert value_counts(rule, x, y) == dict(sorted(expected.items()))
