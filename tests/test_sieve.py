@@ -361,8 +361,9 @@ def _window_profiles(r, x, y):
 @pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
 def test_window_lists_apply_every_prime_exactly_once(base, starts):
     # The windows of test_every_prime_applied_exactly_once, and some at the strided edges
-    # 64 q - 1 and 64 q for q = 25, 27 and 32, as one list call per rule and k and per r:
-    # packed back to back, many to a chunk, against the pure-Python sieve.
+    # 64 q - 1 and 64 q for q = 25, 27 and 32, as one list call per rule (at its most
+    # common f above 1) and per r: packed back to back, many to a chunk, against the
+    # pure-Python sieve.
     import pimshort.sieve as sieve_mod
 
     lengths = (1, 2, 3, 4, 5, 8, 9, 26, 27, 30, 100, 865)
