@@ -40,6 +40,10 @@ MAX_RFULL_TERMS = 2_000_000
 # chunk list and the run time stay bounded.
 MAX_WINDOW = 10**8
 
+# The most integers a table grid may count: the sum over its pairs of y + 10^5, 10^5
+# integers being about the fixed cost of one window, at one rate for every accumulator.
+MAX_GRID = 10**9
+
 # bound_breakdown applies the general middle exponent at r = 2 as well.
 R2_EXPONENT_WARNING = (
     "warning: r=2 middle error term uses X exponent -1/126 (general formula); "
@@ -140,6 +144,10 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
             raise ValueError(f"--y {y} is longer than the window limit {MAX_WINDOW}")
         for x in xs:
             check_report_window(x, y)
+    cost = len(xs) * sum(y + 10**5 for y in ys)
+    if cost > MAX_GRID:
+        raise ValueError(f"the grid of {len(xs) * len(ys)} windows would count {cost} integers"
+                         f" (y + 1e5 a window); the grid limit is {MAX_GRID}")
     reports = []
     if xs and ys:
         if rule.r == 2:

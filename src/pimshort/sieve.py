@@ -17,30 +17,30 @@ for k <= 254, uint32 for k <= 65534, uint64 for k <= 2^32 - 2.  Past that it rea
 value_counts.  Each path picks its dtype from one bound, and every path runs the
 same steps.
 
-The kernel counts a list of windows in one pass.  The windows lie back to back:
-whole windows are packed into one chunk while their offsets plus their bucket
-primes stay within _PACK = 2^16, and a longer window takes chunks of DEFAULT_CHUNK
-= 2^20 offsets (1 to 8 MB of accumulator).  count_value, value_counts and
-count_r_free count a one-window list; verify counts its seeded windows by lists.
-A window sieves only with the primes up to cut = (x+y)^(1/(r+1)), or
-min((x+y)^(1/r), 2^16) if higher, from the shared table.  Each segment of a
-chunk (a window, or a chunk of a longer one) starts from a pattern of period
-2^5 * 3^3 = 864 that holds the factors of 2 and 3 below those powers (the
-pre-sieve of Pritchard, Comm. ACM 24, 1981).  Its moduli are 32, 27 and the p^r
-with 5 <= p <= cut.  A modulus q with at least 64 multiples in a segment,
-64 q <= its length, takes one strided pass there, by a cached ruler of g values:
-v_p of consecutive multiples of p^a is periodic mod p^K below a + K.  So a full
-2^20-offset chunk strides 32, 27 and the p^r below 2^14.  Every multiple of the
-other moduli is a hit with its base exponent, 5, 3 or r, found for a whole pack
-at once (the bucket sieve of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83,
-2014).  A prime p above the cut divides n = m p^r only with m below
-(x+y)^(1/(r+1)), so its hits come from each window's cofactor side: for each m,
+The kernel counts a list of windows in one pass.  The windows lie back to back: whole
+windows are packed into one chunk while their offsets plus their bucket primes stay
+within _PACK = 2^16, and a longer window takes chunks of DEFAULT_CHUNK = 2^20 offsets
+(1 to 8 MB of accumulator).  Its segments (window, n0, length, start), a window or a
+chunk of a longer one each, tile a chunk in window order, and the counts of each
+window are read off them.  count_value, value_counts and count_r_free count a
+one-window list; verify counts its seeded windows by lists.  A window sieves only with
+the primes up to cut = (x+y)^(1/(r+1)), or min((x+y)^(1/r), 2^16) if higher, from the
+shared table.  Each segment starts from a pattern of period 2^5 * 3^3 = 864 that holds
+the factors of 2 and 3 below those powers (the pre-sieve of Pritchard, Comm. ACM 24,
+1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut.  A modulus q = p^a with
+at least 64 multiples in a segment, 64 q <= its length, takes one strided pass there,
+by a cached entry (q, a, K, ruler) of g values: v_p of consecutive multiples of q is
+periodic mod p^K below a + K.  So a full 2^20-offset chunk strides 32, 27 and the p^r
+below 2^14.  Every multiple of the other moduli is a hit with its base exponent, 5, 3
+or r, found for a whole pack at once (the bucket sieve of Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 83, 2014).  A prime p above the cut divides n = m p^r only with m
+below (x+y)^(1/(r+1)), so its hits come from each window's cofactor side: for each m,
 the integer points p of a short interval (the hyperbola split of Filaseta and
-Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots of
-x / m and (x+y) / m: one float64 power m^(-1/r) per m serves both, and an end
-near an integer takes introot's root of x // m or (x+y) // m.  With several
-workers, a profile gives each process one run of chunks; a clipped count runs in
-the calling process.  Counts are exact integers.
+Trifonov, J. London Math. Soc. 45, 1992).  Its ends are exact r-th roots of x / m and
+(x+y) / m: one float64 power m^(-1/r) per m serves both, and an end near an integer
+takes introot's root of x // m or (x+y) // m.  With several workers, a profile gives
+each process one run of chunks; a clipped count runs in the calling process.  Counts
+are exact integers.
 """
 
 from __future__ import annotations
@@ -171,24 +171,24 @@ def _kernel_tables(rule: ExponentRule, cap: int = 0,
 
 @lru_cache(maxsize=16)
 def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
-    # p -> (a, K, ruler) for each modulus p^a that can take a strided pass over segments of
-    # at most span offsets (64 p^a <= span), for g = values, shared by rules whose clipped
-    # tables agree: the c = ceil(span / p^a) multiples of p^a read ruler[j] =
+    # p -> (q, a, K, ruler) for each modulus q = p^a that can take a strided pass over
+    # segments of at most span offsets (64 q <= span), for g = values, shared by rules whose
+    # clipped tables agree: the c = ceil(span / q) multiples of q read ruler[j] =
     # g(a + min(v_p(j), K - 1)), j < p^K + c, K the least with p^(2K) >= c.  The dtype holds
     # every g, as copies take the g at p^(a+K) | n.  16 entries of at most 688,416 bytes
     # (r = 2, span 2^20, uint32) make 11 MB.
     dtype, rulers = np.min_scalar_type(max(values)), {}
     for p in primes_upto(isqrt(span // _STRIDED_MULTIPLES)).tolist():
         a = _BASES.get(p, r)
-        if _STRIDED_MULTIPLES * p**a > span:
+        if _STRIDED_MULTIPLES * (q := p**a) > span:
             continue
-        c = -(-span // p**a)
+        c = -(-span // q)
         K = next(k for k in range(1, 64) if p ** (2 * k) >= c)
         ruler = np.full(p**K + c, values[a], dtype)
         for b in range(1, K):  # the multiples of p^b lie among those of p^(b-1)
             ruler[:: p**b] = values[a + b]
         ruler.flags.writeable = False
-        rulers[p] = a, K, ruler
+        rulers[p] = q, a, K, ruler
     return rulers
 
 
@@ -266,8 +266,10 @@ def _window_chunks(x: list[int], y: list[int], r: int, moduli=_moduli):
     The windows (x[i], x[i] + y[i]] lie back to back and each chunk is the next run
     of them: whole windows packed while their offsets and bucket primes stay within
     min(_PACK, DEFAULT_CHUNK), or one DEFAULT_CHUNK-offset slice of a longer window.
-    A segment (n0, length, start) puts n0, n0 + 1, ... at the chunk's offsets start,
-    start + 1, ...  A window sieves with the primes up to cut = max((x+y)^(1/(r+1)),
+    A segment (window, n0, length, start) puts n0, n0 + 1, ... of window i = `window` at
+    the chunk's offsets start, start + 1, ...: a chunk's segments tile it back to back in
+    window order, and a window's segments over its chunks continue n0 and sum to its y.
+    A window sieves with the primes up to cut = max((x+y)^(1/(r+1)),
     min(root_r(x+y), _PRIME_FLOOR), 3): a prime in the table costs one remainder,
     less than walking its cofactors.  Its moduli ascend: the kernel's are 27, 32 (base
     exponents 3 and 5) and p^r for 5 <= p <= cut (base r), count_r_free's p^r for
@@ -321,7 +323,7 @@ def _window_chunks(x: list[int], y: list[int], r: int, moduli=_moduli):
         del order
         edges = np.searchsorted(off, range(0, starts[-1] + chunk, chunk)).tolist()
         for c0, (b, e) in zip(range(0, starts[-1], chunk), zip(edges, edges[1:])):
-            segments = [(x[i] + 1 + max(c0 - t, 0), min(t + y[i], c0 + chunk) - max(t, c0),
+            segments = [(i, x[i] + 1 + max(c0 - t, 0), min(t + y[i], c0 + chunk) - max(t, c0),
                          max(t - c0, 0))
                         for i, t in zip(group, starts) if t < c0 + chunk and t + y[i] > c0]
             yield segments, off[b:e] - c0, p[b:e], a[b:e]
@@ -338,40 +340,36 @@ def _exponents(n: np.ndarray, p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _fvalue_chunks(rule: ExponentRule, x, y, cap: int = 0):
-    """Yield f over the windows (x[i], x[i] + y[i]] laid back to back, chunk by chunk.
+def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0):
+    """Yield (segments, f) per chunk of the windows (x[i], x[i] + y[i]] laid back to back.
 
-    x and y are one window's base and length, or lists of them.  Values are min(f, cap)
-    if cap > 0.  The accumulator is the narrowest unsigned dtype that holds cap^2, where
-    two clipped values meet, or else the largest signature code in reach and every g:
-    uint16 below 2^46, uint32 above.  Each factor applied at an offset divides its final
-    value.
+    The segments (window, n0, length, start) are _window_chunks', and f holds the chunk's
+    values, min(f, cap) if cap > 0.  The accumulator is the narrowest unsigned dtype that
+    holds cap^2, where two clipped values meet, or else the largest signature code in
+    reach and every g: uint16 below 2^46, uint32 above.  Each factor applied at an offset
+    divides its final value.
     """
-    x, y = np.atleast_1d(x).tolist(), np.atleast_1d(y).tolist()
     end = max(a + b for a, b in zip(x, y))
     top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *rule.values)
     gtab, pattern = _kernel_tables(rule, cap, np.min_scalar_type(top))
-    values, held = tuple(gtab.tolist()), None
+    values = tuple(gtab.tolist())
     for segments, off, hit_primes, bases in _window_chunks(x, y, rule.r):
-        longest = max(cy for _, cy, _ in segments)
+        longest = max(cy for _, _, cy, _ in segments)
         rulers = _rulers(values, rule.r, 1 << (longest - 1).bit_length())
-        if rulers is not held:
-            held, moduli = rulers, [(p, p ** _BASES.get(p, rule.r)) for p in rulers]
         # Exactly the chunk's values: np.tile's padded 2^20-offset chunk passes 8 MiB, and
         # glibc's moving mmap threshold then kept about 4 MB more resident over verify --suite all.
-        fval = np.empty(sum(cy for _, cy, _ in segments), dtype=gtab.dtype)
+        fval = np.empty(sum(cy for _, _, cy, _ in segments), dtype=gtab.dtype)
         n = np.empty_like(off)  # the n of each hit, segment by segment
-        edges = np.searchsorted(off, [start for _, _, start in segments] + [fval.size]).tolist()
-        for (n0, cy, start), b, e in zip(segments, edges, edges[1:]):
+        edges = np.searchsorted(off, [start for *_, start in segments] + [fval.size]).tolist()
+        for (_, n0, cy, start), b, e in zip(segments, edges, edges[1:]):
             np.add(off[b:e], n0 - start, out=n[b:e])
             seg = fval[start : start + cy]
             whole, s = cy - cy % 864, n0 % 864
             seg[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
             seg[whole:] = pattern[s : s + cy - whole]
-            for p, q in moduli:
+            for p, (q, a, K, ruler) in rulers.items():
                 if _STRIDED_MULTIPLES * q > cy:
                     continue
-                a, K, ruler = rulers[p]
                 P, s0 = p**K, -n0 % q
                 view = seg[s0::q]
                 h = ruler[(n0 + s0) // q % P :][: view.size]
@@ -390,33 +388,17 @@ def _fvalue_chunks(rule: ExponentRule, x, y, cap: int = 0):
             first = np.concatenate(([True], off[1:] != off[:-1]))
             o, off, h, g = off[first], off[~first], g[first], g[~first]
             fval[o] = np.minimum(fval[o] * h, cap) if cap else fval[o] * h
-        yield fval
-
-
-def _laid_out(y: list[int], chunks):
-    # (window of each segment, segment edges, chunk) for the chunks of windows of lengths y
-    # laid back to back.
-    w, seen = 0, 0  # seen: offsets of window w in earlier chunks
-    for fval in chunks:
-        ids, edges = [], [0]
-        while edges[-1] < fval.size:
-            take = min(y[w] - seen, fval.size - edges[-1])
-            ids.append(w)
-            edges.append(edges[-1] + take)
-            seen += take
-            if seen == y[w]:
-                w, seen = w + 1, 0
-        yield ids, edges, fval
+        yield segments, fval
 
 
 def _count_windows(rule: ExponentRule, k: int, x: list[int], y: list[int]) -> list[int]:
     # [#{n in (x[i], x[i] + y[i]] : f(n) = k}] on the accumulator clipped at k + 1, where
     # (k + 1)^2 < 2^64.
     out = [0] * len(y)
-    for ids, edges, fval in _laid_out(y, _fvalue_chunks(rule, x, y, k + 1)):
+    for segments, fval in _fvalue_chunks(rule, x, y, k + 1):
         hit = fval == k
-        for w, a, b in zip(ids, edges, edges[1:]):
-            out[w] += int(np.count_nonzero(hit[a:b]))
+        for w, _, cy, start in segments:
+            out[w] += int(np.count_nonzero(hit[start : start + cy]))
         del hit  # before the next chunk is made
     return out
 
@@ -425,22 +407,17 @@ def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
     # [#{n in (x[i], x[i] + y[i]] : n is r-free}], by marking the multiples of p^r, apart from
     # the g tables and their clip.  No p^r with r >= 63 divides an n < 2^63 = MAX_N, and the
     # walk would form (cut + 1)**r = 4**r, a Python int past memory at r = 10**18.
+    out = list(y)
     if r >= 63:
-        return list(y)
-
-    def marked_chunks():
-        for segments, off, _, _ in _window_chunks(x, y, r, _free_moduli):
-            marked = np.zeros(sum(cy for _, cy, _ in segments), dtype=bool)
-            for n0, cy, start in segments:  # the strided moduli, 64 p^r <= cy
-                for q in (p**r for p in primes_upto(introot(cy // _STRIDED_MULTIPLES, r)).tolist()):
-                    marked[start + -n0 % q : start + cy : q] = True
-            marked[off] = True
-            yield marked
-
-    out = [0] * len(y)
-    for ids, edges, marked in _laid_out(y, marked_chunks()):
-        for w, a, b in zip(ids, edges, edges[1:]):
-            out[w] += b - a - int(np.count_nonzero(marked[a:b]))
+        return out
+    for segments, off, _, _ in _window_chunks(x, y, r, _free_moduli):
+        marked = np.zeros(sum(cy for _, _, cy, _ in segments), dtype=bool)
+        for _, n0, cy, start in segments:  # the strided moduli, 64 p^r <= cy
+            for q in (p**r for p in primes_upto(introot(cy // _STRIDED_MULTIPLES, r)).tolist()):
+                marked[start + -n0 % q : start + cy : q] = True
+        marked[off] = True
+        for w, _, cy, start in segments:
+            out[w] -= int(np.count_nonzero(marked[start : start + cy]))
     return out
 
 
@@ -450,7 +427,8 @@ def _profile_windows(r: int, x: list[int], y: list[int]):
     Each segment is sorted in place, the chunk being a fresh array of its own, and
     counted by its runs.
     """
-    for ids, edges, fval in _laid_out(y, _fvalue_chunks(_signature_rule(r), x, y)):
+    for segments, fval in _fvalue_chunks(_signature_rule(r), x, y):
+        edges = [start for *_, start in segments] + [fval.size]
         for a, b in zip(edges, edges[1:]):
             fval[a:b].sort()
         new = np.empty(fval.size + 1, dtype=bool)  # where a run starts, and the end
@@ -459,7 +437,7 @@ def _profile_windows(r: int, x: list[int], y: list[int]):
         first = np.flatnonzero(new)
         del new  # before the next chunk is made
         runs = np.diff(np.searchsorted(first, edges))
-        yield np.repeat(ids, runs), fval[first[:-1]], np.diff(first)
+        yield np.repeat([w for w, *_ in segments], runs), fval[first[:-1]], np.diff(first)
 
 
 def _signature_counts(task) -> Counter:

@@ -86,6 +86,18 @@ def test_window_beyond_the_budget_exits_2_at_once(capsys):
     assert code == 2 and out == "" and "window limit" in err
 
 
+def test_grid_beyond_the_budget_exits_2_before_any_output(capsys, monkeypatch):
+    # Two x by two y cost 2 (10 + 1e5) + 2 (20 + 1e5) = 400,060 integers: one over the cap
+    # exits 2 with nothing on stdout, and exactly at the cap the grid prints its four rows.
+    argv = ("table", "--rule", "abelian", "--k", "1", "--x", "1000,2000", "--y", "10,20")
+    monkeypatch.setattr(cli, "MAX_GRID", 400_059)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "400060 integers" in err and "grid limit is 400059" in err
+    monkeypatch.setattr(cli, "MAX_GRID", 400_060)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == 5 and "grid limit" not in err
+
+
 def test_default_and_moderate_bounds_accepted():
     for rule in builtin_rules() + (build_rule("powerdiv-r:3"), build_rule("powerdiv-r:7")):
         check_bound(rule, DEFAULT_BOUND)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
-from itertools import product
+from itertools import accumulate, product
 from math import pi, prod, sqrt
 from types import SimpleNamespace
 
@@ -244,9 +244,9 @@ def _record_accumulators(monkeypatch):
     used, chunks = [], sieve_mod._fvalue_chunks
 
     def recorded(rule, x, y, cap=0):
-        for fval in chunks(rule, x, y, cap):
+        for segments, fval in chunks(rule, x, y, cap):
             used.append((rule.name, fval.dtype))
-            yield fval
+            yield segments, fval
 
     monkeypatch.setattr(sieve_mod, "_fvalue_chunks", recorded)
     return used
@@ -295,7 +295,7 @@ def test_primes_below_the_chunk_stay_strided():
 
     chunks = list(sieve_mod._window_chunks([0], [3 * 10**6], 2))
     assert [segments for segments, *_ in chunks] == [
-        [(1, 1 << 20, 0)], [((1 << 20) + 1, 1 << 20, 0)], [((1 << 21) + 1, 902_848, 0)]]
+        [(0, 1, 1 << 20, 0)], [(0, (1 << 20) + 1, 1 << 20, 0)], [(0, (1 << 21) + 1, 902_848, 0)]]
     strided = sieve_mod._rulers(build_rule("abelian").values, 2, 1 << 20)
     assert list(strided) == primes_upto(127).tolist()
     for _, _, hit_primes, bases in chunks[:2]:
@@ -414,6 +414,33 @@ def test_window_lists_equal_their_windows_alone(monkeypatch, chunk):
         assert _window_profiles(r, x, y) == [sieve_mod._signature_counts((r, a, b))
                                             for a, b in windows], r
         assert sieve_mod._r_free_windows(x, y, r) == [count_r_free(a, b, r) for a, b in windows]
+
+
+def test_segments_tile_their_chunks_in_window_order(monkeypatch):
+    # The list forms read each window's share of a chunk off its segments.  With chunks of
+    # 1000 offsets, tiny windows, a duplicate and a window of 2500 offsets (three chunks):
+    # every chunk is tiled by its segments back to back from offset 0, in window order, and
+    # each window's segments continue n0 from x + 1 and sum to its y.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
+    windows = [(10**6, 30), (10**6, 30), (7, 1), (5 * 10**6, 2500), (10**12, 1), (10**9, 40)]
+    x, y = (list(v) for v in zip(*windows))
+    order, held = [], [[] for _ in windows]  # window of each segment; (n0, length) per window
+    for segments, fval in sieve_mod._fvalue_chunks(build_rule("abelian"), x, y, 2):
+        ends = list(accumulate((cy for _, _, cy, _ in segments), initial=0))
+        assert [start for *_, start in segments] == ends[:-1] and ends[-1] == fval.size
+        for w, n0, cy, _ in segments:
+            order.append(w)
+            held[w].append((n0, cy))
+    assert order == sorted(order) and set(order) == set(range(len(windows)))
+    assert len(held[3]) == 3
+    for (a, b), parts in zip(windows, held):
+        assert [n0 for n0, _ in parts] == list(accumulate((cy for _, cy in parts[:-1]), initial=a + 1))
+        assert sum(cy for _, cy in parts) == b
+    abelian = build_rule("abelian")
+    assert sieve_mod._count_windows(abelian, 1, x, y) == [count_value(abelian, 1, a, b)
+                                                         for a, b in windows]
 
 
 def test_window_lists_near_2_63_and_past_the_r_th_powers():
@@ -558,10 +585,11 @@ def test_kernel_walks_at_the_rule_threshold(monkeypatch):
     passes, hits = [], []
     rulers, exponents = sieve_mod._rulers, sieve_mod._exponents
 
-    class ReadRulers(dict):  # records (p, a) for each ruler a strided pass reads
-        def __getitem__(self, p):
-            passes.append((p, super().__getitem__(p)[0]))
-            return super().__getitem__(p)
+    class ReadRulers(dict):  # records (p, a) for each strided modulus the kernel iterates
+        def items(self):
+            for p, (q, a, K, ruler) in super().items():
+                passes.append((p, a))
+                yield p, (q, a, K, ruler)
 
     def rulers_spy(values, r, span):
         return ReadRulers(rulers(values, r, span))
@@ -960,7 +988,7 @@ def test_signature_bounded_by_n_and_decoded_to_its_exponents():
     import pimshort.sieve as sieve_mod
 
     for r, tight in ((2, [32, 288]), (3, [32])):  # sigma_3(288) = sigma_3(2^5) = 11
-        (codes,) = sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), 0, 1 << 20)
+        ((_, codes),) = sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), [0], [1 << 20])
         slack = 121 * np.arange(1, 1 + (1 << 20)) - 32 * codes.astype(np.int64) ** 2
         assert slack.min() == 0 and (np.flatnonzero(slack == 0) + 1).tolist() == tight, r
 
@@ -1009,7 +1037,7 @@ def test_signature_counts_equal_np_unique(r, x, y):
     import pimshort.sieve as sieve_mod
 
     expected = Counter()
-    for codes in sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), x, y):
+    for _, codes in sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), [x], [y]):
         values, counts = np.unique(codes, return_counts=True)
         expected.update(dict(zip(values.tolist(), counts.tolist())))
     got = sieve_mod._signature_counts((r, x, y))
@@ -1083,7 +1111,7 @@ def test_ruler_cache_stays_under_its_bound(monkeypatch):
 
     def rulers_spy(*key):
         out = rulers(*key)
-        watched.extend(weakref.ref(ruler) for _, _, ruler in out.values())
+        watched.extend(weakref.ref(ruler) for *_, ruler in out.values())
         return out
 
     rulers.cache_clear()
