@@ -24,7 +24,7 @@ from .density import (
     rfull_count_bound,
     rfull_table,
 )
-from .factor import MAX_N
+from .factor import MAX_N, introot
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
 from .sieve import IntervalReport, check_report_window, interval_report
 from .verify import SUITE_NAMES, run_suite
@@ -40,8 +40,8 @@ MAX_RFULL_TERMS = 2_000_000
 # chunk list and the run time stay bounded.
 MAX_WINDOW = 10**8
 
-# The most integers a table grid may count: the sum over its pairs of y + 10^5, 10^5
-# integers being about the fixed cost of one window, at one rate for every accumulator.
+# The most integers a table grid may count, by the sum of window_cost over its pairs, at one
+# rate for every accumulator: a grid at the cap takes 2-5 s on a 2-vCPU Xeon, whatever its shape.
 MAX_GRID = 10**9
 
 # bound_breakdown applies the general middle exponent at r = 2 as well.
@@ -134,20 +134,33 @@ def cmd_density(args) -> int:
     return 0
 
 
+def window_cost(r: int, x: int, y: int) -> int:
+    """The integers' worth of time that counting (x, x+y] takes: its y integers and a fixed cost.
+
+    The fixed cost is 1e5 integers, or 5 a cofactor of the kernel's walk where that is more:
+    about (x+y)^(1/(r+1)) cofactors, 2.1e6 just below 2^63 at r = 2.
+    """
+    return y + max(10**5, 5 * introot(x + y, r + 1))
+
+
 def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
     """Check k, --B and every (x, y) before any output, sum the series once, report each window."""
     rule = resolve_rule(args.rule)
     check_series_args(args.k, args.bound)
     check_bound(rule, args.bound)
-    for y in ys:
-        if y > MAX_WINDOW:
-            raise ValueError(f"--y {y} is longer than the window limit {MAX_WINDOW}")
-        for x in xs:
-            check_report_window(x, y)
-    cost = len(xs) * sum(y + 10**5 for y in ys)
+    pairs = len(xs) * len(ys)
+    cost = pairs * window_cost(rule.r, 0, 0)  # at least, so a vast grid is refused unread
+    if cost <= MAX_GRID:
+        cost = 0
+        for y in ys:
+            if y > MAX_WINDOW:
+                raise ValueError(f"--y {y} is longer than the window limit {MAX_WINDOW}")
+            for x in xs:
+                check_report_window(x, y)
+                cost += window_cost(rule.r, x, y)
     if cost > MAX_GRID:
-        raise ValueError(f"the grid of {len(xs) * len(ys)} windows would count {cost} integers"
-                         f" (y + 1e5 a window); the grid limit is {MAX_GRID}")
+        raise ValueError(f"the grid of {pairs} windows would cost at least {cost} integers;"
+                         f" the grid limit is {MAX_GRID}")
     reports = []
     if xs and ys:
         if rule.r == 2:

@@ -86,16 +86,36 @@ def test_window_beyond_the_budget_exits_2_at_once(capsys):
     assert code == 2 and out == "" and "window limit" in err
 
 
-def test_grid_beyond_the_budget_exits_2_before_any_output(capsys, monkeypatch):
-    # Two x by two y cost 2 (10 + 1e5) + 2 (20 + 1e5) = 400,060 integers: one over the cap
-    # exits 2 with nothing on stdout, and exactly at the cap the grid prints its four rows.
-    argv = ("table", "--rule", "abelian", "--k", "1", "--x", "1000,2000", "--y", "10,20")
-    monkeypatch.setattr(cli, "MAX_GRID", 400_059)
+@pytest.mark.parametrize("grid, cost", [
+    # Two x by two y cost 2 (10 + 1e5) + 2 (20 + 1e5).
+    (("--x", "1000,2000", "--y", "10,20"), 400_060),
+    # Just below 2^63 at r = 2 a window walks about (x+y)^(1/3) cofactors, 2,080,083 at
+    # x = 9e18, at 5 integers each: one integer there costs more than 100 near 1e12.
+    (("--x", "9e18", "--y", "1"), 10_400_416),
+])
+def test_grid_beyond_the_budget_exits_2_before_any_output(capsys, monkeypatch, grid, cost):
+    # One integer over the cap exits 2 with nothing on stdout; exactly at it, the grid prints
+    # its rows.
+    argv = ("table", "--rule", "abelian", "--k", "1", *grid)
+    monkeypatch.setattr(cli, "MAX_GRID", cost - 1)
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == "" and "400060 integers" in err and "grid limit is 400059" in err
-    monkeypatch.setattr(cli, "MAX_GRID", 400_060)
+    assert code == 2 and out == "" and f"{cost} integers" in err
+    assert f"grid limit is {cost - 1}" in err
+    monkeypatch.setattr(cli, "MAX_GRID", cost)
     code, out, err = run_cli(capsys, *argv)
-    assert code == 0 and len(out.splitlines()) == 5 and "grid limit" not in err
+    rows = len(grid[1].split(",")) * len(grid[3].split(","))
+    assert code == 0 and len(out.splitlines()) == rows + 1 and "grid limit" not in err
+
+
+def test_vast_grid_is_refused_before_its_pairs_are_checked(capsys, monkeypatch):
+    # A million pairs cost at least 1e5 integers each, past the cap: the grid exits 2
+    # without checking a single (x, y) pair, so a long argv cannot stall the check.
+    checked = []
+    monkeypatch.setattr(cli, "check_report_window", lambda x, y: checked.append((x, y)))
+    xs = ",".join(str(10**12 + i) for i in range(1000))
+    ys = ",".join(str(i) for i in range(1, 1001))
+    code, out, err = run_cli(capsys, "table", "--rule", "abelian", "--k", "1", "--x", xs, "--y", ys)
+    assert code == 2 and out == "" and "grid limit" in err and checked == []
 
 
 def test_default_and_moderate_bounds_accepted():

@@ -438,9 +438,6 @@ def test_segments_tile_their_chunks_in_window_order(monkeypatch):
     for (a, b), parts in zip(windows, held):
         assert [n0 for n0, _ in parts] == list(accumulate((cy for _, cy in parts[:-1]), initial=a + 1))
         assert sum(cy for _, cy in parts) == b
-    abelian = build_rule("abelian")
-    assert sieve_mod._count_windows(abelian, 1, x, y) == [count_value(abelian, 1, a, b)
-                                                         for a, b in windows]
 
 
 def test_window_lists_near_2_63_and_past_the_r_th_powers():
@@ -585,14 +582,17 @@ def test_kernel_walks_at_the_rule_threshold(monkeypatch):
     passes, hits = [], []
     rulers, exponents = sieve_mod._rulers, sieve_mod._exponents
 
-    class ReadRulers(dict):  # records (p, a) for each strided modulus the kernel iterates
-        def items(self):
-            for p, (q, a, K, ruler) in super().items():
-                passes.append((p, a))
-                yield p, (q, a, K, ruler)
+    class Ruler(np.ndarray):  # records (p, a) at each strided pass, which reads its ruler once
+        def __getitem__(self, key):
+            passes.append(self.modulus)
+            return super().__getitem__(key).view(np.ndarray)
 
     def rulers_spy(values, r, span):
-        return ReadRulers(rulers(values, r, span))
+        spied = {}
+        for p, (q, a, K, ruler) in rulers(values, r, span).items():
+            spied[p] = q, a, K, ruler.view(Ruler)
+            spied[p][3].modulus = p, a
+        return spied
 
     def exponents_spy(n, p, r):
         e = exponents(n, p, r)
