@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import exp, fsum, log
 
 _EM_CUTOFF = 10_000
@@ -20,7 +21,7 @@ def zeta(r: int) -> float:
     if r < 2:
         raise ValueError(f"zeta requires integer r >= 2, got {r}")
     n = _EM_CUTOFF
-    head = fsum(k ** float(-r) for k in range(1, n))
+    head = fsum(map(pow, range(1, n), repeat(float(-r), n - 1)))  # k ** float(-r), k < n
     tail = n ** (1.0 - r) / (r - 1.0) + 0.5 * n ** float(-r) + (r / 12.0) * n ** (-1.0 - r)
     return head + tail
 

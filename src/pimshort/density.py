@@ -60,28 +60,39 @@ _DECIDED = 0.5 - 2.0**-41
 RFullTable = tuple[list[Factorization], np.ndarray, np.ndarray, np.ndarray]
 
 
-def _two_product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's TwoProduct, Veltkamp split."""
-    tx, ty = x * 134217729.0, y * 134217729.0  # 2^27 + 1
-    xh, yh = tx - (tx - x), ty - (ty - y)
-    xl, yl, p = x - xh, y - yh, x * y
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+def _two_product(x: np.ndarray, y: np.ndarray, w) -> None:
+    """Dekker's TwoProduct, Veltkamp split, in the float64 rows w = (p, e, 4 of scratch):
+    p = fl(x y) and p + e = x y exactly."""
+    p, e, xh, yh, xl, yl = w
+    for v, h, lo in ((x, xh, xl), (y, yh, yl)):  # h = t - (t - v) for t = v (2^27 + 1); lo = v - h
+        h -= np.subtract(np.multiply(v, 134217729.0, out=h), v, out=lo)
+        np.subtract(v, h, out=lo)
+    np.multiply(x, y, out=p)
+    np.subtract(np.multiply(xh, yh, out=e), p, out=e)  # ((xh yh - p) + xh yl + xl yh) + xl yl
+    e += np.multiply(xh, yl, out=xh)
+    e += np.multiply(yh, xl, out=yh)
+    e += np.multiply(xl, yl, out=xl)
 
 
-def _reciprocals(n: np.ndarray, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reciprocals(n: np.ndarray, a: np.ndarray, c: np.ndarray,
+                 scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c / (n a) correctly rounded, the mask of terms divided in Python ints), for 0 < a, c < n.
 
     Below 2^53, n a = ph + pl exactly, and the residual of q0 = c / ph gives the
     offset c / (n a) - q0.  Terms with n >= 2^53 or undecided go to Python ints.
+    Every float64 step writes a row of scratch (10 rows of at least n.size), q included.
     """
-    x, y, z = n.astype(np.float64), a.astype(np.float64), c.astype(np.float64)
-    ph, pl = _two_product(x, y)
-    q0 = z / ph
-    t1, t2 = _two_product(q0, ph)
-    d = (((z - t1) - t2) - q0 * pl) / ph  # c / (n a) - q0
-    q = q0 + d
-    e = (q0 - q) + d  # c / (n a) - q; q0 - q is exact
-    slow = (n >= _EXACT) | (np.abs(e) >= _DECIDED * (q - np.nextafter(q, 0.0)))
+    x, y, z, ph, pl, q0, d, q, e, g = scratch[:, :n.size]
+    x[:], y[:], z[:] = n, a, c
+    _two_product(x, y, (ph, pl, d, q, e, g))
+    _two_product(np.divide(z, ph, out=q0), ph, (x, y, d, q, e, g))  # (t1, t2) in (x, y)
+    np.subtract(np.subtract(z, x, out=d), y, out=d)  # (((z - t1) - t2) - q0 pl) / ph
+    d -= np.multiply(q0, pl, out=x)
+    d /= ph  # c / (n a) - q0
+    np.subtract(q0, np.add(q0, d, out=q), out=e)
+    e += d  # c / (n a) - q; q0 - q is exact
+    np.subtract(q, np.nextafter(q, 0.0, out=g), out=g)
+    slow = (n >= _EXACT) | (np.abs(e, out=e) >= np.multiply(g, _DECIDED, out=g))
     i = np.flatnonzero(slow)
     q[i] = [w / (u * v) for u, v, w in zip(n[i].tolist(), a[i].tolist(), c[i].tolist())]
     return q, slow
@@ -127,10 +138,12 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     primes = primes_upto(introot(limit, r))
     power = primes**r
     cap = np.append(limit // power, 0)  # n p_i^r <= limit just when n <= cap[i]
+    most, less, phi = limit // primes, power - 1, power // primes * (primes - 1)  # per prime
     sig = np.array(_SIGNATURE_PRIMES)  # prime(e) at e
     size = int(rfull_count_bound(r, limit)) + 1  # pages never written are never resident
     ns, recips, codes = np.empty(size, np.int64), np.empty(size), np.empty(size, np.int32)
     ns[0], recips[0], codes[0], end = 1, 1.0, 1, 1
+    scratch = np.empty((10, 0))  # _reciprocals's rows, grown to the longest block's children
     stack = [(*np.ones((4, 1), np.int64), np.zeros(1, np.int64))] if cap[0] else []  # n = 1
     while stack:
         n, a, c, q, nxt = stack.pop()
@@ -143,18 +156,21 @@ def rfull_table(r: int, limit: int) -> RFullTable:
             n, a, c, q, nxt, count = (x[:u + 1] for x in (n, a, c, q, nxt, count))
         j, step = _ranges(count)
         i = nxt[j] + step
-        p, ks, cn = primes[i], [np.arange(j.size)], [n[j] * power[i]]
-        while (keep := cn[-1] <= limit // p[ks[-1]]).any():  # the live pairs: one more child n p^e
+        p, ceil, ks, cn = primes[i], most[i], [np.arange(j.size)], [n[j] * power[i]]
+        while (keep := cn[-1] <= ceil[ks[-1]]).any():  # the live pairs: one more child n p^e
             ks.append(ks[-1][keep])
             cn.append(cn[-1][keep] * p[ks[-1]])
         e = np.repeat(np.arange(r, r + len(ks)), [x.size for x in ks])
         k, cn = np.concatenate(ks), np.concatenate(cn)
-        ca, cc = (a[j] * (power[i] - 1))[k], (c[j] * (power[i] // p) * (p - 1))[k]
+        ca, cc = (a[j] * less[i])[k], (c[j] * phi[i])[k]
+        if cn.size > scratch.shape[1]:
+            scratch = np.empty((10, cn.size))
         start, end = end, end + cn.size
-        ns[start:end], recips[start:end] = cn, _reciprocals(cn, ca, cc)[0]
+        ns[start:end], recips[start:end] = cn, _reciprocals(cn, ca, cc, scratch)[0]
         codes[start:end] = cq = q[j][k] * sig[e]  # a child's code: its parent's times prime(e)
         if (inner := np.flatnonzero(cn <= cap[(i + 1)[k]])).size:  # it has a pair of its own
             stack.append(tuple(x[inner] for x in (cn, ca, cc, cq, (i + 1)[k])))
+    del scratch  # its rows would add to the peak of the sort below
     met = np.bincount(codes[:end]) > 0  # one code per signature
     facts = [tuple(zip(_SIGNATURE_PRIMES[1:], _signature_exponents(x)))
              for x in np.flatnonzero(met).tolist()]

@@ -26,6 +26,16 @@ def test_zeta_monotone_to_one():
     assert values[-1] - 1.0 < 1e-8
 
 
+def test_zeta_keeps_the_bits_of_its_generator_form():
+    # The head is summed over map(pow, ...): the same floats, in the same order, as the
+    # generator it replaced, so every zeta(r) keeps its bits.
+    n = 10**4
+    for r in range(2, 65):
+        head = math.fsum(k ** float(-r) for k in range(1, n))
+        tail = n ** (1.0 - r) / (r - 1.0) + 0.5 * n ** float(-r) + (r / 12.0) * n ** (-1.0 - r)
+        assert zeta(r).hex() == (head + tail).hex(), r
+
+
 def test_zeta_validation():
     with pytest.raises(ValueError):
         zeta(1)

@@ -24,7 +24,13 @@ from pimshort.density import (
     weight_harmonic_tail,
     weight_partial_sum,
 )
-from pimshort.factor import _SIGNATURE_PRIMES, eval_rule, factorize, rfull_weights_up_to
+from pimshort.factor import (
+    _SIGNATURE_PRIMES,
+    eval_rule,
+    factorize,
+    primes_upto,
+    rfull_weights_up_to,
+)
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import rfull_multiples_sum
 
@@ -153,12 +159,27 @@ def test_reciprocal_near_a_rounding_midpoint_is_divided_in_python_ints():
     p = 16411
     triples = [(3 * 28059810762433 * 2**6, 107, 2**52 + 1), (p**2, p**2 - 1, p * (p - 1))]
     n, a, c = (np.array(column, dtype=np.int64) for column in zip(*triples))
-    q, slow = density._reciprocals(n, a, c)
+    q, slow = density._reciprocals(n, a, c, np.empty((10, 2)))
     assert slow.tolist() == [True, False]
     assert q.tolist() == [z / (x * y) for x, y, z in triples]
     assert q[0] == 2.0**-7
     for x, y, z in triples:
         assert z / (x * y) != z / float(x * y)
+
+
+def test_reciprocals_reuse_one_scratch_for_a_shorter_block():
+    # rfull_table hands every block one scratch, as wide as its longest block so far: a
+    # shorter block reads only its own columns, whatever an earlier block left past them.
+    primes = primes_upto(1000).tolist()
+    longer = [(p**e, p * p - 1, p * (p - 1)) for p in primes for e in (2, 3, 6)]  # p^6 >= 2^53 too
+    shorter = [(3 * 28059810762433 * 2**6, 107, 2**52 + 1), (16411**2, 16411**2 - 1, 16411 * 16410),
+               (3**38, 8, 6)]
+    scratch = np.empty((10, len(longer)))
+    for triples in (longer, shorter):
+        n, a, c = (np.array(column, dtype=np.int64) for column in zip(*triples))
+        q, slow = density._reciprocals(n, a, c, scratch)
+        assert q.tolist() == [z / (x * y) for x, y, z in triples], len(triples)
+    assert slow.tolist() == [True, False, True]  # undecided, decided, and n >= 2^53
 
 
 def test_count_bound_holds_the_table():
