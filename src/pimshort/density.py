@@ -16,12 +16,13 @@ Every series reads a prefix of one table per r, kept for the process and grown
 to the largest limit asked for: n (int64), 1/psi(n) and the index of n's signature,
 its sorted exponents, in the order of the signature codes prod prime(e); f and h are
 evaluated once per signature.  A depth-first walk over blocks of inner nodes builds
-it in numpy; 1/psi(n) is correctly rounded, and n must fit int64, so a tail block is
-cut below 2^63.  f is a float64 product per signature over the few uint8 exponent columns
-held with the table, and a k finds its signatures by one comparison.  Sums are exactly
-rounded, as math.fsum's: terms split by exponent sum exactly in float64 (Zhu and Hayes,
-ACM TOMS 37(3), 2010).  So the head's sums by signature and exponent and the tail block's sum
-are held for the last bound asked for, and a density adds the head's with f = k.
+it in numpy; 1/psi(n) is correctly rounded in one float64 scratch per walk, grown only for a
+longer block, whose pages stay faulted in from block to block, and n must fit int64, so a
+tail block is cut below 2^63.  f is a float64 product per signature over the few uint8
+exponent columns held with the table, and a k finds its signatures by one comparison.  Sums
+are exactly rounded, as math.fsum's: terms split by exponent sum exactly in float64 (Zhu and
+Hayes, ACM TOMS 37(3), 2010).  So the head's sums by signature and exponent and the tail
+block's sum are held for the last bound asked for, and a density adds the head's with f = k.
 """
 
 from __future__ import annotations
