@@ -27,7 +27,8 @@ one-window list; verify counts its seeded windows by lists.  A window sieves onl
 the primes up to cut = (x+y)^(1/(r+1)), or min((x+y)^(1/r), 2^16) if higher, from the
 shared table.  Each segment starts from a pattern of period 2^5 * 3^3 = 864 that holds
 the factors of 2 and 3 below those powers (the pre-sieve of Pritchard, Comm. ACM 24,
-1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut.  A modulus q = p^a with
+1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut (count_r_free's: p^r for
+every p <= cut), held per r and form to the largest cut met.  A modulus q = p^a with
 at least 64 multiples in a segment, 64 q <= its length, takes one strided pass there,
 by a cached entry (q, a, K, ruler) of g values: v_p of consecutive multiples of q is
 periodic mod p^K below a + K.  So a full 2^20-offset chunk strides 32, 27 and the p^r
@@ -76,6 +77,7 @@ _PACK = 1 << 16
 # hits than a pass's fixed cost.
 _STRIDED_MULTIPLES = 64
 _BASES = {2: 5, 3: 3}  # the exponents of 2 and 3 that the pattern of 2 and 3 leaves to a modulus
+_PERIOD = prod(p**a for p, a in _BASES.items())  # the pattern's period, 2^5 * 3^3 = 864
 
 
 def _check_window(x: int, y: int) -> None:
@@ -160,10 +162,10 @@ def _kernel_tables(rule: ExponentRule, cap: int = 0,
     # the widest unless named (cap runs to 2^32, hence a bounded cache).  The pattern is
     # g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two periods of 864 so that a full period
     # follows every phase.  The factor of 2 is 1 where 2^5 | n and that of 3 where
-    # 3^3 | n: the passes over 32 and 27 apply those.
-    n, gtab = np.arange(2 * 864), np.array([min(v, cap or v) for v in rule.values], dtype)
+    # 3^3 | n: the moduli 32 and 27 apply those.
+    n, gtab = np.arange(2 * _PERIOD), np.array([min(v, cap or v) for v in rule.values], dtype)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
-              for p, a in ((2, 5), (3, 3)))
+              for p, a in _BASES.items())
     pattern = np.minimum(gtab[v2] * gtab[v3], cap) if cap else gtab[v2] * gtab[v3]
     gtab.flags.writeable = pattern.flags.writeable = False
     return gtab, pattern
@@ -192,31 +194,28 @@ def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
     return rulers
 
 
-_held_moduli: dict = {}  # r -> (cut, q, p, base) for the largest cut met at r
+_held_moduli: dict = {}  # (r, bases) -> (cut, q, p, a) for the largest cut met
 
 
-def _moduli(r: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (q, p, base exponent) of the moduli of the primes up to cut at least, ascending in q:
-    # 27, 32 first or between 5^2 and 7^2, then p^r.  So the moduli of the primes up to any
-    # cut lead them (a cut below 5 has x+y < 5^2), as do those a segment strides, and one
-    # table per r, grown to the largest cut met, serves every window: 2.6 MB at r = 2 and
-    # the largest cut, 2^21, and 0.1 MB at any other r, whose cut stays at 2^16.
-    if _held_moduli.get(r, (0,))[0] < cut:
-        primes = primes_upto(cut)
-        q = primes[2:] ** r
-        at = int(np.searchsorted(q, 27))
-        moduli = tuple(np.concatenate((v[:at], np.array(lead, v.dtype), v[at:])) for v, lead in (
-            (q, (27, 32)), (primes[2:], (3, 2)), (np.full(q.size, r, dtype=np.uint8), (3, 5))))
-        for v in moduli:
+def _moduli(r: int, bases: tuple[int, int], cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (q, p, a) of the moduli q = p^a < 2^63 of the primes up to cut at least, ascending in q
+    # (the kernel's 27 and 32 lead, or follow 25 at r = 2), with a = bases at 2 and 3 and r
+    # from 5 on.  So the moduli of the primes up to any cut from 5 on lead them (a lower cut
+    # has x+y < 5^r), as do those a segment strides, and one table per (r, bases), grown to
+    # the largest cut met, serves every window: 2.6 MB at r = 2 and cut 2^21, 0.1 MB at any
+    # other r.  No p^a with a >= 63 fits, so every r from 63 on takes 63's: a fits uint8.
+    r = min(r, 63)
+    if _held_moduli.get((r, bases), (0,))[0] < cut:
+        p = primes_upto(min(cut, introot(MAX_N - 1, r)))[2:]
+        q = p**r
+        leads = sorted((b**a, b, a) for b, a in zip((2, 3), bases) if b**a < MAX_N)
+        at = np.searchsorted(q, [v for v, _, _ in leads])  # each lead at its place: no sort
+        held = [np.insert(v, at, column)
+                for v, column in zip((q, p, np.full(p.size, r, np.uint8)), zip(*leads))]
+        for v in held:
             v.flags.writeable = False
-        _held_moduli[r] = cut, *moduli
-    return _held_moduli[r][1:]
-
-
-def _free_moduli(r: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # count_r_free's moduli, p^r for the primes up to cut with p^r below 2^63, ascending.
-    primes = primes_upto(min(cut, introot(MAX_N - 1, r)))
-    return primes**r, primes, np.full(primes.size, r, dtype=np.uint8)
+        _held_moduli[r, bases] = cut, *held
+    return _held_moduli[r, bases][1:]
 
 
 def _iroots(ends: tuple[int, ...], m: np.ndarray, r: int) -> list[np.ndarray]:
@@ -260,7 +259,7 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
         yield m[prime] * p[prime] ** r - (x + 1), p[prime]
 
 
-def _window_chunks(x: list[int], y: list[int], r: int, moduli=_moduli):
+def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values())):
     """Yield (segments, hit offsets, hit primes, hit base exponents) per chunk of the windows.
 
     The windows (x[i], x[i] + y[i]] lie back to back and each chunk is the next run
@@ -271,11 +270,11 @@ def _window_chunks(x: list[int], y: list[int], r: int, moduli=_moduli):
     window order, and a window's segments over its chunks continue n0 and sum to its y.
     A window sieves with the primes up to cut = max((x+y)^(1/(r+1)),
     min(root_r(x+y), _PRIME_FLOOR), 3): a prime in the table costs one remainder,
-    less than walking its cofactors.  Its moduli ascend: the kernel's are 27, 32 (base
-    exponents 3 and 5) and p^r for 5 <= p <= cut (base r), count_r_free's p^r for
-    every p <= cut.  A segment of length L strides those with 64 q <= L, and every
-    multiple of the others is a hit: one remainder per window over its moduli finds
-    the (window, modulus) pairs with a hit, and the hits of all a pack's pairs are
+    less than walking its cofactors.  Its moduli are _moduli(r, bases), ascending: with
+    the kernel's bases, _BASES', 27, 32 and p^r for 5 <= p <= cut; with count_r_free's,
+    (r, r), p^r for every p <= cut.  A segment of length L strides those with 64 q <= L,
+    and every multiple of the others is a hit: one remainder per window over its moduli
+    finds the (window, modulus) pairs with a hit, and the hits of all a pack's pairs are
     listed at once.  The primes above the cut come from each window's cofactor walk.
     The walk forms (cut+1)^r, cheap as a rule's r is at most its table length; where
     3^r passes int64 the cut is 3, and no step forms a p^r past int64.
@@ -284,7 +283,7 @@ def _window_chunks(x: list[int], y: list[int], r: int, moduli=_moduli):
     cuts = [max(introot(e, r + 1), min(introot(e, r), _PRIME_FLOOR), 3) for e in ends]
     primes = primes_upto(max(cuts))
     counts = np.searchsorted(primes, cuts, "right").tolist()  # primes up to each cut
-    q, bp, base = moduli(r, max(cuts))
+    q, bp, base = _moduli(r, bases, max(cuts))
     groups, load = [[]], 0
     for i, n in enumerate(counts):
         if groups[-1] and load + y[i] + n > min(_PACK, chunk):
@@ -364,8 +363,8 @@ def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0)
         for (_, n0, cy, start), b, e in zip(segments, edges, edges[1:]):
             np.add(off[b:e], n0 - start, out=n[b:e])
             seg = fval[start : start + cy]
-            whole, s = cy - cy % 864, n0 % 864
-            seg[:whole].reshape(-1, 864)[:] = pattern[s : s + 864]
+            whole, s = cy - cy % _PERIOD, n0 % _PERIOD
+            seg[:whole].reshape(-1, _PERIOD)[:] = pattern[s : s + _PERIOD]
             seg[whole:] = pattern[s : s + cy - whole]
             for p, (q, a, K, ruler) in rulers.items():
                 if _STRIDED_MULTIPLES * q > cy:
@@ -410,7 +409,7 @@ def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
     out = list(y)
     if r >= 63:
         return out
-    for segments, off, _, _ in _window_chunks(x, y, r, _free_moduli):
+    for segments, off, _, _ in _window_chunks(x, y, r, (r, r)):
         marked = np.zeros(sum(cy for _, _, cy, _ in segments), dtype=bool)
         for _, n0, cy, start in segments:  # the strided moduli, 64 p^r <= cy
             for q in (p**r for p in primes_upto(introot(cy // _STRIDED_MULTIPLES, r)).tolist()):

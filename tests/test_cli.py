@@ -382,6 +382,17 @@ def test_custom_rule_from_file(tmp_path, capsys):
     assert json.loads(out)["rule"] == "flat"
 
 
+def test_custom_rule_past_uint8_threshold_counts_every_n(tmp_path, capsys):
+    # At r = 300 every n below 2^63 is r-free, and the counting kernel holds no r past uint8.
+    path = tmp_path / "threshold-300.json"
+    path.write_text(json.dumps({"name": "threshold-300", "r": 300, "values": [1] * 300 + [2]}))
+    window = ("--rule", str(path), "--k", "1", "--x", "1e6", "--y", "100")
+    code, out, _ = run_cli(capsys, "interval", *window)
+    assert code == 0 and json.loads(out)["count"] == 100
+    code, out, _ = run_cli(capsys, "table", *window)
+    assert code == 0 and out.splitlines()[1].split(",")[5] == "100"
+
+
 def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "abelian").write_text("not a rule")

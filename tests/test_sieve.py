@@ -304,6 +304,59 @@ def test_primes_below_the_chunk_stay_strided():
     assert chunks[2][2].min() == 127
 
 
+@pytest.mark.parametrize("r", [2, 3, 40, 62])
+def test_one_held_moduli_table_per_r_and_form(r):
+    # The kernel's moduli (the exponents of 2 and 3 that its pattern leaves, _BASES') and
+    # count_r_free's ((r, r)): q = p^a < 2^63 ascending, a the form's exponent at 2 and 3
+    # and r from 5 on, and for every cut c >= 5 the first pi(c) entries are the moduli of
+    # the primes up to c, as _window_chunks reads them.  Each form is held apart.  From
+    # r = 40 on 3^r passes 2^63, so count_r_free's one modulus is 2^r.
+    import pimshort.sieve as sieve_mod
+
+    top = 1 << (21 if r == 2 else 16)
+    forms = (tuple(sieve_mod._BASES.values()), (r, r))
+    held = [sieve_mod._moduli(r, bases, top) for bases in forms]
+    primes = primes_upto(top)
+    cuts = [5, 6, 30, top, *random.Random(r).sample(range(7, top), 12)]
+    for bases, (q, p, a) in zip(forms, held):
+        exponent = dict(zip((2, 3), bases))
+        assert a.dtype == np.uint8 and not any(v.flags.writeable for v in (q, p, a))
+        moduli = list(zip(q.tolist(), p.tolist(), a.tolist()))
+        assert all(m == b**e < MAX_N and e == exponent.get(b, r) for m, b, e in moduli)
+        assert all(m < n for (m, _, _), (n, _, _) in zip(moduli, moduli[1:]))
+        fits = np.array([b for b in primes.tolist() if b ** exponent.get(b, r) < MAX_N])
+        for c in cuts:
+            first = p[: np.searchsorted(primes, c, "right")]
+            assert np.array_equal(np.sort(first), fits[fits <= c]), (bases, c)
+    assert all(x is y for form, bases in zip(held, forms)
+               for x, y in zip(form, sieve_mod._moduli(r, bases, 5)))
+    assert held[0][0] is not held[1][0]
+    if r >= 40:
+        assert [v.tolist() for v in held[1]] == [[2**r], [2], [r]]
+        assert held[0][0].tolist() == [27, 32]
+    if r == 2:  # the kernel's form at the largest cut of any window, 2^21
+        q, p, a = held[0]
+        assert q.size == primes.size == 155_611
+        assert q[:4].tolist() == [25, 27, 32, 49] and a[:4].tolist() == [2, 3, 5, 2]
+        assert q[-1] == int(primes[-1]) ** 2
+
+
+@pytest.mark.parametrize("r", [255, 256, 300, 1000])
+def test_threshold_past_uint8_counts_every_window_r_free(r):
+    # No p^a with a >= 63 lies below 2^63, so under a rule at r >= 63 every window is
+    # r-free, and no modulus carries an exponent past uint8.
+    import pimshort.sieve as sieve_mod
+
+    rule = load_custom_rule(json.dumps({"name": f"threshold-{r}", "r": r, "values": [1] * r + [2]}))
+    x, y = 10**6, 100
+    assert count_value(rule, 1, x, y) == y
+    assert count_value(rule, 2, x, y) == 0
+    assert value_counts(rule, x, y) == {1: y}
+    xs, ys = [0, x, 10**12, MAX_N - 1001], [1, y, 1000, 1000]
+    assert sieve_mod._count_windows(rule, 1, xs, ys) == ys
+    assert sieve_mod._moduli(r, tuple(sieve_mod._BASES.values()), 3)[0].tolist() == [27, 32]
+
+
 @pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
 def test_every_prime_applied_exactly_once(base, starts):
     # Tiny windows against the pure-Python sieve, at every start modulo
