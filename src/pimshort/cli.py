@@ -171,7 +171,9 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
             for x in xs for y in ys
         ]
         for rep in reports:  # no |count - density y| exceeds y, so such a bound says nothing
-            if (rep.term_main + rep.term_mid + rep.term_tail) * float(rep.x) ** args.eps >= rep.y:
+            # x^eps past 2^1023 would overflow, and takes the bound (term_main >= 1) past y
+            x_eps = float(rep.x) ** args.eps if args.eps * math.log2(rep.x) < 1023 else math.inf
+            if (rep.term_main + rep.term_mid + rep.term_tail) * x_eps >= rep.y:
                 print(f"warning: at x={rep.x}, y={rep.y} the error bound (term_main + term_mid"
                       f" + term_tail) x^eps is not below y: it says nothing", file=sys.stderr)
     columns = [f.name for f in fields(IntervalReport)]

@@ -28,12 +28,12 @@ the primes up to cut = (x+y)^(1/(r+1)), or min((x+y)^(1/r), 2^16) if higher, fro
 shared table.  Each segment starts from a pattern of period 2^5 * 3^3 = 864 that holds
 the factors of 2 and 3 below those powers (the pre-sieve of Pritchard, Comm. ACM 24,
 1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut (count_r_free's: p^r for
-every p <= cut), held per r and form to the largest cut met.  A modulus q = p^a with
-at least 64 multiples in a segment, 64 q <= its length, takes one strided pass there,
-by a cached entry (q, a, K, ruler) of g values: v_p of consecutive multiples of q is
-periodic mod p^K below a + K.  So a full 2^20-offset chunk strides 32, 27 and the p^r
-below 2^14.  Every multiple of the other moduli is a hit with its base exponent, 5, 3
-or r, found for a whole pack at once (the bucket sieve of Oliveira e Silva, Herzog and
+every p <= cut), held per r and form to the largest cut met.  A window strides the
+moduli q = p^a with 64 q <= min(y, 2^20) in every chunk, its last too, by a cached entry
+(q, a, K, ruler) of g values looked up once per call: v_p of consecutive multiples of q
+is periodic mod p^K below a + K.  So a window of 2^20 offsets or more strides 32, 27 and
+the p^r up to 2^14.  Every multiple of the other moduli is a hit with its base exponent,
+5, 3 or r, found for a whole pack at once (the bucket sieve of Oliveira e Silva, Herzog and
 Pardi, Math. Comp. 83, 2014).  A prime p above the cut divides n = m p^r only with m
 below (x+y)^(1/(r+1)), so its hits come from each window's cofactor side: for each m,
 the integer points p of a short interval (the hyperbola split of Filaseta and
@@ -52,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import inf, isqrt, prod
+from math import inf, isqrt, log2, prod
 
 import numpy as np
 
@@ -72,9 +72,9 @@ _COFACTOR_BLOCK = 1 << 13
 # and their int64 temporaries stay near 0.5 MB each: packs of up to 2^20 offsets raised the
 # peak RSS of verify --suite all by about 1 MB, to 42.6-42.9 MB.
 _PACK = 1 << 16
-# A modulus q takes a strided pass over a segment of at least 64 q offsets, so a full
-# 2^20-offset chunk strides the q below 2^14; the fewer multiples of a larger q cost less as
-# hits than a pass's fixed cost.
+# A window strides a modulus q in each of its chunks where 64 q <= min(y, 2^20), so a window
+# of 2^20 offsets or more strides the q up to 2^14, in its shorter last chunk too; the fewer
+# multiples of a larger q cost less as hits than a pass's fixed cost.
 _STRIDED_MULTIPLES = 64
 _BASES = {2: 5, 3: 3}  # the exponents of 2 and 3 that the pattern of 2 and 3 leaves to a modulus
 _PERIOD = prod(p**a for p, a in _BASES.items())  # the pattern's period, 2^5 * 3^3 = 864
@@ -173,17 +173,16 @@ def _kernel_tables(rule: ExponentRule, cap: int = 0,
 
 @lru_cache(maxsize=16)
 def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
-    # p -> (q, a, K, ruler) for each modulus q = p^a that can take a strided pass over
-    # segments of at most span offsets (64 q <= span), for g = values, shared by rules whose
-    # clipped tables agree: the c = ceil(span / q) multiples of q read ruler[j] =
-    # g(a + min(v_p(j), K - 1)), j < p^K + c, K the least with p^(2K) >= c.  The dtype holds
-    # every g, as copies take the g at p^(a+K) | n.  16 entries of at most 688,416 bytes
-    # (r = 2, span 2^20, uint32) make 11 MB.
+    # p -> (q, a, K, ruler), in ascending q, for each kernel modulus q = p^a of _moduli that
+    # takes a strided pass in windows of at most span offsets (64 q <= span), for g = values,
+    # shared by rules whose clipped tables agree: the c = ceil(span / q) multiples of q read
+    # ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c, K the least with p^(2K) >= c.  The
+    # dtype holds every g, as copies take the g at p^(a+K) | n.  16 entries of at most
+    # 688,416 bytes (r = 2, span 2^20, uint32) make 11 MB.
+    moduli = _moduli(r, tuple(_BASES.values()), isqrt(span // _STRIDED_MULTIPLES))
+    n = np.searchsorted(moduli[0], span // _STRIDED_MULTIPLES, "right")  # 64 q <= span
     dtype, rulers = np.min_scalar_type(max(values)), {}
-    for p in primes_upto(isqrt(span // _STRIDED_MULTIPLES)).tolist():
-        a = _BASES.get(p, r)
-        if _STRIDED_MULTIPLES * (q := p**a) > span:
-            continue
+    for q, p, a in zip(*(v[:n].tolist() for v in moduli)):
         c = -(-span // q)
         K = next(k for k in range(1, 64) if p ** (2 * k) >= c)
         ruler = np.full(p**K + c, values[a], dtype)
@@ -201,11 +200,12 @@ def _moduli(r: int, bases: tuple[int, int], cut: int) -> tuple[np.ndarray, np.nd
     # (q, p, a) of the moduli q = p^a < 2^63 of the primes up to cut at least, ascending in q
     # (the kernel's 27 and 32 lead, or follow 25 at r = 2), with a = bases at 2 and 3 and r
     # from 5 on.  So the moduli of the primes up to any cut from 5 on lead them (a lower cut
-    # has x+y < 5^r), as do those a segment strides, and one table per (r, bases), grown to
-    # the largest cut met, serves every window: 2.6 MB at r = 2 and cut 2^21, 0.1 MB at any
-    # other r.  No p^a with a >= 63 fits, so every r from 63 on takes 63's: a fits uint8.
+    # has x+y < 5^r, and holds the leads alone), as do the strided ones, 64 q <= min(y, 2^20),
+    # read off the front.  One table per (r, bases), grown to the largest cut met, serves
+    # every window: 2.6 MB at r = 2 and cut 2^21, 0.1 MB at any other r.  No p^a with
+    # a >= 63 fits, so every r from 63 on takes 63's: a fits uint8.
     r = min(r, 63)
-    if _held_moduli.get((r, bases), (0,))[0] < cut:
+    if _held_moduli.get((r, bases), (-1,))[0] < cut:
         p = primes_upto(min(cut, introot(MAX_N - 1, r)))[2:]
         q = p**r
         leads = sorted((b**a, b, a) for b, a in zip((2, 3), bases) if b**a < MAX_N)
@@ -272,10 +272,11 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
     min(root_r(x+y), _PRIME_FLOOR), 3): a prime in the table costs one remainder,
     less than walking its cofactors.  Its moduli are _moduli(r, bases), ascending: with
     the kernel's bases, _BASES', 27, 32 and p^r for 5 <= p <= cut; with count_r_free's,
-    (r, r), p^r for every p <= cut.  A segment of length L strides those with 64 q <= L,
-    and every multiple of the others is a hit: one remainder per window over its moduli
-    finds the (window, modulus) pairs with a hit, and the hits of all a pack's pairs are
-    listed at once.  The primes above the cut come from each window's cofactor walk.
+    (r, r), p^r for every p <= cut.  Each chunk of a window strides those with 64 q <=
+    min(y, DEFAULT_CHUNK), its last too, and every multiple of the others is a hit: one
+    remainder per window over its moduli finds the (window, modulus) pairs with a hit,
+    and the hits of all a pack's pairs are listed at once.  The primes above the cut come
+    from each window's cofactor walk.
     The walk forms (cut+1)^r, cheap as a rule's r is at most its table length; where
     3^r passes int64 the cut is 3, and no step forms a p^r past int64.
     """
@@ -293,20 +294,14 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
         load += y[i] + n
     for group in groups:
         starts = list(accumulate((y[i] for i in group), initial=0))
-        # (first n, length, start, stride length, moduli up to) of each window, and of the
-        # last chunk of a longer one, which strides fewer moduli than its whole chunks.
-        runs = [(x[i] + 1, y[i], t, min(y[i], chunk), counts[i]) for i, t in zip(group, starts)]
-        runs += [(x[i] + 1 + y[i] - rest, rest, t + y[i] - rest, rest,
-                  int(np.searchsorted(q, chunk // _STRIDED_MULTIPLES, "right")))
-                 for i, t in zip(group, starts) if y[i] > chunk and (rest := y[i] % chunk)]
-        lo = np.searchsorted(q, [run[3] // _STRIDED_MULTIPLES for run in runs], "right").tolist()
-        # (modulus, first and last offset) of each pair of a run and a modulus with a hit in it;
-        # the first offset is -n0 mod q, taken on int64 without forming n0 + q.
+        lo = np.searchsorted(q, [min(y[i], chunk) // _STRIDED_MULTIPLES for i in group], "right")
+        # (modulus, first and last offset) of each pair of a window and a modulus past those
+        # it strides, q[lo:], with a hit in it; the first offset is -(x+1) mod q, on int64.
         pairs = []
-        for (n0, size, start, _, hi), a in zip(runs, lo):
-            first = np.remainder(-n0, q[a:hi])
-            i = np.flatnonzero(first < size)
-            pairs.append((a + i, start + first[i], np.full(i.size, start + size - 1)))
+        for w, start, a in zip(group, starts, lo):
+            first = np.remainder(-x[w] - 1, q[a : counts[w]])
+            i = np.flatnonzero(first < y[w])
+            pairs.append((a + i, start + first[i], np.full(i.size, start + y[w] - 1)))
         j, first, last = (np.concatenate(v) for v in zip(*pairs))
         i, step = _ranges((last - first) // q[j] + 1)  # the hits of every pair at once
         j = j[i]
@@ -343,32 +338,32 @@ def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0)
     """Yield (segments, f) per chunk of the windows (x[i], x[i] + y[i]] laid back to back.
 
     The segments (window, n0, length, start) are _window_chunks', and f holds the chunk's
-    values, min(f, cap) if cap > 0.  The accumulator is the narrowest unsigned dtype that
-    holds cap^2, where two clipped values meet, or else the largest signature code in
-    reach and every g: uint16 below 2^46, uint32 above.  Each factor applied at an offset
-    divides its final value.
+    values, min(f, cap) if cap > 0.  The rulers, looked up once per call, stride the moduli
+    of each segment's window, 64 q <= min(y, DEFAULT_CHUNK).  The accumulator is the
+    narrowest unsigned dtype that holds cap^2, where two clipped values meet, or else the
+    largest signature code in reach and every g: uint16 below 2^46, uint32 above.  Each
+    factor applied at an offset divides its final value.
     """
     end = max(a + b for a, b in zip(x, y))
     top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *rule.values)
     gtab, pattern = _kernel_tables(rule, cap, np.min_scalar_type(top))
-    values = tuple(gtab.tolist())
+    span = 1 << (min(max(y), DEFAULT_CHUNK) - 1).bit_length()  # the rulers' length class
+    rulers = _rulers(tuple(gtab.tolist()), rule.r, span)
     for segments, off, hit_primes, bases in _window_chunks(x, y, rule.r):
-        longest = max(cy for _, _, cy, _ in segments)
-        rulers = _rulers(values, rule.r, 1 << (longest - 1).bit_length())
         # Exactly the chunk's values: np.tile's padded 2^20-offset chunk passes 8 MiB, and
         # glibc's moving mmap threshold then kept about 4 MB more resident over verify --suite all.
         fval = np.empty(sum(cy for _, _, cy, _ in segments), dtype=gtab.dtype)
         n = np.empty_like(off)  # the n of each hit, segment by segment
         edges = np.searchsorted(off, [start for *_, start in segments] + [fval.size]).tolist()
-        for (_, n0, cy, start), b, e in zip(segments, edges, edges[1:]):
+        for (w, n0, cy, start), b, e in zip(segments, edges, edges[1:]):
             np.add(off[b:e], n0 - start, out=n[b:e])
             seg = fval[start : start + cy]
             whole, s = cy - cy % _PERIOD, n0 % _PERIOD
             seg[:whole].reshape(-1, _PERIOD)[:] = pattern[s : s + _PERIOD]
             seg[whole:] = pattern[s : s + cy - whole]
             for p, (q, a, K, ruler) in rulers.items():
-                if _STRIDED_MULTIPLES * q > cy:
-                    continue
+                if _STRIDED_MULTIPLES * q > min(y[w], DEFAULT_CHUNK):
+                    break
                 P, s0 = p**K, -n0 % q
                 view = seg[s0::q]
                 h = ruler[(n0 + s0) // q % P :][: view.size]
@@ -409,11 +404,14 @@ def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
     out = list(y)
     if r >= 63:
         return out
+    bounds = [min(v, DEFAULT_CHUNK) // _STRIDED_MULTIPLES for v in y]
+    q = _moduli(r, (r, r), isqrt(max(bounds)))[0]
+    strided = np.searchsorted(q, bounds, "right").tolist()  # 64 q <= min(y, DEFAULT_CHUNK)
     for segments, off, _, _ in _window_chunks(x, y, r, (r, r)):
         marked = np.zeros(sum(cy for _, _, cy, _ in segments), dtype=bool)
-        for _, n0, cy, start in segments:  # the strided moduli, 64 p^r <= cy
-            for q in (p**r for p in primes_upto(introot(cy // _STRIDED_MULTIPLES, r)).tolist()):
-                marked[start + -n0 % q : start + cy : q] = True
+        for w, n0, cy, start in segments:
+            for m in q[: strided[w]].tolist():
+                marked[start + -n0 % m : start + cy : m] = True
         marked[off] = True
         for w, _, cy, start in segments:
             out[w] -= int(np.count_nonzero(marked[start : start + cy]))
@@ -531,9 +529,8 @@ def admissible_window(r: int, x: int, y: int, eps: float) -> bool:
     """Whether x^(1/(2r+1) + eps) <= y <= 4^(-2 r^2) * x, for finite eps > 0."""
     if not 0 < eps < inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    if x < 1:
-        return False
-    return x ** (1.0 / (2 * r + 1) + eps) <= y <= x * 4.0 ** (-2 * r * r)
+    e = 1.0 / (2 * r + 1) + eps  # x^e past 2^1023 would overflow, and exceeds every y < 2^63
+    return x >= 1 and e * log2(x) < 1023 and x ** e <= y <= x * 4.0 ** (-2 * r * r)
 
 
 def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,

@@ -190,19 +190,22 @@ def test_interval_no_warning_for_r3(capsys):
 
 @pytest.mark.parametrize("rule, eps, warned", [
     ("abelian", "0.001", False), ("abelian", "0.01", True),
-    ("powerdiv-r:3", "0.001", False), ("powerdiv-r:3", "0.01", True),
+    ("powerdiv-r:3", "0.001", False), ("powerdiv-r:3", "0.01", True), ("abelian", "30", True),
 ])
 def test_bound_warning_only_where_the_bound_reaches_y(monkeypatch, capsys, rule, eps, warned):
     # At x = 9e18, y = 1e8, (term_main + term_mid + term_tail) x^eps is 0.77 y at r = 2 and
-    # 0.96 y at r = 3 for eps = 0.001, and above y for eps = 0.01.  The count is stubbed:
-    # the warning reads the bound terms alone, and stdout keeps the record's keys.
+    # 0.96 y at r = 3 for eps = 0.001, and above y for eps = 0.01.  At eps = 30, x^eps passes
+    # the float range: the window is not admissible and the bound says nothing.  The count is
+    # stubbed: the warning reads the bound terms alone, and stdout keeps the record's keys.
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "count_value", lambda *args: 0)
+    admissible = "false" if float(eps) > 1 else "true"
     for command in ("interval", "table"):
         code, out, err = run_cli(capsys, command, "--rule", rule, "--k", "1", "--x", "9e18",
                                  "--y", "1e8", "--B", "1e4", "--eps", eps)
-        assert code == 0 and out
+        assert code == 0 and out.rstrip().endswith((f'"admissible": {admissible}}}',
+                                                    f",{admissible}")), (command, out)
         lines = [line for line in err.splitlines() if "-1/126" not in line]
         assert lines == (["warning: at x=9000000000000000000, y=100000000 the error bound"
                           " (term_main + term_mid + term_tail) x^eps is not below y:"

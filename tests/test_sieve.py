@@ -33,6 +33,7 @@ from oracles import (
     count_k_brute,
     count_r_free_brute,
     multiples_sum_brute,
+    squarefull_exponents,
     value_counts_brute,
 )
 
@@ -289,19 +290,58 @@ def test_primes_below_the_chunk_stay_strided():
     # The cut min(sqrt(x+y), 2^16) = 1732 is above sqrt(2^14) = 128; in a full
     # chunk of 2^20 offsets the primes 5 <= p < 128 take the strided path (64 p^2
     # <= 2^20), every larger one up to the cut goes to a bucket, and 2 and 3
-    # (applied by each kernel) to neither.  The last chunk, 902,848 offsets,
-    # strides p^2 <= 14,107 alone: 127^2 comes in as a bucket hit there.
+    # (applied by each kernel) to neither.  The last chunk, 902,848 offsets, strides
+    # the same moduli as the whole ones, 127^2 among them: the window sets the rule.
     import pimshort.sieve as sieve_mod
 
     chunks = list(sieve_mod._window_chunks([0], [3 * 10**6], 2))
     assert [segments for segments, *_ in chunks] == [
         [(0, 1, 1 << 20, 0)], [(0, (1 << 20) + 1, 1 << 20, 0)], [(0, (1 << 21) + 1, 902_848, 0)]]
     strided = sieve_mod._rulers(build_rule("abelian").values, 2, 1 << 20)
-    assert list(strided) == primes_upto(127).tolist()
-    for _, _, hit_primes, bases in chunks[:2]:
-        assert hit_primes.size and hit_primes.min() >= 128 and 131 in hit_primes
+    assert sorted(strided) == primes_upto(127).tolist()
+    for _, _, hit_primes, bases in chunks:
+        assert hit_primes.size and hit_primes.min() == 131
         assert set(bases.tolist()) == {2}
-    assert chunks[2][2].min() == 127
+
+
+@pytest.mark.parametrize("base", [0, 10**12, MAX_N - 2**15], ids=["0", "1e12", "2_63"])
+def test_every_chunk_of_a_window_strides_its_moduli(monkeypatch, base):
+    # With chunks of 2^12 offsets a window of 3 * 2^12 + rest offsets strides the moduli
+    # with 64 q <= 2^12, 25, 27, 32 and 49 at r = 2, in each of its chunks, the last one of
+    # rest offsets too: no chunk lists a hit of those, and every count equals the oracle's.
+    import pimshort.sieve as sieve_mod
+
+    chunk = 1 << 12
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", chunk)
+    ys = [3 * chunk + rest for rest in (1, 63, 700, 4095)]
+    xs = [base] * len(ys)
+    for r in (2, 3):
+        for bases in (tuple(sieve_mod._BASES.values()), (r, r)):
+            for _, _, p, a in sieve_mod._window_chunks(xs, ys, r, bases):
+                assert np.all(sieve_mod._STRIDED_MULTIPLES * p**a > chunk), (r, bases)
+    exponents = squarefull_exponents(base, ys[-1])
+    for rule in builtin_rules():
+        f = [prod(rule.values[a] for a in e) for e in exponents]
+        for y in ys:
+            assert value_counts(rule, base, y) == dict(sorted(Counter(f[:y]).items())), rule.name
+            for k in range(1, 5):
+                assert count_value(rule, k, base, y) == f[:y].count(k), (rule.name, k, y)
+    for r, y in product((2, 3), ys):
+        assert count_r_free(base, y, r) == sum(max(e, default=0) < r for e in exponents[:y])
+
+
+def test_moduli_from_an_empty_holder(monkeypatch):
+    # A cut below 5 holds the leads alone, 27 and 32 for the kernel and 4 and 9 for
+    # count_r_free at r = 2, and a later larger cut grows the table past them.
+    import pimshort.sieve as sieve_mod
+
+    monkeypatch.setattr(sieve_mod, "_held_moduli", {})
+    kernel = tuple(sieve_mod._BASES.values())
+    for cut, (bases, leads) in product((0, 1, 4), {kernel: [27, 32], (2, 2): [4, 9]}.items()):
+        assert sieve_mod._moduli(2, bases, cut)[0].tolist() == leads, (cut, bases)
+    squares = [p * p for p in primes_upto(30).tolist()]
+    assert sieve_mod._moduli(2, kernel, 30)[0].tolist() == sorted([27, 32] + squares[2:])
+    assert sieve_mod._moduli(2, (2, 2), 30)[0].tolist() == squares
 
 
 @pytest.mark.parametrize("r", [2, 3, 40, 62])
@@ -1151,8 +1191,8 @@ def test_rulers_exact_at_the_top_prime_powers(monkeypatch, top):
 
 
 def test_ruler_cache_stays_under_its_bound(monkeypatch):
-    # 300 distinct k over 2^20 + 1000 offsets ask for 600 (rule, cap, span) entries, two
-    # length classes each.  Every ruler handed out is watched: those alive after the calls
+    # 300 distinct k over 2^20 + 1000 offsets ask for 300 (rule, cap, span) entries, one
+    # length class per call.  Every ruler handed out is watched: those alive after the calls
     # are the cache's, and hold no more than the 16 entries of 688,416 bytes its comment
     # bounds it by, 11 MB.
     import gc
@@ -1172,7 +1212,7 @@ def test_ruler_cache_stays_under_its_bound(monkeypatch):
     rule = build_rule("abelian")
     for k in range(1, 301):
         count_value(rule, k, 10**12, (1 << 20) + 1000)
-    assert rulers.cache_info().misses == 600
+    assert rulers.cache_info().misses == 300
     gc.collect()
     held = {id(ruler): ruler.nbytes for ruler in (ref() for ref in watched) if ruler is not None}
     assert 0 < sum(held.values()) <= 16 * 688_416 < 16 << 20
@@ -1287,6 +1327,7 @@ def test_admissible_window():
     assert admissible_window(2, 10**11, 10**6, 0.01)
     assert not admissible_window(2, 10**11, 10**7, 0.01)  # above x * 4^-8
     assert not admissible_window(2, 10**11, 100, 0.01)  # below x^(1/5+eps)
+    assert admissible_window(2, 10**12, 10**6, 30.0) is False  # x^eps past the float range
     for eps in (-3.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps"):
             admissible_window(2, 10**11, 10**6, eps)
