@@ -166,6 +166,8 @@ def load_custom_rule(source: str) -> ExponentRule:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise RuleError(f"custom rule is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise RuleError("custom rule JSON is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise RuleError("custom rule document must be a JSON object")
     for key in ("name", "r", "values"):

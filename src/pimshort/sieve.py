@@ -20,18 +20,19 @@ same steps.
 The kernel counts a list of windows in one pass.  The windows lie back to back: whole
 windows are packed into one chunk while their offsets plus their bucket primes stay
 within _PACK = 2^16, and a longer window takes chunks of DEFAULT_CHUNK = 2^20 offsets
-(1 to 8 MB of accumulator).  Its segments (window, n0, length, start), a window or a
-chunk of a longer one each, tile a chunk in window order, and the counts of each
+(1 to 8 MB of accumulator).  Its segments (window, n0, length, start, strided), a window
+or a chunk of a longer one each, tile a chunk in window order, and the counts of each
 window are read off them.  count_value, value_counts and count_r_free count a
 one-window list; verify counts its seeded windows by lists.  A window sieves only with
 the primes up to cut = (x+y)^(1/(r+1)), or min((x+y)^(1/r), 2^16) if higher, from the
 shared table.  Each segment starts from a pattern of period 2^5 * 3^3 = 864 that holds
 the factors of 2 and 3 below those powers (the pre-sieve of Pritchard, Comm. ACM 24,
 1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut (count_r_free's: p^r for
-every p <= cut), held per r and form to the largest cut met.  A window strides the
-moduli q = p^a with 64 q <= min(y, 2^20) in every chunk, its last too, by a cached entry
-(q, a, K, ruler) of g values looked up once per call: v_p of consecutive multiples of q
-is periodic mod p^K below a + K.  So a window of 2^20 offsets or more strides 32, 27 and
+every p <= cut), held per r and form to the largest cut met.  Once per window, the moduli
+q = p^a with 64 q <= min(y, 2^20) are picked to be strided in every chunk, its last too;
+each segment carries them as `strided`, and the kernel strides them by cached entries
+(p, q, a, K, ruler) of g values looked up once per call: v_p of consecutive multiples of
+q is periodic mod p^K below a + K.  So a window of 2^20 offsets or more strides 32, 27 and
 the p^r up to 2^14.  Every multiple of the other moduli is a hit with its base exponent,
 5, 3 or r, found for a whole pack at once (the bucket sieve of Oliveira e Silva, Herzog and
 Pardi, Math. Comp. 83, 2014).  A prime p above the cut divides n = m p^r only with m
@@ -172,16 +173,16 @@ def _kernel_tables(rule: ExponentRule, cap: int = 0,
 
 
 @lru_cache(maxsize=16)
-def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
-    # p -> (q, a, K, ruler), in ascending q, for each kernel modulus q = p^a of _moduli that
-    # takes a strided pass in windows of at most span offsets (64 q <= span), for g = values,
-    # shared by rules whose clipped tables agree: the c = ceil(span / q) multiples of q read
-    # ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c, K the least with p^(2K) >= c.  The
-    # dtype holds every g, as copies take the g at p^(a+K) | n.  16 entries of at most
-    # 688,416 bytes (r = 2, span 2^20, uint32) make 11 MB.
+def _rulers(values: tuple[int, ...], r: int, span: int) -> tuple:
+    # (p, q, a, K, ruler), ascending in q, for each kernel modulus q = p^a of _moduli that
+    # a window of at most span offsets may stride (64 q <= span; its segments' `strided`
+    # says which), for g = values, shared by rules whose clipped tables agree: the c =
+    # ceil(span / q) multiples of q read ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c,
+    # K the least with p^(2K) >= c.  The dtype holds every g, as copies take the g at
+    # p^(a+K) | n.  16 entries of at most 688,416 bytes (r = 2, span 2^20, uint32) make 11 MB.
     moduli = _moduli(r, tuple(_BASES.values()), isqrt(span // _STRIDED_MULTIPLES))
     n = np.searchsorted(moduli[0], span // _STRIDED_MULTIPLES, "right")  # 64 q <= span
-    dtype, rulers = np.min_scalar_type(max(values)), {}
+    dtype, rulers = np.min_scalar_type(max(values)), []
     for q, p, a in zip(*(v[:n].tolist() for v in moduli)):
         c = -(-span // q)
         K = next(k for k in range(1, 64) if p ** (2 * k) >= c)
@@ -189,8 +190,8 @@ def _rulers(values: tuple[int, ...], r: int, span: int) -> dict:
         for b in range(1, K):  # the multiples of p^b lie among those of p^(b-1)
             ruler[:: p**b] = values[a + b]
         ruler.flags.writeable = False
-        rulers[p] = q, a, K, ruler
-    return rulers
+        rulers.append((p, q, a, K, ruler))
+    return tuple(rulers)
 
 
 _held_moduli: dict = {}  # (r, bases) -> (cut, q, p, a) for the largest cut met
@@ -265,18 +266,19 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
     The windows (x[i], x[i] + y[i]] lie back to back and each chunk is the next run
     of them: whole windows packed while their offsets and bucket primes stay within
     min(_PACK, DEFAULT_CHUNK), or one DEFAULT_CHUNK-offset slice of a longer window.
-    A segment (window, n0, length, start) puts n0, n0 + 1, ... of window i = `window` at
-    the chunk's offsets start, start + 1, ...: a chunk's segments tile it back to back in
-    window order, and a window's segments over its chunks continue n0 and sum to its y.
+    A segment (window, n0, length, start, strided) puts n0, n0 + 1, ... of window i =
+    `window` at the chunk's offsets start, start + 1, ...: a chunk's segments tile it back to
+    back in window order, and a window's segments over its chunks continue n0 and sum to its y.
     A window sieves with the primes up to cut = max((x+y)^(1/(r+1)),
     min(root_r(x+y), _PRIME_FLOOR), 3): a prime in the table costs one remainder,
     less than walking its cofactors.  Its moduli are _moduli(r, bases), ascending: with
     the kernel's bases, _BASES', 27, 32 and p^r for 5 <= p <= cut; with count_r_free's,
-    (r, r), p^r for every p <= cut.  Each chunk of a window strides those with 64 q <=
-    min(y, DEFAULT_CHUNK), its last too, and every multiple of the others is a hit: one
-    remainder per window over its moduli finds the (window, modulus) pairs with a hit,
-    and the hits of all a pack's pairs are listed at once.  The primes above the cut come
-    from each window's cofactor walk.
+    (r, r), p^r for every p <= cut.  The stride rule is evaluated here once per window (and
+    in _rulers for its length class): each segment carries the window's read-only prefix
+    with 64 q <= min(y, DEFAULT_CHUNK) as `strided`, and every multiple of the others is a
+    hit.  One remainder per window over its moduli finds the (window, modulus) pairs with a
+    hit and their hit counts, and the hits of all a pack's pairs are listed at once.  The
+    primes above the cut come from each window's cofactor walk.
     The walk forms (cut+1)^r, cheap as a rule's r is at most its table length; where
     3^r passes int64 the cut is 3, and no step forms a p^r past int64.
     """
@@ -295,18 +297,18 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
     for group in groups:
         starts = list(accumulate((y[i] for i in group), initial=0))
         lo = np.searchsorted(q, [min(y[i], chunk) // _STRIDED_MULTIPLES for i in group], "right")
-        # (modulus, first and last offset) of each pair of a window and a modulus past those
+        # (modulus, first offset, hit count) of each pair of a window and a modulus past those
         # it strides, q[lo:], with a hit in it; the first offset is -(x+1) mod q, on int64.
         pairs = []
         for w, start, a in zip(group, starts, lo):
             first = np.remainder(-x[w] - 1, q[a : counts[w]])
             i = np.flatnonzero(first < y[w])
-            pairs.append((a + i, start + first[i], np.full(i.size, start + y[w] - 1)))
-        j, first, last = (np.concatenate(v) for v in zip(*pairs))
-        i, step = _ranges((last - first) // q[j] + 1)  # the hits of every pair at once
+            pairs.append((a + i, start + first[i], (y[w] - 1 - first[i]) // q[a + i] + 1))
+        j, first, count = (np.concatenate(v) for v in zip(*pairs))
+        i, step = _ranges(count)  # the hits of every pair at once
         j = j[i]
         pieces = [(first[i] + step * q[j], bp[j], base[j])]
-        del i, j, step, pairs  # only the hits are read from here on
+        del i, j, step, count, pairs  # only the hits are read from here on
         for t, g in zip(starts, group):
             pieces += [(t + o, p, np.full(p.size, r, dtype=np.uint8))
                        for o, p in _large_prime_hits(x[g], y[g], r, cuts[g], primes)]
@@ -318,8 +320,8 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
         edges = np.searchsorted(off, range(0, starts[-1] + chunk, chunk)).tolist()
         for c0, (b, e) in zip(range(0, starts[-1], chunk), zip(edges, edges[1:])):
             segments = [(i, x[i] + 1 + max(c0 - t, 0), min(t + y[i], c0 + chunk) - max(t, c0),
-                         max(t - c0, 0))
-                        for i, t in zip(group, starts) if t < c0 + chunk and t + y[i] > c0]
+                         max(t - c0, 0), q[:s]) for i, t, s in zip(group, starts, lo)
+                        if t < c0 + chunk and t + y[i] > c0]
             yield segments, off[b:e] - c0, p[b:e], a[b:e]
 
 
@@ -337,12 +339,12 @@ def _exponents(n: np.ndarray, p: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0):
     """Yield (segments, f) per chunk of the windows (x[i], x[i] + y[i]] laid back to back.
 
-    The segments (window, n0, length, start) are _window_chunks', and f holds the chunk's
-    values, min(f, cap) if cap > 0.  The rulers, looked up once per call, stride the moduli
-    of each segment's window, 64 q <= min(y, DEFAULT_CHUNK).  The accumulator is the
-    narrowest unsigned dtype that holds cap^2, where two clipped values meet, or else the
-    largest signature code in reach and every g: uint16 below 2^46, uint32 above.  Each
-    factor applied at an offset divides its final value.
+    The segments (window, n0, length, start, strided) are _window_chunks', and f holds the
+    chunk's values, min(f, cap) if cap > 0.  A segment strides with the first strided.size
+    rulers, of the same moduli, looked up once per call.  The accumulator is the narrowest
+    unsigned dtype that holds cap^2, where two clipped values meet, or else the largest
+    signature code in reach and every g: uint16 below 2^46, uint32 above.  Each factor
+    applied at an offset divides its final value.
     """
     end = max(a + b for a, b in zip(x, y))
     top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *rule.values)
@@ -352,18 +354,16 @@ def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0)
     for segments, off, hit_primes, bases in _window_chunks(x, y, rule.r):
         # Exactly the chunk's values: np.tile's padded 2^20-offset chunk passes 8 MiB, and
         # glibc's moving mmap threshold then kept about 4 MB more resident over verify --suite all.
-        fval = np.empty(sum(cy for _, _, cy, _ in segments), dtype=gtab.dtype)
+        fval = np.empty(sum(cy for _, _, cy, _, _ in segments), dtype=gtab.dtype)
         n = np.empty_like(off)  # the n of each hit, segment by segment
-        edges = np.searchsorted(off, [start for *_, start in segments] + [fval.size]).tolist()
-        for (w, n0, cy, start), b, e in zip(segments, edges, edges[1:]):
+        edges = np.searchsorted(off, [start for *_, start, _ in segments] + [fval.size]).tolist()
+        for (_, n0, cy, start, strided), b, e in zip(segments, edges, edges[1:]):
             np.add(off[b:e], n0 - start, out=n[b:e])
             seg = fval[start : start + cy]
             whole, s = cy - cy % _PERIOD, n0 % _PERIOD
             seg[:whole].reshape(-1, _PERIOD)[:] = pattern[s : s + _PERIOD]
             seg[whole:] = pattern[s : s + cy - whole]
-            for p, (q, a, K, ruler) in rulers.items():
-                if _STRIDED_MULTIPLES * q > min(y[w], DEFAULT_CHUNK):
-                    break
+            for p, q, a, K, ruler in rulers[: strided.size]:
                 P, s0 = p**K, -n0 % q
                 view = seg[s0::q]
                 h = ruler[(n0 + s0) // q % P :][: view.size]
@@ -391,7 +391,7 @@ def _count_windows(rule: ExponentRule, k: int, x: list[int], y: list[int]) -> li
     out = [0] * len(y)
     for segments, fval in _fvalue_chunks(rule, x, y, k + 1):
         hit = fval == k
-        for w, _, cy, start in segments:
+        for w, _, cy, start, _ in segments:
             out[w] += int(np.count_nonzero(hit[start : start + cy]))
         del hit  # before the next chunk is made
     return out
@@ -404,16 +404,13 @@ def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
     out = list(y)
     if r >= 63:
         return out
-    bounds = [min(v, DEFAULT_CHUNK) // _STRIDED_MULTIPLES for v in y]
-    q = _moduli(r, (r, r), isqrt(max(bounds)))[0]
-    strided = np.searchsorted(q, bounds, "right").tolist()  # 64 q <= min(y, DEFAULT_CHUNK)
     for segments, off, _, _ in _window_chunks(x, y, r, (r, r)):
-        marked = np.zeros(sum(cy for _, _, cy, _ in segments), dtype=bool)
-        for w, n0, cy, start in segments:
-            for m in q[: strided[w]].tolist():
+        marked = np.zeros(sum(cy for _, _, cy, _, _ in segments), dtype=bool)
+        for _, n0, cy, start, strided in segments:
+            for m in strided.tolist():
                 marked[start + -n0 % m : start + cy : m] = True
         marked[off] = True
-        for w, _, cy, start in segments:
+        for w, _, cy, start, _ in segments:
             out[w] -= int(np.count_nonzero(marked[start : start + cy]))
     return out
 
@@ -425,7 +422,7 @@ def _profile_windows(r: int, x: list[int], y: list[int]):
     counted by its runs.
     """
     for segments, fval in _fvalue_chunks(_signature_rule(r), x, y):
-        edges = [start for *_, start in segments] + [fval.size]
+        edges = [start for *_, start, _ in segments] + [fval.size]
         for a, b in zip(edges, edges[1:]):
             fval[a:b].sort()
         new = np.empty(fval.size + 1, dtype=bool)  # where a run starts, and the end

@@ -413,6 +413,14 @@ def test_custom_rule_invalid_exits_2(tmp_path, capsys):
     assert "g(1)" in err
 
 
+def test_custom_rule_nested_too_deeply_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "density", "--rule", str(path), "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
+
+
 def test_custom_rule_fractional_value_exits_2(tmp_path, capsys):
     doc = {"name": "frac", "r": 2, "values": [1, 1, 2.9] + [2] * (ALPHA_MAX - 2)}
     path = tmp_path / "frac.json"

@@ -199,4 +199,7 @@ def test_custom_rule_missing_field():
 def test_custom_rule_bad_json():
     with pytest.raises(RuleError, match="JSON"):
         load_custom_rule("{not json")
+    # json.loads raises RecursionError, not JSONDecodeError, for arrays nested this deep.
+    with pytest.raises(RuleError, match="JSON is nested too deeply"):
+        load_custom_rule("[" * 200_000)
 

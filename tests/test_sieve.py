@@ -291,14 +291,17 @@ def test_primes_below_the_chunk_stay_strided():
     # chunk of 2^20 offsets the primes 5 <= p < 128 take the strided path (64 p^2
     # <= 2^20), every larger one up to the cut goes to a bucket, and 2 and 3
     # (applied by each kernel) to neither.  The last chunk, 902,848 offsets, strides
-    # the same moduli as the whole ones, 127^2 among them: the window sets the rule.
+    # the same moduli as the whole ones, 127^2 among them: the window sets the rule, and
+    # each segment carries the moduli of the rulers, in their order.
     import pimshort.sieve as sieve_mod
 
     chunks = list(sieve_mod._window_chunks([0], [3 * 10**6], 2))
-    assert [segments for segments, *_ in chunks] == [
+    assert [[s[:4] for s in segments] for segments, *_ in chunks] == [
         [(0, 1, 1 << 20, 0)], [(0, (1 << 20) + 1, 1 << 20, 0)], [(0, (1 << 21) + 1, 902_848, 0)]]
     strided = sieve_mod._rulers(build_rule("abelian").values, 2, 1 << 20)
-    assert sorted(strided) == primes_upto(127).tolist()
+    assert sorted(p for p, *_ in strided) == primes_upto(127).tolist()
+    for segments, *_ in chunks:
+        assert [s[4].tolist() for s in segments] == [[q for _, q, *_ in strided]]
     for _, _, hit_primes, bases in chunks:
         assert hit_primes.size and hit_primes.min() == 131
         assert set(bases.tolist()) == {2}
@@ -308,7 +311,9 @@ def test_primes_below_the_chunk_stay_strided():
 def test_every_chunk_of_a_window_strides_its_moduli(monkeypatch, base):
     # With chunks of 2^12 offsets a window of 3 * 2^12 + rest offsets strides the moduli
     # with 64 q <= 2^12, 25, 27, 32 and 49 at r = 2, in each of its chunks, the last one of
-    # rest offsets too: no chunk lists a hit of those, and every count equals the oracle's.
+    # rest offsets too: no chunk lists a hit of those, every segment carries as `strided`
+    # the held table's prefix of them, read-only and with no hit's p^a in it, and every
+    # count equals the oracle's.
     import pimshort.sieve as sieve_mod
 
     chunk = 1 << 12
@@ -317,8 +322,13 @@ def test_every_chunk_of_a_window_strides_its_moduli(monkeypatch, base):
     xs = [base] * len(ys)
     for r in (2, 3):
         for bases in (tuple(sieve_mod._BASES.values()), (r, r)):
-            for _, _, p, a in sieve_mod._window_chunks(xs, ys, r, bases):
+            for segments, _, p, a in sieve_mod._window_chunks(xs, ys, r, bases):
                 assert np.all(sieve_mod._STRIDED_MULTIPLES * p**a > chunk), (r, bases)
+                held = sieve_mod._moduli(r, bases, 0)[0]  # the whole table held for (r, bases)
+                for w, _, _, _, strided in segments:
+                    prefix = held[sieve_mod._STRIDED_MULTIPLES * held <= min(ys[w], chunk)]
+                    assert strided.tolist() == prefix.tolist(), (r, bases, w)
+                    assert not strided.flags.writeable and not np.isin(p**a, strided).any()
     exponents = squarefull_exponents(base, ys[-1])
     for rule in builtin_rules():
         f = [prod(rule.values[a] for a in e) for e in exponents]
@@ -521,9 +531,9 @@ def test_segments_tile_their_chunks_in_window_order(monkeypatch):
     x, y = (list(v) for v in zip(*windows))
     order, held = [], [[] for _ in windows]  # window of each segment; (n0, length) per window
     for segments, fval in sieve_mod._fvalue_chunks(build_rule("abelian"), x, y, 2):
-        ends = list(accumulate((cy for _, _, cy, _ in segments), initial=0))
-        assert [start for *_, start in segments] == ends[:-1] and ends[-1] == fval.size
-        for w, n0, cy, _ in segments:
+        ends = list(accumulate((cy for _, _, cy, _, _ in segments), initial=0))
+        assert [start for *_, start, _ in segments] == ends[:-1] and ends[-1] == fval.size
+        for w, n0, cy, _, _ in segments:
             order.append(w)
             held[w].append((n0, cy))
     assert order == sorted(order) and set(order) == set(range(len(windows)))
@@ -681,11 +691,11 @@ def test_kernel_walks_at_the_rule_threshold(monkeypatch):
             return super().__getitem__(key).view(np.ndarray)
 
     def rulers_spy(values, r, span):
-        spied = {}
-        for p, (q, a, K, ruler) in rulers(values, r, span).items():
-            spied[p] = q, a, K, ruler.view(Ruler)
-            spied[p][3].modulus = p, a
-        return spied
+        spied = []
+        for p, q, a, K, ruler in rulers(values, r, span):
+            spied.append((p, q, a, K, ruler.view(Ruler)))
+            spied[-1][4].modulus = p, a
+        return tuple(spied)
 
     def exponents_spy(n, p, r):
         e = exponents(n, p, r)
@@ -1166,25 +1176,39 @@ def _tier_rule(top_value):
 
 @pytest.mark.parametrize("top", _TOP_POWERS.values(), ids=_TOP_POWERS.keys())
 def test_rulers_exact_at_the_top_prime_powers(monkeypatch, top):
-    # top = p^e, the highest power of p below 2^63, is the one multiple of a high p^(a+K)
-    # in its window, and its g lies far above the g on the ruler of p: the strided pass
-    # writes it into a copy of the ruler's slice, which must hold every g of the table.
-    # With chunks of 128 the window (top - 140, top + 20] ends in a short chunk of 32
-    # offsets that holds top.  The tier rules count k = g(e) on the uint8, uint16, uint32
-    # and uint64 accumulators and the signature profile; abelian at 2^62 on uint64, plane
-    # and the huge rule on the signature profile.  Each against factorize, and at y = 1.
+    # top = p^e, the highest power of p below 2^63, is the one multiple of p^e in its
+    # window, and its g lies far above the g on the ruler of p: the strided pass writes
+    # the g at each p^(a+K) | n, top's among them, into a copy of the ruler's slice, which
+    # must hold every g of the table.  With chunks of 4096 the window (top - 2400, top + 760]
+    # is one chunk of 3160 offsets, so at r = 2 it strides q = p^a for 2^5, 3^3, 5^2 and
+    # 7^2 alike (64 q <= 3136), and a spy sees the copy's exponents taken in the segment
+    # that holds top wherever p's modulus is strided (at r = 3, 5^3 and 7^3 are hits).  The
+    # tier rules count k = g(e) on the uint8, uint16, uint32 and uint64 accumulators and
+    # the signature profile; abelian at 2^62 on uint64, plane and the huge rule on the
+    # signature profile.  Each against squarefull_exponents, and at y = 1.
     import pimshort.sieve as sieve_mod
 
-    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 128)
-    x, y = top - 140, 160
-    exponents = [[a for _, a in factorize(n)] for n in range(x + 1, x + y + 1)]
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 4096)
+    x, y, at = top - 2400, 3160, 2399  # top is n = x + 1 + at
+    p = next(b for b in (2, 3, 5, 7) if top % b == 0)
+    copies, copy_exponents = [], sieve_mod._small_prime_exponents
+
+    def copy_spy(b, n0, cy, a):
+        copies.append((b, n0, cy))
+        return copy_exponents(b, n0, cy, a)
+
+    monkeypatch.setattr(sieve_mod, "_small_prime_exponents", copy_spy)
+    exponents = squarefull_exponents(x, y)
     tiers = [_tier_rule(t) for t in (14, 254, 65534, 2**32 - 2, 2**32 - 1)]
     named = [build_rule(name) for name in ("abelian", "plane", "powerdiv-r:3")] + [_huge_rule()]
     for rule in tiers + named:
         f = [prod(rule.values[a] for a in e) for e in exponents]
-        assert f.count(f[139]) == 1, rule.name
-        assert count_value(rule, f[139], x, y) == 1, rule.name
-        assert count_value(rule, f[139], top - 1, 1) == 1, rule.name
+        assert f.count(f[at]) == 1, rule.name
+        copies.clear()
+        assert count_value(rule, f[at], x, y) == 1, rule.name
+        strided = sieve_mod._STRIDED_MULTIPLES * p ** sieve_mod._BASES.get(p, rule.r) <= y
+        assert any(b == p and n0 <= top < n0 + cy for b, n0, cy in copies) == strided, rule.name
+        assert count_value(rule, f[at], top - 1, 1) == 1, rule.name
     for rule in named:
         f = [prod(rule.values[a] for a in e) for e in exponents]
         assert value_counts(rule, x, y) == dict(sorted(Counter(f).items())), rule.name
@@ -1204,7 +1228,7 @@ def test_ruler_cache_stays_under_its_bound(monkeypatch):
 
     def rulers_spy(*key):
         out = rulers(*key)
-        watched.extend(weakref.ref(ruler) for *_, ruler in out.values())
+        watched.extend(weakref.ref(ruler) for *_, ruler in out)
         return out
 
     rulers.cache_clear()
