@@ -1,5 +1,7 @@
 """Exact factorization and pointwise evaluation of rule-valued functions.
 
+factorize covers every n < 2^32 and every squarefull n < 2^63 (the r-full
+rows) by trial division and a square or cube root, and refuses the rest.
 Every operation here is a pure function of immutable inputs.  The prime
 table is grown on demand by primes_upto alone; it and the per-rule tables of
 rows, built once and held as tuples, are read-only, so concurrent use is
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -83,63 +85,15 @@ def introot(n: int, r: int) -> int:
     return x
 
 
-# Miller-Rabin with these bases is deterministic for n < 3.3e24 > MAX_N.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    # n is odd and has no prime factor below 2^16.
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        v = pow(a, d, n)
-        if v in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            v = v * v % n
-            if v == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    # A proper factor of the odd composite n, by Pollard-Brent rho.
-    c = 0
-    while True:
-        c += 1
-        v, saved, q, g, run = 2, 2, 1, 1, 1
-        while g == 1:
-            x = v
-            for _ in range(run):
-                v = (v * v + c) % n
-            for k in range(0, run, 128):
-                saved = v
-                for _ in range(min(128, run - k)):
-                    v = (v * v + c) % n
-                    q = q * abs(x - v) % n
-                g = gcd(q, n)
-                if g != 1:
-                    break
-            run *= 2
-        if g == n:  # the batch overshot: step again from its start
-            g = 1
-            while g == 1:
-                saved = (saved * saved + c) % n
-                g = gcd(abs(x - saved), n)
-        if g != n:
-            return g
-
-
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization; () for n = 1.
+    """Exact prime factorization of every n < 2^32 and every squarefull n < 2^63; () for n = 1.
 
     Trial division by the primes up to 2^16 needs no shared prime table
-    larger than its first size, whatever n is.  What is left has no prime
-    factor below 2^16: it is split by Pollard-Brent rho, and its parts are
-    proven prime by a deterministic Miller-Rabin test.
+    larger than its first size.  It leaves a cofactor m with no prime factor
+    up to 2^16: below 2^32, m is 1 or a prime; at or above 2^32, m is taken
+    only as the square or cube of an integer, which lies below 2^32 and so is
+    a prime.  Two primes past 2^16, each at least squared, pass 2^64, so
+    every squarefull n leaves such an m.  Any other m raises ValueError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -157,15 +111,16 @@ def factorize(n: int) -> Factorization:
             m //= p
             e += 1
         pairs.append((p, e))
-    rest, parts = [m] if m > 1 else [], []
-    while rest:
-        c = rest.pop()
-        if c < _PRIME_FLOOR**2 or _is_prime(c):
-            parts.append(c)
-        else:
-            d = _rho_factor(c)
-            rest += [d, c // d]
-    pairs += sorted(Counter(parts).items())
+    if m < _PRIME_FLOOR**2:
+        if m > 1:
+            pairs.append((m, 1))
+    elif (root := isqrt(m)) ** 2 == m:
+        pairs.append((root, 2))
+    elif (root := introot(m, 3)) ** 3 == m:
+        pairs.append((root, 3))
+    else:
+        raise ValueError(f"factorize covers n < 2**32 and squarefull n < 2**63; {n} leaves the"
+                         f" cofactor {m}, neither a prime below 2**32 nor a prime's square or cube")
     return tuple(pairs)
 
 

@@ -8,6 +8,8 @@ programming, so that agreement is meaningful.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
+from functools import lru_cache
 from math import fsum, gcd, isqrt
 
 import numpy as np
@@ -82,6 +84,96 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         pairs.append((m, 1))
     return tuple(pairs)
+
+
+@lru_cache(maxsize=None)
+def _small_primes() -> list[int]:
+    # The primes below 2^16 from a plain list sieve, not the library's prime table.
+    flags = [True] * (1 << 16)
+    for p in range(2, 1 << 8):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, 1 << 16, p))
+    return [p for p in range(2, 1 << 16) if flags[p]]
+
+
+# Miller-Rabin with the first twelve prime bases is deterministic for n < 3.18e23
+# (Sorenson and Webster, Math. Comp. 86, 2017), which covers every n < 2^63.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    # n is odd and has no prime factor below 2^16.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        v = pow(a, d, n)
+        if v in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            v = v * v % n
+            if v == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    # A proper factor of the odd composite n, by Pollard-Brent rho.
+    c = 0
+    while True:
+        c += 1
+        v, saved, q, g, run = 2, 2, 1, 1, 1
+        while g == 1:
+            x = v
+            for _ in range(run):
+                v = (v * v + c) % n
+            for k in range(0, run, 128):
+                saved = v
+                for _ in range(min(128, run - k)):
+                    v = (v * v + c) % n
+                    q = q * abs(x - v) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            run *= 2
+        if g == n:  # the batch overshot: step again from its start
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def rho_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Exact factorization of any 1 <= n < 2^63, whatever its cofactor.
+
+    Trial division by the primes below 2^16, then Pollard-Brent rho splits what
+    is left, and a deterministic Miller-Rabin test proves its parts prime.
+    """
+    assert 1 <= n < MAX_N, n
+    pairs = []
+    m = n
+    for p in _small_primes():
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+    rest, parts = [m] if m > 1 else [], []
+    while rest:
+        c = rest.pop()
+        if c < 1 << 32 or _is_prime(c):
+            parts.append(c)
+        else:
+            d = _rho_factor(c)
+            rest += [d, c // d]
+    return tuple(pairs + sorted(Counter(parts).items()))
 
 
 def exponent_divisor_counts(a: int) -> tuple[int, int]:

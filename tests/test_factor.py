@@ -10,6 +10,7 @@ import pytest
 from pimshort import factor
 from pimshort.density import rfull_factorizations
 from pimshort.factor import (
+    MAX_N,
     _local_weights,
     eval_rule,
     factorize,
@@ -20,7 +21,7 @@ from pimshort.factor import (
 from pimshort.rules import build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import count_r_free
 
-from oracles import h_brute, mu_r_inverse_brute, trial_factorize
+from oracles import h_brute, mu_r_inverse_brute, rfull_flags, rho_factorize, trial_factorize
 
 # The five families, three powerdiv thresholds and a custom rule with g far above 2^alpha.
 LOCAL_WEIGHT_RULES = builtin_rules() + tuple(
@@ -67,6 +68,62 @@ def test_factorize_errors():
         factorize(2**63)
 
 
+REFUSED = "neither a prime below 2\\*\\*32 nor a prime's square or cube"
+
+
+def _covered(fact):
+    # factorize's contract, read off an exact factorization: the part of n with no prime
+    # factor up to 2^16 is below 2^32 (1 or a prime), or a prime's square or cube.
+    big = [(p, e) for p, e in fact if p > 1 << 16]
+    return prod(p**e for p, e in big) < 1 << 32 or (len(big) == 1 and big[0][1] in (2, 3))
+
+
+def test_factorize_reads_a_square_or_cube_cofactor_and_a_prime_below_2_32():
+    cases = {
+        3_037_000_493**2: ((3_037_000_493, 2),),  # the largest prime square below 2^63
+        2_097_143**3: ((2_097_143, 3),),  # the largest prime cube below 2^63
+        4 * 1_518_500_213**2: ((2, 2), (1_518_500_213, 2)),
+        3 * 5**7 * 3_037_000_493: ((3, 1), (5, 7), (3_037_000_493, 1)),
+        4_294_967_291: ((4_294_967_291, 1),),  # the largest prime below 2^32
+    }
+    for n, expected in cases.items():
+        assert n < MAX_N and rho_factorize(n) == expected, n
+        assert factorize(n) == expected, n
+    # Each prime is the largest of its kind: no prime lies between it and its top.
+    for p, top in ((3_037_000_493, isqrt(MAX_N - 1)), (2_097_143, introot(MAX_N - 1, 3)),
+                   (1_518_500_213, isqrt((MAX_N - 1) // 4)), (4_294_967_291, 2**32 - 1)):
+        assert all(rho_factorize(q) != ((q, 1),) for q in range(p + 1, top + 1)), p
+
+
+def test_factorize_refuses_any_other_cofactor_past_2_32():
+    for n in (2**61 - 1, 2**62 - 57, 1_000_000_007 * 998_244_353, 65537 * 131071 * 1000003):
+        assert not _covered(rho_factorize(n)), n
+        with pytest.raises(ValueError, match=REFUSED):
+            factorize(n)
+
+
+def test_factorize_squarefull_n_with_a_prime_past_2_16():
+    # n = m p^e: m squarefull up to 10^6, e = 2 or 3 and p a prime past 2^16, so trial
+    # division leaves the cofactor p^e.  Each n is squarefull and below 2^63.
+    rng = random.Random(56)
+    squarefull = np.flatnonzero(rfull_flags(10**6, 2)).tolist()
+    small = {e: [m for m in squarefull if m * 65537**e < MAX_N] for e in (2, 3)}
+    for _ in range(200):
+        e = rng.choice((2, 3))
+        m = rng.choice(small[e])
+        p = rng.randrange(65537, introot((MAX_N - 1) // m, e) + 1)
+        while rho_factorize(p) != ((p, 1),):
+            p -= 1
+        assert factorize(m * p**e) == trial_factorize(m) + ((p, e),), (m, p, e)
+
+
+@pytest.mark.parametrize("r, rows", [(6, 21_917), (10, 1_625), (20, 125)])
+def test_rfull_rows_to_2_63_match_the_oracle(r, rows):
+    facts = rfull_factorizations(r, MAX_N - 1)
+    assert len(facts) == rows
+    assert all(fact == rho_factorize(n) for n, fact in facts)
+
+
 def test_factorize_against_trial_division():
     rng = random.Random(20240917)
     for _ in range(300):
@@ -84,16 +141,19 @@ def test_factorize_grows_the_prime_table_only_as_the_cofactor_needs(monkeypatch)
     assert len(rows) == 1625
     assert all(fact == trial_factorize(n) for n, fact in rows)
     assert factor._prime_limit <= 2**17
-    # 65537 and 131071 lie past the first table; rho splits them off and
-    # the table keeps its first size.
+    # 65537 and 131071 lie past the first table, and the cofactor 65537 131071 1000003
+    # is refused; the table keeps its first size.
     n = 65537 * 131071 * 1000003
-    assert factorize(n) == trial_factorize(n)
+    assert rho_factorize(n) == trial_factorize(n)
+    with pytest.raises(ValueError, match=REFUSED):
+        factorize(n)
     assert factor._prime_limit == 2**16
 
 
 def test_factorize_large_cofactors_without_growing_the_table(monkeypatch):
-    # Each n has no prime factor below 2^16 and a cofactor far past the
-    # table, which trial division alone would have to grow to isqrt(n).
+    # Each n has a cofactor past the table, which trial division alone would have
+    # to grow to isqrt(n).  A square or a prime below 2^32 is read; the rest, neither,
+    # are refused.
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(factor, "_prime_limit", 1)
     factor._trial_primes.cache_clear()
@@ -106,8 +166,14 @@ def test_factorize_large_cofactors_without_growing_the_table(monkeypatch):
     }
     start = time.perf_counter()
     for n, expected in cases.items():
-        assert factorize(n) == expected, n
+        assert rho_factorize(n) == expected, n
+        if _covered(expected):
+            assert factorize(n) == expected, n
+        else:
+            with pytest.raises(ValueError, match=REFUSED):
+                factorize(n)
     assert time.perf_counter() - start < 1.0
+    assert sum(map(_covered, cases.values())) == 2
     assert factor._prime_limit <= 2**17
 
 
@@ -117,12 +183,18 @@ def test_warm_factorize_builds_no_prime_list(monkeypatch):
     monkeypatch.setattr(factor, "_prime_array", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(factor, "_prime_limit", 1)
     factor._trial_primes.cache_clear()
-    factorize(2**62 - 57)
+    with pytest.raises(ValueError, match=REFUSED):
+        factorize(2**62 - 57)
     calls = []
     monkeypatch.setattr(factor, "primes_upto", lambda limit: calls.append(limit) or [])
     rng = random.Random(65537)
     for n in [rng.randrange(1, 10**12) for _ in range(1000)]:
-        assert prod(p**e for p, e in factorize(n)) == n
+        fact = rho_factorize(n)
+        if _covered(fact):
+            assert factorize(n) == fact and prod(p**e for p, e in fact) == n
+        else:
+            with pytest.raises(ValueError, match=REFUSED):
+                factorize(n)
     assert calls == []
     assert factor._prime_limit <= 2**17
 

@@ -33,13 +33,14 @@ from oracles import (
     count_k_brute,
     count_r_free_brute,
     multiples_sum_brute,
+    rho_factorize,
     squarefull_exponents,
     value_counts_brute,
 )
 
 
 def _squarefull_part(m):
-    return tuple((p, e) for p, e in factorize(m) if e >= 2)
+    return tuple((p, e) for p, e in rho_factorize(m) if e >= 2)
 
 
 def _huge_rule():
@@ -73,7 +74,7 @@ def test_segment_recomposition_high_base():
         assert n % part == 0
         rest = n // part
         assert all(rest % p for p, _ in f)
-        assert all(e == 1 for _, e in factorize(rest))
+        assert all(e == 1 for _, e in rho_factorize(rest))
         assert f == _squarefull_part(n)
 
 
@@ -545,7 +546,7 @@ def test_segments_tile_their_chunks_in_window_order(monkeypatch):
 
 def test_window_lists_near_2_63_and_past_the_r_th_powers():
     # Windows around p^2 and 2 p^2 near 2^63, p above the cut, take their hits from the
-    # cofactor side at their own offsets in the list, against factorize.  At r = 40, 2^40
+    # cofactor side at their own offsets in the list, against rho_factorize.  At r = 40, 2^40
     # is the one multiple of a 40th power: 2^r > x+y in the windows below it.
     import pimshort.sieve as sieve_mod
 
@@ -585,11 +586,11 @@ def test_prime_square_product_across_the_cut(monkeypatch, p):
 
 
 def _factorized_window(x, y):
-    return [factorize(n) for n in range(x + 1, x + y + 1)]
+    return [rho_factorize(n) for n in range(x + 1, x + y + 1)]
 
 
 def test_window_ending_at_2_63_for_every_rule(monkeypatch):
-    # Two chunks of 1000 offsets below 2^63 - 1, against factorize.
+    # Two chunks of 1000 offsets below 2^63 - 1, against rho_factorize.
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 1000)
@@ -606,7 +607,7 @@ def test_window_ending_at_2_63_for_every_rule(monkeypatch):
 
 
 def _prime_at_or_below(v):
-    while factorize(v) != ((v, 1),):
+    while rho_factorize(v) != ((v, 1),):
         v -= 1
     return v
 
@@ -614,7 +615,7 @@ def _prime_at_or_below(v):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_large_prime_powers_near_2_63(monkeypatch, r):
     # A multiple of p^r just above (x+y)^(1/(r+1)), and one of the largest
-    # p^r below 2^63, each in a window near 2^63, against factorize; with
+    # p^r below 2^63, each in a window near 2^63, against rho_factorize; with
     # the cut at that root and with its floor of 2^16 (at r = 4 the floor
     # puts every prime in the buckets).  The rules are the five families at
     # r = 2 and powerdiv-r:r above it, whose kernel walks the same p^r.
@@ -643,7 +644,7 @@ def test_window_ends_on_a_large_prime_power(r, top):
     # x + y = m p^r is counted, with p prime above the cut and m at 1 and at
     # the first cofactor of the second block (3 where the walk stops before it).
     # Each end's root is an exact integer, where the float root meets the
-    # near-integer test.  Against factorize.
+    # near-integer test.  Against rho_factorize.
     import pimshort.sieve as sieve_mod
 
     rule = build_rule("abelian" if r == 2 else f"powerdiv-r:{r}")
@@ -653,7 +654,7 @@ def test_window_ends_on_a_large_prime_power(r, top):
         p = _prime_at_or_below(introot((top - y) // m, r))
         assert p > cut
         n = m * p**r
-        assert dict(factorize(n))[p] >= r
+        assert dict(rho_factorize(n))[p] >= r
         for x in (n, n - y):
             expected = Counter(eval_rule(rule, f) for f in _factorized_window(x, y))
             assert value_counts(rule, x, y) == dict(sorted(expected.items())), (m, x)
@@ -664,7 +665,7 @@ def test_window_ends_on_a_large_prime_power(r, top):
 def test_rule_thresholds_past_the_int64_powers(r):
     # At r >= 40, 3^r passes int64 and the cut is 3; 2^62 is the one 40th
     # (and 62nd) power in these windows, where powerdiv-r:40 and :62 take
-    # f = 2.  Against factorize, at 1e6, around 2^62 and ending at 2^63 - 1.
+    # f = 2.  Against rho_factorize, at 1e6, around 2^62 and ending at 2^63 - 1.
     rule = build_rule(f"powerdiv-r:{r}")
     for x, y in ((10**6, 1000), (2**62 - 50, 100), (MAX_N - 101, 100)):
         expected = Counter(eval_rule(rule, f) for f in _factorized_window(x, y))
@@ -1100,7 +1101,7 @@ def test_signature_bounded_by_n_and_decoded_to_its_exponents():
                 square * 2**7, square * 3**4, square * 2**2 * 3**2 * 5]
     assert all(n < MAX_N for n in extremes)
     for n in extremes:
-        exponents = sorted(a for _, a in factorize(n))
+        exponents = sorted(a for _, a in rho_factorize(n))
         for r in (2, 3):
             code = _signature_code(r, n)
             assert 1 <= code and 32 * code**2 <= 121 * n, (n, r)
