@@ -30,11 +30,13 @@ the factors of 2 and 3 below those powers (the pre-sieve of Pritchard, Comm. ACM
 1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut (count_r_free's: p^r for
 every p <= cut), held per r and form to the largest cut met.  Once per window, the moduli
 q = p^a with 64 q <= min(y, 2^20) are picked to be strided in every chunk, its last too;
-each segment carries them as `strided`, and the kernel strides them by cached entries
-(p, q, a, K, ruler) of g values looked up once per call: v_p of consecutive multiples of
-q is periodic mod p^K below a + K.  So a window of 2^20 offsets or more strides 32, 27 and
-the p^r up to 2^14.  Every multiple of the other moduli is a hit with its base exponent,
-5, 3 or r, found for a whole pack at once (the bucket sieve of Oliveira e Silva, Herzog and
+each segment carries them as `strided`, and the kernel strides them by rulers (p, q, a, K,
+ruler) of g values: v_p of consecutive multiples of q is periodic mod p^K below a + K.  So a
+window of 2^20 offsets or more strides 32, 27 and the p^r up to 2^14.  One cached entry per
+g(0..62), clip, r, dtype and length class holds the rulers, the g table and the pattern, looked
+up once per call: no n < 2^63 has an exponent past 62, so the rest of a rule's table costs a
+call nothing.  Every multiple of the other moduli is a hit with its base exponent, 5, 3
+or r, found for a whole pack at once (the bucket sieve of Oliveira e Silva, Herzog and
 Pardi, Math. Comp. 83, 2014).  A prime p above the cut divides n = m p^r only with m
 below (x+y)^(1/(r+1)), so its hits come from each window's cofactor side: for each m,
 the integer points p of a short interval (the hyperbola split of Filaseta and
@@ -48,6 +50,7 @@ are exact integers.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -131,7 +134,6 @@ def _small_prime_exponents(p: int, n0: int, y: int, a: int) -> tuple[int, np.nda
     return s0, e
 
 
-@lru_cache(maxsize=None)
 def _signature_rule(r: int) -> ExponentRule:
     # sigma_r as a rule: g(alpha) = prime(alpha) from r on, for every exponent of an n < 2^63.
     return ExponentRule(f"signature-r{r}", r, (1,) * r + _SIGNATURE_PRIMES[r:])
@@ -156,42 +158,35 @@ def _fold(rule: ExponentRule, codes) -> dict:
     return dict(sorted(counts.items()))
 
 
-@lru_cache(maxsize=1 << 10)
-def _kernel_tables(rule: ExponentRule, cap: int = 0,
-                   dtype: np.dtype = np.dtype(np.uint64)) -> tuple[np.ndarray, np.ndarray]:
-    # g, or min(g, cap) if cap > 0, and the pattern of 2 and 3, in the accumulator's dtype,
-    # the widest unless named (cap runs to 2^32, hence a bounded cache).  The pattern is
-    # g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727, two periods of 864 so that a full period
-    # follows every phase.  The factor of 2 is 1 where 2^5 | n and that of 3 where
-    # 3^3 | n: the moduli 32 and 27 apply those.
-    n, gtab = np.arange(2 * _PERIOD), np.array([min(v, cap or v) for v in rule.values], dtype)
+@lru_cache(maxsize=16)
+def _kernel_tables(g: tuple[int, ...], cap: int, r: int, dtype: np.dtype, span: int) -> tuple:
+    # (gtab, pattern, rulers), read-only, from g = g(0..62) clipped at cap if cap > 0: all of
+    # g that an n < 2^63 reads, so rules whose g(0..62) agree share an entry.  gtab and the
+    # pattern of 2 and 3, g(v_2(n)) * g(v_3(n)) at n = 0 .. 1727 (two periods of 864, so a
+    # full period follows every phase; 2^5 | n and 3^3 | n take 1, left to the moduli 32 and
+    # 27), are in the accumulator's dtype.  rulers holds (p, q, a, K, ruler), ascending in q,
+    # for each kernel modulus q = p^a of _moduli that a window of at most span offsets may
+    # stride (64 q <= span; its segments' `strided` says which): the c = ceil(span / q)
+    # multiples of q read ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c, K the least with
+    # p^(2K) >= c, in a dtype that holds every g, as copies take the g at p^(a+K) | n.  16
+    # entries of at most 688,416 bytes of rulers (r = 2, span 2^20, uint32) make 11 MB.
+    n, gtab = np.arange(2 * _PERIOD), np.array(g, dtype)
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
               for p, a in _BASES.items())
     pattern = np.minimum(gtab[v2] * gtab[v3], cap) if cap else gtab[v2] * gtab[v3]
-    gtab.flags.writeable = pattern.flags.writeable = False
-    return gtab, pattern
-
-
-@lru_cache(maxsize=16)
-def _rulers(values: tuple[int, ...], r: int, span: int) -> tuple:
-    # (p, q, a, K, ruler), ascending in q, for each kernel modulus q = p^a of _moduli that
-    # a window of at most span offsets may stride (64 q <= span; its segments' `strided`
-    # says which), for g = values, shared by rules whose clipped tables agree: the c =
-    # ceil(span / q) multiples of q read ruler[j] = g(a + min(v_p(j), K - 1)), j < p^K + c,
-    # K the least with p^(2K) >= c.  The dtype holds every g, as copies take the g at
-    # p^(a+K) | n.  16 entries of at most 688,416 bytes (r = 2, span 2^20, uint32) make 11 MB.
     moduli = _moduli(r, tuple(_BASES.values()), isqrt(span // _STRIDED_MULTIPLES))
-    n = np.searchsorted(moduli[0], span // _STRIDED_MULTIPLES, "right")  # 64 q <= span
-    dtype, rulers = np.min_scalar_type(max(values)), []
-    for q, p, a in zip(*(v[:n].tolist() for v in moduli)):
+    stop = np.searchsorted(moduli[0], span // _STRIDED_MULTIPLES, "right")  # 64 q <= span
+    rulers = []
+    for q, p, a in zip(*(v[:stop].tolist() for v in moduli)):
         c = -(-span // q)
         K = next(k for k in range(1, 64) if p ** (2 * k) >= c)
-        ruler = np.full(p**K + c, values[a], dtype)
+        ruler = np.full(p**K + c, g[a], np.min_scalar_type(max(g)))
         for b in range(1, K):  # the multiples of p^b lie among those of p^(b-1)
-            ruler[:: p**b] = values[a + b]
+            ruler[:: p**b] = g[a + b]
         ruler.flags.writeable = False
         rulers.append((p, q, a, K, ruler))
-    return tuple(rulers)
+    gtab.flags.writeable = pattern.flags.writeable = False
+    return gtab, pattern, tuple(rulers)
 
 
 _held_moduli: dict = {}  # (r, bases) -> (cut, q, p, a) for the largest cut met
@@ -274,11 +269,11 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
     less than walking its cofactors.  Its moduli are _moduli(r, bases), ascending: with
     the kernel's bases, _BASES', 27, 32 and p^r for 5 <= p <= cut; with count_r_free's,
     (r, r), p^r for every p <= cut.  The stride rule is evaluated here once per window (and
-    in _rulers for its length class): each segment carries the window's read-only prefix
-    with 64 q <= min(y, DEFAULT_CHUNK) as `strided`, and every multiple of the others is a
-    hit.  One remainder per window over its moduli finds the (window, modulus) pairs with a
-    hit and their hit counts, and the hits of all a pack's pairs are listed at once.  The
-    primes above the cut come from each window's cofactor walk.
+    in _kernel_tables for its length class): each segment carries the window's read-only
+    prefix with 64 q <= min(y, DEFAULT_CHUNK) as `strided`, and every multiple of the others
+    is a hit.  One remainder per window over its moduli finds the (window, modulus) pairs
+    with a hit and their hit counts, and the hits of all a pack's pairs are listed at once.
+    The primes above the cut come from each window's cofactor walk.
     The walk forms (cut+1)^r, cheap as a rule's r is at most its table length; where
     3^r passes int64 the cut is 3, and no step forms a p^r past int64.
     """
@@ -340,17 +335,18 @@ def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0)
     """Yield (segments, f) per chunk of the windows (x[i], x[i] + y[i]] laid back to back.
 
     The segments (window, n0, length, start, strided) are _window_chunks', and f holds the
-    chunk's values, min(f, cap) if cap > 0.  A segment strides with the first strided.size
-    rulers, of the same moduli, looked up once per call.  The accumulator is the narrowest
-    unsigned dtype that holds cap^2, where two clipped values meet, or else the largest
-    signature code in reach and every g: uint16 below 2^46, uint32 above.  Each factor
-    applied at an offset divides its final value.
+    chunk's values, min(f, cap) if cap > 0.  The g table, pattern and rulers come from one
+    _kernel_tables call for g(0..62): a segment strides with the first strided.size rulers,
+    of the same moduli.  The accumulator is the narrowest unsigned dtype that holds cap^2,
+    where two clipped values meet, or else the largest signature code in reach and every g:
+    uint16 below 2^46, uint32 above.  Each factor applied at an offset divides its final
+    value.
     """
+    g = tuple(min(v, cap or v) for v in rule.values[:63])
     end = max(a + b for a, b in zip(x, y))
-    top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *rule.values)
-    gtab, pattern = _kernel_tables(rule, cap, np.min_scalar_type(top))
+    top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *g)
     span = 1 << (min(max(y), DEFAULT_CHUNK) - 1).bit_length()  # the rulers' length class
-    rulers = _rulers(tuple(gtab.tolist()), rule.r, span)
+    gtab, pattern, rulers = _kernel_tables(g, cap, rule.r, np.min_scalar_type(top), span)
     for segments, off, hit_primes, bases in _window_chunks(x, y, rule.r):
         # Exactly the chunk's values: np.tile's padded 2^20-offset chunk passes 8 MiB, and
         # glibc's moving mmap threshold then kept about 4 MB more resident over verify --suite all.
@@ -450,9 +446,11 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
     cofactor side; one dividing n fewer than r times contributes g = 1.
     f past k never comes back down, so values clip at k + 1, in this process:
     a pool costs more to start than it saves.  workers (>= 1) bounds the
-    processes of value_counts, read where no unsigned dtype holds (k + 1)^2.
+    processes of value_counts, read where no unsigned dtype holds (k + 1)^2.  k is read
+    through operator.index: a numpy integer counts as its int, a float raises TypeError.
     """
     _check_window(x, y)
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if workers < 1:

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from pimshort.factor import _local_weights
@@ -121,13 +122,15 @@ def test_build_rule_unknown_name():
 
 
 def test_rule_hash_leaves_out_the_table():
-    # The per-rule caches hash a rule on every lookup; values only enter equality.
+    # The per-rule caches hash a rule on every lookup; values only enter equality.  The
+    # kernel's tables are keyed by g(0..62) itself.
     a = load_custom_rule(json.dumps(_custom_doc()))
     b = load_custom_rule(json.dumps(_custom_doc(values=[1, 1, 3] + [2] * (ALPHA_MAX - 2))))
     assert hash(a) == hash(b)
     assert a != b
     assert a == load_custom_rule(json.dumps(_custom_doc()))
-    assert _kernel_tables(a)[0][2] == 2 and _kernel_tables(b)[0][2] == 3
+    gtabs = [_kernel_tables(rule.values[:63], 0, 2, np.dtype(np.uint64), 1 << 20)[0] for rule in (a, b)]
+    assert gtabs[0][2] == 2 and gtabs[1][2] == 3
     assert _local_weights(a, 2) != _local_weights(b, 2)
     assert _local_weights(a, 2) is _local_weights(load_custom_rule(json.dumps(_custom_doc())), 2)
 

@@ -5,7 +5,7 @@ import statistics
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import accumulate, product
 from math import pi, prod, sqrt
 from types import SimpleNamespace
@@ -299,7 +299,8 @@ def test_primes_below_the_chunk_stay_strided():
     chunks = list(sieve_mod._window_chunks([0], [3 * 10**6], 2))
     assert [[s[:4] for s in segments] for segments, *_ in chunks] == [
         [(0, 1, 1 << 20, 0)], [(0, (1 << 20) + 1, 1 << 20, 0)], [(0, (1 << 21) + 1, 902_848, 0)]]
-    strided = sieve_mod._rulers(build_rule("abelian").values, 2, 1 << 20)
+    g = build_rule("abelian").values[:63]
+    *_, strided = sieve_mod._kernel_tables(g, 0, 2, np.dtype(np.uint64), 1 << 20)
     assert sorted(p for p, *_ in strided) == primes_upto(127).tolist()
     for segments, *_ in chunks:
         assert [s[4].tolist() for s in segments] == [[q for _, q, *_ in strided]]
@@ -684,26 +685,27 @@ def test_kernel_walks_at_the_rule_threshold(monkeypatch):
 
     monkeypatch.setattr(sieve_mod, "_PRIME_FLOOR", 1)
     passes, hits = [], []
-    rulers, exponents = sieve_mod._rulers, sieve_mod._exponents
+    tables, exponents = sieve_mod._kernel_tables, sieve_mod._exponents
 
     class Ruler(np.ndarray):  # records (p, a) at each strided pass, which reads its ruler once
         def __getitem__(self, key):
             passes.append(self.modulus)
             return super().__getitem__(key).view(np.ndarray)
 
-    def rulers_spy(values, r, span):
+    def tables_spy(*key):
+        gtab, pattern, rulers = tables(*key)
         spied = []
-        for p, q, a, K, ruler in rulers(values, r, span):
+        for p, q, a, K, ruler in rulers:
             spied.append((p, q, a, K, ruler.view(Ruler)))
             spied[-1][4].modulus = p, a
-        return tuple(spied)
+        return gtab, pattern, tuple(spied)
 
     def exponents_spy(n, p, r):
         e = exponents(n, p, r)
         hits.extend(zip(n.tolist(), p.tolist(), e.tolist()))
         return e
 
-    monkeypatch.setattr(sieve_mod, "_rulers", rulers_spy)
+    monkeypatch.setattr(sieve_mod, "_kernel_tables", tables_spy)
     monkeypatch.setattr(sieve_mod, "_exponents", exponents_spy)
     rule = build_rule("powerdiv-r:3")
     n = 1009**3 * 1000
@@ -973,6 +975,38 @@ def test_count_value_beyond_int64_is_zero():
         assert count_value(abelian, k, 10**6, 1000) == 0
 
 
+def test_count_value_reads_k_as_an_index():
+    # A numpy integer counts as the int it holds, on the clipped uint8 accumulator too, and
+    # a float k is refused.
+    abelian = build_rule("abelian")
+    for k in (np.int64(2), np.uint8(2)):
+        assert count_value(abelian, k, 10**12, 10**4) == count_value(abelian, 2, 10**12, 10**4)
+    with pytest.raises(TypeError):
+        count_value(abelian, 2.0, 10**12, 10**4)
+
+
+class _Guarded(tuple):
+    # A rule table that raises on any read past exponent 62, whole or one at a time.
+    def __iter__(self):
+        raise AssertionError("the whole table was read")
+
+    def __getitem__(self, key):
+        index = range(len(self))[key]
+        if (max(index, default=0) if isinstance(key, slice) else index) > 62:
+            raise AssertionError(f"g read past exponent 62 at {key}")
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("x", [10**12, 2**62 - 10**4 - 1], ids=["1e12", "2_62"])
+def test_kernel_reads_no_g_past_exponent_62(x):
+    # No n < 2^63 has an exponent past 62, so the kernel and the fold read g(0..62) alone.
+    for rule in (build_rule("abelian"), _huge_rule()):
+        guarded = replace(rule, values=_Guarded(rule.values))
+        for k in (1, 2):
+            assert count_value(guarded, k, x, 10**4) == count_value(rule, k, x, 10**4), rule.name
+        assert value_counts(guarded, x, 10**4) == value_counts(rule, x, 10**4), rule.name
+
+
 def _edge_rule(*values):
     # g(2), g(3), ... = values, then 2 up to g(64).
     values = [1, 1, *values] + [2] * (63 - len(values))
@@ -1216,8 +1250,8 @@ def test_rulers_exact_at_the_top_prime_powers(monkeypatch, top):
 
 
 def test_ruler_cache_stays_under_its_bound(monkeypatch):
-    # 300 distinct k over 2^20 + 1000 offsets ask for 300 (rule, cap, span) entries, one
-    # length class per call.  Every ruler handed out is watched: those alive after the calls
+    # 300 distinct k over 2^20 + 1000 offsets ask for 300 (g, cap, r, dtype, span) entries,
+    # one length class per call.  Every ruler handed out is watched: those alive after the calls
     # are the cache's, and hold no more than the 16 entries of 688,416 bytes its comment
     # bounds it by, 11 MB.
     import gc
@@ -1225,19 +1259,19 @@ def test_ruler_cache_stays_under_its_bound(monkeypatch):
 
     import pimshort.sieve as sieve_mod
 
-    rulers, watched = sieve_mod._rulers, []
+    tables, watched = sieve_mod._kernel_tables, []
 
-    def rulers_spy(*key):
-        out = rulers(*key)
-        watched.extend(weakref.ref(ruler) for *_, ruler in out)
+    def tables_spy(*key):
+        out = tables(*key)
+        watched.extend(weakref.ref(ruler) for *_, ruler in out[2])
         return out
 
-    rulers.cache_clear()
-    monkeypatch.setattr(sieve_mod, "_rulers", rulers_spy)
+    tables.cache_clear()
+    monkeypatch.setattr(sieve_mod, "_kernel_tables", tables_spy)
     rule = build_rule("abelian")
     for k in range(1, 301):
         count_value(rule, k, 10**12, (1 << 20) + 1000)
-    assert rulers.cache_info().misses == 300
+    assert tables.cache_info().misses == 300
     gc.collect()
     held = {id(ruler): ruler.nbytes for ruler in (ref() for ref in watched) if ruler is not None}
     assert 0 < sum(held.values()) <= 16 * 688_416 < 16 << 20
