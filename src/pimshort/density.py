@@ -27,6 +27,7 @@ block's sum are held for the last bound asked for, and a density adds the head's
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import exp, fsum, inf, log
 
@@ -366,7 +367,8 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
 
 
 def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> float:
-    """Exact partial sum of |h(n)| / n^kappa over r-full n <= x."""
+    """Exact partial sum of |h(n)| / n^kappa over r-full n <= x; k is read by operator.index."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if not 0 <= kappa < inf:

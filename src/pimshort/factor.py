@@ -152,14 +152,15 @@ def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
 
 
 @lru_cache(maxsize=None)
-def _local_weights(rule: ExponentRule, period: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row alpha: the nonzero (value, coefficient) pairs of 1_{f=k} * (1_{period-free})^-1
-    # at p^alpha; that inverse at p^beta is +1 where period | beta, -1 one step above, else 0.
-    # Period r gives h's rows; past every exponent the inverse is mu, and row alpha is H_k's
-    # X^g(alpha) - X^g(alpha-1).
+def _local_weights(rule: ExponentRule, period: int,
+                   top: int = 62) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row alpha <= min(top, alpha_max) (no n < 2^63 has an exponent past 62): the nonzero
+    # (value, coefficient) pairs of 1_{f=k} * (1_{period-free})^-1 at p^alpha; that inverse at
+    # p^beta is +1 where period | beta, -1 one step above, else 0.  Period r gives h's rows;
+    # past every exponent read the inverse is mu, and row alpha is H_k's X^g(alpha) - X^g(alpha-1).
     g = rule.values
     rows = []
-    for alpha in range(rule.alpha_max + 1):
+    for alpha in range(min(top, rule.alpha_max) + 1):
         local = Counter(g[alpha - beta] for beta in range(0, alpha + 1, period))
         local.subtract(g[alpha - beta - 1] for beta in range(0, alpha, period))
         rows.append(tuple((v, c) for v, c in local.items() if c))
@@ -192,4 +193,4 @@ def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> 
     """
     if (top := max((a for _, a in fact), default=0)) > rule.alpha_max:
         raise ValueError(f"exponent {top} exceeds the rule table (alpha_max {rule.alpha_max})")
-    return _lattice_product(_local_weights(rule, rule.r), fact, k_max)
+    return _lattice_product(_local_weights(rule, rule.r, max(62, top)), fact, k_max)

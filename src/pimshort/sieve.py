@@ -4,12 +4,12 @@ Counting {n : f(n) = k} in a window only needs prime r-th powers, r the
 rule's threshold: a prime dividing n fewer than r times contributes g = 1,
 so the counting kernel finds each p^r | n, extracts the exact exponent, and
 multiplies table values into an accumulator per offset.  value_counts runs it
-once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha)
-over p^alpha || n with alpha >= r (OEIS A181819's prime shadow, cut at r), and f
-is evaluated once per rule and code, in Python ints.  sigma_r(n) <= sigma_2(n), and
-the least n of each code has non-increasing exponents on 2, 3, 5, ..., so a search
-over those finds the largest code: 56,265 below 2^46 (at n = 2^11 3^5 5^5 7^3 11^2)
-and 684,255 below 2^63.  So the codes of a window (x, x+y] fit uint16 for
+once for every rule at r, on the prime signature sigma_r(n) = prod prime(alpha) over p^alpha
+|| n with alpha >= r (OEIS A181819's prime shadow, cut at r): _profile_windows counts each
+code by window, and f, evaluated once per rule and code in Python ints, folds that table.
+sigma_r(n) <= sigma_2(n), and the least n of each code has non-increasing exponents on 2, 3,
+5, ..., so a search over those finds the largest code: 56,265 below 2^46 (at n = 2^11 3^5
+5^5 7^3 11^2) and 684,255 below 2^63.  So the codes of a window (x, x+y] fit uint16 for
 x+y < 2^46 and uint32 above, and so does the table's largest g, prime(63) = 307.
 count_value asks only whether f(n) = k, and every g is at least 1, so it clips at
 k + 1 in the narrowest unsigned dtype that holds (k + 1)^2: uint8 for k <= 14, uint16
@@ -55,7 +55,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, starmap
 from math import inf, isqrt, log2, prod
 
 import numpy as np
@@ -146,11 +146,11 @@ def _code_values(rule: ExponentRule) -> dict[int, int]:
     return {}
 
 
-def _fold(rule: ExponentRule, codes) -> dict:
-    # f -> its count, summed over a mapping code -> count, sorted by f: f once per (rule, code)
+def _fold(rule: ExponentRule, pairs) -> dict:
+    # f -> its count, summed over (code, count) pairs, sorted by f: f once per (rule, code)
     # for the process.  A count may be an array of counts, one per window.
     memo, counts = _code_values(rule), Counter()
-    for code, c in codes.items():
+    for code, c in pairs:
         f = memo.get(code)
         if f is None:
             f = memo[code] = prod(rule.values[a] for a in _signature_exponents(code))
@@ -411,12 +411,15 @@ def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
     return out
 
 
-def _profile_windows(r: int, x: list[int], y: list[int]):
-    """Yield (window, code, count) rows per chunk: the count of each code sigma_r(n).
+def _profile_windows(r: int, x: list[int], y: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, counts): the codes sigma_r(n) met, ascending, and the int64 count counts[i, w]
+    of codes[i] in window w.
 
-    Each segment is sorted in place, the chunk being a fresh array of its own, and
-    counted by its runs.
+    Each segment is sorted in place, the chunk being a fresh array of its own, and its
+    (window, code, count) rows are read off its runs; after the last chunk, np.unique's
+    inverse of the codes and one np.add.at on the flat table sum them.
     """
+    rows = []
     for segments, fval in _fvalue_chunks(_signature_rule(r), x, y):
         edges = [start for *_, start, _ in segments] + [fval.size]
         for a, b in zip(edges, edges[1:]):
@@ -427,16 +430,12 @@ def _profile_windows(r: int, x: list[int], y: list[int]):
         first = np.flatnonzero(new)
         del new  # before the next chunk is made
         runs = np.diff(np.searchsorted(first, edges))
-        yield np.repeat([w for w, *_ in segments], runs), fval[first[:-1]], np.diff(first)
-
-
-def _signature_counts(task) -> Counter:
-    # task = (r, x, y): the count of every code sigma_r(n) over (x, x+y], for every rule at r.
-    r, x, y = task
-    profile: Counter = Counter()
-    for _, codes, counts in _profile_windows(r, [x], [y]):
-        profile.update(dict(zip(codes.tolist(), counts.tolist())))
-    return profile
+        rows.append((np.repeat([w for w, *_ in segments], runs), fval[first[:-1]], np.diff(first)))
+    window, code, count = (np.concatenate(v) for v in zip(*rows))
+    codes, row = np.unique(code, return_inverse=True)
+    counts = np.zeros((codes.size, len(y)), dtype=np.int64)
+    np.add.at(counts.reshape(-1), row * len(y) + window, count)
+    return codes, counts
 
 
 def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) -> int:
@@ -461,7 +460,8 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
 
 
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
-    """Counts of every f value attained in (x, x+y], keyed by value, from the signature counts."""
+    """Counts of every f value attained in (x, x+y], keyed by value, in Python ints: _fold
+    sums by f the code counts of one one-window _profile_windows call per run of chunks."""
     _check_window(x, y)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -470,13 +470,14 @@ def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[i
     n = min(workers, chunks)
     n = min(n, os.cpu_count() or 1) if n > 1 else 1
     edges = [i * chunks // n * DEFAULT_CHUNK for i in range(n)] + [y]
-    tasks = [(rule.r, x + a, b - a) for a, b in zip(edges, edges[1:])]
+    tasks = [(rule.r, [x + a], [b - a]) for a, b in zip(edges, edges[1:])]
     if n == 1:
-        profiles = map(_signature_counts, tasks)
+        tables = starmap(_profile_windows, tasks)
     else:
         with multiprocessing.Pool(n) as pool:
-            profiles = pool.map(_signature_counts, tasks)
-    return _fold(rule, sum(profiles, Counter()))
+            tables = pool.starmap(_profile_windows, tasks)
+    codes, counts = (np.concatenate(v) for v in zip(*tables))
+    return _fold(rule, zip(codes.tolist(), counts[:, 0].tolist()))
 
 
 def count_r_free(x: int, y: int, r: int) -> int:

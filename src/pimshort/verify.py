@@ -346,26 +346,21 @@ def _segment_counts(rules, windows, ks):
 def checks_segment_equivalence(seed: int = 0) -> list[Check]:
     """Counting kernel vs the Moebius identity of _segment_counts over seeded random windows.
 
-    One signature sieve of all the windows per r serves every rule, as in value_counts:
-    _fold takes f once per rule and code, and numpy sums each window's counts by f.  The
-    identity is exact and sieves nothing: it reads the cached r-full table up to the last
-    window end.
+    One _profile_windows table of all the windows per r, each code's count by window,
+    serves every rule, as in value_counts: _fold takes f once per rule and code and sums
+    the table's rows by f.  The identity is exact and sieves nothing: it reads the cached
+    r-full table up to the last window end.
     """
     segments, ks = 200, range(1, 7)
     rng, rules = random.Random(seed), builtin_rules()
     windows = [(rng.randrange(0, 10**8), rng.randrange(1, 10**4 + 1)) for _ in range(segments)]
     x, y = (list(v) for v in zip(*windows))
     expected = np.array(list(_segment_counts(rules, windows, ks)))  # window, rule, k
-    profiles = {}  # r -> {code: its count in each window}
-    for r in {rule.r for rule in rules}:
-        ids, codes, counts = (np.concatenate(c) for c in zip(*_profile_windows(r, x, y)))
-        distinct, row = np.unique(codes, return_inverse=True)
-        table = np.zeros((distinct.size, segments), dtype=np.int64)
-        np.add.at(table, (row, ids), counts)
-        profiles[r] = dict(zip(distinct.tolist(), table))
+    profiles = {r: _profile_windows(r, x, y) for r in {rule.r for rule in rules}}
     mismatch = partition_bad = 0
     for i, rule in enumerate(rules):
-        counted = _fold(rule, profiles[rule.r])  # f -> its count in each window
+        codes, table = profiles[rule.r]
+        counted = _fold(rule, zip(codes.tolist(), table))  # f -> its count in each window
         partition_bad += int(np.count_nonzero(sum(counted.values()) != y))
         mismatch += sum(int(np.count_nonzero(counted.get(k, 0) != expected[:, i, j]))
                         for j, k in enumerate(ks))

@@ -653,6 +653,10 @@ def test_weight_partial_sum_basics():
     for kappa in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             weight_partial_sum(abelian, 2, kappa, 100)
+    # k is an index: a numpy integer sums as its int, a float raises.
+    assert weight_partial_sum(abelian, np.int64(2), 0.0, 10**3) == s1
+    with pytest.raises(TypeError):
+        weight_partial_sum(abelian, 2.0, 0.0, 10**3)
 
 
 PATTERN_RULES = builtin_rules() + (

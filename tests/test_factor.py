@@ -256,7 +256,7 @@ def test_local_weights_match_the_brute_exponent_split(rule, period):
     # times the value g(alpha - beta), grouped by value, zero sums dropped.
     # Period r gives h's rows; past every exponent the inverse is mu, and the
     # rows are H_k's X^g(alpha) - X^g(alpha-1), empty for 0 < alpha < r.
-    rows = _local_weights(rule, period)
+    rows = _local_weights(rule, period, top=rule.alpha_max)
     assert isinstance(rows, tuple) and len(rows) == rule.alpha_max + 1
     for alpha, row in enumerate(rows):
         brute = Counter()
@@ -268,7 +268,7 @@ def test_local_weights_match_the_brute_exponent_split(rule, period):
         assert dict(row) == {v: c for v, c in brute.items() if c}, (rule.name, alpha)
     if period > rule.alpha_max:
         assert rows[0] == ((1, 1),) and not any(rows[1:rule.r])
-    assert _local_weights(rule, period) is rows  # built once per rule and period
+    assert _local_weights(rule, period, top=rule.alpha_max) is rows  # built once per key
 
 
 def h_at(rule, k, fact):

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from pimshort.bounds import zeta
-from pimshort.density import local_density
-from pimshort.factor import MAX_N, eval_rule, factorize, introot, primes_upto
+from pimshort.density import (density_profile, local_density, weight_harmonic_profile,
+                              weight_partial_sum)
+from pimshort.factor import (MAX_N, _SIGNATURE_PRIMES, _local_weights, eval_rule, factorize, introot,
+                             primes_upto)
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import (
     admissible_window,
@@ -453,14 +455,12 @@ def test_pattern_across_chunk_edges(monkeypatch):
 
 
 def _window_profiles(r, x, y):
-    # The code counts of each window from one list call of the signature kernel.
+    # Each window's code counts, read off the table of one list call of the signature kernel.
     import pimshort.sieve as sieve_mod
 
-    profiles = [Counter() for _ in y]
-    for rows in sieve_mod._profile_windows(r, x, y):
-        for w, code, count in zip(*(v.tolist() for v in rows)):
-            profiles[w][code] += count
-    return profiles
+    codes, counts = sieve_mod._profile_windows(r, x, y)
+    return [Counter({code: c for code, c in zip(codes.tolist(), column) if c})
+            for column in counts.T.tolist()]
 
 
 @pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
@@ -516,7 +516,7 @@ def test_window_lists_equal_their_windows_alone(monkeypatch, chunk):
             want = [count_value(rule, k, a, b) for a, b in windows]
             assert sieve_mod._count_windows(rule, k, x, y) == want, (rule.name, k)
     for r in (2, 3):
-        assert _window_profiles(r, x, y) == [sieve_mod._signature_counts((r, a, b))
+        assert _window_profiles(r, x, y) == [_window_profiles(r, [a], [b])[0]
                                             for a, b in windows], r
         assert sieve_mod._r_free_windows(x, y, r) == [count_r_free(a, b, r) for a, b in windows]
 
@@ -557,7 +557,7 @@ def test_window_lists_near_2_63_and_past_the_r_th_powers():
     facts = [_factorized_window(a, b) for a, b in windows]
     abelian = build_rule("abelian")
     for w, profile in enumerate(_window_profiles(2, x, y)):
-        assert sieve_mod._fold(abelian, profile) == dict(
+        assert sieve_mod._fold(abelian, profile.items()) == dict(
             sorted(Counter(eval_rule(abelian, f) for f in facts[w]).items())), windows[w]
     for r in (2, 3):
         free = [sum(all(a < r for _, a in f) for f in fw) for fw in facts]
@@ -878,8 +878,8 @@ def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(sieve_mod, "multiprocessing", SimpleNamespace(Pool=CountedPool))
     abelian, huge = build_rule("abelian"), _huge_rule()
@@ -1007,6 +1007,18 @@ def test_kernel_reads_no_g_past_exponent_62(x):
         assert value_counts(guarded, x, 10**4) == value_counts(rule, x, 10**4), rule.name
 
 
+def test_weight_series_read_no_g_past_exponent_62():
+    # The r-full rows below 2^63 have no exponent past 62, so h's rows stop there too.  The
+    # guarded rule equals the plain one as a cache key, so the rows are built afresh.
+    for rule in (build_rule("abelian"), _huge_rule()):
+        guarded = replace(rule, values=_Guarded(rule.values))
+        _local_weights.cache_clear()
+        for call in (lambda f: weight_partial_sum(f, 2, 0.5, 10**4),
+                     lambda f: weight_harmonic_profile(f, 10**6, 6),
+                     lambda f: density_profile(f, 10**6, 6)):
+            assert call(guarded) == call(rule), rule.name
+
+
 def _edge_rule(*values):
     # g(2), g(3), ... = values, then 2 up to g(64).
     values = [1, 1, *values] + [2] * (63 - len(values))
@@ -1112,9 +1124,7 @@ def test_largest_signature_codes_below_2_46_and_2_63():
 
 def _signature_code(r, n):
     # sigma_r(n), read off a one-integer window of the signature kernel.
-    import pimshort.sieve as sieve_mod
-
-    (code,) = sieve_mod._signature_counts((r, n - 1, 1))
+    (code,) = _window_profiles(r, [n - 1], [1])[0]
     return code
 
 
@@ -1169,7 +1179,7 @@ def test_signature_profile_exact_at_the_dtype_edges(monkeypatch, end, dtype):
                          ids=["0", "chunk-edge", "below-2_46", "above-2_46", "2_62"])
 @pytest.mark.parametrize("r", [2, 3])
 def test_signature_counts_equal_np_unique(r, x, y):
-    # _signature_counts sorts each chunk in place and reads its counts off the runs; the
+    # _profile_windows sorts each chunk in place and reads its counts off the runs; the
     # oracle counts fresh chunks of the same kernel with np.unique.  The windows start at
     # 0, cross a chunk edge, end just below and just above 2^46, and start at 2^62.
     import pimshort.sieve as sieve_mod
@@ -1178,9 +1188,41 @@ def test_signature_counts_equal_np_unique(r, x, y):
     for _, codes in sieve_mod._fvalue_chunks(sieve_mod._signature_rule(r), [x], [y]):
         values, counts = np.unique(codes, return_counts=True)
         expected.update(dict(zip(values.tolist(), counts.tolist())))
-    got = sieve_mod._signature_counts((r, x, y))
-    assert got == expected and sum(got.values()) == y
-    assert all(type(code) is int and type(count) is int for code, count in got.items())
+    codes, counts = sieve_mod._profile_windows(r, [x], [y])
+    assert counts.dtype == np.int64 and counts.shape == (codes.size, 1)
+    got = dict(zip(codes.tolist(), counts[:, 0].tolist()))
+    assert got == expected and list(got) == sorted(got) and sum(got.values()) == y
+    folded = value_counts(sieve_mod._signature_rule(r), x, y)  # f = sigma_r: the codes again
+    assert folded == got and all(type(f) is int and type(c) is int for f, c in folded.items())
+
+
+def test_profile_table_against_the_exponent_oracle(monkeypatch):
+    # The per-window contract of _profile_windows, one list call per r over seeded windows
+    # near 10^12 and 2^62: one offset, lengths about the 64 multiples of the stride rule, the
+    # pattern's period of 864 and chunks of 2^12 offsets, and one window across a chunk
+    # edge.  The codes ascend, the counts are int64, and each column holds its window's
+    # codes, built from the exponent oracle, and sums to its y.
+    import pimshort.sieve as sieve_mod
+
+    chunk = 1 << 12
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", chunk)
+    lengths = (1, 63, 64, 65, 863, 864, 865, chunk - 1, chunk, chunk + 1000)
+    span, rng = 10**4, random.Random(7)
+    x, y, bases, oracle = [], [], [], {}
+    for base in (10**12, 2**62):
+        oracle[base] = squarefull_exponents(base, span + max(lengths))
+        x += [base + rng.randrange(span) for _ in lengths]
+        y += lengths
+        bases += [base] * len(lengths)
+    for r in (2, 3, 4):
+        codes, counts = sieve_mod._profile_windows(r, x, y)
+        assert counts.dtype == np.int64 and counts.shape == (codes.size, len(y))
+        assert np.all(codes[1:] > codes[:-1]) and counts.sum(axis=0).tolist() == y
+        sig = {base: [prod(_SIGNATURE_PRIMES[a] for a in e if a >= r) for e in exponents]
+               for base, exponents in oracle.items()}
+        for column, a, b, base in zip(counts.T.tolist(), x, y, bases):
+            want = Counter(sig[base][a - base : a - base + b])
+            assert {c: n for c, n in zip(codes.tolist(), column) if n} == want, (r, a, b)
 
 
 @pytest.mark.parametrize("rule, x, y, ks", [

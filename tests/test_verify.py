@@ -141,7 +141,7 @@ def test_fold_tells_apart_rules_that_differ_only_in_values():
     want = {1: 5, 2: 2, 3: 1, 5: 4, 6: 3}, {1: 5, 2: 3, 3: 4, 4: 3}
     for order in ((0, 1), (1, 0)):
         for i in order:
-            assert sieve._fold(twins[i], codes) == want[i], (order, i)
+            assert sieve._fold(twins[i], codes.items()) == want[i], (order, i)
 
 
 # Mismatches over the 200 seed-0 windows, 5 rules and k <= 6 under each breakage below.
