@@ -133,6 +133,7 @@ def rfull_table(r: int, limit: int) -> RFullTable:
     code order: the index of a code is its rank among the codes met (int32).
     1/psi(n) = c / (n a) is correctly rounded by _reciprocals, though n a passes int64.
     """
+    r, limit = operator.index(r), operator.index(limit)
     if r < 2:
         raise ValueError(f"rfull_table requires r >= 2, got {r}")
     if not 1 <= limit < MAX_N:
@@ -267,12 +268,14 @@ class DensityResult:
     density: float
 
 
-def check_series_args(k: int, bound: int) -> None:
-    """Refuse a k below 1 or a truncation bound outside [1, 2^63) with ValueError."""
+def check_series_args(k: int, bound: int) -> tuple[int, int]:
+    """(k, bound) read by operator.index, refused unless k >= 1 and 1 <= bound < 2^63."""
+    k, bound = operator.index(k), operator.index(bound)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if not 1 <= bound < MAX_N:
         raise ValueError(f"truncation bound must be in [1, 2**63), got {bound}")
+    return k, bound
 
 
 def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityResult]:
@@ -311,13 +314,13 @@ def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND) -> Den
 
     An unattained k yields density 0 (never an error).
     """
-    check_series_args(k, bound)
+    k, bound = check_series_args(k, bound)
     return _densities(rule, bound, range(k, k + 1))[k]
 
 
 def density_profile(rule: ExponentRule, bound: int, k_max: int) -> dict[int, DensityResult]:
     """local_density for every k <= k_max in a single enumeration pass."""
-    check_series_args(k_max, bound)
+    k_max, bound = check_series_args(k_max, bound)
     return _densities(rule, bound, range(1, k_max + 1))
 
 
@@ -326,7 +329,7 @@ def weight_harmonic_sum(rule: ExponentRule, k: int, bound: int) -> float:
 
     Dividing by zeta(r) gives the density again, up to both truncation tails.
     """
-    return weight_harmonic_profile(rule, bound, k)[k][0]
+    return _harmonics(rule, bound, range(k, k + 1))[k][0]
 
 
 def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
@@ -335,13 +338,18 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
     Mirrors the density tail: |h(n)|/n summed over the first out-of-range
     block (bound, 2^r * bound], scaled by the geometric factor.
     """
-    return weight_harmonic_profile(rule, bound, k)[k][1]
+    return _harmonics(rule, bound, range(k, k + 1))[k][1]
 
 
 def weight_harmonic_profile(rule: ExponentRule, bound: int,
                             k_max: int) -> dict[int, tuple[float, float]]:
-    """(harmonic sum, tail estimate) for every k <= k_max over the signatures with h_k != 0."""
-    check_series_args(k_max, bound)
+    """(harmonic sum, tail estimate) for every k <= k_max in a single pass."""
+    return _harmonics(rule, bound, range(1, k_max + 1))
+
+
+def _harmonics(rule: ExponentRule, bound: int, ks: range) -> dict[int, tuple[float, float]]:
+    """The h(n)/n pass, as _densities is the 1/psi pass: (sum, tail estimate) for each k in ks."""
+    k_max, bound = check_series_args(ks.stop - 1, bound)  # k_max = 0 reads range(1, 1)
     top = min((1 << rule.r) * bound, MAX_N - 1)
     facts, n, _, pattern = _table(rule.r, top)
     i = np.searchsorted(n, bound, "right").item()
@@ -351,26 +359,23 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
     weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
     h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each signature
     out = {}
-    for k in range(1, k_max + 1):
+    for k in ks:
         h_of[present] = [w.get(k, 0) for w in weights]
         live = np.flatnonzero(h_of)
         j, step = _ranges(count[live])
         rows = order[start[live][j] + step]  # by signature, not by n: the sums are exact
         hk, nk = h_of[live][j], n[rows]
         terms = hk / nk  # correctly rounded, as int / int is, where float64 holds both
-        big = np.flatnonzero((np.abs(hk) >= _EXACT) | (nk >= _EXACT))
+        big = np.flatnonzero(nk >= _EXACT)  # |h_k(n)| <= tau(n) < 2^17 below 2^63
         terms[big] = [a / b for a, b in zip(hk[big].tolist(), nk[big].tolist())]
-        head = rows < i
-        tail = tail_geometric_factor(rule.r) * _exact_sum(np.abs(terms[~head]))
-        out[k] = (_exact_sum(terms[head]), tail)
+        tail = tail_geometric_factor(rule.r) * _exact_sum(np.abs(terms[rows >= i]))
+        out[k] = (_exact_sum(terms[rows < i]), tail)
     return out
 
 
 def weight_partial_sum(rule: ExponentRule, k: int, kappa: float, x: int) -> float:
-    """Exact partial sum of |h(n)| / n^kappa over r-full n <= x; k is read by operator.index."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    """Exact sum of |h(n)| / n^kappa over r-full n <= x; check_series_args reads k and x."""
+    k, x = check_series_args(k, x)
     if not 0 <= kappa < inf:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if x < 2:

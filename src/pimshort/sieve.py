@@ -84,20 +84,24 @@ _BASES = {2: 5, 3: 3}  # the exponents of 2 and 3 that the pattern of 2 and 3 le
 _PERIOD = prod(p**a for p, a in _BASES.items())  # the pattern's period, 2^5 * 3^3 = 864
 
 
-def _check_window(x: int, y: int) -> None:
+def _check_window(x: int, y: int) -> tuple[int, int]:
+    """(x, y) read by operator.index, refused unless 0 <= x, 1 <= y and x + y < 2^63."""
+    x, y = operator.index(x), operator.index(y)
     if x < 0:
         raise ValueError(f"window base must be >= 0, got {x}")
     if y < 1:
         raise ValueError(f"window length must be >= 1, got {y}")
     if x + y >= MAX_N:
         raise ValueError("window end must stay below 2**63")
+    return x, y
 
 
-def check_report_window(x: int, y: int) -> None:
-    """Raise ValueError unless interval_report accepts the window (x, x+y]."""
-    _check_window(x, y)
+def check_report_window(x: int, y: int) -> tuple[int, int]:
+    """(x, y) read by _check_window, refused unless interval_report accepts (x, x+y]: y < x."""
+    x, y = _check_window(x, y)
     if not y < x:
         raise ValueError(f"the window needs 0 < y < x, got x={x}, y={y}")
+    return x, y
 
 
 def sieve_segment(x: int, y: int) -> dict[int, Factorization]:
@@ -108,7 +112,7 @@ def sieve_segment(x: int, y: int) -> dict[int, Factorization]:
     dividing n once are left out (g(1) = 1): f(n) and the r-full divisors of n
     read the squarefull part.  A pure-Python oracle for verify's multiples sum.
     """
-    _check_window(x, y)
+    x, y = _check_window(x, y)
     parts: dict[int, Factorization] = {}
     for p in primes_upto(isqrt(x + y)).tolist():
         p2 = p * p
@@ -443,12 +447,12 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
 
     Only the primes p with p^r | n are found, below the cut or from the
     cofactor side; one dividing n fewer than r times contributes g = 1.
-    f past k never comes back down, so values clip at k + 1, in this process:
-    a pool costs more to start than it saves.  workers (>= 1) bounds the
-    processes of value_counts, read where no unsigned dtype holds (k + 1)^2.  k is read
-    through operator.index: a numpy integer counts as its int, a float raises TypeError.
+    f past k never comes back down, so values clip at k + 1, in this process: a pool costs
+    more to start than it saves.  workers (>= 1) bounds the processes of value_counts, read
+    where no unsigned dtype holds (k + 1)^2.  k, x and y are read through operator.index (x
+    and y by _check_window): a numpy integer counts as its int, a float raises TypeError.
     """
-    _check_window(x, y)
+    x, y = _check_window(x, y)
     k = operator.index(k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -462,7 +466,7 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
     """Counts of every f value attained in (x, x+y], keyed by value, in Python ints: _fold
     sums by f the code counts of one one-window _profile_windows call per run of chunks."""
-    _check_window(x, y)
+    x, y = _check_window(x, y)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # One contiguous run of whole chunks per process, min(workers, chunks, CPUs) of them.
@@ -482,7 +486,7 @@ def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[i
 
 def count_r_free(x: int, y: int, r: int) -> int:
     """#{n in (x, x+y] : n is r-free}: the n where no p^r divides n, sigma_r(n) = 1."""
-    _check_window(x, y)
+    x, y = _check_window(x, y)
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
     return _r_free_windows([x], [y], r)[0]
@@ -493,6 +497,7 @@ def rfull_multiples_sum(x: int, y: int, r: int) -> int:
 
     Exact: the r-full n come from the flat table, one floor difference each.
     """
+    x, y = operator.index(x), operator.index(y)
     if not 0 < y < x or 2 * x >= MAX_N:
         raise ValueError(f"rfull_multiples_sum requires 0 < Y < X and 2X < 2**63, got X={x}, Y={y}")
     if r < 2:
@@ -538,7 +543,7 @@ def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
     reported without the x^eps factor; eps only enters the admissibility
     flag.  Requires y < x so the error terms are defined.
     """
-    check_report_window(x, y)
+    x, y = check_report_window(x, y)
     admissible = admissible_window(rule.r, x, y, eps)
     parts = bound_breakdown(rule.r, x, y)
     count = count_value(rule, k, x, y)

@@ -747,3 +747,52 @@ def test_validation_errors():
             rfull_table(2, limit)
         with pytest.raises(ValueError, match=r"2\*\*63"):
             local_density(abelian, 1, limit)
+
+
+_ABELIAN = build_rule("abelian")
+
+
+@pytest.mark.parametrize("call, args, at", [
+    (lambda k, b: local_density(_ABELIAN, k, b), (2, 10**4), (0, 1)),
+    (lambda b, k: density_profile(_ABELIAN, b, k), (10**4, 3), (0, 1)),
+    (lambda k, b: weight_harmonic_sum(_ABELIAN, k, b), (2, 10**4), (0, 1)),
+    (lambda k, b: weight_harmonic_tail(_ABELIAN, k, b), (2, 10**4), (0, 1)),
+    (lambda b, k: weight_harmonic_profile(_ABELIAN, b, k), (10**4, 3), (0, 1)),
+    (lambda k, kappa, x: weight_partial_sum(_ABELIAN, k, kappa, x), (2, 0.5, 10**4), (0, 2)),
+    (lambda r, limit: rfull_table(r, limit)[1].tolist(), (2, 10**4), (0, 1)),
+], ids=["local_density", "density_profile", "weight_harmonic_sum", "weight_harmonic_tail",
+        "weight_harmonic_profile", "weight_partial_sum", "rfull_table"])
+def test_series_read_every_integer_by_operator_index(monkeypatch, call, args, at):
+    # On a cold table, then on the warm one that the int call leaves, a numpy integer gives the
+    # int's result and a float raises TypeError: a float bound once read a larger held table.
+    want = call(*args)
+    for i in at:
+        for v in (np.int64(args[i]), float(args[i])):
+            monkeypatch.setattr(density, "_tables", {})
+            for _ in ("cold", "warm"):
+                if isinstance(v, float):
+                    with pytest.raises(TypeError):
+                        call(*args[:i], v, *args[i + 1:])
+                else:
+                    assert call(*args[:i], v, *args[i + 1:]) == want
+                call(*args)
+
+
+def test_single_k_harmonic_views_run_one_k(monkeypatch):
+    # A single-k view sums its one k's head and tail: two _exact_sum calls, for a k that the
+    # whole profile up to k would take 2k calls (or a hang) to reach.
+    real, calls = density._exact_sum, []
+
+    def spy(a):
+        calls.append(a.size)
+        if len(calls) > 2:
+            raise AssertionError("a single-k view summed more than one k")
+        return real(a)
+
+    monkeypatch.setattr(density, "_exact_sum", spy)
+    weight_harmonic_sum(_ABELIAN, 5000, 10**6)
+    assert len(calls) == 2
+    for view in (weight_harmonic_sum, weight_harmonic_tail):
+        calls.clear()
+        assert view(_ABELIAN, 10**12, 10**6) == 0.0
+        assert len(calls) == 2
