@@ -226,8 +226,9 @@ def rfull_count_bound(r: int, limit: int) -> float:
     are walked; for each, a0 is counted by its r-th root and a1 <= A by the
     integral test,
     sum (rest / a1^(r+1))^(1/r) <= rest^(1/r) (1 + r (1 - A^(-1/r))).
-    Works in logarithms, so any r and limit are fine.
+    Works in logarithms, so any r and limit are fine; r is read through operator.index.
     """
+    r = operator.index(r)
     if r < 2:
         raise ValueError(f"rfull_count_bound requires r >= 2, got {r}")
     if limit < 1:

@@ -27,9 +27,9 @@ one-window list; verify counts its seeded windows by lists.  A window sieves onl
 the primes up to cut = (x+y)^(1/(r+1)), or min((x+y)^(1/r), 2^16) if higher, from the
 shared table.  Each segment starts from a pattern of period 2^5 * 3^3 = 864 that holds
 the factors of 2 and 3 below those powers (the pre-sieve of Pritchard, Comm. ACM 24,
-1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut (count_r_free's: p^r for
-every p <= cut), held per r and form to the largest cut met.  Once per window, the moduli
-q = p^a with 64 q <= min(y, 2^20) are picked to be strided in every chunk, its last too;
+1981).  Its moduli are 32, 27 and the p^r with 5 <= p <= cut, one table per r held to the
+largest cut met; count_r_free reads it, and marks 2^r and 3^r itself.  Once per window, the
+moduli q = p^a with 64 q <= min(y, 2^20) are picked to be strided in every chunk, its last too;
 each segment carries them as `strided`, and the kernel strides them by rulers (p, q, a, K,
 ruler) of g values: v_p of consecutive multiples of q is periodic mod p^K below a + K.  So a
 window of 2^20 offsets or more strides 32, 27 and the p^r up to 2^14.  One cached entry per
@@ -178,7 +178,7 @@ def _kernel_tables(g: tuple[int, ...], cap: int, r: int, dtype: np.dtype, span: 
     v2, v3 = (sum(n % p**b == 0 for b in range(1, a)) * (n % p**a > 0)
               for p, a in _BASES.items())
     pattern = np.minimum(gtab[v2] * gtab[v3], cap) if cap else gtab[v2] * gtab[v3]
-    moduli = _moduli(r, tuple(_BASES.values()), isqrt(span // _STRIDED_MULTIPLES))
+    moduli = _moduli(r, isqrt(span // _STRIDED_MULTIPLES))
     stop = np.searchsorted(moduli[0], span // _STRIDED_MULTIPLES, "right")  # 64 q <= span
     rulers = []
     for q, p, a in zip(*(v[:stop].tolist() for v in moduli)):
@@ -193,29 +193,29 @@ def _kernel_tables(g: tuple[int, ...], cap: int, r: int, dtype: np.dtype, span: 
     return gtab, pattern, tuple(rulers)
 
 
-_held_moduli: dict = {}  # (r, bases) -> (cut, q, p, a) for the largest cut met
+_held_moduli: dict = {}  # r -> (cut, q, p, a) for the largest cut met
 
 
-def _moduli(r: int, bases: tuple[int, int], cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _moduli(r: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (q, p, a) of the moduli q = p^a < 2^63 of the primes up to cut at least, ascending in q
-    # (the kernel's 27 and 32 lead, or follow 25 at r = 2), with a = bases at 2 and 3 and r
-    # from 5 on.  So the moduli of the primes up to any cut from 5 on lead them (a lower cut
-    # has x+y < 5^r, and holds the leads alone), as do the strided ones, 64 q <= min(y, 2^20),
-    # read off the front.  One table per (r, bases), grown to the largest cut met, serves
-    # every window: 2.6 MB at r = 2 and cut 2^21, 0.1 MB at any other r.  No p^a with
-    # a >= 63 fits, so every r from 63 on takes 63's: a fits uint8.
+    # (27 and 32 lead, or follow 25 at r = 2), with a = _BASES' at 2 and 3, the exponents the
+    # kernel's pattern leaves, and r from 5 on.  So the moduli of the primes up to any cut from 5 on
+    # lead them (a lower cut has x+y < 5^r, and holds the leads alone), as do the strided
+    # ones, 64 q <= min(y, 2^20), read off the front.  One table per r, grown to the largest
+    # cut met, serves every window: 2.6 MB at r = 2 and cut 2^21, 0.1 MB at any other r.  No
+    # p^a with a >= 63 fits, so every r from 63 on takes 63's: a fits uint8.
     r = min(r, 63)
-    if _held_moduli.get((r, bases), (-1,))[0] < cut:
+    if _held_moduli.get(r, (-1,))[0] < cut:
         p = primes_upto(min(cut, introot(MAX_N - 1, r)))[2:]
         q = p**r
-        leads = sorted((b**a, b, a) for b, a in zip((2, 3), bases) if b**a < MAX_N)
+        leads = sorted((b**a, b, a) for b, a in _BASES.items())
         at = np.searchsorted(q, [v for v, _, _ in leads])  # each lead at its place: no sort
         held = [np.insert(v, at, column)
                 for v, column in zip((q, p, np.full(p.size, r, np.uint8)), zip(*leads))]
         for v in held:
             v.flags.writeable = False
-        _held_moduli[r, bases] = cut, *held
-    return _held_moduli[r, bases][1:]
+        _held_moduli[r] = cut, *held
+    return _held_moduli[r][1:]
 
 
 def _iroots(ends: tuple[int, ...], m: np.ndarray, r: int) -> list[np.ndarray]:
@@ -259,7 +259,7 @@ def _large_prime_hits(x: int, y: int, r: int, cut: int, primes: np.ndarray):
         yield m[prime] * p[prime] ** r - (x + 1), p[prime]
 
 
-def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values())):
+def _window_chunks(x: list[int], y: list[int], r: int):
     """Yield (segments, hit offsets, hit primes, hit base exponents) per chunk of the windows.
 
     The windows (x[i], x[i] + y[i]] lie back to back and each chunk is the next run
@@ -270,22 +270,21 @@ def _window_chunks(x: list[int], y: list[int], r: int, bases=tuple(_BASES.values
     back in window order, and a window's segments over its chunks continue n0 and sum to its y.
     A window sieves with the primes up to cut = max((x+y)^(1/(r+1)),
     min(root_r(x+y), _PRIME_FLOOR), 3): a prime in the table costs one remainder,
-    less than walking its cofactors.  Its moduli are _moduli(r, bases), ascending: with
-    the kernel's bases, _BASES', 27, 32 and p^r for 5 <= p <= cut; with count_r_free's,
-    (r, r), p^r for every p <= cut.  The stride rule is evaluated here once per window (and
-    in _kernel_tables for its length class): each segment carries the window's read-only
-    prefix with 64 q <= min(y, DEFAULT_CHUNK) as `strided`, and every multiple of the others
-    is a hit.  One remainder per window over its moduli finds the (window, modulus) pairs
-    with a hit and their hit counts, and the hits of all a pack's pairs are listed at once.
-    The primes above the cut come from each window's cofactor walk.
-    The walk forms (cut+1)^r, cheap as a rule's r is at most its table length; where
-    3^r passes int64 the cut is 3, and no step forms a p^r past int64.
+    less than walking its cofactors.  Its moduli are _moduli(r)'s, ascending: 27, 32 and
+    p^r for 5 <= p <= cut, so a hit's base exponent is 3, 5 or r.  The stride rule is
+    evaluated here once per window (and in _kernel_tables for its length class): each
+    segment carries the window's read-only prefix with 64 q <= min(y, DEFAULT_CHUNK) as
+    `strided`, and every multiple of the others is a hit.  One remainder per window over its
+    moduli finds the (window, modulus) pairs with a hit and their hit counts, and the hits of
+    all a pack's pairs are listed at once.  The primes above the cut come from each window's
+    cofactor walk.  The walk forms (cut+1)^r, cheap as a rule's r is at most its table
+    length; where 3^r passes int64 the cut is 3, and no step forms a p^r past int64.
     """
     chunk, ends = DEFAULT_CHUNK, [a + b for a, b in zip(x, y)]
     cuts = [max(introot(e, r + 1), min(introot(e, r), _PRIME_FLOOR), 3) for e in ends]
     primes = primes_upto(max(cuts))
     counts = np.searchsorted(primes, cuts, "right").tolist()  # primes up to each cut
-    q, bp, base = _moduli(r, bases, max(cuts))
+    q, bp, base = _moduli(r, max(cuts))
     groups, load = [[]], 0
     for i, n in enumerate(counts):
         if groups[-1] and load + y[i] + n > min(_PACK, chunk):
@@ -398,18 +397,17 @@ def _count_windows(rule: ExponentRule, k: int, x: list[int], y: list[int]) -> li
 
 
 def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
-    # [#{n in (x[i], x[i] + y[i]] : n is r-free}], by marking the multiples of p^r, apart from
-    # the g tables and their clip.  No p^r with r >= 63 divides an n < 2^63 = MAX_N, and the
-    # walk would form (cut + 1)**r = 4**r, a Python int past memory at r = 10**18.
-    out = list(y)
-    if r >= 63:
-        return out
-    for segments, off, _, _ in _window_chunks(x, y, r, (r, r)):
+    # [#{n in (x[i], x[i] + y[i]] : n is r-free}] on the kernel's moduli, apart from the g
+    # tables and their clip: 2^r and 3^r marked by slice, then the strided p^r coprime to 6
+    # and the hits of primes above 3.  No p^r with r >= 63 divides an n < 2^63, and the walk
+    # would form (cut + 1)**r = 4**r, past memory at r = 10**18: so r is capped at 63.
+    r, out = min(r, 63), list(y)
+    for segments, off, p, _ in _window_chunks(x, y, r):
         marked = np.zeros(sum(cy for _, _, cy, _, _ in segments), dtype=bool)
         for _, n0, cy, start, strided in segments:
-            for m in strided.tolist():
+            for m in [2**r, 3**r] + [m for m in strided.tolist() if m % 2 and m % 3]:
                 marked[start + -n0 % m : start + cy : m] = True
-        marked[off] = True
+        marked[off[p > 3]] = True
         for w, _, cy, start, _ in segments:
             out[w] -= int(np.count_nonzero(marked[start : start + cy]))
     return out
@@ -449,11 +447,11 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
     cofactor side; one dividing n fewer than r times contributes g = 1.
     f past k never comes back down, so values clip at k + 1, in this process: a pool costs
     more to start than it saves.  workers (>= 1) bounds the processes of value_counts, read
-    where no unsigned dtype holds (k + 1)^2.  k, x and y are read through operator.index (x
-    and y by _check_window): a numpy integer counts as its int, a float raises TypeError.
+    where no unsigned dtype holds (k + 1)^2.  k, x, y and workers are read through
+    operator.index: a numpy integer counts as its int, a float raises TypeError.
     """
     x, y = _check_window(x, y)
-    k = operator.index(k)
+    k, workers = operator.index(k), operator.index(workers)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if workers < 1:
@@ -466,7 +464,7 @@ def count_value(rule: ExponentRule, k: int, x: int, y: int, workers: int = 1) ->
 def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[int, int]:
     """Counts of every f value attained in (x, x+y], keyed by value, in Python ints: _fold
     sums by f the code counts of one one-window _profile_windows call per run of chunks."""
-    x, y = _check_window(x, y)
+    (x, y), workers = _check_window(x, y), operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # One contiguous run of whole chunks per process, min(workers, chunks, CPUs) of them.
@@ -486,7 +484,7 @@ def value_counts(rule: ExponentRule, x: int, y: int, workers: int = 1) -> dict[i
 
 def count_r_free(x: int, y: int, r: int) -> int:
     """#{n in (x, x+y] : n is r-free}: the n where no p^r divides n, sigma_r(n) = 1."""
-    x, y = _check_window(x, y)
+    (x, y), r = _check_window(x, y), operator.index(r)
     if r < 2:
         raise ValueError(f"count_r_free requires r >= 2, got {r}")
     return _r_free_windows([x], [y], r)[0]
@@ -497,7 +495,7 @@ def rfull_multiples_sum(x: int, y: int, r: int) -> int:
 
     Exact: the r-full n come from the flat table, one floor difference each.
     """
-    x, y = operator.index(x), operator.index(y)
+    x, y, r = operator.index(x), operator.index(y), operator.index(r)
     if not 0 < y < x or 2 * x >= MAX_N:
         raise ValueError(f"rfull_multiples_sum requires 0 < Y < X and 2X < 2**63, got X={x}, Y={y}")
     if r < 2:

@@ -318,9 +318,10 @@ def value_counts_brute(rule, x: int, y: int) -> dict[int, int]:
 
 
 def count_r_free_brute(x: int, y: int, r: int) -> int:
+    """Count the r-free n in (x, x+y], x+y < 2^63, by factorizing each n independently."""
     count = 0
     for n in range(x + 1, x + y + 1):
-        if all(a < r for _, a in trial_factorize(n)):
+        if all(a < r for _, a in rho_factorize(n)):
             count += 1
     return count
 

@@ -6,8 +6,9 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, replace
-from itertools import accumulate, product
+from itertools import accumulate, product, starmap
 from math import pi, prod, sqrt
 from types import SimpleNamespace
 
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from pimshort.bounds import zeta
-from pimshort.density import (density_profile, local_density, weight_harmonic_profile,
-                              weight_partial_sum)
+from pimshort.density import (density_profile, local_density, rfull_count_bound,
+                              weight_harmonic_profile, weight_partial_sum)
 from pimshort.factor import (MAX_N, _SIGNATURE_PRIMES, _local_weights, eval_rule, factorize, introot,
                              primes_upto)
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
@@ -326,14 +327,13 @@ def test_every_chunk_of_a_window_strides_its_moduli(monkeypatch, base):
     ys = [3 * chunk + rest for rest in (1, 63, 700, 4095)]
     xs = [base] * len(ys)
     for r in (2, 3):
-        for bases in (tuple(sieve_mod._BASES.values()), (r, r)):
-            for segments, _, p, a in sieve_mod._window_chunks(xs, ys, r, bases):
-                assert np.all(sieve_mod._STRIDED_MULTIPLES * p**a > chunk), (r, bases)
-                held = sieve_mod._moduli(r, bases, 0)[0]  # the whole table held for (r, bases)
-                for w, _, _, _, strided in segments:
-                    prefix = held[sieve_mod._STRIDED_MULTIPLES * held <= min(ys[w], chunk)]
-                    assert strided.tolist() == prefix.tolist(), (r, bases, w)
-                    assert not strided.flags.writeable and not np.isin(p**a, strided).any()
+        for segments, _, p, a in sieve_mod._window_chunks(xs, ys, r):
+            assert np.all(sieve_mod._STRIDED_MULTIPLES * p**a > chunk), r
+            held = sieve_mod._moduli(r, 0)[0]  # the whole table held for r
+            for w, _, _, _, strided in segments:
+                prefix = held[sieve_mod._STRIDED_MULTIPLES * held <= min(ys[w], chunk)]
+                assert strided.tolist() == prefix.tolist(), (r, w)
+                assert not strided.flags.writeable and not np.isin(p**a, strided).any()
     exponents = squarefull_exponents(base, ys[-1])
     for rule in builtin_rules():
         f = [prod(rule.values[a] for a in e) for e in exponents]
@@ -346,51 +346,43 @@ def test_every_chunk_of_a_window_strides_its_moduli(monkeypatch, base):
 
 
 def test_moduli_from_an_empty_holder(monkeypatch):
-    # A cut below 5 holds the leads alone, 27 and 32 for the kernel and 4 and 9 for
-    # count_r_free at r = 2, and a later larger cut grows the table past them.
+    # A cut below 5 holds the leads alone, 27 and 32, and a later larger cut grows the table
+    # past them.
     import pimshort.sieve as sieve_mod
 
     monkeypatch.setattr(sieve_mod, "_held_moduli", {})
-    kernel = tuple(sieve_mod._BASES.values())
-    for cut, (bases, leads) in product((0, 1, 4), {kernel: [27, 32], (2, 2): [4, 9]}.items()):
-        assert sieve_mod._moduli(2, bases, cut)[0].tolist() == leads, (cut, bases)
+    for cut in (0, 1, 4):
+        assert sieve_mod._moduli(2, cut)[0].tolist() == [27, 32], cut
     squares = [p * p for p in primes_upto(30).tolist()]
-    assert sieve_mod._moduli(2, kernel, 30)[0].tolist() == sorted([27, 32] + squares[2:])
-    assert sieve_mod._moduli(2, (2, 2), 30)[0].tolist() == squares
+    assert sieve_mod._moduli(2, 30)[0].tolist() == sorted([27, 32] + squares[2:])
 
 
 @pytest.mark.parametrize("r", [2, 3, 40, 62])
 def test_one_held_moduli_table_per_r_and_form(r):
-    # The kernel's moduli (the exponents of 2 and 3 that its pattern leaves, _BASES') and
-    # count_r_free's ((r, r)): q = p^a < 2^63 ascending, a the form's exponent at 2 and 3
-    # and r from 5 on, and for every cut c >= 5 the first pi(c) entries are the moduli of
-    # the primes up to c, as _window_chunks reads them.  Each form is held apart.  From
-    # r = 40 on 3^r passes 2^63, so count_r_free's one modulus is 2^r.
+    # The kernel's moduli, which count_r_free reads too: q = p^a < 2^63 ascending, a the
+    # exponents of 2 and 3 that its pattern leaves (_BASES') and r from 5 on, and for every
+    # cut c >= 5 the first pi(c) entries are the moduli of the primes up to c, as
+    # _window_chunks reads them.  The one table is held under r.
     import pimshort.sieve as sieve_mod
 
     top = 1 << (21 if r == 2 else 16)
-    forms = (tuple(sieve_mod._BASES.values()), (r, r))
-    held = [sieve_mod._moduli(r, bases, top) for bases in forms]
+    held = sieve_mod._moduli(r, top)
     primes = primes_upto(top)
     cuts = [5, 6, 30, top, *random.Random(r).sample(range(7, top), 12)]
-    for bases, (q, p, a) in zip(forms, held):
-        exponent = dict(zip((2, 3), bases))
-        assert a.dtype == np.uint8 and not any(v.flags.writeable for v in (q, p, a))
-        moduli = list(zip(q.tolist(), p.tolist(), a.tolist()))
-        assert all(m == b**e < MAX_N and e == exponent.get(b, r) for m, b, e in moduli)
-        assert all(m < n for (m, _, _), (n, _, _) in zip(moduli, moduli[1:]))
-        fits = np.array([b for b in primes.tolist() if b ** exponent.get(b, r) < MAX_N])
-        for c in cuts:
-            first = p[: np.searchsorted(primes, c, "right")]
-            assert np.array_equal(np.sort(first), fits[fits <= c]), (bases, c)
-    assert all(x is y for form, bases in zip(held, forms)
-               for x, y in zip(form, sieve_mod._moduli(r, bases, 5)))
-    assert held[0][0] is not held[1][0]
+    q, p, a = held
+    assert a.dtype == np.uint8 and not any(v.flags.writeable for v in (q, p, a))
+    moduli = list(zip(q.tolist(), p.tolist(), a.tolist()))
+    assert all(m == b**e < MAX_N and e == sieve_mod._BASES.get(b, r) for m, b, e in moduli)
+    assert all(m < n for (m, _, _), (n, _, _) in zip(moduli, moduli[1:]))
+    fits = np.array([b for b in primes.tolist() if b ** sieve_mod._BASES.get(b, r) < MAX_N])
+    for c in cuts:
+        first = p[: np.searchsorted(primes, c, "right")]
+        assert np.array_equal(np.sort(first), fits[fits <= c]), c
+    assert all(x is y for x, y in zip(held, sieve_mod._moduli(r, 5)))
+    assert sieve_mod._held_moduli[r][1] is q
     if r >= 40:
-        assert [v.tolist() for v in held[1]] == [[2**r], [2], [r]]
-        assert held[0][0].tolist() == [27, 32]
-    if r == 2:  # the kernel's form at the largest cut of any window, 2^21
-        q, p, a = held[0]
+        assert q.tolist() == [27, 32]
+    if r == 2:  # the largest cut of any window, 2^21
         assert q.size == primes.size == 155_611
         assert q[:4].tolist() == [25, 27, 32, 49] and a[:4].tolist() == [2, 3, 5, 2]
         assert q[-1] == int(primes[-1]) ** 2
@@ -409,7 +401,26 @@ def test_threshold_past_uint8_counts_every_window_r_free(r):
     assert value_counts(rule, x, y) == {1: y}
     xs, ys = [0, x, 10**12, MAX_N - 1001], [1, y, 1000, 1000]
     assert sieve_mod._count_windows(rule, 1, xs, ys) == ys
-    assert sieve_mod._moduli(r, tuple(sieve_mod._BASES.values()), 3)[0].tolist() == [27, 32]
+    assert sieve_mod._moduli(r, 3)[0].tolist() == [27, 32]
+
+
+def test_r_free_windows_at_multiples_of_2_and_3_to_the_r():
+    # The r-free count marks 2^r and 3^r itself, apart from the kernel's moduli 32 and 27 and
+    # their hits.  Windows of one to three integers from m 2^r - 1, m 2^r and m 3^r, for
+    # m = 1, a seeded odd m and the largest m that keeps the window below 2^63, are counted
+    # in one list per r against the brute oracle.
+    import pimshort.sieve as sieve_mod
+
+    rng = random.Random(60)
+    for r in (*range(2, 9), 39, 40, 62):
+        windows = []
+        for q, starts in ((2**r, (-1, 0)), (3**r, (0,))):
+            top = (MAX_N - 4) // q
+            for m in {1, 2 * rng.randrange((top + 1) // 2) + 1, top} if top else ():
+                windows += [(m * q + d - 1, n) for d in starts for n in (1, 2, 3)]
+        x, y = (list(v) for v in zip(*windows))
+        want = [count_r_free_brute(a, b, r) for a, b in windows]
+        assert sieve_mod._r_free_windows(x, y, r) == want, r
 
 
 @pytest.mark.parametrize("base, starts", [(0, range(300)), (10**12, range(0, 900, 7))])
@@ -1495,6 +1506,39 @@ def test_windows_read_x_and_y_by_operator_index(monkeypatch, call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"2\*\*63"):
             call(np.int64(2**62), np.int64(2**62))
+
+
+@pytest.mark.parametrize("call, arg", [
+    (lambda r: count_r_free(10**9, 10**4, r), 3),
+    (lambda r: rfull_multiples_sum(10**6, 10**3, r), 2),
+    (lambda r: rfull_count_bound(r, 10**9), 2),
+    (lambda w: count_value(_huge_rule(), 10**10, 10**7, 7001, workers=w), 2),
+    (lambda w: value_counts(build_rule("abelian"), 10**7, 7001, workers=w), 2),
+], ids=["count_r_free", "rfull_multiples_sum", "rfull_count_bound", "count_value",
+        "value_counts"])
+def test_r_and_workers_read_by_operator_index(monkeypatch, call, arg):
+    # On cold tables, then on the warm ones that the int call leaves, a numpy integer r or
+    # workers gives the int's result and a float raises TypeError.  With chunks of 3000
+    # offsets and two CPUs, workers = 2 splits a window of 7001 between two pool tasks.
+    import pimshort.sieve as sieve_mod
+    from pimshort import density
+
+    monkeypatch.setattr(sieve_mod, "DEFAULT_CHUNK", 3000)
+    monkeypatch.setattr(sieve_mod.os, "cpu_count", lambda: 2)
+    pool = SimpleNamespace(starmap=starmap)  # the pool's tasks, run in this process
+    monkeypatch.setattr(sieve_mod, "multiprocessing",
+                        SimpleNamespace(Pool=lambda n: nullcontext(pool)))
+    want = call(arg)
+    for v in (np.uint8(arg), np.int64(arg), float(arg), arg + 0.5):
+        monkeypatch.setattr(density, "_tables", {})
+        monkeypatch.setattr(sieve_mod, "_held_moduli", {})
+        for _ in ("cold", "warm"):
+            if isinstance(v, float):
+                with pytest.raises(TypeError):
+                    call(v)
+            else:
+                assert call(v) == want
+            call(arg)
 
 
 def test_profile_windows_sort_each_segment_before_counting_runs():
