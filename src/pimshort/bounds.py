@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import exp, fsum, log
+from math import exp, fsum, inf, log, log2
 
 _EM_CUTOFF = 10_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached zeta(2) must not answer zeta(2.0)
 def zeta(r: int) -> float:
     """zeta(r) by direct summation with an Euler-Maclaurin tail correction.
 
     The tail past the cutoff N is integral + N^(-r)/2 + r N^(-r-1)/12; the
     first omitted correction is O(N^(-r-3)), far below double precision for
-    N = 10^4 and any r >= 2.
+    N = 10^4 and any r >= 2.  r is read through operator.index.
     """
+    r = operator.index(r)
     if r < 2:
         raise ValueError(f"zeta requires integer r >= 2, got {r}")
     n = _EM_CUTOFF
@@ -48,8 +50,9 @@ def bound_breakdown(r: int, x, y) -> BoundBreakdown:
     Terms are computed in log space so large integer inputs cannot overflow.
     Requires 0 < y < x.  term_mid x^eps >= y once eps >= 1/(6(4r-1)(2r-1))
     (1/126 at r = 2), and no |count - d y| in the window exceeds y: the
-    bound is trivial there.
+    bound is trivial there.  r is read through operator.index; x and y may be floats.
     """
+    r = operator.index(r)
     if r < 2:
         raise ValueError(f"bound_breakdown requires r >= 2, got {r}")
     if not 0 < y < x:
@@ -67,3 +70,16 @@ def interval_error_bound(r: int, x, y) -> float:
     """Sum of the three error terms (the caller applies any x^eps factor)."""
     b = bound_breakdown(r, x, y)
     return b.term_main + b.term_mid + b.term_tail
+
+
+def power_or_inf(x, e: float) -> float:
+    """x^e for x >= 1, or inf where it would pass 2^1023: then it exceeds every y < 2^63."""
+    return float(x) ** e if e * log2(x) < 1023 else inf
+
+
+def admissible_window(r: int, x, y, eps: float) -> bool:
+    """Whether x^(1/(2r+1) + eps) <= y <= 4^(-2 r^2) x for finite eps > 0; r by operator.index."""
+    r = operator.index(r)
+    if not 0 < eps < inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    return x >= 1 and power_or_inf(x, 1.0 / (2 * r + 1) + eps) <= y <= x * 4.0 ** (-2 * r * r)

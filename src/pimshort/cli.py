@@ -13,10 +13,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
+from .bounds import admissible_window, bound_breakdown, interval_error_bound, power_or_inf
 from .density import (
     DEFAULT_BOUND,
     check_series_args,
@@ -26,7 +27,7 @@ from .density import (
 )
 from .factor import MAX_N, introot
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
-from .sieve import IntervalReport, check_report_window, interval_report
+from .sieve import _check_window, count_value
 from .verify import SUITE_NAMES, run_suite
 
 # The most r-full terms a command may enumerate, as bounded from above by
@@ -43,6 +44,10 @@ MAX_WINDOW = 10**8
 # The most integers a table grid may count, by the sum of window_cost over its pairs, at one
 # rate for every accumulator: a grid at the cap takes 2-5 s on a 2-vCPU Xeon, whatever its shape.
 MAX_GRID = 10**9
+
+# The columns of an interval or table record, in order, and so the header of a table.
+REPORT_COLUMNS = ("rule", "k", "r", "x", "y", "count", "density", "main_term", "abs_error",
+                  "term_main", "term_mid", "term_tail", "admissible")
 
 # bound_breakdown applies the general middle exponent at r = 2 as well.
 R2_EXPONENT_WARNING = (
@@ -143,6 +148,13 @@ def window_cost(r: int, x: int, y: int) -> int:
     return y + max(10**5, 5 * introot(x + y, r + 1))
 
 
+def check_report_window(x: int, y: int) -> None:
+    """Refuse (x, y) unless sieve._check_window accepts it and y < x, as the error terms need."""
+    x, y = _check_window(x, y)
+    if not y < x:
+        raise ValueError(f"the window needs 0 < y < x, got x={x}, y={y}")
+
+
 def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
     """Check k, --B and every (x, y) before any output, sum the series once, report each window."""
     rule = resolve_rule(args.rule)
@@ -161,23 +173,25 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
     if cost > MAX_GRID:
         raise ValueError(f"the grid of {pairs} windows would cost at least {cost} integers;"
                          f" the grid limit is {MAX_GRID}")
-    reports = []
+    rows = []
     if xs and ys:
         if rule.r == 2:
             print(R2_EXPONENT_WARNING, file=sys.stderr)
         density = local_density(rule, args.k, args.bound).density
-        reports = [
-            interval_report(rule, args.k, x, y, density, eps=args.eps)
-            for x in xs for y in ys
-        ]
-        for rep in reports:  # no |count - density y| exceeds y, so such a bound says nothing
-            # x^eps past 2^1023 would overflow, and takes the bound (term_main >= 1) past y
-            x_eps = float(rep.x) ** args.eps if args.eps * math.log2(rep.x) < 1023 else math.inf
-            if (rep.term_main + rep.term_mid + rep.term_tail) * x_eps >= rep.y:
-                print(f"warning: at x={rep.x}, y={rep.y} the error bound (term_main + term_mid"
-                      f" + term_tail) x^eps is not below y: it says nothing", file=sys.stderr)
-    columns = [f.name for f in fields(IntervalReport)]
-    emit_records(columns, [vars(report) for report in reports], fmt)  # fields in order, no deep copy
+        for x in xs:
+            for y in ys:
+                count = count_value(rule, args.k, x, y)
+                parts = bound_breakdown(rule.r, x, y)
+                main = density * y
+                rows.append(dict(zip(REPORT_COLUMNS, (
+                    rule.name, args.k, rule.r, x, y, count, density, main, abs(count - main),
+                    parts.term_main, parts.term_mid, parts.term_tail,
+                    admissible_window(rule.r, x, y, args.eps)))))
+                # No |count - density y| exceeds y, so a bound at or above y says nothing.
+                if interval_error_bound(rule.r, x, y) * power_or_inf(x, args.eps) >= y:
+                    print(f"warning: at x={x}, y={y} the error bound (term_main + term_mid"
+                          f" + term_tail) x^eps is not below y: it says nothing", file=sys.stderr)
+    emit_records(REPORT_COLUMNS, rows, fmt)
     return 0
 
 

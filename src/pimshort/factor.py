@@ -24,6 +24,8 @@ from .rules import ExponentRule
 Factorization = tuple[tuple[int, int], ...]
 
 MAX_N = 2**63
+# The largest exponent of any n < MAX_N, that of 2 in 2^62.
+MAX_EXPONENT = 62
 
 # The least prime table: trial division stops here, and so does the least
 # cut of the counting sieve.
@@ -153,7 +155,7 @@ def eval_rule(rule: ExponentRule, fact: Factorization) -> int:
 
 @lru_cache(maxsize=None)
 def _local_weights(rule: ExponentRule, period: int,
-                   top: int = 62) -> tuple[tuple[tuple[int, int], ...], ...]:
+                   top: int = MAX_EXPONENT) -> tuple[tuple[tuple[int, int], ...], ...]:
     # Row alpha <= min(top, alpha_max) (no n < 2^63 has an exponent past 62): the nonzero
     # (value, coefficient) pairs of 1_{f=k} * (1_{period-free})^-1 at p^alpha; that inverse at
     # p^beta is +1 where period | beta, -1 one step above, else 0.  Period r gives h's rows;
@@ -193,4 +195,4 @@ def rfull_weights_up_to(rule: ExponentRule, fact: Factorization, k_max: int) -> 
     """
     if (top := max((a for _, a in fact), default=0)) > rule.alpha_max:
         raise ValueError(f"exponent {top} exceeds the rule table (alpha_max {rule.alpha_max})")
-    return _lattice_product(_local_weights(rule, rule.r, max(62, top)), fact, k_max)
+    return _lattice_product(_local_weights(rule, rule.r, max(MAX_EXPONENT, top)), fact, k_max)

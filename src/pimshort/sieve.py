@@ -53,17 +53,15 @@ import multiprocessing
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, starmap
-from math import inf, isqrt, log2, prod
+from math import isqrt, prod
 
 import numpy as np
 
-from .bounds import bound_breakdown
 from .density import _table
-from .factor import (_PRIME_FLOOR, _SIGNATURE_PRIMES, MAX_N, Factorization, _ranges,
-                     _signature_exponents, introot, primes_upto)
+from .factor import (_PRIME_FLOOR, _SIGNATURE_PRIMES, MAX_EXPONENT, MAX_N, Factorization,
+                     _ranges, _signature_exponents, introot, primes_upto)
 from .rules import ExponentRule
 
 DEFAULT_CHUNK = 1 << 20
@@ -93,14 +91,6 @@ def _check_window(x: int, y: int) -> tuple[int, int]:
         raise ValueError(f"window length must be >= 1, got {y}")
     if x + y >= MAX_N:
         raise ValueError("window end must stay below 2**63")
-    return x, y
-
-
-def check_report_window(x: int, y: int) -> tuple[int, int]:
-    """(x, y) read by _check_window, refused unless interval_report accepts (x, x+y]: y < x."""
-    x, y = _check_window(x, y)
-    if not y < x:
-        raise ValueError(f"the window needs 0 < y < x, got x={x}, y={y}")
     return x, y
 
 
@@ -203,8 +193,8 @@ def _moduli(r: int, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # lead them (a lower cut has x+y < 5^r, and holds the leads alone), as do the strided
     # ones, 64 q <= min(y, 2^20), read off the front.  One table per r, grown to the largest
     # cut met, serves every window: 2.6 MB at r = 2 and cut 2^21, 0.1 MB at any other r.  No
-    # p^a with a >= 63 fits, so every r from 63 on takes 63's: a fits uint8.
-    r = min(r, 63)
+    # p^a with a > MAX_EXPONENT fits, so every r from 63 on takes 63's: a fits uint8.
+    r = min(r, MAX_EXPONENT + 1)
     if _held_moduli.get(r, (-1,))[0] < cut:
         p = primes_upto(min(cut, introot(MAX_N - 1, r)))[2:]
         q = p**r
@@ -345,7 +335,7 @@ def _fvalue_chunks(rule: ExponentRule, x: list[int], y: list[int], cap: int = 0)
     uint16 below 2^46, uint32 above.  Each factor applied at an offset divides its final
     value.
     """
-    g = tuple(min(v, cap or v) for v in rule.values[:63])
+    g = tuple(min(v, cap or v) for v in rule.values[: MAX_EXPONENT + 1])
     end = max(a + b for a, b in zip(x, y))
     top = cap * cap if cap else max(56_265 if end < 1 << 46 else 684_255, *g)
     span = 1 << (min(max(y), DEFAULT_CHUNK) - 1).bit_length()  # the rulers' length class
@@ -399,9 +389,9 @@ def _count_windows(rule: ExponentRule, k: int, x: list[int], y: list[int]) -> li
 def _r_free_windows(x: list[int], y: list[int], r: int) -> list[int]:
     # [#{n in (x[i], x[i] + y[i]] : n is r-free}] on the kernel's moduli, apart from the g
     # tables and their clip: 2^r and 3^r marked by slice, then the strided p^r coprime to 6
-    # and the hits of primes above 3.  No p^r with r >= 63 divides an n < 2^63, and the walk
-    # would form (cut + 1)**r = 4**r, past memory at r = 10**18: so r is capped at 63.
-    r, out = min(r, 63), list(y)
+    # and the hits of primes above 3.  No p^r with r > MAX_EXPONENT divides an n < 2^63, and
+    # the walk would form (cut + 1)**r = 4**r, past memory at r = 10**18: so r is capped at 63.
+    r, out = min(r, MAX_EXPONENT + 1), list(y)
     for segments, off, p, _ in _window_chunks(x, y, r):
         marked = np.zeros(sum(cy for _, _, cy, _, _ in segments), dtype=bool)
         for _, n0, cy, start, strided in segments:
@@ -503,61 +493,3 @@ def rfull_multiples_sum(x: int, y: int, r: int) -> int:
     _, n, _, _ = _table(r, 2 * x)
     n = n[np.searchsorted(n, 2 * y, "right"):]
     return int(((x + y) // n - x // n).sum())
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    """Observed vs. predicted count over one window, with error-bound terms."""
-
-    rule: str
-    k: int
-    r: int
-    x: int
-    y: int
-    count: int
-    density: float
-    main_term: float
-    abs_error: float
-    term_main: float
-    term_mid: float
-    term_tail: float
-    admissible: bool
-
-
-def admissible_window(r: int, x: int, y: int, eps: float) -> bool:
-    """Whether x^(1/(2r+1) + eps) <= y <= 4^(-2 r^2) * x, for finite eps > 0."""
-    if not 0 < eps < inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    e = 1.0 / (2 * r + 1) + eps  # x^e past 2^1023 would overflow, and exceeds every y < 2^63
-    return x >= 1 and e * log2(x) < 1023 and x ** e <= y <= x * 4.0 ** (-2 * r * r)
-
-
-def interval_report(rule: ExponentRule, k: int, x: int, y: int, density: float,
-                    eps: float = 0.01) -> IntervalReport:
-    """Count f(n) = k over (x, x+y] and compare against density * y.
-
-    density is the local density of {n : f(n) = k}, for example
-    local_density(rule, k).density.  The three bound components are
-    reported without the x^eps factor; eps only enters the admissibility
-    flag.  Requires y < x so the error terms are defined.
-    """
-    x, y = check_report_window(x, y)
-    admissible = admissible_window(rule.r, x, y, eps)
-    parts = bound_breakdown(rule.r, x, y)
-    count = count_value(rule, k, x, y)
-    main = density * y
-    return IntervalReport(
-        rule=rule.name,
-        k=k,
-        r=rule.r,
-        x=x,
-        y=y,
-        count=count,
-        density=density,
-        main_term=main,
-        abs_error=abs(count - main),
-        term_main=parts.term_main,
-        term_mid=parts.term_mid,
-        term_tail=parts.term_tail,
-        admissible=admissible,
-    )

@@ -15,7 +15,7 @@ from math import log, prod, sqrt
 
 import numpy as np
 
-from .bounds import bound_breakdown, interval_error_bound, zeta
+from .bounds import admissible_window, bound_breakdown, interval_error_bound, zeta
 from .density import (
     DEFAULT_BOUND,
     _table,
@@ -32,7 +32,6 @@ from .sieve import (
     _fold,
     _profile_windows,
     _r_free_windows,
-    admissible_window,
     count_r_free,
     count_value,
     rfull_multiples_sum,

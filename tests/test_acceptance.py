@@ -8,7 +8,7 @@ density module's per-r cache, so the first of them to run also times it.
 import time
 from math import gcd, log, sqrt
 
-from pimshort.bounds import interval_error_bound, zeta
+from pimshort.bounds import admissible_window, interval_error_bound, zeta
 from pimshort.density import (
     density_profile,
     local_density,
@@ -18,7 +18,6 @@ from pimshort.density import (
 from pimshort.factor import factorize
 from pimshort.rules import build_rule
 from pimshort.sieve import (
-    admissible_window,
     count_r_free,
     count_value,
     rfull_multiples_sum,

@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from pimshort.bounds import bound_breakdown, interval_error_bound, zeta
+from pimshort.bounds import admissible_window, bound_breakdown, interval_error_bound, zeta
 
 
 def test_zeta_2_matches_pi_squared_over_six():
@@ -107,3 +107,14 @@ def test_breakdown_accepts_huge_integers():
     b = bound_breakdown(4, 10**14, 10**10)
     assert math.isfinite(b.term_main)
     assert b.scale > 0
+
+
+def test_admissible_window():
+    # r = 2: lower edge x^(1/5 + eps), upper edge x / 65536.
+    assert admissible_window(2, 10**11, 10**6, 0.01)
+    assert not admissible_window(2, 10**11, 10**7, 0.01)  # above x * 4^-8
+    assert not admissible_window(2, 10**11, 100, 0.01)  # below x^(1/5+eps)
+    assert admissible_window(2, 10**12, 10**6, 30.0) is False  # x^eps past the float range
+    for eps in (-3.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            admissible_window(2, 10**11, 10**6, eps)

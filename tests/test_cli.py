@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from pimshort.cli import (
 )
 from pimshort.density import DEFAULT_BOUND
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules
-from pimshort.sieve import IntervalReport, count_value
+from pimshort.sieve import count_r_free, count_value
 
 
 def run_cli(capsys, *argv):
@@ -165,9 +164,19 @@ def test_interval_record_and_warning(capsys):
     assert bound_line == ("warning: at x=100, y=10 the error bound (term_main + term_mid"
                           " + term_tail) x^eps is not below y: it says nothing")
     record = json.loads(out)
-    assert record["count"] == 8
+    assert list(record) == list(cli.REPORT_COLUMNS)
+    assert record["count"] == 8  # squarefree members of (100, 110]
     assert record["admissible"] is False
     assert record["x"] == 100 and record["y"] == 10
+    assert record["abs_error"] == pytest.approx(abs(8 - record["main_term"]))
+    assert record["term_main"] > 0 and record["term_mid"] > 0 and record["term_tail"] > 0
+
+
+def test_interval_powerdiv_r2_k1_counts_r_free(capsys):
+    code, out, _ = run_cli(capsys, "interval", "--rule", "powerdiv-r:2", "--k", "1",
+                           "--x", "1e6", "--y", "2000", "--B", "1e4")
+    assert code == 0
+    assert json.loads(out)["count"] == count_r_free(10**6, 2000, 2)
 
 
 def test_interval_rejects_wide_window(capsys):
@@ -197,9 +206,7 @@ def test_bound_warning_only_where_the_bound_reaches_y(monkeypatch, capsys, rule,
     # 0.96 y at r = 3 for eps = 0.001, and above y for eps = 0.01.  At eps = 30, x^eps passes
     # the float range: the window is not admissible and the bound says nothing.  The count is
     # stubbed: the warning reads the bound terms alone, and stdout keeps the record's keys.
-    import pimshort.sieve as sieve_mod
-
-    monkeypatch.setattr(sieve_mod, "count_value", lambda *args: 0)
+    monkeypatch.setattr(cli, "count_value", lambda *args: 0)
     admissible = "false" if float(eps) > 1 else "true"
     for command in ("interval", "table"):
         code, out, err = run_cli(capsys, command, "--rule", rule, "--k", "1", "--x", "9e18",
@@ -373,7 +380,7 @@ def test_interval_csv_is_the_one_row_table(capsys):
     assert code == 0
     assert interval_out == table_out
     header = table_out.splitlines()[0].split(",")
-    assert header == [f.name for f in fields(IntervalReport)]
+    assert header == list(cli.REPORT_COLUMNS)
 
 
 def test_custom_rule_from_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import sys
 import warnings
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, replace
+from dataclasses import replace
 from itertools import accumulate, product, starmap
 from math import pi, prod, sqrt
 from types import SimpleNamespace
@@ -16,17 +16,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from pimshort.bounds import zeta
+from pimshort.bounds import admissible_window, bound_breakdown, zeta
 from pimshort.density import (density_profile, local_density, rfull_count_bound,
                               weight_harmonic_profile, weight_partial_sum)
 from pimshort.factor import (MAX_N, _SIGNATURE_PRIMES, _local_weights, eval_rule, factorize, introot,
                              primes_upto)
 from pimshort.rules import ALPHA_MAX, build_rule, builtin_rules, load_custom_rule
 from pimshort.sieve import (
-    admissible_window,
     count_r_free,
     count_value,
-    interval_report,
     rfull_multiples_sum,
     sieve_segment,
     value_counts,
@@ -1435,55 +1433,13 @@ def test_multiples_sum_validation():
     assert rfull_multiples_sum(2**62 - 1, 10, 40) == 23
 
 
-def test_admissible_window():
-    # r = 2: lower edge x^(1/5 + eps), upper edge x / 65536.
-    assert admissible_window(2, 10**11, 10**6, 0.01)
-    assert not admissible_window(2, 10**11, 10**7, 0.01)  # above x * 4^-8
-    assert not admissible_window(2, 10**11, 100, 0.01)  # below x^(1/5+eps)
-    assert admissible_window(2, 10**12, 10**6, 30.0) is False  # x^eps past the float range
-    for eps in (-3.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="eps"):
-            admissible_window(2, 10**11, 10**6, eps)
-
-
-def test_interval_report_fields_and_flag():
-    abelian = build_rule("abelian")
-    dens = local_density(abelian, 1, 10**5)
-    rep = interval_report(abelian, 1, 100, 10, dens.density)
-    assert rep.count == 8  # squarefree members of (100, 110]
-    assert not rep.admissible
-    assert rep.abs_error == pytest.approx(abs(8 - rep.main_term))
-    rec = asdict(rep)
-    assert list(rec) == [
-        "rule", "k", "r", "x", "y", "count", "density", "main_term",
-        "abs_error", "term_main", "term_mid", "term_tail", "admissible",
-    ]
-    assert rep.term_main > 0 and rep.term_mid > 0 and rep.term_tail > 0
-
-
-def test_interval_report_powerdiv_equals_r_free():
-    powerdiv2 = build_rule("powerdiv-r:2")
-    dens = local_density(powerdiv2, 1, 10**4)
-    rep = interval_report(powerdiv2, 1, 10**6, 2000, dens.density)
-    assert rep.count == count_r_free(10**6, 2000, 2)
-
-
-def test_interval_report_rejects_wide_window():
-    abelian = build_rule("abelian")
-    dens = local_density(abelian, 1, 10**4)
-    with pytest.raises(ValueError):
-        interval_report(abelian, 1, 100, 100, dens.density)
-
-
 @pytest.mark.parametrize("call", [
     lambda x, y: count_value(build_rule("abelian"), 1, x, y),
     lambda x, y: value_counts(build_rule("abelian"), x, y),
     lambda x, y: count_r_free(x, y, 2),
-    lambda x, y: interval_report(build_rule("abelian"), 1, x, y, 0.5),
     lambda x, y: sieve_segment(x, y),
     lambda x, y: rfull_multiples_sum(x, y, 2),
-], ids=["count_value", "value_counts", "count_r_free", "interval_report", "sieve_segment",
-        "rfull_multiples_sum"])
+], ids=["count_value", "value_counts", "count_r_free", "sieve_segment", "rfull_multiples_sum"])
 def test_windows_read_x_and_y_by_operator_index(monkeypatch, call):
     # On a cold r-full table, then on the warm one that the int call leaves, a numpy integer x
     # or y gives the int's result and a float raises TypeError.
@@ -1514,8 +1470,11 @@ def test_windows_read_x_and_y_by_operator_index(monkeypatch, call):
     (lambda r: rfull_count_bound(r, 10**9), 2),
     (lambda w: count_value(_huge_rule(), 10**10, 10**7, 7001, workers=w), 2),
     (lambda w: value_counts(build_rule("abelian"), 10**7, 7001, workers=w), 2),
+    (zeta, 2),
+    (lambda r: bound_breakdown(r, 1e9, 1e4), 2),
+    (lambda r: admissible_window(r, 10**11, 10**6, 0.01), 2),
 ], ids=["count_r_free", "rfull_multiples_sum", "rfull_count_bound", "count_value",
-        "value_counts"])
+        "value_counts", "zeta", "bound_breakdown", "admissible_window"])
 def test_r_and_workers_read_by_operator_index(monkeypatch, call, arg):
     # On cold tables, then on the warm ones that the int call leaves, a numpy integer r or
     # workers gives the int's result and a float raises TypeError.  With chunks of 3000
