@@ -66,14 +66,8 @@ def bound_breakdown(r: int, x, y) -> BoundBreakdown:
     return BoundBreakdown(term_main, term_mid, term_tail, scale)
 
 
-def interval_error_bound(r: int, x, y) -> float:
-    """Sum of the three error terms (the caller applies any x^eps factor)."""
-    b = bound_breakdown(r, x, y)
-    return b.term_main + b.term_mid + b.term_tail
-
-
 def power_or_inf(x, e: float) -> float:
-    """x^e for x >= 1, or inf where it would pass 2^1023: then it exceeds every y < 2^63."""
+    """x^e for 1 <= x < 2^1023, or inf where that passes 2^1023: then it exceeds every y < 2^63."""
     return float(x) ** e if e * log2(x) < 1023 else inf
 
 
@@ -82,4 +76,6 @@ def admissible_window(r: int, x, y, eps: float) -> bool:
     r = operator.index(r)
     if not 0 < eps < inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
+    if x >= 2**1023:  # float(x) may overflow: both edges are compared in log2
+        return y > 0 and (1.0 / (2 * r + 1) + eps) * log2(x) <= log2(y) <= log2(x) - 4 * r * r
     return x >= 1 and power_or_inf(x, 1.0 / (2 * r + 1) + eps) <= y <= x * 4.0 ** (-2 * r * r)

@@ -17,13 +17,14 @@ from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .bounds import admissible_window, bound_breakdown, interval_error_bound, power_or_inf
+from .bounds import admissible_window, bound_breakdown, power_or_inf
 from .density import (
     DEFAULT_BOUND,
     check_series_args,
     local_density,
     rfull_count_bound,
     rfull_table,
+    series_limit,
 )
 from .factor import MAX_N, introot
 from .rules import ExponentRule, RuleError, UnknownRuleError, build_rule, load_custom_rule
@@ -31,8 +32,8 @@ from .sieve import _check_window, count_value
 from .verify import SUITE_NAMES, run_suite
 
 # The most r-full terms a command may enumerate, as bounded from above by
-# rfull_count_bound: up to 2^r * --B for the density series, up to --limit
-# for enumerate-rfull.  At r = 2 this admits B up to about 1.1e11 (1.36e6
+# rfull_count_bound: up to series_limit(r, --B) for the density series, up to
+# --limit for enumerate-rfull.  At r = 2 this admits B up to about 1.1e11 (1.36e6
 # terms) and --limit up to about 4.5e11.
 MAX_RFULL_TERMS = 2_000_000
 
@@ -111,7 +112,7 @@ def check_terms(flag: str, value: int, r: int, limit: int) -> None:
 
 def check_bound(rule: ExponentRule, bound: int) -> None:
     """Refuse a --B whose r-full enumeration would exceed MAX_RFULL_TERMS."""
-    check_terms("--B", bound, rule.r, 2**rule.r * bound)
+    check_terms("--B", bound, rule.r, series_limit(rule.r, bound))
 
 
 def _csv_cell(value) -> str:
@@ -155,7 +156,7 @@ def check_report_window(x: int, y: int) -> None:
         raise ValueError(f"the window needs 0 < y < x, got x={x}, y={y}")
 
 
-def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
+def report_windows(args, xs: list[int], ys: list[int]) -> int:
     """Check k, --B and every (x, y) before any output, sum the series once, report each window."""
     rule = resolve_rule(args.rule)
     check_series_args(args.k, args.bound)
@@ -181,22 +182,18 @@ def report_windows(args, xs: list[int], ys: list[int], fmt: str) -> int:
         for x in xs:
             for y in ys:
                 count = count_value(rule, args.k, x, y)
-                parts = bound_breakdown(rule.r, x, y)
+                b = bound_breakdown(rule.r, x, y)
                 main = density * y
                 rows.append(dict(zip(REPORT_COLUMNS, (
                     rule.name, args.k, rule.r, x, y, count, density, main, abs(count - main),
-                    parts.term_main, parts.term_mid, parts.term_tail,
+                    b.term_main, b.term_mid, b.term_tail,
                     admissible_window(rule.r, x, y, args.eps)))))
                 # No |count - density y| exceeds y, so a bound at or above y says nothing.
-                if interval_error_bound(rule.r, x, y) * power_or_inf(x, args.eps) >= y:
+                if (b.term_main + b.term_mid + b.term_tail) * power_or_inf(x, args.eps) >= y:
                     print(f"warning: at x={x}, y={y} the error bound (term_main + term_mid"
                           f" + term_tail) x^eps is not below y: it says nothing", file=sys.stderr)
-    emit_records(REPORT_COLUMNS, rows, fmt)
+    emit_records(REPORT_COLUMNS, rows, args.format)
     return 0
-
-
-def cmd_interval(args) -> int:
-    return report_windows(args, [args.x], [args.y], args.format)
 
 
 def cmd_enumerate_rfull(args) -> int:
@@ -209,10 +206,6 @@ def cmd_enumerate_rfull(args) -> int:
     for i in range(0, n.size, 1 << 16):  # one write per slice of 2^16 lines
         sys.stdout.write("".join(f"{x}\n" for x in n[i : i + (1 << 16)].tolist()))
     return 0
-
-
-def cmd_table(args) -> int:
-    return report_windows(args, args.x, args.y, "csv")
 
 
 def cmd_verify(args) -> int:
@@ -261,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="count f(n) = k over (x, x+y] vs density * y")
     p.add_argument("--x", type=exact_int, required=True)
     p.add_argument("--y", type=exact_int, required=True)
-    p.set_defaults(func=cmd_interval)
+    p.set_defaults(func=lambda args: report_windows(args, [args.x], [args.y]))
 
     p = sub.add_parser("enumerate-rfull", help="ascending r-full numbers up to a limit")
     p.add_argument("--r", type=exact_int, required=True)
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated x values (scientific notation accepted)")
     p.add_argument("--y", type=exact_int_list, default=[],
                    help="comma-separated y values")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=lambda args: report_windows(args, args.x, args.y), format="csv")
 
     p = sub.add_parser("verify", help="run a named self-check suite")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)

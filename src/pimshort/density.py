@@ -269,6 +269,11 @@ class DensityResult:
     density: float
 
 
+def series_limit(r: int, bound: int) -> int:
+    """How far a series with truncation bound B reads: its tail block (B, 2^r B], cut below 2^63."""
+    return min((1 << r) * bound, MAX_N - 1)
+
+
 def check_series_args(k: int, bound: int) -> tuple[int, int]:
     """(k, bound) read by operator.index, refused unless k >= 1 and 1 <= bound < 2^63."""
     k, bound = operator.index(k), operator.index(bound)
@@ -286,11 +291,11 @@ def _densities(rule: ExponentRule, bound: int, ks: range) -> dict[int, DensityRe
     signature's j-th exponent, 0 past its last; g(0) = 1).  Each partial product below 2^53 is
     an integer no larger than f, so exact, and one at 2^53 stays there (rounding is monotone),
     so only a k >= 2^53 reads eval_rule's ints.  Head sums add the held bins of the signatures
-    with f = k; the tail block is (bound, 2^r bound].
+    with f = k; the tail block is (bound, series_limit].  check_series_args reads ks's last k.
     """
+    bound = check_series_args(ks.stop - 1, bound)[1]  # k_max = 0 reads range(1, 1)
     r = rule.r
-    top = min((1 << r) * bound, MAX_N - 1)
-    facts, n, recip, pattern = _table(r, top)
+    facts, n, recip, pattern = _table(r, series_limit(r, bound))
     i = np.searchsorted(n, bound, "right").item()
     held = _tables[r]
     columns, emax = held[2]
@@ -315,13 +320,11 @@ def local_density(rule: ExponentRule, k: int, bound: int = DEFAULT_BOUND) -> Den
 
     An unattained k yields density 0 (never an error).
     """
-    k, bound = check_series_args(k, bound)
     return _densities(rule, bound, range(k, k + 1))[k]
 
 
 def density_profile(rule: ExponentRule, bound: int, k_max: int) -> dict[int, DensityResult]:
     """local_density for every k <= k_max in a single enumeration pass."""
-    k_max, bound = check_series_args(k_max, bound)
     return _densities(rule, bound, range(1, k_max + 1))
 
 
@@ -337,7 +340,7 @@ def weight_harmonic_tail(rule: ExponentRule, k: int, bound: int) -> float:
     """Geometric tail estimate for the h(n)/n series beyond the bound.
 
     Mirrors the density tail: |h(n)|/n summed over the first out-of-range
-    block (bound, 2^r * bound], scaled by the geometric factor.
+    block (bound, series_limit(r, bound)], scaled by the geometric factor.
     """
     return _harmonics(rule, bound, range(k, k + 1))[k][1]
 
@@ -351,11 +354,10 @@ def weight_harmonic_profile(rule: ExponentRule, bound: int,
 def _harmonics(rule: ExponentRule, bound: int, ks: range) -> dict[int, tuple[float, float]]:
     """The h(n)/n pass, as _densities is the 1/psi pass: (sum, tail estimate) for each k in ks."""
     k_max, bound = check_series_args(ks.stop - 1, bound)  # k_max = 0 reads range(1, 1)
-    top = min((1 << rule.r) * bound, MAX_N - 1)
-    facts, n, _, pattern = _table(rule.r, top)
+    facts, n, _, pattern = _table(rule.r, series_limit(rule.r, bound))
     i = np.searchsorted(n, bound, "right").item()
     order, start = _groups(rule.r)
-    count = np.bincount(pattern, minlength=len(facts))  # each group's rows up to top lead it
+    count = np.bincount(pattern, minlength=len(facts))  # each group's rows up to the limit lead it
     present = np.flatnonzero(count)
     weights = [rfull_weights_up_to(rule, facts[q], k_max) for q in present.tolist()]
     h_of = np.zeros(len(facts), dtype=np.int64)  # h_k of each signature

@@ -15,7 +15,7 @@ from math import log, prod, sqrt
 
 import numpy as np
 
-from .bounds import admissible_window, bound_breakdown, interval_error_bound, zeta
+from .bounds import admissible_window, bound_breakdown, zeta
 from .density import (
     DEFAULT_BOUND,
     _table,
@@ -25,7 +25,7 @@ from .density import (
     weight_partial_sum,
 )
 from .factor import (_SIGNATURE_PRIMES, _lattice_product, _local_weights, _signature_exponents,
-                     eval_rule, factorize, introot, primes_upto, rfull_weights_up_to)
+                     eval_rule, introot, primes_upto, rfull_weights_up_to)
 from .rules import build_rule, builtin_rules
 from .sieve import (
     _count_windows,
@@ -105,7 +105,7 @@ def checks_convolution() -> list[Check]:
 
     f(n) and h(n) read only the exponents of n, never its primes, so the n <= 10^4
     that share a sorted exponent tuple (a shape) pass or fail alike: each shape is
-    weighed once (each n/d and 2^a met is an n <= 10^4 too), checked at its least n
+    weighed once (each n/d and 2^a met is an n <= 10^4 too), checked at 2^a1 3^a2 ...
     and counts once per n.  The r-free divisors of prod p_i^a_i are the b <= a, all b_i < r.
     """
     limit, k_max = 10_000, 10
@@ -113,17 +113,16 @@ def checks_convolution() -> list[Check]:
     for a in range(1, limit.bit_length()):
         for q in (p**a for p in primes_upto(introot(limit, a)).tolist()):
             code[q::q] = code[q::q] // _SIGNATURE_PRIMES[a - 1] * _SIGNATURE_PRIMES[a]
-    found = zip(*(x.tolist() for x in np.unique(code[1:], return_index=True, return_counts=True)))
-    shapes = {_signature_exponents(c): (factorize(i + 1), k) for c, i, k in found}  # least n, count
+    shapes = {(s := _signature_exponents(c)): (tuple(zip(_SIGNATURE_PRIMES[1:], s)), k)
+              for c, k in zip(*(x.tolist() for x in np.unique(code[1:], return_counts=True)))}
 
-    # The sorted shape of n/d for each r-free divisor d of each shape, once per r.
+    # The sorted shape of n/d for each r-free divisor d of each shape.
     rules, out = builtin_rules(), []
-    quotients = {r: {shape: [tuple(sorted(a - c for a, c in zip(shape, b) if a > c))
-                             for b in product(*(range(min(a, r - 1) + 1) for a in shape))]
-                     for shape in shapes}
-                 for r in {rule.r for rule in rules}}
+    r = rules[0].r  # the built-in rules' one r: family-thresholds checks that it is 2
+    quotients = {shape: [tuple(sorted(a - c for a, c in zip(shape, b) if a > c))
+                         for b in product(*(range(min(a, r - 1) + 1) for a in shape))]
+                 for shape in shapes}
     for rule in rules:
-        r = rule.r
         h = {shape: rfull_weights_up_to(rule, fact, k_max) for shape, (fact, _) in shapes.items()}
         support_bad = bound_bad = unit_bad = conv_bad = 0
         for shape, (fact, count) in shapes.items():
@@ -132,7 +131,7 @@ def checks_convolution() -> list[Check]:
             bound_bad += count * any(abs(v) > tau for v in h[shape].values())
             unit_bad += count * (h[shape].get(1, 0) != (shape == ()))
             acc: Counter[int] = Counter()
-            for quotient in quotients[r][shape]:
+            for quotient in quotients[shape]:
                 acc.update(h[quotient])
             fn = eval_rule(rule, fact)
             conv_bad += count * sum(acc[k] != (fn == k) for k in range(1, k_max + 1))
@@ -302,7 +301,8 @@ def checks_desk_scale() -> list[Check]:
     abelian = build_rule("abelian")
     x, y = 10**11, 10**6
     out.append(Check("desk-window-admissible", admissible_window(2, x, y, 0.01), True, True))
-    err_bound = interval_error_bound(2, x, y) * x**0.01
+    b = bound_breakdown(2, x, y)
+    err_bound = (b.term_main + b.term_mid + b.term_tail) * x**0.01
     prof = density_profile(abelian, DEFAULT_BOUND, 2)
     for k in (1, 2):
         d = prof[k].density

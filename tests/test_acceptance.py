@@ -8,7 +8,7 @@ density module's per-r cache, so the first of them to run also times it.
 import time
 from math import gcd, log, sqrt
 
-from pimshort.bounds import admissible_window, interval_error_bound, zeta
+from pimshort.bounds import admissible_window, bound_breakdown, zeta
 from pimshort.density import (
     density_profile,
     local_density,
@@ -140,7 +140,8 @@ def test_criterion_08_desk_scale_window():
     abelian = build_rule("abelian")
     x, y = 10**11, 10**6
     assert admissible_window(2, x, y, 0.01)
-    err_bound = interval_error_bound(2, x, y) * x**0.01
+    b = bound_breakdown(2, x, y)
+    err_bound = (b.term_main + b.term_mid + b.term_tail) * x**0.01
     details = []
     ok = True
     for k in (1, 2):

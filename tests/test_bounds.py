@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from pimshort.bounds import admissible_window, bound_breakdown, interval_error_bound, zeta
+from pimshort.bounds import admissible_window, bound_breakdown, zeta
 
 
 def test_zeta_2_matches_pi_squared_over_six():
@@ -96,13 +96,6 @@ def test_breakdown_domain_errors():
         bound_breakdown(1, 100, 10)
 
 
-def test_interval_error_bound_is_term_sum():
-    b = bound_breakdown(2, 1e9, 1e4)
-    assert interval_error_bound(2, 1e9, 1e4) == pytest.approx(
-        b.term_main + b.term_mid + b.term_tail
-    )
-
-
 def test_breakdown_accepts_huge_integers():
     b = bound_breakdown(4, 10**14, 10**10)
     assert math.isfinite(b.term_main)
@@ -118,3 +111,15 @@ def test_admissible_window():
     for eps in (-3.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps"):
             admissible_window(2, 10**11, 10**6, eps)
+
+
+def test_admissible_window_past_the_float_range():
+    # float(2**2000) overflows, so past 2^1023 both edges are compared in log2: at r = 2 the
+    # window runs from x^(1/5 + 0.01) = 2^420 to x * 4^-8 = 2^1984.
+    assert admissible_window(2, 2**2000, 2**500, 0.01)
+    assert not admissible_window(2, 2**2000, 2**419, 0.01)
+    assert not admissible_window(2, 2**2000, 2**1985, 0.01)
+    assert not admissible_window(64, 2**2000, 10, 1e-9)  # x^(1/129) = 2^15.5 > 10
+    # Just below 2^1023 the float edges still answer, as they always did.
+    assert admissible_window(2, 2**1023 - 1, 2**300, 0.01)
+    assert not admissible_window(2, 2**1023 - 1, 2**1008, 0.01)

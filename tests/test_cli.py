@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pimshort import cli
+from pimshort import bounds, cli, density
+from pimshort.bounds import bound_breakdown
 from pimshort.cli import (
     MAX_WINDOW,
     check_bound,
@@ -115,6 +116,22 @@ def test_vast_grid_is_refused_before_its_pairs_are_checked(capsys, monkeypatch):
     ys = ",".join(str(i) for i in range(1, 1001))
     code, out, err = run_cli(capsys, "table", "--rule", "abelian", "--k", "1", "--x", xs, "--y", ys)
     assert code == 2 and out == "" and "grid limit" in err and checked == []
+
+
+def test_bound_counts_only_the_terms_the_series_walks(monkeypatch, capsys):
+    # The series reads up to min(2^r B, 2^63 - 1), so --B is checked against that limit: at
+    # r = 4 and B = 9e18 the count bound is 1.07e6 r-full terms, within the budget, where
+    # 2^r B would claim 2.2e6; at r = 3 it is 1.71e7, past it.
+    monkeypatch.setattr(density, "_tables", {})  # the r = 4 table goes with the test
+    code, out, _ = run_cli(capsys, "density", "--rule", "powerdiv-r:4", "--k", "1",
+                           "--B", "9e18")
+    assert code == 0 and '"B": 9000000000000000000' in out
+    code, out, _ = run_cli(capsys, "interval", "--rule", "powerdiv-r:4", "--k", "1",
+                           "--x", "1e12", "--y", "1e4", "--B", "9e18")
+    assert code == 0 and '"count": ' in out
+    code, out, err = run_cli(capsys, "density", "--rule", "powerdiv-r:3", "--k", "1",
+                             "--B", "9e18")
+    assert code == 2 and out == "" and "1.71e+07 r-full terms at r = 3" in err
 
 
 def test_default_and_moderate_bounds_accepted():
@@ -370,6 +387,23 @@ def test_eps_outside_its_domain_is_a_usage_error(monkeypatch, capsys):
                 main([*argv, "--B", "1e6", f"--eps={eps}"])
             assert exc.value.code == 2, (argv, eps)
             assert capsys.readouterr().out == "", (argv, eps)
+
+
+def test_table_row_evaluates_its_bound_once(monkeypatch, capsys):
+    # Each row's columns and its "says nothing" test read one bound_breakdown.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return bound_breakdown(*args)
+
+    monkeypatch.setattr(cli, "bound_breakdown", spy)
+    monkeypatch.setattr(bounds, "bound_breakdown", spy)
+    code, out, _ = run_cli(capsys, "table", "--rule", "abelian", "--k", "1",
+                           "--x", "1e6,2e6,3e6", "--y", "10,100", "--B", "1e4")
+    assert code == 0 and len(out.splitlines()) == 1 + 6
+    assert sorted(calls) == sorted((2, x, y) for x in (10**6, 2 * 10**6, 3 * 10**6)
+                                   for y in (10, 100))
 
 
 def test_interval_csv_is_the_one_row_table(capsys):
